@@ -12,6 +12,14 @@ module computes lambda exactly by brute force in small dimensions,
 evaluates the closed-form bounds used at large d, and provides numeric
 Helstrom discrimination and a simulated intercept strategy as anchors
 from below.
+
+The exact computations use the algebra of the construction rather than
+generic dense algebra: the two halves of every basis sum to the
+identity, so F(Omega) + F(not Omega) = 2(d+1)/d I pairs each outcome
+string with its complement, and rho_0 + rho_1 = 2I/d makes the two bit
+states commute, so their tensor powers are discriminated from the
+spectra alone.  The size caps LAMBDA_BRUTE_FORCE_MAX_D and
+HELSTROM_MAX_DIM are kept as contracts.
 """
 
 from __future__ import annotations
@@ -56,7 +64,14 @@ def lambda_numeric(family: MubFamily, chunk: int = 2048) -> float:
     """max over all outcome strings of the largest eigenvalue of F(Omega).
 
     Exhaustive over the 2^(d+1) strings, so it is only offered for
-    d <= 16; larger dimensions must rely on the closed-form bound.
+    d <= 16; larger dimensions must rely on the closed-form bound.  The
+    two halves of each basis sum to the identity, so
+    lambda_max(F(not Omega)) = 2(d+1)/d - lambda_min(F(Omega)): with the
+    last basis's bit fixed at 0, one eigen-solve scores a string and its
+    complement, 2^d eigen-solves in all.  Strings are scored in batches of
+    at most `chunk` (rounded down to a power of two); only the low bases'
+    bits vary within a batch, so their partial sum is formed once and
+    shared by every batch.
     """
     d = family.d
     if d > LAMBDA_BRUTE_FORCE_MAX_D:
@@ -64,6 +79,8 @@ def lambda_numeric(family: MubFamily, chunk: int = 2048) -> float:
             f"exhaustive lambda search enumerates 2^(d+1) outcome strings; "
             f"d = {d} exceeds the supported maximum {LAMBDA_BRUTE_FORCE_MAX_D}"
         )
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     half = d // 2
     n_bases = d + 1
     # halves[theta, w] = (2/d) * projector onto half w of basis theta
@@ -73,17 +90,23 @@ def lambda_numeric(family: MubFamily, chunk: int = 2048) -> float:
             cols = family.bases[theta][:, w * half : (w + 1) * half]
             halves[theta, w] = (2.0 / d) * (cols @ cols.conj().T)
 
-    total = 1 << n_bases
+    # omega_theta is bit theta of (high << n_low) + low, and omega_d = 0;
+    # F is summed in basis order from zero, whatever the batching
+    n_free = n_bases - 1
+    n_low = min(n_free, chunk.bit_length() - 1)
+    low = np.arange(1 << n_low)
+    low_sum = np.zeros((low.size, d, d), dtype=complex)
+    for theta in range(n_low):
+        low_sum += halves[theta, (low >> theta) & 1]
+
+    flip = 2.0 * (d + 1) / d
     best = -np.inf
-    thetas = np.arange(n_bases)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        bits = (idx[:, None] >> thetas[None, :]) & 1
-        f = np.zeros((idx.size, d, d), dtype=complex)
-        for theta in range(n_bases):
-            f += halves[theta, bits[:, theta]]
+    for high in range(1 << (n_free - n_low)):
+        f = low_sum.copy()
+        for theta in range(n_low, n_bases):
+            f += halves[theta, (high >> (theta - n_low)) & 1]
         eigs = np.linalg.eigvalsh(f)
-        best = max(best, float(eigs[:, -1].max()))
+        best = max(best, float(eigs[:, -1].max()), float((flip - eigs[:, 0]).max()))
     return best
 
 
@@ -238,8 +261,16 @@ def trace_norm(a: np.ndarray) -> float:
 def helstrom_numeric(family: MubFamily, m: int = 1) -> float:
     """Optimal discrimination probability of the two m-copy bit states.
 
-    Evaluates (1 + ||rho_0^(x m) - rho_1^(x m)||_1 / 2) / 2 by exact
-    diagonalization; the tensor power dimension d^m is capped at 4096.
+    Evaluates (1 + ||rho_0^(x m) - rho_1^(x m)||_1 / 2) / 2.  Each basis's
+    two halves sum to the identity, so rho_0 + rho_1 = 2I/d and the two
+    states commute: one eigendecomposition rho_0 = V diag(a) V^H also
+    diagonalises rho_1, whose eigenvalues b are read from the diagonal of
+    V^H rho_1 V.  The tensor powers share the product eigenbasis, so the
+    trace norm is sum |prod a_i - prod b_i| over the d^m products and no
+    Kronecker power is formed.  ValueError is raised if rho_0's
+    Hermiticity error or the residual of V^H rho_1 V off its real
+    diagonal exceeds 1e-9.  The dimension d^m stays capped at
+    HELSTROM_MAX_DIM (4096).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -251,12 +282,18 @@ def helstrom_numeric(family: MubFamily, m: int = 1) -> float:
         )
     rho0 = encoding_average_state(family, 0)
     rho1 = encoding_average_state(family, 1)
-    rho0_m = rho0
-    rho1_m = rho1
+    if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
+        raise ValueError("rho_0 is not Hermitian within 1e-9")
+    a, v = np.linalg.eigh(rho0)
+    rho1_in_v = v.conj().T @ rho1 @ v
+    b = np.diagonal(rho1_in_v).real
+    if np.max(np.abs(rho1_in_v - np.diag(b))) > 1e-9:
+        raise ValueError("rho_1 is not diagonal in rho_0's eigenbasis within 1e-9")
+    a_m, b_m = a, b
     for _ in range(m - 1):
-        rho0_m = np.kron(rho0_m, rho0)
-        rho1_m = np.kron(rho1_m, rho1)
-    return 0.5 + trace_norm(rho0_m - rho1_m) / 4.0
+        a_m = np.multiply.outer(a_m, a).ravel()
+        b_m = np.multiply.outer(b_m, b).ravel()
+    return 0.5 + float(np.abs(a_m - b_m).sum()) / 4.0
 
 
 def helstrom_paper_single(d: int) -> float:
@@ -293,22 +330,19 @@ class EveSimResult:
 def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> EveSimResult:
     """Simulate an interceptor who measures in a uniformly random basis.
 
-    Outcomes follow the Born rule through the family's actual overlap
-    table.  After the basis is disclosed, a matching-basis outcome decodes
-    the bit exactly; otherwise the outcome is uninformative and the guess
-    falls back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).
+    Outcomes follow the Born rule through the family's actual overlaps.
+    After the basis is disclosed, a matching-basis outcome decodes the bit
+    exactly; otherwise the outcome is uninformative and the guess falls
+    back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  Trials
+    are grouped by Eve's basis and only their own Born rows are computed,
+    one product per group, so memory is O(n_trials) and no
+    (d+1)^2 d^2 overlap table is formed.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     d = family.d
     half = d // 2
     n_bases = d + 1
-    # born[t, s, i, k] = P(outcome i | measure basis t, state |e_s(k)>)
-    overlaps = np.einsum("tji,sjk->tsik", family.bases.conj(), family.bases)
-    born = np.abs(overlaps) ** 2
-    # reindex to [state basis, measured basis, state index, outcome] and
-    # accumulate over outcomes for inverse-CDF sampling
-    cdf = np.cumsum(born.transpose(1, 0, 3, 2), axis=-1)
 
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 2, size=n_trials)
@@ -319,8 +353,13 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     coins = rng.integers(0, 2, size=n_trials)
 
     idx = half * xs + rs
-    rows = cdf[thetas, eve_bases, idx]  # (n_trials, d)
-    outcomes = (u[:, None] > rows).sum(axis=1)
+    outcomes = np.empty(n_trials, dtype=np.int64)
+    for t in range(n_bases):
+        trials = np.flatnonzero(eve_bases == t)
+        states = family.bases[thetas[trials], :, idx[trials]]  # (trials, d)
+        # born[n, i] = |<e_t(i)|psi_n>|^2, accumulated over outcomes i
+        cdf = np.cumsum(np.abs(states @ family.bases[t].conj()) ** 2, axis=1)
+        outcomes[trials] = (u[trials, None] > cdf).sum(axis=1)
     decoded = (outcomes >= half).astype(np.int64)
     guesses = np.where(eve_bases == thetas, decoded, coins)
     p_hat = float(np.mean(guesses == xs))

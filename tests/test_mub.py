@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mubqct import mub
 from mubqct import (
     Dimension,
     MubFamily,
@@ -158,3 +159,56 @@ def test_family_array_is_read_only():
 def test_mub_family_shape_validation():
     with pytest.raises(ValueError):
         MubFamily(dimension=Dimension.from_k(2), bases=np.zeros((4, 4, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_row_zero_is_real_positive_for_every_k(k):
+    # row 0 of every non-computational basis is i^(Tr(0))/sqrt(d) = 1/sqrt(d)
+    fam = cached_family(k) if k <= 7 else build_mub_family(k)
+    first_rows = fam.bases[1:, 0, :]
+    assert np.all(first_rows.imag == 0)
+    assert np.all(first_rows.real > 0)
+
+
+def _verify_pairwise(fam):
+    """One product per pair of bases: (max ortho dev, where, max unbiased dev, where)."""
+    bases, d, n = fam.bases, fam.d, fam.n_bases
+    best_o, where_o, best_u, where_u = -1.0, (0, 0, 0), -1.0, (0, 1, 0, 0)
+    for t1 in range(n):
+        dev = np.abs(bases[t1].conj().T @ bases[t1] - np.eye(d))
+        for (i, j), v in np.ndenumerate(dev):
+            if v > best_o:
+                best_o, where_o = float(v), (t1, i, j)
+        for t2 in range(t1 + 1, n):
+            dev = np.abs(np.abs(bases[t1].conj().T @ bases[t2]) - 1.0 / np.sqrt(d))
+            for (i, j), v in np.ndenumerate(dev):
+                if v > best_u:
+                    best_u, where_u = float(v), (t1, t2, i, j)
+    return best_o, where_o, best_u, where_u
+
+
+def _perturbed_k3_family():
+    fam = cached_family(3)
+    bases = fam.bases.copy()
+    bases[3][:, 5] *= 1.002
+    bases[6][:, 1] = (bases[6][:, 1] + 0.01 * bases[6][:, 2]) / np.sqrt(1.0001)
+    return MubFamily(dimension=fam.dimension, bases=bases)
+
+
+@pytest.mark.parametrize("block_entries", [64, 3 * 64, 1 << 20])
+@pytest.mark.parametrize("which", ["perturbed", 1, 2, 3, 4])
+def test_blocked_verification_matches_pairwise_loop(which, block_entries, monkeypatch):
+    # small blocks split the later bases over several products (1 or 3 bases at d = 8)
+    monkeypatch.setattr(mub, "_VERIFY_BLOCK_ENTRIES", block_entries)
+    fam = _perturbed_k3_family() if which == "perturbed" else cached_family(which)
+    report = verify_unbiasedness(fam, tol=1e-9)
+    want = _verify_pairwise(fam)
+    assert (
+        report.max_orthonormality_dev,
+        report.worst_orthonormality,
+        report.max_unbiasedness_dev,
+        report.worst_unbiasedness,
+    ) == want
+    if which == "perturbed":
+        assert not report.passed
+        assert report.worst_unbiasedness[:2] != (0, 1)

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from mubqct import (
     CapabilityError,
+    Dimension,
+    MubFamily,
     alicki_fannes_iacc,
     bounds_report,
+    build_mub_family,
     encoding_average_state,
     f_operator,
     helstrom_multi_bound,
@@ -322,3 +325,115 @@ def test_bounds_report_large_d_iacc():
     rep = bounds_report(2**20, 10, oracle=False)
     assert rep.iacc_bits == pytest.approx(math.log2(1 + 20 / 1024), abs=1e-12)
     assert rep.delta_pinsker == pytest.approx(math.sqrt(rep.iacc_bits / 2), abs=1e-12)
+
+
+def _family(k):
+    """Cached family up to k = 7; the 270 MB k = 8 family is built afresh."""
+    return cached_family(k) if k <= 7 else build_mub_family(k)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_bit_states_sum_to_flat_mixture(k):
+    fam = _family(k)
+    d = fam.d
+    total = encoding_average_state(fam, 0) + encoding_average_state(fam, 1)
+    assert np.max(np.abs(total - (2.0 / d) * np.eye(d))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_complement_string_spectrum_law(d):
+    fam = cached_family(d.bit_length() - 1)
+    flip = 2.0 * (d + 1) / d
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        omega = rng.integers(0, 2, size=d + 1)
+        top_complement = np.linalg.eigvalsh(f_operator(fam, 1 - omega))[-1]
+        bottom = np.linalg.eigvalsh(f_operator(fam, omega))[0]
+        assert abs(top_complement - (flip - bottom)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("chunk", [1, 5, 2048])
+def test_lambda_numeric_matches_every_string_enumerated(d, chunk):
+    fam = cached_family(d.bit_length() - 1)
+    want = max(
+        np.linalg.eigvalsh(f_operator(fam, omega))[-1]
+        for omega in itertools.product((0, 1), repeat=d + 1)
+    )
+    assert abs(lambda_numeric(fam, chunk) - want) < 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_lambda_numeric_finds_optimum_with_last_bit_set(d):
+    # random orthonormal bases (not unbiased) whose best string, for this
+    # seed, has omega_d = 1: only its complement is solved directly
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=(d + 1, d, d)) + 1j * rng.normal(size=(d + 1, d, d))
+    fam = MubFamily(dimension=Dimension.from_d(d), bases=np.linalg.qr(z)[0])
+    tops = {
+        omega: np.linalg.eigvalsh(f_operator(fam, omega))[-1]
+        for omega in itertools.product((0, 1), repeat=d + 1)
+    }
+    best = max(tops, key=tops.get)
+    assert best[-1] == 1
+    assert abs(lambda_numeric(fam) - tops[best]) < 1e-12
+
+
+def test_lambda_numeric_rejects_empty_batches():
+    with pytest.raises(ValueError):
+        lambda_numeric(cached_family(1), chunk=0)
+
+
+def _helstrom_dense_kron(fam, m):
+    rho0 = encoding_average_state(fam, 0)
+    rho1 = encoding_average_state(fam, 1)
+    rho0_m, rho1_m = rho0, rho1
+    for _ in range(m - 1):
+        rho0_m = np.kron(rho0_m, rho0)
+        rho1_m = np.kron(rho1_m, rho1)
+    return 0.5 + trace_norm(rho0_m - rho1_m) / 4.0
+
+
+@pytest.mark.parametrize(
+    "d, m", [(d, m) for d in (2, 4, 8, 16, 32, 64, 128, 256) for m in range(1, 11) if d**m <= 1024]
+)
+def test_helstrom_spectral_matches_dense_kron(d, m):
+    fam = _family(d.bit_length() - 1)
+    assert abs(helstrom_numeric(fam, m) - _helstrom_dense_kron(fam, m)) < 1e-12
+
+
+def test_helstrom_rejects_non_commuting_bit_states():
+    fam = cached_family(2)
+    bases = fam.bases.copy()
+    bases[1][:, 0] += 0.01 * bases[1][:, 3]  # leaks half 1 into half 0
+    bad = MubFamily(dimension=fam.dimension, bases=bases)
+    with pytest.raises(ValueError):
+        helstrom_numeric(bad, 1)
+
+
+def _eve_full_table(fam, n_trials, seed):
+    """The intercept simulation through the whole (d+1)^2 d^2 Born table."""
+    d = fam.d
+    half = d // 2
+    n_bases = d + 1
+    overlaps = np.einsum("tji,sjk->tsik", fam.bases.conj(), fam.bases)
+    cdf = np.cumsum((np.abs(overlaps) ** 2).transpose(1, 0, 3, 2), axis=-1)
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 2, size=n_trials)
+    rs = rng.integers(0, half, size=n_trials)
+    thetas = rng.integers(0, n_bases, size=n_trials)
+    eve_bases = rng.integers(0, n_bases, size=n_trials)
+    u = rng.random(n_trials)
+    coins = rng.integers(0, 2, size=n_trials)
+    rows = cdf[thetas, eve_bases, half * xs + rs]
+    decoded = ((u[:, None] > rows).sum(axis=1) >= half).astype(np.int64)
+    guesses = np.where(eve_bases == thetas, decoded, coins)
+    return float(np.mean(guesses == xs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [3, 31, 2024])
+def test_eve_simulation_matches_full_table_reference(k, seed):
+    fam = cached_family(k)
+    got = simulate_eve_random_basis(fam, n_trials=5000, seed=seed).p_success
+    assert got == _eve_full_table(fam, 5000, seed)
