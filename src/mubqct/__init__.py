@@ -30,19 +30,15 @@ from .mub import (
     verify_unbiasedness,
 )
 from .protocol import (
-    LOCKED,
     MultipartyResult,
     ProtocolParams,
     ProtocolTranscript,
-    TimelockEnvelope,
     bob_povm,
-    decohere,
     encode_index,
     multiparty_run,
     prepare_state,
     privacy_amplify,
     run_protocol,
-    timelock_reveal,
 )
 from .ratemodel import (
     MaxDistanceResult,
@@ -62,6 +58,7 @@ from .security import (
     MonotonicityReport,
     alicki_fannes_iacc,
     bounds_report,
+    decohere,
     encoding_average_state,
     f_operator,
     helstrom_multi_bound,

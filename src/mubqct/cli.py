@@ -9,9 +9,11 @@ Options may be preloaded from a flat config file (`key = value` lines,
 `#` comments) via --config; explicit flags override config entries,
 which in turn override the MUBQCT_SEED environment fallback.  Every
 subcommand echoes its fully resolved configuration as a `# config: ...`
-comment line: the first line of CSV outputs, stderr for JSON-emitting
-commands.  All output is seed-deterministic: identical config and seed
-give byte-identical files.
+comment line: the first line of the sweep CSV and of the simulate
+transcript, and on stderr for JSON-emitting commands and `sweep --out`.
+Per-party multiparty transcripts have no comment line: the header, then
+one row per round.  All output is seed-deterministic: identical config
+and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -122,14 +124,14 @@ def _config_items(args: argparse.Namespace) -> dict[str, str]:
     return dict(sorted(items.items()))
 
 
-def _config_line(args: argparse.Namespace) -> str:
+def _config_comment(args: argparse.Namespace) -> str:
     items = _config_items(args)
     body = " ".join(f"{k}={v}" for k, v in items.items())
-    return f"# config: cmd={args.cmd} {body}".rstrip()
+    return f"config: cmd={args.cmd} {body}".rstrip()
 
 
 def _emit_json(obj, args, out_path: str | None = None) -> None:
-    print(_config_line(args), file=sys.stderr)
+    print(f"# {_config_comment(args)}", file=sys.stderr)
     text = json.dumps(obj, indent=2) + "\n"
     sys.stdout.write(text)
     if out_path:
@@ -210,18 +212,19 @@ def cmd_sweep(args) -> int:
         bounds_source=args.bounds_source,
         jobs=args.jobs,
     )
-    text = _config_line(args) + "\n" + sweep_rows_to_csv(rows)
+    comment = _config_comment(args)
+    text = sweep_rows_to_csv(rows, header_comment=comment)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print(_config_line(args), file=sys.stderr)
+        print(f"# {comment}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _summary_core(transcript, detector, t, m_eff) -> dict:
-    stats = detection_stats(t, detector, m_eff, mode="normalized")
+    stats = detection_stats(t, detector, m_eff)
     click_analytic = stats.p_click
     n_clicks = transcript.n_clicks
     return {
@@ -259,14 +262,7 @@ def cmd_simulate(args) -> int:
     params = _protocol_params(args)
     transcript = run_protocol(params)
     if args.out_transcript:
-        with open(args.out_transcript, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_config_line(args) + "\n")
-            fh.write("round,x,r,theta,outcome\n")
-            for i in range(transcript.n_rounds):
-                fh.write(
-                    f"{i},{transcript.x[i]},{transcript.r[i]},"
-                    f"{transcript.theta[i]},{transcript.outcome[i]}\n"
-                )
+        transcript.to_csv(args.out_transcript, comment=_config_comment(args))
     m_eff = args.mu if args.photon_statistics == "poisson" else args.m
     summary = {
         "format_version": FORMAT_VERSION,
@@ -305,7 +301,7 @@ def cmd_oracle(args) -> int:
     hel = helstrom_numeric(family, args.m)
     detector = _detector_from_args(args)
     t = transmittance(args.length_km, args.alpha)
-    stats = detection_stats(t, detector, args.m, mode="normalized")
+    stats = detection_stats(t, detector, args.m)
     mc = mc_detection_stats(t, detector, args.m, args.samples, args.seed)
     out = {
         "format_version": FORMAT_VERSION,

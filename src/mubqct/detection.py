@@ -12,10 +12,11 @@ The analytic model tracks the three leading event classes per outcome:
 
 Cross terms (signal split across detectors, signal contradicted by a
 dark count) are deliberately excluded from both probabilities, and the
-round-level simulation erases such rounds for consistency.  The Monte
-Carlo oracle below samples raw per-copy and per-detector events and
-classifies them with exactly this taxonomy, so it estimates the same
-quantities without sharing any algebra with the closed forms.
+round-level simulation erases such rounds for consistency.
+`classify_clicks` samples raw per-copy and per-detector events and sorts
+them into exactly this taxonomy; the Monte Carlo oracle and the protocol
+simulation both draw their events through it, so they estimate the same
+quantities as the closed forms without sharing any algebra with them.
 """
 
 from __future__ import annotations
@@ -93,27 +94,18 @@ class DetectionStats:
     p_click: float
     p_c: float
     p_e: float
-    mode: str
 
 
-def detection_stats(t: float, detector: DetectorModel, m, mode: str = "normalized") -> DetectionStats:
+def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     """Closed-form click statistics at channel transmittance t.
 
     m may be a positive real when modelling a coherent source by its mean
-    photon number.  mode selects the click normalization:
-
-    - "normalized": P_click = P_right + P_wrong, so p_c + p_e = 1.  This is
-      the default and the only mode the key-rate model uses.
-    - "paper": P_click = P_signal_click * n * p_dark, a historical
-      normalization kept for comparison.  Its conditional ratios are not
-      probabilities (they may exceed 1), and it is undefined at p_dark = 0.
+    photon number.  P_click = P_right + P_wrong, so p_c + p_e = 1.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance must be in [0, 1], got {t}")
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
-    if mode not in ("normalized", "paper"):
-        raise ValueError(f"mode must be 'normalized' or 'paper', got {mode!r}")
 
     s = t * detector.eta
     v = detector.visibility
@@ -142,19 +134,9 @@ def detection_stats(t: float, detector: DetectorModel, m, mode: str = "normalize
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
     p_wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p
 
-    if mode == "paper":
-        p_click = p_signal_click * n * p
-        if p_click == 0.0:
-            raise DegenerateModeError(
-                "paper-mode P_click = P_signal * n * p_dark vanishes (p_dark = 0 "
-                "or no signal); conditional ratios are undefined"
-            )
-    else:
-        p_click = p_right + p_wrong
-        if p_click <= 0.0:
-            raise DegenerateModeError(
-                "no click mass: both signal and dark contributions are zero"
-            )
+    p_click = p_right + p_wrong
+    if p_click <= 0.0:
+        raise DegenerateModeError("no click mass: both signal and dark contributions are zero")
 
     return DetectionStats(
         p_signal_click=p_signal_click,
@@ -163,7 +145,6 @@ def detection_stats(t: float, detector: DetectorModel, m, mode: str = "normalize
         p_click=p_click,
         p_c=p_right / p_click,
         p_e=p_wrong / p_click,
-        mode=mode,
     )
 
 
@@ -197,43 +178,48 @@ class McDetectionStats:
         return math.sqrt(max(self.p_c * (1.0 - self.p_c), 0.0) / n) if n else float("nan")
 
 
-def mc_detection_stats(
-    t: float, detector: DetectorModel, m: int, n_samples: int, seed: int
-) -> McDetectionStats:
-    """Sample raw detection events and classify them like the closed forms.
+def classify_clicks(
+    rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample n rounds of raw detection events; return the right and wrong masks.
 
-    Per sample: arrivals ~ Binomial(m, t*eta), each arrival lands in the
-    good detector w.p. V, every detector dark-fires independently w.p.
-    p_dark.  A sample counts as right/wrong according to the three event
-    classes in the module docstring; classes outside the taxonomy are
-    dropped.  For n_detectors = 2 the classification matches the analytic
-    probabilities exactly; for n > 2 the wrong-side dark class uses
-    "any bad detector dark", an O(p_dark^2) mismatch.
+    Per round: arrivals ~ Binomial(copies, t*eta), each arrival lands in
+    the good detector w.p. V, every detector dark-fires independently
+    w.p. p_dark.  copies is an integer, or a per-round integer array for
+    a Poisson source.  A round is right/wrong according to the three
+    event classes in the module docstring; rounds outside the taxonomy
+    are in neither mask, and a lone dark count on each side (no arrival)
+    is in both.  For n_detectors = 2 the classification matches the
+    analytic probabilities exactly; for n > 2 the wrong-side dark class
+    uses "any bad detector dark", an O(p_dark^2) mismatch.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     s = t * detector.eta
-    v = detector.visibility
     p = detector.p_dark
-    n_det = detector.n_detectors
-
-    rng = np.random.default_rng(seed)
-    arrivals = rng.binomial(m, s, size=n_samples)
-    n_good = rng.binomial(arrivals, v)
-    dark_good = rng.random(n_samples) < p
-    n_dark_bad = rng.binomial(n_det - 1, p, size=n_samples)
+    arrivals = rng.binomial(copies, s, size=n)
+    n_good = rng.binomial(arrivals, detector.visibility)
+    dark_good = rng.random(n) < p
+    dark_bad = rng.binomial(detector.n_detectors - 1, p, size=n) > 0
 
     got_signal = arrivals > 0
     all_good = got_signal & (n_good == arrivals)
     all_bad = got_signal & (n_good == 0)
     no_arrival = ~got_signal
-    dark_bad = n_dark_bad > 0
     dark_none = ~dark_good & ~dark_bad
 
     right = (all_good & (dark_none | dark_good)) | (no_arrival & dark_good)
     wrong = (all_bad & (dark_none | dark_bad)) | (no_arrival & dark_bad)
+    return right, wrong
+
+
+def mc_detection_stats(
+    t: float, detector: DetectorModel, m: int, n_samples: int, seed: int
+) -> McDetectionStats:
+    """Monte Carlo estimate of the closed-form ratios via `classify_clicks`."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    right, wrong = classify_clicks(np.random.default_rng(seed), n_samples, m, t, detector)
 
     n_right = int(np.count_nonzero(right))
     n_wrong = int(np.count_nonzero(wrong))

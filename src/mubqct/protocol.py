@@ -4,13 +4,15 @@ Alice encodes a bit x and a sub-index r as the basis state |e_theta(i_xr)>
 with i_xr = (d/2) x + r, drawn in a basis theta that stays computationally
 hidden (timelocked) until after the quantum signal decoheres.  Bob, who is
 authorized, learns theta in time and applies the two-outcome projector pair
-splitting the basis into its lower and upper halves.
+splitting the basis into its lower and upper halves.  The timelock itself
+is not simulated: the honest receiver always reads theta in time, and the
+adversary's side of the premise is carried by the security bounds.
 
 `run_protocol` simulates the full loop over a lossy channel with threshold
 detectors: per-copy transmission and visibility Bernoullis, per-detector
 dark counts, fair-coin resolution of double clicks, erasure when nothing
 clicks.  `multiparty_run` splits the copy budget across several receivers
-sharing one encoding stream.
+sharing one encoding stream.  Both run the same session driver.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .detection import ChannelModel, DetectorModel
+from .detection import ChannelModel, DetectorModel, classify_clicks
 from .errors import ConstraintError
-from .mub import Dimension, MubFamily, basis_state, build_mub_family
+from .mub import Dimension, MubFamily, basis_state
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
+# rows formatted per write: bounds the writer's extra memory at any round count
+TRANSCRIPT_CHUNK_ROWS = 1 << 16
 
 
 def encode_index(x: int, r: int, d: int) -> int:
@@ -57,72 +61,6 @@ def bob_povm(family: MubFamily, theta: int) -> tuple[np.ndarray, np.ndarray]:
     m0 = v[:, :half] @ v[:, :half].conj().T
     m1 = v[:, half:] @ v[:, half:].conj().T
     return m0, m1
-
-
-class _Locked:
-    """Sentinel returned when a timelocked payload is not yet readable."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "LOCKED"
-
-
-LOCKED = _Locked()
-
-
-@dataclass(frozen=True)
-class TimelockEnvelope:
-    """A payload hidden from unauthorized readers until `unlock_time`.
-
-    Time is an abstract integer tick counter.  The security premise of the
-    protocol is that the signal decoheres strictly before `unlock_time`,
-    so an adversary can no longer exploit the payload once readable.
-    """
-
-    payload: object
-    unlock_time: int
-    created_at: int = 0
-
-    def __post_init__(self):
-        if self.unlock_time < self.created_at:
-            raise ValueError("unlock_time must be >= created_at")
-
-
-def timelock_reveal(envelope: TimelockEnvelope, now: int, view: str):
-    """Read a timelocked payload.
-
-    The authorized view always reads the payload (the recipient holds the
-    key material out of band); the adversary view reads it only once
-    `now >= unlock_time`, and gets LOCKED before that.
-    """
-    if view == "authorized":
-        return envelope.payload
-    if view == "adversary":
-        return envelope.payload if now >= envelope.unlock_time else LOCKED
-    raise ValueError(f"view must be 'authorized' or 'adversary', got {view!r}")
-
-
-def decohere(rho: np.ndarray, delta: float) -> np.ndarray:
-    """Depolarize a density matrix: (1 - delta) rho + delta I/d."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"rho must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("rho is not Hermitian within 1e-9")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
-        raise ValueError("rho does not have unit trace within 1e-9")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError("rho is not positive semidefinite within 1e-9")
-    d = rho.shape[0]
-    return (1.0 - delta) * rho + delta * np.eye(d) / d
 
 
 @dataclass(frozen=True)
@@ -215,60 +153,40 @@ class ProtocolTranscript:
             return float("nan")
         return float(np.count_nonzero(self.alice_sifted != self.bob_sifted) / self.n_clicks)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, comment: Optional[str] = None) -> None:
+        """Write one CSV row per round, after a `# {comment}` line if given."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            if comment:
+                fh.write(f"# {comment}\n")
             fh.write(TRANSCRIPT_HEADER + "\n")
-            for idx in range(self.n_rounds):
-                fh.write(
-                    f"{idx},{self.x[idx]},{self.r[idx]},{self.theta[idx]},{self.outcome[idx]}\n"
+            for start in range(0, self.n_rounds, TRANSCRIPT_CHUNK_ROWS):
+                stop = start + TRANSCRIPT_CHUNK_ROWS
+                rows = zip(
+                    range(start, stop),
+                    self.x[start:stop].tolist(),
+                    self.r[start:stop].tolist(),
+                    self.theta[start:stop].tolist(),
+                    self.outcome[start:stop].tolist(),
                 )
+                fh.write("".join(f"{i},{x},{r},{th},{o}\n" for i, x, r, th, o in rows))
 
 
-def _draw_encoding_stream(rng: np.random.Generator, d: int, n: int):
-    xs = rng.integers(0, 2, size=n).astype(np.int8)
-    rs = rng.integers(0, d // 2, size=n).astype(np.int64)
-    thetas = rng.integers(0, d + 1, size=n).astype(np.int64)
-    return xs, rs, thetas
-
-
-def _simulate_detection(
-    rng: np.random.Generator,
-    xs: np.ndarray,
-    copies,
-    s: float,
-    visibility: float,
-    p_dark: float,
-    n_detectors: int = 2,
+def _receiver_outcome(
+    rng: np.random.Generator, xs: np.ndarray, copies, params: ProtocolParams
 ) -> np.ndarray:
-    """Threshold-detector outcomes for one receiver; -1 marks erasures.
+    """One receiver's declared bits; -1 marks erasures.
 
-    copies may be a scalar (fixed source) or a per-round array (Poisson
-    source); s is the per-copy survival probability T * eta.  Rounds are
-    declared right/wrong by the same event classes as the closed-form
-    click statistics: all arrivals on one side with no conflicting dark
-    count, or a lone dark count with no arrival.  Ambiguous rounds
+    Rounds are declared right/wrong by the event classes of the
+    closed-form click statistics (`classify_clicks`).  Ambiguous rounds
     (signal split across detectors, signal contradicted by a dark count)
     are erased, so the sifted error statistics match the closed forms;
     the one right-and-wrong overlap class, no arrival with darks on both
     sides, is resolved by a fair coin.
     """
     n = xs.size
-    arrivals = rng.binomial(copies, s, size=n) if np.ndim(copies) == 0 else rng.binomial(copies, s)
-    n_good = rng.binomial(arrivals, visibility)
-    dark_good = rng.random(n) < p_dark
-    dark_bad = rng.binomial(n_detectors - 1, p_dark, size=n) > 0
+    right, wrong = classify_clicks(rng, n, copies, params.channel.transmittance, params.detector)
     coin = rng.integers(0, 2, size=n).astype(np.int8)
-
-    got_signal = arrivals > 0
-    all_good = got_signal & (n_good == arrivals)
-    all_bad = got_signal & (n_good == 0)
-    no_arrival = ~got_signal
-    dark_none = ~dark_good & ~dark_bad
-
-    right = (all_good & (dark_none | dark_good)) | (no_arrival & dark_good)
-    wrong = (all_bad & (dark_none | dark_bad)) | (no_arrival & dark_bad)
     overlap = right & wrong
-
     outcome = np.full(n, -1, dtype=np.int8)
     outcome[right & ~wrong] = xs[right & ~wrong]
     outcome[wrong & ~right] = 1 - xs[wrong & ~right]
@@ -276,41 +194,44 @@ def _simulate_detection(
     return outcome
 
 
-def run_protocol(params: ProtocolParams, family: Optional[MubFamily] = None) -> ProtocolTranscript:
-    """Simulate a full session; deterministic for a given seed.
+def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTranscript, ...]:
+    """One encoding stream and each receiver's transcript.
 
-    The family argument is only consulted for shape consistency (states
-    never need to be materialized: in the honest protocol Bob's conditional
-    outcome law depends only on x and the channel), so passing None skips
-    the construction cost at large d.
+    The seed spawns 1 + n_receivers children: child 0 draws Alice's
+    (x, r, theta) and, for a Poisson source, the per-round copy counts;
+    child 1 + p draws receiver p's detection events and coins.  The m
+    copies are split evenly, floor(m / n_receivers) each.
     """
-    if family is not None and family.d != params.d:
-        raise ValueError(f"family dimension {family.d} does not match params.d {params.d}")
-    ss = np.random.SeedSequence(params.seed)
-    alice_seed, bob_seed = ss.spawn(2)
-    alice_rng = np.random.default_rng(alice_seed)
-    bob_rng = np.random.default_rng(bob_seed)
-
-    xs, rs, thetas = _draw_encoding_stream(alice_rng, params.d, params.n_rounds)
+    n = params.n_rounds
+    children = np.random.SeedSequence(params.seed).spawn(1 + n_receivers)
+    alice_rng = np.random.default_rng(children[0])
+    xs = alice_rng.integers(0, 2, size=n).astype(np.int8)
+    rs = alice_rng.integers(0, params.d // 2, size=n).astype(np.int64)
+    thetas = alice_rng.integers(0, params.d + 1, size=n).astype(np.int64)
+    copies_each = params.m // n_receivers
     if params.photon_statistics == "poisson":
-        copies = alice_rng.poisson(params.mu, size=params.n_rounds)
+        copies = alice_rng.poisson(params.mu, size=n)
     else:
-        copies = params.m
+        copies = copies_each
 
-    # basis disclosure rides a timelocked envelope; the honest receiver
-    # reads it through the authorized view irrespective of the clock
-    envelope = TimelockEnvelope(payload=thetas, unlock_time=1, created_at=0)
-    revealed = timelock_reveal(envelope, now=0, view="authorized")
-    assert revealed is thetas
+    # one call per receiver frees its event arrays before the next receiver
+    # draws: inlined, they stay alive across iterations and raise peak RSS
+    return tuple(
+        ProtocolTranscript(
+            d=params.d, m=copies_each, seed=params.seed, x=xs, r=rs, theta=thetas,
+            outcome=_receiver_outcome(np.random.default_rng(child), xs, copies, params),
+        )
+        for child in children[1:]
+    )
 
-    s = params.channel.transmittance * params.detector.eta
-    outcome = _simulate_detection(
-        bob_rng, xs, copies, s, params.detector.visibility, params.detector.p_dark,
-        params.detector.n_detectors,
-    )
-    return ProtocolTranscript(
-        d=params.d, m=params.m, seed=params.seed, x=xs, r=rs, theta=thetas, outcome=outcome
-    )
+
+def run_protocol(params: ProtocolParams) -> ProtocolTranscript:
+    """Simulate a full session toward one receiver; deterministic for a given seed.
+
+    States are never materialized: in the honest protocol Bob's
+    conditional outcome law depends only on x and the channel.
+    """
+    return _run_session(params, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -345,33 +266,10 @@ def multiparty_run(params: ProtocolParams, n_parties: int) -> MultipartyResult:
         raise ConstraintError(
             f"m = {params.m} copies split over {n_parties} parties leaves none for some party"
         )
-
-    ss = np.random.SeedSequence(params.seed)
-    children = ss.spawn(1 + n_parties)
-    alice_rng = np.random.default_rng(children[0])
-    xs, rs, thetas = _draw_encoding_stream(alice_rng, params.d, params.n_rounds)
-
-    s = params.channel.transmittance * params.detector.eta
-    transcripts = []
-    for p in range(n_parties):
-        rng = np.random.default_rng(children[1 + p])
-        outcome = _simulate_detection(
-            rng, xs, copies_each, s, params.detector.visibility, params.detector.p_dark,
-            params.detector.n_detectors,
-        )
-        transcripts.append(
-            ProtocolTranscript(
-                d=params.d,
-                m=copies_each,
-                seed=params.seed,
-                x=xs,
-                r=rs,
-                theta=thetas,
-                outcome=outcome,
-            )
-        )
     return MultipartyResult(
-        n_parties=n_parties, copies_per_party=copies_each, transcripts=tuple(transcripts)
+        n_parties=n_parties,
+        copies_per_party=copies_each,
+        transcripts=_run_session(params, n_parties),
     )
 
 

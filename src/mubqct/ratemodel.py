@@ -24,39 +24,25 @@ from typing import Optional, Sequence
 from .detection import (
     DETECTOR_PRESETS,
     ChannelModel,
-    DetectionStats,
     DetectorModel,
-    McDetectionStats,
     conditional_entropy_xy,
     detection_stats,
-    mc_detection_stats,
-    physical_click_probability,
     transmittance,
 )
 from .mub import Dimension
 from .security import hmin_bits, lambda_numeric_for_d, pguess_certified, pguess_paper
 
 __all__ = [
-    "DETECTOR_PRESETS",
-    "ChannelModel",
-    "DetectionStats",
-    "DetectorModel",
-    "McDetectionStats",
     "MaxDistanceResult",
     "RatePoint",
     "SWEEP_CSV_HEADER",
     "coherent_mu_max",
-    "conditional_entropy_xy",
-    "detection_stats",
     "key_rate",
     "m_scan_limit",
     "max_distance",
-    "mc_detection_stats",
     "optimize_m",
-    "physical_click_probability",
     "sweep",
     "sweep_rows_to_csv",
-    "transmittance",
 ]
 
 BOUNDS_SOURCES = ("paper", "certified")
@@ -109,7 +95,7 @@ def key_rate(
         raise ValueError(f"m must be >= 1, got {m}")
     channel = channel or ChannelModel()
     t = transmittance(length_km, channel.alpha_db_per_km)
-    stats = detection_stats(t, detector, m, mode="normalized")
+    stats = detection_stats(t, detector, m)
     hxy = conditional_entropy_xy(stats.p_c, stats.p_e, detector.n_detectors)
     hmin = hmin_bits(_pguess(d, m, bounds_source))
     s_sift = t * detector.eta if sift_uses_eta else t

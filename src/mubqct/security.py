@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import CapabilityError
 from .mub import MubFamily, build_mub_family
-from .protocol import decohere
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
@@ -256,6 +255,23 @@ def trace_norm(a: np.ndarray) -> float:
     if np.max(np.abs(a - a.conj().T)) > 1e-9:
         raise ValueError("matrix is not Hermitian within 1e-9")
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
+
+
+def decohere(rho: np.ndarray, delta: float) -> np.ndarray:
+    """Depolarize a density matrix: (1 - delta) rho + delta I/d."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be in [0, 1], got {delta}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"rho must be square, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+        raise ValueError("rho is not Hermitian within 1e-9")
+    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
+        raise ValueError("rho does not have unit trace within 1e-9")
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
+        raise ValueError("rho is not positive semidefinite within 1e-9")
+    d = rho.shape[0]
+    return (1.0 - delta) * rho + delta * np.eye(d) / d
 
 
 def helstrom_numeric(family: MubFamily, m: int = 1) -> float:

@@ -4,6 +4,7 @@ All tests drive ``mubqct.cli.main`` in process so capsys can capture the
 stdout/stderr split (JSON on stdout, `# config:` echo on stderr).
 """
 
+import hashlib
 import json
 import math
 
@@ -235,6 +236,50 @@ def test_simulate_outputs_are_byte_identical(capsys, tmp_path):
         assert code == 0
         blobs.append((transcript.read_bytes(), summary.read_bytes(), out))
     assert blobs[0] == blobs[1]
+
+
+# Digests of the artifacts written by the build before the session driver,
+# detection classifier and transcript writer were merged.  Outputs use
+# relative paths, so the `# config:` line does not depend on tmp_path.  A
+# numpy release that changes the Generator streams also changes these.
+PINNED_ARTIFACTS = {
+    "simulate_fixed": (
+        ("simulate", "--d", "16", "--m", "4", "--L", "50", "--rounds", "2000", "--seed", "7"),
+        {
+            "t.csv": "bf10881a5824fccec8b93faa86ec931b479da2de6cbc310d72ab1ea77e18ed25",
+            "s.json": "21aaee40e0b307e01a154f40923ccee3b68178f089b45f7ef8861573b552d0f1",
+        },
+    ),
+    "simulate_poisson": (
+        ("simulate", "--d", "1024", "--photon-statistics", "poisson", "--mu", "4",
+         "--L", "50", "--rounds", "2000", "--seed", "7"),
+        {
+            "t.csv": "cf41f2b9506ca7ad4fd41e0517622ee699c071ae1cb6c0b2426cb515fe69df4d",
+            "s.json": "7e8b931d4753723b396a34fb08c1df6b1ff71ccd37c971c8bf1b70a00c732c12",
+        },
+    ),
+    # p_dark = 0.1 puts a few rounds per party into the coin-resolved class
+    "multiparty": (
+        ("multiparty", "--parties", "3", "--d", "16", "--m", "6", "--L", "25",
+         "--p-dark", "0.1", "--rounds", "2000", "--seed", "7"),
+        {
+            "t.csv.party0.csv": "f70e3e804815c3c377095e787f4df72fd070811c65f8d966a4ec64b7f7422201",
+            "t.csv.party1.csv": "fb6f1a190d06e2026d3c5d69c59d28ab253fb07e1ebbccca2a2b063edf177291",
+            "t.csv.party2.csv": "0ebb22473c4449deb5252a1a0d41caa390fea28f243385d1169b8ba84957f7b8",
+            "s.json": "ebf002152939eebb54375466f35bc721f1c86680eade157b55e1e459d00309d3",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ARTIFACTS))
+def test_simulation_artifacts_match_pinned_digests(capsys, tmp_path, monkeypatch, case):
+    argv, digests = PINNED_ARTIFACTS[case]
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, *argv, "--out-transcript", "t.csv", "--out-summary", "s.json")
+    assert code == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert got == digests
 
 
 def test_simulate_transcript_layout(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Protocol mechanics: encoding, measurement, timelock, simulation runs."""
+"""Protocol mechanics: encoding, measurement, simulation runs."""
 
 import math
 
@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubqct import (
-    LOCKED,
     ChannelModel,
     ConstraintError,
     DetectorModel,
     ProtocolParams,
-    TimelockEnvelope,
     bob_povm,
     decohere,
     detection_stats,
@@ -21,8 +19,8 @@ from mubqct import (
     prepare_state,
     privacy_amplify,
     run_protocol,
-    timelock_reveal,
 )
+from mubqct import protocol
 from mubqct.protocol import TRANSCRIPT_HEADER
 from tests.conftest import cached_family
 
@@ -98,21 +96,6 @@ def test_mismatched_basis_measurement_is_a_coin():
             psi = prepare_state(fam, 1, 0, theta_prep)
             p0 = np.real(np.vdot(psi, m0 @ psi))
             assert abs(p0 - 0.5) < 1e-9
-
-
-def test_timelock_views():
-    env = TimelockEnvelope(payload="basis-string", unlock_time=10, created_at=0)
-    assert timelock_reveal(env, now=0, view="authorized") == "basis-string"
-    assert timelock_reveal(env, now=10**9, view="authorized") == "basis-string"
-    assert timelock_reveal(env, now=9, view="adversary") is LOCKED
-    assert timelock_reveal(env, now=10, view="adversary") == "basis-string"
-    with pytest.raises(ValueError):
-        timelock_reveal(env, now=0, view="mallory")
-
-
-def test_timelock_envelope_requires_positive_window():
-    with pytest.raises(ValueError):
-        TimelockEnvelope(payload=None, unlock_time=0, created_at=5)
 
 
 def test_decohere_endpoints_and_spectrum():
@@ -201,12 +184,6 @@ def test_run_protocol_zero_transmittance_erases_everything():
     assert math.isnan(tr.p_c_empirical)
 
 
-def test_run_protocol_family_dimension_mismatch():
-    params = ProtocolParams(d=8, m=1, n_rounds=10, seed=1)
-    with pytest.raises(ValueError):
-        run_protocol(params, family=cached_family(2))
-
-
 def test_run_protocol_matches_analytic_statistics():
     det = DetectorModel(eta=0.2, visibility=0.99, p_dark=1e-5)
     channel = ChannelModel(length_km=25.0)
@@ -234,6 +211,29 @@ def test_transcript_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[4] == "-1"  # zero transmittance: every round erased
+
+
+def _per_row_csv(tr) -> str:
+    rows = (
+        f"{i},{tr.x[i]},{tr.r[i]},{tr.theta[i]},{tr.outcome[i]}\n" for i in range(tr.n_rounds)
+    )
+    return TRANSCRIPT_HEADER + "\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 203, 1000])
+def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    params = ProtocolParams(
+        d=16, m=2, n_rounds=203, seed=9,
+        channel=ChannelModel(length_km=30.0), detector=DetectorModel(eta=0.5, p_dark=0.1),
+    )
+    tr = run_protocol(params)
+    assert set(tr.outcome.tolist()) == {-1, 0, 1}
+    path = tmp_path / "t.csv"
+    tr.to_csv(path)
+    assert path.read_text(encoding="utf-8") == _per_row_csv(tr)
+    tr.to_csv(path, comment="config: demo")
+    assert path.read_text(encoding="utf-8") == "# config: demo\n" + _per_row_csv(tr)
 
 
 def test_multiparty_single_party_reduces_to_run_protocol():

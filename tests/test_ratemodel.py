@@ -27,6 +27,7 @@ from mubqct import (
     sweep_rows_to_csv,
     transmittance,
 )
+from mubqct.detection import classify_clicks
 from mubqct.ratemodel import SWEEP_CSV_HEADER
 from mubqct.security import lambda_numeric_for_d
 
@@ -169,19 +170,6 @@ def test_perfect_visibility_never_errs(t, eta, m):
     assert detection_stats(t, det, m).p_e == 0.0
 
 
-def test_paper_mode_click_product():
-    det = DetectorModel(eta=0.5, visibility=0.99, p_dark=1e-4)
-    stats = detection_stats(0.2, det, 3)
-    paper = detection_stats(0.2, det, 3, mode="paper")
-    assert paper.p_right == stats.p_right
-    assert paper.p_click == pytest.approx(stats.p_signal_click * 2 * 1e-4, rel=1e-12)
-    assert paper.p_c > 1.0  # "paper" mode's product normalization is not a probability here
-    with pytest.raises(DegenerateModeError):
-        detection_stats(0.2, IDEAL, 3, mode="paper")
-    with pytest.raises(ValueError):
-        detection_stats(0.2, det, 3, mode="legacy")
-
-
 def test_detection_stats_accepts_real_copy_number():
     stats = detection_stats(0.3, SNSPD, 2.5)
     assert 0.0 < stats.p_signal_click < 1.0
@@ -199,6 +187,40 @@ def test_mc_oracle_matches_analytic_at_pinned_point():
         mc_detection_stats(0.1, det, 2.5, n_samples=10, seed=1)
     with pytest.raises(ValueError):
         mc_detection_stats(0.1, det, 2, n_samples=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "t, det, m, seed, counts",
+    [
+        (0.1, DetectorModel(eta=0.2, visibility=0.99, p_dark=0.05), 10, 123, (21232, 4164)),
+        (0.3, DetectorModel(eta=0.5, visibility=0.9, p_dark=0.05, n_detectors=3), 3, 5, (34124, 9136)),
+    ],
+)
+def test_mc_oracle_counts_are_pinned(t, det, m, seed, counts):
+    # counts drawn by the oracle before it shared its classifier with the protocol
+    mc = mc_detection_stats(t, det, m, n_samples=10**5, seed=seed)
+    assert (mc.n_right, mc.n_wrong) == counts
+
+
+def test_classify_clicks_per_round_copies_match_scalar():
+    det = DetectorModel(eta=0.5, visibility=0.9, p_dark=0.05)
+    scalar = classify_clicks(np.random.default_rng(4), 5000, 3, 0.4, det)
+    per_round = classify_clicks(np.random.default_rng(4), 5000, np.full(5000, 3), 0.4, det)
+    for a, b in zip(scalar, per_round):
+        assert np.array_equal(a, b)
+
+
+def test_classify_clicks_event_classes():
+    # perfect signal, no darks: every round right
+    right, wrong = classify_clicks(np.random.default_rng(1), 1000, 2, 1.0, IDEAL)
+    assert right.all() and not wrong.any()
+    # no signal: right and wrong are the dark counts on each side, both at
+    # once in the coin-resolved overlap class
+    det = DetectorModel(p_dark=0.5)
+    right, wrong = classify_clicks(np.random.default_rng(2), 4000, 2, 0.0, det)
+    assert abs(right.mean() - 0.5) < 0.05
+    assert abs(wrong.mean() - 0.5) < 0.05
+    assert abs((right & wrong).mean() - 0.25) < 0.05
 
 
 def test_conditional_entropy_examples():
