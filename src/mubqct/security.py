@@ -18,8 +18,8 @@ generic dense algebra: the two halves of every basis sum to the
 identity, so F(Omega) + F(not Omega) = 2(d+1)/d I pairs each outcome
 string with its complement, and rho_0 + rho_1 = 2I/d makes the two bit
 states commute, so their tensor powers are discriminated from the
-spectra alone.  The size caps LAMBDA_BRUTE_FORCE_MAX_D and
-HELSTROM_MAX_DIM are kept as contracts.
+spectra alone.  The size caps LAMBDA_BRUTE_FORCE_MAX_D,
+HELSTROM_MAX_DIM and EVE_SIM_MAX_ENTRIES are kept as contracts.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .mub import MubFamily, build_mub_family
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
+# n_trials * d cap of simulate_eve_random_basis: at most ~53 bytes of peak
+# memory per entry (measured at d = 2, where it is largest), ~1.8 GB at the cap
+EVE_SIM_MAX_ENTRIES = 1 << 25
 
 
 def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
@@ -352,11 +355,18 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  Trials
     are grouped by Eve's basis and only their own Born rows are computed,
     one product per group, so memory is O(n_trials) and no
-    (d+1)^2 d^2 overlap table is formed.
+    (d+1)^2 d^2 overlap table is formed.  n_trials * d is capped at
+    EVE_SIM_MAX_ENTRIES (2^25); beyond it CapabilityError is raised
+    before anything is drawn.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     d = family.d
+    if n_trials * d > EVE_SIM_MAX_ENTRIES:
+        raise CapabilityError(
+            f"intercept simulation of {n_trials} trials at d = {d} needs n_trials * d = "
+            f"{n_trials * d}; it is capped at {EVE_SIM_MAX_ENTRIES}"
+        )
     half = d // 2
     n_bases = d + 1
 

@@ -1,6 +1,10 @@
-"""Module layering: the physics layers never import the protocol simulation."""
+"""Module layering: the physics layers never import the protocol simulation,
+and importing the package loads no module it only needs when called."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,13 @@ def _imported_modules(path: Path) -> set[str]:
 def test_module_does_not_import_protocol(module):
     imported = _imported_modules(PACKAGE_DIR / f"{module}.py")
     assert "mubqct.protocol" not in imported
+
+
+def test_import_does_not_load_numpy_fft():
+    # numpy loads numpy.fft lazily; privacy_amplify reaches it only when called
+    code = "import sys, mubqct; sys.exit('numpy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr or "import mubqct loaded numpy.fft"

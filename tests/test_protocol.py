@@ -1,5 +1,6 @@
 """Protocol mechanics: encoding, measurement, simulation runs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubqct import (
+    CapabilityError,
     ChannelModel,
     ConstraintError,
     DetectorModel,
     ProtocolParams,
+    ProtocolTranscript,
     bob_povm,
     decohere,
     detection_stats,
@@ -236,6 +239,53 @@ def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk
     assert path.read_text(encoding="utf-8") == "# config: demo\n" + _per_row_csv(tr)
 
 
+def _hand_transcript(d, theta, r, outcome, x=None):
+    n = len(theta)
+    x = np.arange(n) % 2 if x is None else x
+    return ProtocolTranscript(
+        d=d, m=1, seed=0,
+        x=np.asarray(x, dtype=np.int8),
+        r=np.asarray(r, dtype=np.int64),
+        theta=np.asarray(theta, dtype=np.int64),
+        outcome=np.asarray(outcome, dtype=np.int8),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 10, 100, 1000])
+def test_transcript_csv_digit_boundaries(tmp_path, monkeypatch, chunk):
+    # round numbers cross 9/10, 99/100 and 999/1000 on chunk boundaries;
+    # theta and r take every digit width of d = 1024
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    n = 1001
+    rng = np.random.default_rng(1024)
+    theta = rng.integers(0, 1025, size=n)
+    r = rng.integers(0, 512, size=n)
+    theta[:8] = [0, 9, 10, 99, 100, 999, 1000, 1024]
+    r[:6] = [0, 9, 10, 99, 100, 511]
+    tr = _hand_transcript(1024, theta, r, rng.integers(-1, 2, size=n))
+    assert set(tr.outcome.tolist()) == {-1, 0, 1}
+    path = tmp_path / "t.csv"
+    tr.to_csv(path)
+    assert path.read_text(encoding="utf-8") == _per_row_csv(tr)
+
+
+@pytest.mark.parametrize("outcome", [-1, 0, 1])
+def test_transcript_csv_single_round(tmp_path, outcome):
+    tr = _hand_transcript(1024, [1024], [511], [outcome], x=[1])
+    path = tmp_path / "t.csv"
+    tr.to_csv(path, comment="one round")
+    assert path.read_text(encoding="utf-8") == "# one round\n" + _per_row_csv(tr)
+    assert path.read_text(encoding="utf-8").endswith(f"\n0,1,511,1024,{outcome}\n")
+
+
+def test_transcript_csv_rejects_non_integer_columns(tmp_path):
+    ints = np.array([0, 1])
+    tr = ProtocolTranscript(d=4, m=1, seed=0, x=np.array([0.0, 1.5]), r=ints, theta=ints,
+                            outcome=ints)
+    with pytest.raises(TypeError):
+        tr.to_csv(tmp_path / "t.csv")
+
+
 def test_multiparty_single_party_reduces_to_run_protocol():
     params = ProtocolParams(d=16, m=4, n_rounds=3000, seed=3,
                             channel=ChannelModel(length_km=50.0),
@@ -297,6 +347,85 @@ def test_privacy_amplify_edges_and_determinism():
         privacy_amplify(bits, seed=1, out_len=9)
     with pytest.raises(ValueError):
         privacy_amplify(np.array([0, 2, 1]), seed=1, out_len=1)
+
+
+@pytest.mark.parametrize(
+    "bits", [[0.5, 1, 0.9, 1], [0.0, np.nan], [1.0, 2.0], [1, -1, 0], [1.0, np.inf]]
+)
+def test_privacy_amplify_rejects_non_bits(bits):
+    # checked before any cast: a truncating cast would read 0.5 and 0.9 as 0
+    with pytest.raises(ValueError):
+        privacy_amplify(bits, seed=1, out_len=2)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int64, np.float64])
+def test_privacy_amplify_accepts_bit_dtypes(dtype):
+    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+    want = privacy_amplify(bits, seed=3, out_len=5)
+    assert np.array_equal(privacy_amplify(bits.astype(dtype), seed=3, out_len=5), want)
+    assert np.array_equal(privacy_amplify(bits.astype(dtype).tolist(), seed=3, out_len=5), want)
+
+
+def _toeplitz_reference(bits, seed, out_len):
+    n = len(bits)
+    diag = np.random.default_rng(seed).integers(0, 2, size=out_len + n - 1)
+    j, i = np.meshgrid(np.arange(out_len), np.arange(n), indexing="ij")
+    toeplitz = diag[j - i + n - 1]  # T[j, i] = diag[j - i + n - 1]
+    return (toeplitz @ np.asarray(bits)) % 2
+
+
+def test_privacy_amplify_matches_explicit_toeplitz_matrix():
+    rng = np.random.default_rng(64)
+    for n in range(1, 65):
+        bits = rng.integers(0, 2, size=n)
+        for out_len in range(1, n + 1):
+            seed = n * 100 + out_len
+            got = privacy_amplify(bits, seed, out_len)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, _toeplitz_reference(bits, seed, out_len)), (n, out_len)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 4097])
+def test_privacy_amplify_matches_direct_convolution(n):
+    # out_len + 2n - 2 falls on both sides of the powers of two 2048, 4096 and 16384
+    bits = np.random.default_rng(n).integers(0, 2, size=n)
+    for out_len in sorted({1, n // 2, n} - {0}):
+        diag = np.random.default_rng(7).integers(0, 2, size=out_len + n - 1)
+        want = np.convolve(diag, bits)[n - 1 : n - 1 + out_len] % 2
+        assert np.array_equal(privacy_amplify(bits, 7, out_len), want), out_len
+
+
+def test_privacy_amplify_output_is_pinned():
+    # SHA-256 of the output of the direct O(n^2) convolution it replaced
+    bits = np.random.default_rng(60000).integers(0, 2, size=60000)
+    key = privacy_amplify(bits, seed=30000, out_len=30000)
+    assert key.dtype == np.uint8 and key.shape == (30000,)
+    assert hashlib.sha256(key.tobytes()).hexdigest() == (
+        "726109ab7e940c392ad9ba32291c1a737870f647698ef10ecb20fd24f0840def"
+    )
+
+
+def test_privacy_amplify_rejects_inexact_convolution(monkeypatch):
+    bits = np.random.default_rng(5).integers(0, 2, size=100)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: irfft(*args, **kwargs) + 0.4)
+    with pytest.raises(FloatingPointError):
+        privacy_amplify(bits, seed=1, out_len=50)
+
+
+def test_privacy_amplify_size_cap(monkeypatch):
+    monkeypatch.setattr(protocol, "PRIVACY_AMPLIFY_MAX_FFT_LEN", 16)
+    bits = np.ones(8, dtype=np.int64)
+    # out_len + 2n - 2 = 16 needs an FFT of length 16, at the cap
+    assert privacy_amplify(bits[:7], seed=1, out_len=4).size == 4
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the cap must be checked before the diagonal is drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(CapabilityError):
+        privacy_amplify(bits, seed=1, out_len=3)  # 3 + 16 - 2 = 17 needs length 32
+    assert privacy_amplify(bits, seed=1, out_len=0).size == 0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2**62))

@@ -35,6 +35,7 @@ from mubqct import (
     theorem1_bound,
     trace_norm,
 )
+from mubqct import security
 from tests.conftest import cached_family
 
 # exhaustive brute-force values over all 2^(d+1) outcome strings, frozen
@@ -273,6 +274,21 @@ def test_eve_random_basis_simulation(d):
     assert res.p_success_analytic == pytest.approx(0.5 + 0.5 / (d + 1), abs=1e-12)
     assert abs(res.p_success - res.p_success_analytic) < 5 * res.standard_error
     assert 0.5 <= res.p_success <= 1.0
+
+
+def test_eve_simulation_size_cap(monkeypatch):
+    fam = cached_family(2)
+    # the certify benchmark's intercept job, d = 64 and 10^5 trials, fits the cap
+    assert 64 * 10**5 <= security.EVE_SIM_MAX_ENTRIES
+    monkeypatch.setattr(security, "EVE_SIM_MAX_ENTRIES", 100)
+    assert simulate_eve_random_basis(fam, n_trials=25, seed=7).n_trials == 25  # 25 * 4 = cap
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the cap must be checked before anything is drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(CapabilityError):
+        simulate_eve_random_basis(fam, n_trials=26, seed=7)
 
 
 def test_eve_simulation_is_deterministic():
