@@ -2,8 +2,11 @@
 """Key rate versus fiber length for a set of dimensions.
 
 Writes the optimized sweep table as CSV and prints, per dimension, the
-zero-distance rate and the maximum reachable distance, followed by the
-fitted distance-extension slope (km gained per 100x increase in d).
+rate at the first grid distance and the maximum reachable distance,
+followed by the fitted distance-extension slope (km gained per 100x
+increase in d).  Errors exit as in the mubqct CLI, with a message: 1 for
+bad input such as a malformed --d or --L, 3 for a bound source that
+cannot be computed at a requested d.
 
 Example:
     python3 scripts/rate_vs_distance.py --d 128,1024,16384 --L 0:150:5 \
@@ -14,8 +17,10 @@ import argparse
 import math
 import sys
 
-from mubqct.ratemodel import max_distance, sweep, sweep_rows_to_csv
+from mubqct.cli import _parse_grid, _parse_int_list
 from mubqct.detection import DETECTOR_PRESETS
+from mubqct.errors import CapabilityError
+from mubqct.ratemodel import max_distance, sweep, sweep_rows_to_csv
 
 
 def parse_args(argv=None):
@@ -32,18 +37,22 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    ds = [int(tok) for tok in args.d.split(",") if tok.strip()]
-    start, stop, step = (float(p) for p in args.L.split(":"))
-    lengths = [start + i * step for i in range(int((stop - start) / step + 1e-9) + 1)]
-
-    rows = sweep(
-        ds,
-        lengths,
-        [args.profile],
-        alpha_db_per_km=args.alpha,
-        bounds_source=args.bounds_source,
-        jobs=args.jobs,
-    )
+    try:
+        ds = _parse_int_list(args.d)
+        rows = sweep(
+            ds,
+            _parse_grid(args.L),
+            [args.profile],
+            alpha_db_per_km=args.alpha,
+            bounds_source=args.bounds_source,
+            jobs=args.jobs,
+        )
+    except CapabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     csv_text = sweep_rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -55,12 +64,14 @@ def main(argv=None):
     reaches = []
     print(f"# profile={args.profile} bounds={args.bounds_source}", file=sys.stderr)
     for d in ds:
-        at_zero = max(row.key_rate_bits for row in rows if row.d == d)
+        # rows of one d are sorted by L, so the first is at the first grid distance
+        first = next(row for row in rows if row.d == d)
         reach = max_distance(d, detector, bounds_source=args.bounds_source)
         reaches.append((d, reach.distance_km))
         tag = " (saturated)" if reach.saturated else ""
         print(
-            f"# d={d}: K(0)={at_zero:.4f} bits/round, L_max={reach.distance_km:.1f} km{tag}",
+            f"# d={d}: K({first.length_km:g} km)={first.key_rate_bits:.4f} bits/round, "
+            f"L_max={reach.distance_km:.1f} km{tag}",
             file=sys.stderr,
         )
     if len(reaches) >= 2:

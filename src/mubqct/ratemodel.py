@@ -12,6 +12,16 @@ scans the integer copy counts allowed by the coherent-attack budget
 mu + 4 sqrt(mu) <= sqrt(d) and `max_distance` bisects for the rate
 horizon.  `sweep` evaluates grids of (profile, d, L) cells and renders
 them as CSV.
+
+Only H_min depends on d; p_c, p_e, H(X|Y) and P_sift depend on
+(profile, L, m) alone.  The grid is therefore factored: a channel table
+holds those four terms for every L and m = 1 .. the largest scan limit,
+one scalar `detection_stats` call per entry, and an H_min column holds
+-log2 P_guess(d, m) for each d.  Each d then combines the first
+m_scan_limit(d) columns of the table with its H_min column in one array
+product, difference and maximum, which round exactly like the scalar
+formula, so the rows are identical to a per-cell scan of `key_rate`.
+`optimize_m` and `max_distance` use the same terms and combination.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .detection import (
     DETECTOR_PRESETS,
@@ -75,6 +87,19 @@ class RatePoint:
     bounds_source: str
 
 
+def _channel_terms(
+    t: float, detector: DetectorModel, m: int, sift_uses_eta: bool = True
+) -> tuple[float, float, float, float]:
+    """The d-independent rate terms (p_c, p_e, H(X|Y), P_sift) for m copies."""
+    stats = detection_stats(t, detector, m)
+    hxy = conditional_entropy_xy(stats.p_c, stats.p_e, detector.n_detectors)
+    s_sift = t * detector.eta if sift_uses_eta else t
+    # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
+    # small s (the direct form underflows to 0 beyond ~800 km)
+    prefactor = 1.0 if s_sift >= 1.0 else -math.expm1(m * math.log1p(-s_sift))
+    return stats.p_c, stats.p_e, hxy, prefactor
+
+
 def key_rate(
     d: int,
     m: int,
@@ -95,21 +120,16 @@ def key_rate(
         raise ValueError(f"m must be >= 1, got {m}")
     channel = channel or ChannelModel()
     t = transmittance(length_km, channel.alpha_db_per_km)
-    stats = detection_stats(t, detector, m)
-    hxy = conditional_entropy_xy(stats.p_c, stats.p_e, detector.n_detectors)
+    p_c, p_e, hxy, prefactor = _channel_terms(t, detector, m, sift_uses_eta)
     hmin = hmin_bits(_pguess(d, m, bounds_source))
-    s_sift = t * detector.eta if sift_uses_eta else t
-    # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
-    # small s (the direct form underflows to 0 beyond ~800 km)
-    prefactor = 1.0 if s_sift >= 1.0 else -math.expm1(m * math.log1p(-s_sift))
     k = max(0.0, prefactor * hmin - hxy)
     return RatePoint(
         d=d,
         m=m,
         length_km=length_km,
         t=t,
-        p_c=stats.p_c,
-        p_e=stats.p_e,
+        p_c=p_c,
+        p_e=p_e,
         hxy_bits=hxy,
         hmin_bits=hmin,
         sift_prefactor=prefactor,
@@ -133,20 +153,50 @@ def m_scan_limit(d: int) -> int:
     return max(1, math.floor(coherent_mu_max(d)))
 
 
-def _optimize(
-    d: int,
-    length_km: float,
-    detector: DetectorModel,
-    channel: Optional[ChannelModel],
-    bounds_source: str,
-    sift_uses_eta: bool = True,
-) -> RatePoint:
-    best = None
-    for m in range(1, m_scan_limit(d) + 1):
-        point = key_rate(d, m, length_km, detector, channel, bounds_source, sift_uses_eta)
-        if best is None or point.key_rate_bits > best.key_rate_bits:
-            best = point
-    return best
+def _channel_table(
+    ts: Sequence[float], detector: DetectorModel, m_max: int, sift_uses_eta: bool = True
+) -> np.ndarray:
+    """`_channel_terms` for m = 1 .. m_max at each t, shape (4, len(ts), m_max)."""
+    table = np.empty((len(ts), m_max, 4))
+    for i, t in enumerate(ts):
+        table[i] = [_channel_terms(t, detector, m, sift_uses_eta) for m in range(1, m_max + 1)]
+    return np.moveaxis(table, 2, 0)
+
+
+def _hmin_column(d: int, bounds_source: str) -> np.ndarray:
+    """Min-entropy in bits for m = 1 .. m_scan_limit(d) copies."""
+    Dimension.from_d(d)
+    return np.array(
+        [hmin_bits(_pguess(d, m, bounds_source)) for m in range(1, m_scan_limit(d) + 1)]
+    )
+
+
+def _optimal(table: np.ndarray, hmin: np.ndarray) -> list[tuple]:
+    """The rate-optimal copy count at each t of a channel table.
+
+    Scans m = 1 .. len(hmin) and returns (m*, p_c, p_e, H(X|Y), H_min, K*)
+    per t.  argmax takes the first maximum, so ties go to the smaller m;
+    when every rate is 0 that is m = 1.
+    """
+    p_c, p_e, hxy, prefactor = table[:, :, : len(hmin)]
+    rates = np.maximum(0.0, prefactor * hmin - hxy)
+    best = rates.argmax(axis=1)
+    cell = (np.arange(len(best)), best)
+    return list(
+        zip(
+            (best + 1).tolist(),
+            p_c[cell].tolist(),
+            p_e[cell].tolist(),
+            hxy[cell].tolist(),
+            hmin[best].tolist(),
+            rates[cell].tolist(),
+        )
+    )
+
+
+def _optimize(t: float, detector: DetectorModel, hmin: np.ndarray, sift_uses_eta: bool = True):
+    """`_optimal` at the single transmittance t."""
+    return _optimal(_channel_table([t], detector, len(hmin), sift_uses_eta), hmin)[0]
 
 
 def optimize_m(
@@ -160,11 +210,14 @@ def optimize_m(
     """Best integer copy count within the coherent budget and its rate.
 
     Scans m = 1 .. m_scan_limit(d) and returns (m*, K*); ties go to the
-    smaller m because the scan is ascending with a strict improvement
-    test.
+    smaller m.  K* is `key_rate` at m*, so the two always agree.
     """
-    best = _optimize(d, length_km, detector, channel, bounds_source, sift_uses_eta)
-    return best.m, best.key_rate_bits
+    hmin = _hmin_column(d, bounds_source)
+    channel = channel or ChannelModel()
+    t = transmittance(length_km, channel.alpha_db_per_km)
+    m_star = _optimize(t, detector, hmin, sift_uses_eta)[0]
+    point = key_rate(d, m_star, length_km, detector, channel, bounds_source, sift_uses_eta)
+    return point.m, point.key_rate_bits
 
 
 @dataclass(frozen=True)
@@ -194,8 +247,11 @@ def max_distance(
     if length_cap_km <= 0:
         raise ValueError(f"length_cap_km must be > 0, got {length_cap_km}")
 
+    hmin = _hmin_column(d, bounds_source)
+    alpha = (channel or ChannelModel()).alpha_db_per_km
+
     def rate_at(length: float) -> float:
-        return _optimize(d, length, detector, channel, bounds_source).key_rate_bits
+        return _optimize(transmittance(length, alpha), detector, hmin)[-1]
 
     if rate_at(0.0) <= 0.0:
         return MaxDistanceResult(distance_km=0.0, saturated=False)
@@ -227,22 +283,35 @@ class SweepRow:
     key_rate_bits: float
 
 
-def _sweep_cell(task) -> SweepRow:
-    profile, d, length_km, alpha, bounds_source = task
-    detector = DETECTOR_PRESETS[profile]
-    point = _optimize(d, length_km, detector, ChannelModel(alpha_db_per_km=alpha), bounds_source)
-    return SweepRow(
-        profile=profile,
-        d=d,
-        length_km=length_km,
-        m_opt=point.m,
-        t=point.t,
-        p_c=point.p_c,
-        p_e=point.p_e,
-        hxy_bits=point.hxy_bits,
-        hmin_bits=point.hmin_bits,
-        key_rate_bits=point.key_rate_bits,
-    )
+# Lengths per sweep task.  It bounds the channel table at 4 * 16 * m_max
+# floats (100 KB at d = 65536, m_max = 199) and sets the unit of work
+# handed to worker processes.
+_SWEEP_BLOCK = 16
+
+
+def _sweep_block(task) -> list[list[SweepRow]]:
+    """Rows of one profile over a block of lengths, one list per d."""
+    profile, lengths, ts, hmins = task
+    m_max = max(len(hmin) for _, hmin in hmins)
+    table = _channel_table(ts, DETECTOR_PRESETS[profile], m_max)
+    return [
+        [
+            SweepRow(
+                profile=profile,
+                d=d,
+                length_km=length,
+                m_opt=m,
+                t=t,
+                p_c=p_c,
+                p_e=p_e,
+                hxy_bits=hxy,
+                hmin_bits=hmin_m,
+                key_rate_bits=k,
+            )
+            for length, t, (m, p_c, p_e, hxy, hmin_m, k) in zip(lengths, ts, _optimal(table, hmin))
+        ]
+        for d, hmin in hmins
+    ]
 
 
 def sweep(
@@ -255,8 +324,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Optimized rate table over the (profile, d, L) grid, sorted that way.
 
-    jobs > 1 distributes cells over processes; the row order of the
-    result is independent of the job count.
+    Each profile's lengths are split into blocks of consecutive lengths,
+    and jobs > 1 evaluates the (profile, block) tasks in worker processes;
+    the rows are independent of the job count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -269,16 +339,27 @@ def sweep(
             )
     if bounds_source not in BOUNDS_SOURCES:
         raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {bounds_source!r}")
-    tasks = [
-        (profile, d, float(length), alpha_db_per_km, bounds_source)
-        for profile in sorted(profiles)
-        for d in sorted(ds)
-        for length in sorted(lengths_km)
+    hmins = [(d, _hmin_column(d, bounds_source)) for d in sorted(ds)]
+    lengths = [float(length) for length in sorted(lengths_km)]
+    ts = [transmittance(length, alpha_db_per_km) for length in lengths]
+    if not hmins or not lengths:
+        return []
+    blocks = [
+        (lengths[i : i + _SWEEP_BLOCK], ts[i : i + _SWEEP_BLOCK])
+        for i in range(0, len(lengths), _SWEEP_BLOCK)
     ]
+    tasks = [(profile, *block, hmins) for profile in sorted(profiles) for block in blocks]
     if jobs == 1:
-        return [_sweep_cell(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        done = list(map(_sweep_block, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_sweep_block, tasks))
+    rows = []
+    for start in range(0, len(done), len(blocks)):
+        for per_d in zip(*done[start : start + len(blocks)]):
+            for block_rows in per_d:
+                rows.extend(block_rows)
+    return rows
 
 
 def _fmt(value: float) -> str:

@@ -1,0 +1,58 @@
+"""scripts/rate_vs_distance.py: shared grid parser, exit codes, stderr report."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from mubqct import sweep, sweep_rows_to_csv
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_distance.py"
+
+
+@pytest.fixture(scope="module")
+def script():
+    spec = importlib.util.spec_from_file_location("rate_vs_distance", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_script(script, capsys, *argv):
+    code = script.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("grid", ["0:10:0", "10:0:5", "0:10", "a:b:c", "0:10:-1"])
+def test_bad_grid_exits_1(script, capsys, grid):
+    code, out, err = run_script(script, capsys, "--d", "16", "--L", grid)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ds", ["15", "16,x", ","])
+def test_bad_dimensions_exit_1(script, capsys, ds):
+    code, _, err = run_script(script, capsys, "--d", ds, "--L", "0:10:5")
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_certified_above_oracle_cap_exits_3(script, capsys):
+    code, _, err = run_script(script, capsys, "--d", "32", "--bounds-source", "certified")
+    assert code == 3
+    assert err.startswith("error: ")
+
+
+def test_table_and_first_distance_label(script, capsys):
+    code, out, err = run_script(script, capsys, "--d", "128,16", "--L", "5:20:5")
+    assert code == 0
+    rows = sweep([128, 16], [5.0, 10.0, 15.0, 20.0], ["snspd_lab"])
+    assert out == sweep_rows_to_csv(rows)
+    lines = err.splitlines()
+    for d, line in zip((128, 16), lines[1:3]):
+        at_first = next(r for r in rows if r.d == d and r.length_km == 5.0)
+        assert line.startswith(f"# d={d}: K(5 km)={at_first.key_rate_bits:.4f} bits/round, ")
+    assert "K(0" not in err

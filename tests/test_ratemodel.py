@@ -1,5 +1,6 @@
 """Detection statistics, key-rate formula, photon optimization, sweeps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mubqct import (
     ChannelModel,
     DegenerateModeError,
     DetectorModel,
+    SweepRow,
     coherent_mu_max,
     conditional_entropy_xy,
     detection_stats,
@@ -376,3 +378,110 @@ def test_sweep_validation():
         sweep([16], [0.0], ["snspd_lab"], jobs=0)
     with pytest.raises(ValueError):
         sweep([16], [0.0], ["snspd_lab"], bounds_source="folklore")
+
+
+def _scalar_optimum(d, length, detector, channel=None, bounds_source="paper", sift_uses_eta=True):
+    """Reference optimizer: `key_rate` at every m, first strict maximum."""
+    best = None
+    for m in range(1, m_scan_limit(d) + 1):
+        point = key_rate(d, m, length, detector, channel, bounds_source, sift_uses_eta)
+        if best is None or point.key_rate_bits > best.key_rate_bits:
+            best = point
+    return best
+
+
+def _scalar_sweep(ds, lengths, profiles, alpha, bounds_source):
+    channel = ChannelModel(alpha_db_per_km=alpha)
+    rows = []
+    for profile in sorted(profiles):
+        for d in sorted(ds):
+            for length in sorted(lengths):
+                best = _scalar_optimum(
+                    d, float(length), DETECTOR_PRESETS[profile], channel, bounds_source
+                )
+                rows.append(
+                    SweepRow(
+                        profile=profile,
+                        d=d,
+                        length_km=float(length),
+                        m_opt=best.m,
+                        t=best.t,
+                        p_c=best.p_c,
+                        p_e=best.p_e,
+                        hxy_bits=best.hxy_bits,
+                        hmin_bits=best.hmin_bits,
+                        key_rate_bits=best.key_rate_bits,
+                    )
+                )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ds, lengths, alpha, bounds_source",
+    [
+        # unsorted and duplicate d and L; 400 km is past every horizon, so
+        # all rates there are 0 and m_opt = 1 even where m_scan_limit is 199
+        ([1024, 4, 65536, 16, 4], [120.0, 0, 37.5, 120, 400.0, 2], 0.2, "paper"),
+        ([2**14, 128], [80.0, 10.0, 33.3], 0.17, "paper"),
+        # descending lengths, more than one block of them per profile
+        ([4096, 2], list(range(195, -1, -5)), 0.2, "paper"),
+        ([16, 2, 8, 4, 8], [30.0, 0.0, 5.5, 30, 90.0], 0.2, "certified"),
+    ],
+)
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source, jobs):
+    profiles = ["snspd_lab", "ingaas_field"]
+    expected = _scalar_sweep(ds, lengths, profiles, alpha, bounds_source)
+    rows = sweep(
+        ds, lengths, profiles, alpha_db_per_km=alpha, bounds_source=bounds_source, jobs=jobs
+    )
+    assert rows == expected
+    assert any(r.key_rate_bits == 0.0 for r in rows)
+    assert all(r.m_opt == 1 for r in rows if r.key_rate_bits == 0.0)
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [
+        IDEAL,
+        SNSPD,
+        DetectorModel(eta=0.4, visibility=0.98, p_dark=1e-6, n_detectors=3),
+        DetectorModel(eta=0.1, visibility=0.9, p_dark=1e-2),
+    ],
+)
+@pytest.mark.parametrize("sift_uses_eta", [True, False])
+def test_optimize_m_matches_scalar_oracle(detector, sift_uses_eta):
+    channel = ChannelModel(alpha_db_per_km=0.25)
+    for d in (2, 16, 2**10, 2**16):
+        for length in (0.0, 12.5, 60.0, 250.0):
+            best = _scalar_optimum(d, length, detector, channel, sift_uses_eta=sift_uses_eta)
+            got = optimize_m(d, length, detector, channel, sift_uses_eta=sift_uses_eta)
+            assert got == (best.m, best.key_rate_bits)
+
+
+# The ratecurve benchmark grid; the digest was computed with the per-cell
+# scan that the factored evaluator replaced.
+BENCH_DS = [2**k for k in range(1, 17)]
+BENCH_LENGTHS = [2.0 * i for i in range(201)]
+BENCH_SWEEP_SHA256 = "6c43c31085af5c17e18e66aa7ed2a3270d67baf94a413b978f3a71b440f9759c"
+
+
+@pytest.fixture(scope="module")
+def bench_rows():
+    return sweep(BENCH_DS, BENCH_LENGTHS, ["snspd_lab", "ingaas_field"])
+
+
+def test_sweep_benchmark_grid_matches_pinned_digest(bench_rows):
+    text = sweep_rows_to_csv(bench_rows)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BENCH_SWEEP_SHA256
+
+
+def test_sweep_benchmark_grid_invariants(bench_rows):
+    assert len(bench_rows) == 2 * len(BENCH_DS) * len(BENCH_LENGTHS)
+    curves = {}
+    for row in bench_rows:
+        assert 0.0 <= row.key_rate_bits <= 1.0
+        assert 1 <= row.m_opt <= m_scan_limit(row.d)
+        curves.setdefault((row.profile, row.d), []).append(row.key_rate_bits)
+    for rates in curves.values():
+        assert all(a >= b for a, b in zip(rates, rates[1:]))
