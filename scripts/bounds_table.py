@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Adversary-bound table across dimensions.
 
-Tabulates, for each d, the exhaustive lambda (where the brute-force
-oracle is affordable), the closed-form lambda, the guessing-probability
+Tabulates, for each d, the exact lambda (where the sign search is
+offered, d <= 16), the closed-form lambda, the guessing-probability
 bounds, the resulting min-entropy, and the accessible-information
 chain. CSV on stdout.
 
@@ -38,7 +38,7 @@ def parse_args(argv=None):
     parser.add_argument(
         "--no-oracle",
         action="store_true",
-        help="skip the exhaustive lambda even where it is affordable",
+        help="skip the exact lambda even where it is offered",
     )
     return parser.parse_args(argv)
 

@@ -2,7 +2,7 @@
 
 The package provides the complete mutually unbiased basis construction in
 power-of-two dimensions, a round-level Monte Carlo model of the protocol,
-exhaustive and closed-form adversary bounds, and the detection/key-rate
+exact and closed-form adversary bounds, and the detection/key-rate
 model used for rate-versus-distance studies.
 """
 
@@ -25,8 +25,7 @@ from .mub import (
     VerificationReport,
     basis_state,
     build_mub_family,
-    export_family,
-    load_family,
+    half_projector,
     verify_unbiasedness,
 )
 from .protocol import (
@@ -69,6 +68,7 @@ from .security import (
     lambda_numeric,
     lambda_numeric_for_d,
     lambda_paper_bound,
+    pguess,
     pguess_certified,
     pguess_multi_paper,
     pguess_paper,

@@ -35,10 +35,16 @@ from .detection import (
     transmittance,
 )
 from .errors import CapabilityError
-from .mub import Dimension, build_mub_family, export_family, verify_unbiasedness
+from .mub import Dimension, build_mub_family, verify_unbiasedness
 from .protocol import ProtocolParams, multiparty_run, run_protocol
 from .ratemodel import sweep, sweep_rows_to_csv
-from .security import bounds_report, helstrom_numeric, lambda_numeric, lambda_paper_bound
+from .security import (
+    BOUNDS_SOURCES,
+    bounds_report,
+    helstrom_numeric,
+    lambda_numeric,
+    lambda_paper_bound,
+)
 
 FORMAT_VERSION = 1
 DEFAULT_SEED = 12345
@@ -188,8 +194,6 @@ def cmd_mub_verify(args) -> int:
         raise ValueError(f"--tol must be > 0, got {args.tol}")
     family = build_mub_family(args.k)
     report = verify_unbiasedness(family, tol=args.tol)
-    if args.export:
-        export_family(family, args.export)
     _emit_json({"format_version": FORMAT_VERSION, **report.to_dict()}, args)
     return 0 if report.passed else 2
 
@@ -375,14 +379,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mub-verify", help="build a basis family and verify unbiasedness")
     p.add_argument("--k", type=int, required=True, help="dimension exponent, d = 2^k")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed deviation")
-    p.add_argument("--export", help="also write the family as a text matrix file")
     _add_common(p)
     p.set_defaults(func=cmd_mub_verify)
 
     p = sub.add_parser("bounds", help="adversary bounds for one (d, m) point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--oracle", action="store_true", help="use the exhaustive lambda (d <= 16)")
+    p.add_argument("--oracle", action="store_true", help="use the exact lambda (d <= 16)")
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -391,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--L", required=True, dest="length_grid", help="distance grid start:stop:step in km")
     p.add_argument("--profile", default="snspd_lab", help="comma-separated detector presets")
     p.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
-    p.add_argument("--bounds-source", choices=("paper", "certified"), default="paper")
+    p.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default="paper")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", help="write CSV here instead of stdout")
     _add_common(p)

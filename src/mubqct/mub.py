@@ -215,38 +215,16 @@ def basis_state(family: MubFamily, theta: int, i: int) -> np.ndarray:
     return family.bases[theta][:, i].copy()
 
 
-def export_family(family: MubFamily, path) -> None:
-    """Write the family as text: one vector per line, 17 significant digits.
+def half_projector(family: MubFamily, theta: int, x: int) -> np.ndarray:
+    """Projector onto half x of basis theta.
 
-    Format: a header line `d=<d> bases=<d+1>`, then for each vector a line
-    `theta i re_0 im_0 re_1 im_1 ...`.
+    Half x is spanned by the vectors (d/2) x <= i < (d/2) (x + 1), so the
+    two halves sum to the identity.
     """
-    d = family.d
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d={d} bases={family.n_bases}\n")
-        for theta in range(family.n_bases):
-            for i in range(d):
-                col = family.bases[theta][:, i]
-                parts = [str(theta), str(i)]
-                for c in col:
-                    parts.append(f"{c.real:.17g}")
-                    parts.append(f"{c.imag:.17g}")
-                fh.write(" ".join(parts) + "\n")
-
-
-def load_family(path) -> MubFamily:
-    """Read a family written by `export_family`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        d = int(header[0].split("=")[1])
-        n_bases = int(header[1].split("=")[1])
-        bases = np.zeros((n_bases, d, d), dtype=complex)
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            theta, i = int(parts[0]), int(parts[1])
-            vals = np.array([float(x) for x in parts[2:]])
-            bases[theta][:, i] = vals[0::2] + 1j * vals[1::2]
-    bases.setflags(write=False)
-    return MubFamily(dimension=Dimension.from_d(d), bases=bases)
+    if not 0 <= theta < family.n_bases:
+        raise ValueError(f"theta must be in 0..{family.n_bases - 1}, got {theta}")
+    if x not in (0, 1):
+        raise ValueError(f"x must be 0 or 1, got {x!r}")
+    half = family.d // 2
+    cols = family.bases[theta][:, x * half : (x + 1) * half]
+    return cols @ cols.conj().T

@@ -25,7 +25,7 @@ import numpy as np
 
 from .detection import ChannelModel, DetectorModel, classify_clicks
 from .errors import CapabilityError, ConstraintError
-from .mub import Dimension, MubFamily, basis_state
+from .mub import Dimension, MubFamily, basis_state, half_projector
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # rows formatted per write: bounds the writer's extra memory at any round count
@@ -57,13 +57,7 @@ def bob_povm(family: MubFamily, theta: int) -> tuple[np.ndarray, np.ndarray]:
     M_b sums the rank-one projectors of basis theta over indices with
     (d/2) b <= i < (d/2) (b + 1); M0 + M1 = identity.
     """
-    if not 0 <= theta < family.n_bases:
-        raise ValueError(f"theta must be in 0..{family.n_bases - 1}, got {theta}")
-    half = family.d // 2
-    v = family.bases[theta]
-    m0 = v[:, :half] @ v[:, :half].conj().T
-    m1 = v[:, half:] @ v[:, half:].conj().T
-    return m0, m1
+    return half_projector(family, theta, 0), half_projector(family, theta, 1)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .detection import (
     transmittance,
 )
 from .mub import Dimension
-from .security import hmin_bits, lambda_numeric_for_d, pguess_certified, pguess_paper
+from .security import BOUNDS_SOURCES, hmin_bits, pguess
 
 __all__ = [
     "MaxDistanceResult",
@@ -57,17 +57,7 @@ __all__ = [
     "sweep_rows_to_csv",
 ]
 
-BOUNDS_SOURCES = ("paper", "certified")
-
 SWEEP_CSV_HEADER = "profile,d,L_km,m_opt,T,p_c,p_e,hxy_bits,hmin_bits,key_rate_bits"
-
-
-def _pguess(d: int, m: int, bounds_source: str) -> float:
-    if bounds_source == "paper":
-        return pguess_paper(d, m)
-    if bounds_source == "certified":
-        return pguess_certified(lambda_numeric_for_d(d), m)
-    raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {bounds_source!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,7 @@ def key_rate(
     channel = channel or ChannelModel()
     t = transmittance(length_km, channel.alpha_db_per_km)
     p_c, p_e, hxy, prefactor = _channel_terms(t, detector, m, sift_uses_eta)
-    hmin = hmin_bits(_pguess(d, m, bounds_source))
+    hmin = hmin_bits(pguess(d, m, bounds_source))
     k = max(0.0, prefactor * hmin - hxy)
     return RatePoint(
         d=d,
@@ -167,7 +157,7 @@ def _hmin_column(d: int, bounds_source: str) -> np.ndarray:
     """Min-entropy in bits for m = 1 .. m_scan_limit(d) copies."""
     Dimension.from_d(d)
     return np.array(
-        [hmin_bits(_pguess(d, m, bounds_source)) for m in range(1, m_scan_limit(d) + 1)]
+        [hmin_bits(pguess(d, m, bounds_source)) for m in range(1, m_scan_limit(d) + 1)]
     )
 
 

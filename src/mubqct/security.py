@@ -8,22 +8,27 @@ optimal single-shot guessing probability is governed by the operator
 the uniform mixture over bases of the half-space projector the adversary
 would like to certify; P_guess <= lambda / 2 with lambda = max over the
 2^(d+1) outcome strings Omega of the largest eigenvalue of F.  This
-module computes lambda exactly by brute force in small dimensions,
+module computes lambda exactly by a sign search in small dimensions,
 evaluates the closed-form bounds used at large d, and provides numeric
 Helstrom discrimination and a simulated intercept strategy as anchors
 from below.
 
 The exact computations use the algebra of the construction rather than
-generic dense algebra: the two halves of every basis sum to the
-identity, so F(Omega) + F(not Omega) = 2(d+1)/d I pairs each outcome
-string with its complement, and rho_0 + rho_1 = 2I/d makes the two bit
-states commute, so their tensor powers are discriminated from the
-spectra alone.  The size caps LAMBDA_BRUTE_FORCE_MAX_D,
-HELSTROM_MAX_DIM and EVE_SIM_MAX_ENTRIES are kept as contracts.
+generic dense algebra.  The two halves of every basis sum to the
+identity, so F(Omega) = (d+1)/d I + (1/d) sum_theta s_theta Z_theta with
+signs s_theta = (-1)^omega_theta and split observables Z_theta = P_theta^0
+- P_theta^1; in d = 2^k these are Pauli operators that pairwise commute
+or anticommute, which bounds the norm of each small group of them and
+lets the search prune almost every sign string.  rho_0 + rho_1 = 2I/d
+makes the two bit states commute, so their tensor powers are
+discriminated from the spectra alone.  The size caps
+LAMBDA_BRUTE_FORCE_MAX_D, HELSTROM_MAX_DIM and EVE_SIM_MAX_ENTRIES are
+kept as contracts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,13 +37,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .mub import MubFamily, build_mub_family
+from .mub import Dimension, MubFamily, build_mub_family, half_projector
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
 # n_trials * d cap of simulate_eve_random_basis: at most ~53 bytes of peak
 # memory per entry (measured at d = 2, where it is largest), ~1.8 GB at the cap
 EVE_SIM_MAX_ENTRIES = 1 << 25
+# The lambda sign search prunes a branch only when its bound trails the
+# best norm found by more than this; the eigenvalue rounding it must
+# absorb is about 1e-14 at d <= 16.
+_PRUNE_SLACK = 1e-9
+BOUNDS_SOURCES = ("paper", "certified")
 
 
 def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
@@ -54,62 +64,78 @@ def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
         raise ValueError(f"omega must have length d + 1 = {d + 1}, got {len(omega)}")
     if any(w not in (0, 1) for w in omega):
         raise ValueError("omega entries must be 0 or 1")
-    half = d // 2
     f = np.zeros((d, d), dtype=complex)
     for theta, w in enumerate(omega):
-        cols = family.bases[theta][:, w * half : (w + 1) * half]
-        f += (2.0 / d) * (cols @ cols.conj().T)
+        f += (2.0 / d) * half_projector(family, theta, w)
     return f
 
 
-def lambda_numeric(family: MubFamily, chunk: int = 2048) -> float:
+def _norms(ops: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of Hermitian matrices."""
+    eigs = np.linalg.eigvalsh(ops)
+    return np.maximum(eigs[:, -1], -eigs[:, 0])
+
+
+def _sign_groups(family: MubFamily) -> list[tuple[tuple[int, ...], np.ndarray, float]]:
+    """The groups of split observables that the lambda sign search fixes in turn.
+
+    Bases 0, 1, 2 form a triple and the later bases consecutive pairs.
+    Each group comes with the signed sums of its split observables
+    Z_theta, one per sign pattern, the first half of them with + on the
+    group's first observable, and its bound: the largest norm among them.  On the built families Z_0
+    anticommutes with every other Z_theta and consecutive ones
+    anticommute, so the bounds are sqrt(3) and sqrt(2).
+    """
+    n = family.n_bases
+    groups = []
+    for g in [(0, 1, 2)] + [(t, t + 1) for t in range(3, n, 2)]:
+        z = [half_projector(family, t, 0) - half_projector(family, t, 1) for t in g]
+        signs = itertools.product((1.0, -1.0), repeat=len(g))
+        sums = np.array([sum(s * z_t for s, z_t in zip(pattern, z)) for pattern in signs])
+        groups.append((g, sums, float(_norms(sums).max())))
+    return groups
+
+
+def lambda_numeric(family: MubFamily) -> float:
     """max over all outcome strings of the largest eigenvalue of F(Omega).
 
-    Exhaustive over the 2^(d+1) strings, so it is only offered for
-    d <= 16; larger dimensions must rely on the closed-form bound.  The
-    two halves of each basis sum to the identity, so
-    lambda_max(F(not Omega)) = 2(d+1)/d - lambda_min(F(Omega)): with the
-    last basis's bit fixed at 0, one eigen-solve scores a string and its
-    complement, 2^d eigen-solves in all.  Strings are scored in batches of
-    at most `chunk` (rounded down to a power of two); only the low bases'
-    bits vary within a batch, so their partial sum is formed once and
-    shared by every batch.
+    F(Omega) = (d+1)/d I + (1/d) S with S = sum_theta s_theta Z_theta, and
+    flipping every sign turns lambda_max(S) into -lambda_min(S), so lambda
+    = (d+1)/d + (1/d) max ||S|| over the signs with s_0 = +1.  A
+    depth-first search fixes the signs one group of `_sign_groups` at a
+    time, trying the larger partial norms first.  By the triangle
+    inequality a partial sum completes to a norm of at most its own plus
+    the bounds of the groups still free, and a branch is pruned only when
+    that falls short of the best norm found by more than _PRUNE_SLACK, so
+    the result is exact for any orthonormal family.  It is offered for
+    d <= LAMBDA_BRUTE_FORCE_MAX_D (16); larger dimensions must rely on the
+    closed-form bound.
     """
     d = family.d
     if d > LAMBDA_BRUTE_FORCE_MAX_D:
         raise CapabilityError(
-            f"exhaustive lambda search enumerates 2^(d+1) outcome strings; "
-            f"d = {d} exceeds the supported maximum {LAMBDA_BRUTE_FORCE_MAX_D}"
+            f"the exact lambda sign search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
         )
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    half = d // 2
-    n_bases = d + 1
-    # halves[theta, w] = (2/d) * projector onto half w of basis theta
-    halves = np.empty((n_bases, 2, d, d), dtype=complex)
-    for theta in range(n_bases):
-        for w in (0, 1):
-            cols = family.bases[theta][:, w * half : (w + 1) * half]
-            halves[theta, w] = (2.0 / d) * (cols @ cols.conj().T)
+    groups = _sign_groups(family)
+    children = [sums for _, sums, _ in groups]
+    children[0] = children[0][: len(children[0]) // 2]  # s_0 = +1
+    # tails[j] bounds the norm that groups j, j + 1, ... can add
+    tails = np.cumsum([0.0] + [bound for _, _, bound in reversed(groups)])[::-1]
+    best = 0.0
 
-    # omega_theta is bit theta of (high << n_low) + low, and omega_d = 0;
-    # F is summed in basis order from zero, whatever the batching
-    n_free = n_bases - 1
-    n_low = min(n_free, chunk.bit_length() - 1)
-    low = np.arange(1 << n_low)
-    low_sum = np.zeros((low.size, d, d), dtype=complex)
-    for theta in range(n_low):
-        low_sum += halves[theta, (low >> theta) & 1]
+    def search(j: int, partial: np.ndarray) -> None:
+        nonlocal best
+        sums = partial + children[j]
+        norms = _norms(sums)
+        if j + 1 == len(groups):
+            best = max(best, float(norms.max()))
+            return
+        for i in np.argsort(-norms, kind="stable"):
+            if norms[i] + tails[j + 1] >= best - _PRUNE_SLACK:
+                search(j + 1, sums[i])
 
-    flip = 2.0 * (d + 1) / d
-    best = -np.inf
-    for high in range(1 << (n_free - n_low)):
-        f = low_sum.copy()
-        for theta in range(n_low, n_bases):
-            f += halves[theta, (high >> (theta - n_low)) & 1]
-        eigs = np.linalg.eigvalsh(f)
-        best = max(best, float(eigs[:, -1].max()), float((flip - eigs[:, 0]).max()))
-    return best
+    search(0, np.zeros((d, d), dtype=complex))
+    return (d + 1) / d + best / d
 
 
 def lambda_paper_bound(d: int) -> float:
@@ -157,6 +183,13 @@ def pguess_single_paper(d: int) -> float:
     return _clamp_guess(0.5 + 1.0 / rd - 2.0 / (d * (d + 1.0) * rd))
 
 
+def _half_power(base: float, m: int) -> float:
+    """base^m / 2 clamped into [1/2, 1], without overflow at large m."""
+    if m * math.log(base) - math.log(2.0) >= 0.0:
+        return 1.0
+    return _clamp_guess(0.5 * base**m)
+
+
 def pguess_multi_paper(d: int, m: int) -> float:
     """Closed-form m-copy guessing bound (1/2)(1 + 2/sqrt(d) - 4/(d^2 sqrt(d)))^m."""
     if d < 2:
@@ -164,11 +197,7 @@ def pguess_multi_paper(d: int, m: int) -> float:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     rd = math.sqrt(d)
-    base = 1.0 + 2.0 / rd - 4.0 / (d * d * rd)
-    log_p = m * math.log(base) - math.log(2.0)
-    if log_p >= 0.0:
-        return 1.0
-    return _clamp_guess(0.5 * base**m)
+    return _half_power(1.0 + 2.0 / rd - 4.0 / (d * d * rd), m)
 
 
 def pguess_paper(d: int, m: int) -> float:
@@ -186,10 +215,20 @@ def pguess_certified(lam: float, m: int) -> float:
         raise ValueError(f"lambda must be positive, got {lam}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    log_p = m * math.log(lam) - math.log(2.0)
-    if log_p >= 0.0:
-        return 1.0
-    return _clamp_guess(0.5 * lam**m)
+    return _half_power(lam, m)
+
+
+def pguess(d: int, m: int, source: str) -> float:
+    """The m-copy guessing bound at dimension d from one of BOUNDS_SOURCES.
+
+    "paper" is the closed form `pguess_paper`; "certified" is lambda^m / 2
+    with the exact lambda, so it is capped at d <= 16.
+    """
+    if source == "paper":
+        return pguess_paper(d, m)
+    if source == "certified":
+        return pguess_certified(lambda_numeric_for_d(d), m)
+    raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {source!r}")
 
 
 def hmin_bits(pguess: float) -> float:
@@ -244,11 +283,9 @@ def encoding_average_state(family: MubFamily, x: int) -> np.ndarray:
     if x not in (0, 1):
         raise ValueError(f"x must be 0 or 1, got {x!r}")
     d = family.d
-    half = d // 2
     rho = np.zeros((d, d), dtype=complex)
     for theta in range(d + 1):
-        cols = family.bases[theta][:, x * half : (x + 1) * half]
-        rho += cols @ cols.conj().T
+        rho += half_projector(family, theta, x)
     return rho * (2.0 / (d * (d + 1.0)))
 
 
@@ -443,10 +480,10 @@ def strategy_monotonicity(
 
 @lru_cache(maxsize=None)
 def lambda_numeric_for_d(d: int) -> float:
-    """Cached exhaustive lambda for dimension d (d <= 16)."""
+    """Cached exact lambda of the built family for dimension d (d <= 16)."""
     if d > LAMBDA_BRUTE_FORCE_MAX_D:
         raise CapabilityError(
-            f"exhaustive lambda search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
+            f"the exact lambda sign search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
         )
     k = d.bit_length() - 1
     return lambda_numeric(build_mub_family(k))
@@ -491,32 +528,26 @@ class BoundsReport:
 def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     """Assemble every bound for a (d, m) point into one record.
 
-    With oracle enabled the certified guessing bound uses the exhaustive
-    lambda (d <= 16 only); otherwise it falls back to the closed-form
-    lambda, and the reported min-entropy comes from the closed-form
-    guessing bound.
+    With oracle enabled the certified guessing bound uses the exact lambda
+    (d <= 16 only) and the min-entropy comes from the "certified" source;
+    otherwise the certified bound is filled from the closed-form lambda,
+    and the min-entropy comes from the "paper" source.
     """
-    from .mub import Dimension
-
     Dimension.from_d(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     lam_paper = lambda_paper_bound(d)
     lam_num = lambda_numeric_for_d(d) if oracle else None
-    lam_eff = lam_num if oracle else lam_paper
-    p_cert = pguess_certified(lam_eff, m)
-    p_paper = pguess_paper(d, m)
-    p_effective = p_cert if oracle else p_paper
     iacc = iacc_bound(d, m)
     return BoundsReport(
         d=d,
         m=m,
         lambda_numeric=lam_num,
         lambda_paper=lam_paper,
-        pguess_certified=p_cert,
+        pguess_certified=pguess_certified(lam_num if oracle else lam_paper, m),
         pguess_paper_single=pguess_single_paper(d),
         pguess_paper_multi=pguess_multi_paper(d, m),
-        hmin_bits=hmin_bits(p_effective),
+        hmin_bits=hmin_bits(pguess(d, m, "certified" if oracle else "paper")),
         iacc_bits=iacc,
         helstrom_single=helstrom_paper_single(d),
         helstrom_multi_bound=helstrom_multi_bound(d, m),

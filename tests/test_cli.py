@@ -67,14 +67,6 @@ def test_mub_verify_nonpositive_tol_rejected(capsys):
     assert code == 1
 
 
-def test_mub_verify_export_writes_matrix_file(capsys, tmp_path):
-    path = tmp_path / "fam.txt"
-    code, _, _ = run_cli(capsys, "mub-verify", "--k", "3", "--export", str(path))
-    assert code == 0
-    first = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first == "d=8 bases=9"
-
-
 # -------------------------------------------------------------------- bounds
 
 

@@ -9,8 +9,7 @@ from mubqct import (
     MubFamily,
     basis_state,
     build_mub_family,
-    export_family,
-    load_family,
+    half_projector,
     verify_unbiasedness,
 )
 from tests.conftest import cached_family
@@ -106,15 +105,16 @@ def test_verification_report_to_dict_shape():
     assert set(d["worst_unbiasedness"]) == {"theta1", "theta2", "i", "j"}
 
 
-def test_export_load_round_trip_is_exact(tmp_path):
-    fam = cached_family(3)
-    path = tmp_path / "family_d8.txt"
-    export_family(fam, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "d=8 bases=9"
-    loaded = load_family(path)
-    assert loaded.d == 8
-    assert np.array_equal(loaded.bases, fam.bases)
+def test_half_projectors_split_the_identity():
+    fam = cached_family(2)
+    for theta in range(fam.n_bases):
+        p0, p1 = half_projector(fam, theta, 0), half_projector(fam, theta, 1)
+        assert np.max(np.abs(p0 + p1 - np.eye(4))) < 1e-12
+        assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12
+    with pytest.raises(ValueError):
+        half_projector(fam, 0, 2)
+    with pytest.raises(ValueError):
+        half_projector(fam, 5, 0)
 
 
 def test_basis_state_norm_and_bounds():

@@ -1,4 +1,4 @@
-"""Adversary bounds: exhaustive oracles, closed forms, and their ordering."""
+"""Adversary bounds: exact oracles, closed forms, and their ordering."""
 
 import itertools
 import math
@@ -38,8 +38,8 @@ from mubqct import (
 from mubqct import security
 from tests.conftest import cached_family
 
-# exhaustive brute-force values over all 2^(d+1) outcome strings, frozen
-# as this repository's reference constants
+# maxima over all 2^(d+1) outcome strings, first found by enumerating
+# every string and frozen as this repository's reference constants
 LAMBDA_REFERENCE = {
     2: 2.3660254037844393,
     4: 2.0,
@@ -88,6 +88,10 @@ def test_lambda_numeric_matches_frozen_reference(d):
     assert lam == pytest.approx(LAMBDA_REFERENCE[d], abs=1e-9)
     assert lam >= (d + 1) / d - 1e-12
     assert lam <= _sound_cap(d) + 1e-9
+
+
+def test_lambda_numeric_d16_is_pinned_exactly():
+    assert lambda_numeric(cached_family(4)) == 1.7723635432250342
 
 
 def test_lambda_numeric_d2_closed_form():
@@ -369,20 +373,27 @@ def test_complement_string_spectrum_law(d):
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
-@pytest.mark.parametrize("chunk", [1, 5, 2048])
-def test_lambda_numeric_matches_every_string_enumerated(d, chunk):
-    fam = cached_family(d.bit_length() - 1)
+@pytest.mark.parametrize("seed", [1, 5, 2048])
+def test_lambda_numeric_matches_every_string_enumerated(d, seed):
+    # the built family with its bases in a random order: lambda does not
+    # depend on the order, but the sign groups, their bounds and so the
+    # pruning do
+    built = cached_family(d.bit_length() - 1)
+    order = np.random.default_rng(seed).permutation(built.n_bases)
+    fam = MubFamily(dimension=built.dimension, bases=built.bases[order])
     want = max(
         np.linalg.eigvalsh(f_operator(fam, omega))[-1]
         for omega in itertools.product((0, 1), repeat=d + 1)
     )
-    assert abs(lambda_numeric(fam, chunk) - want) < 1e-12
+    assert abs(lambda_numeric(fam) - want) < 1e-12
+    assert abs(lambda_numeric(built) - want) < 1e-12
 
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_lambda_numeric_finds_optimum_with_last_bit_set(d):
     # random orthonormal bases (not unbiased) whose best string, for this
-    # seed, has omega_d = 1: only its complement is solved directly
+    # seed, has omega_d = 1; their group bounds are loose, so the search
+    # prunes on weaker bounds than on the built families
     rng = np.random.default_rng(1)
     z = rng.normal(size=(d + 1, d, d)) + 1j * rng.normal(size=(d + 1, d, d))
     fam = MubFamily(dimension=Dimension.from_d(d), bases=np.linalg.qr(z)[0])
@@ -395,9 +406,21 @@ def test_lambda_numeric_finds_optimum_with_last_bit_set(d):
     assert abs(lambda_numeric(fam) - tops[best]) < 1e-12
 
 
-def test_lambda_numeric_rejects_empty_batches():
-    with pytest.raises(ValueError):
-        lambda_numeric(cached_family(1), chunk=0)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sign_group_bounds_cover_every_signed_sum(k):
+    fam = cached_family(k)
+    groups = security._sign_groups(fam)
+    assert [t for g, _, _ in groups for t in g] == list(range(fam.n_bases))
+    half = fam.d // 2
+    for g, _, bound in groups:
+        # Z_t = P_t^0 - P_t^1 = 2 P_t^0 - I
+        z = [2 * fam.bases[t][:, :half] @ fam.bases[t][:, :half].conj().T for t in g]
+        z = [z_t - np.eye(fam.d) for z_t in z]
+        for signs in itertools.product((1, -1), repeat=len(g)):
+            norm = np.linalg.norm(sum(s * z_t for s, z_t in zip(signs, z)), 2)
+            assert norm <= bound + 1e-12
+        # consecutive split observables anticommute, and Z_0 with all others
+        assert bound == pytest.approx(math.sqrt(len(g)), abs=1e-12)
 
 
 def _helstrom_dense_kron(fam, m):
