@@ -181,6 +181,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid start, stop and step must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"grid step must be > 0, got {step}")
     if stop < start:
@@ -190,8 +192,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_mub_verify(args) -> int:
-    if args.tol <= 0:
-        raise ValueError(f"--tol must be > 0, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     family = build_mub_family(args.k)
     report = verify_unbiasedness(family, tol=args.tol)
     _emit_json({"format_version": FORMAT_VERSION, **report.to_dict()}, args)

@@ -1,9 +1,14 @@
-"""Arithmetic over GF(2^k) and the Galois ring GR(4, k) = Z4[x]/(h).
+"""Arithmetic over GF(2^k) and the integer phase tables of the MUB builder.
 
-All of it is exact integer arithmetic: field elements are k-bit integers
-in the polynomial basis, ring elements are length-k coefficient tuples
-mod 4.  The consumers are the mutually unbiased basis builder, which
-needs Teichmuller representatives and the mod-4 trace, and the tests.
+Field elements are k-bit integers in the polynomial basis.  The basis
+builder needs, besides the field product and the F2 trace tr, the Z4
+trace of the Teichmuller lift T(u) in the Galois ring GR(4, k).  That
+trace has a closed form over the field itself,
+
+    Tr(T(u)) = tr(u) + 2 Q(u)  (mod 4),   Q(u) = sum_{i<j} u^(2^i + 2^j),
+
+the identity behind the Z4-linear Kerdock and Preparata codes (Hammons,
+Kumar, Calderbank, Sloane & Sole, 1994), so no ring arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -28,164 +33,48 @@ IRREDUCIBLE_F2_POLYS = {
 MAX_K = max(IRREDUCIBLE_F2_POLYS)
 
 
-def gf_mul(a: int, b: int, k: int) -> int:
-    """Carry-less product of a and b reduced by the degree-k modulus."""
+def gf_mul(a, b, k: int):
+    """Carry-less product of field elements a and b reduced by the degree-k modulus.
+
+    Elementwise: a and b may be Python ints or broadcastable numpy integer
+    arrays; the k shift, XOR and reduce steps act on whole arrays.
+    """
     poly = IRREDUCIBLE_F2_POLYS[k]
     acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> k) & 1:
-            a ^= poly
+    for i in range(k):
+        acc ^= a * ((b >> i) & 1)
+        a = a << 1
+        a = a ^ poly * ((a >> k) & 1)
     return acc
-
-
-def gf_pow(a: int, e: int, k: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = gf_mul(r, a, k)
-        a = gf_mul(a, a, k)
-        e >>= 1
-    return r
-
-
-def gf_trace(a: int, k: int) -> int:
-    """F2 trace of a, i.e. the sum of its k Frobenius conjugates."""
-    t = 0
-    x = a
-    for _ in range(k):
-        t ^= x
-        x = gf_mul(x, x, k)
-    if t not in (0, 1):
-        raise AssertionError("trace left the prime field; modulus not irreducible?")
-    return t
-
-
-@lru_cache(maxsize=None)
-def hensel_lift(k: int) -> tuple[int, ...]:
-    """Monic mod-4 lift h of the field modulus, via h(x^2) = (-1)^k f(x)f(-x).
-
-    This is the Graeffe construction of the Hensel lift: the roots of h are
-    the squares of (lifts of) the roots of f, which makes Z4[x]/(h) contain
-    the Teichmuller representatives the basis builder relies on.
-    """
-    f_bits = IRREDUCIBLE_F2_POLYS[k]
-    f = [(f_bits >> i) & 1 for i in range(k + 1)]
-    f_neg = [((-1) ** i * c) % 4 for i, c in enumerate(f)]
-    prod = [0] * (2 * k + 1)
-    for i, ci in enumerate(f):
-        if ci:
-            for j, cj in enumerate(f_neg):
-                prod[i + j] = (prod[i + j] + ci * cj) % 4
-    sign = (-1) ** k % 4
-    for t in range(1, 2 * k + 1, 2):
-        if prod[t] % 4:
-            raise AssertionError("Graeffe product kept an odd-degree term")
-    return tuple(prod[t] * sign % 4 for t in range(0, 2 * k + 1, 2))
-
-
-class GaloisRing:
-    """GR(4, k) with elements as length-k coefficient tuples mod 4."""
-
-    def __init__(self, k: int):
-        if k not in IRREDUCIBLE_F2_POLYS:
-            raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-        self.k = k
-        self.h = hensel_lift(k)
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.k
-
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.k - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % 4 for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        k = self.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % 4
-        # long division by the monic lift h
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = prod[deg]
-            if c:
-                off = deg - k
-                for j in range(k + 1):
-                    prod[off + j] = (prod[off + j] - c * self.h[j]) % 4
-        return tuple(prod[:k])
-
-    def pow(self, a, e: int):
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def teichmuller_lift(self, u: int) -> tuple[int, ...]:
-        """The unique lift of field element u with t^(2^k) = t.
-
-        Computed as (lift of sqrt(u))^2: squaring any mod-2 lift of an
-        element lands on the Teichmuller representative of its square.
-        """
-        if u == 0:
-            return self.zero
-        s = gf_pow(u, 1 << (self.k - 1), self.k)
-        lifted = tuple((s >> i) & 1 for i in range(self.k))
-        return self.mul(lifted, lifted)
-
-    def residue(self, a) -> int:
-        """Mod-2 reduction of a ring element, as a field bitmask."""
-        return sum(((c & 1) << i) for i, c in enumerate(a))
-
-    def trace(self, a) -> int:
-        """Z4-valued trace: sum of the k Frobenius conjugates of a.
-
-        Uses the 2-adic split a = t + 2b with t Teichmuller; the Frobenius
-        acts as t + 2b -> t^2 + 2 b^2, and only b mod 2 matters.
-        """
-        t = self.teichmuller_lift(self.residue(a))
-        diff = tuple((x - y) % 4 for x, y in zip(a, t))
-        if any(c & 1 for c in diff):
-            raise AssertionError("2-adic decomposition failed")
-        b = tuple(c >> 1 for c in diff)
-        acc = self.zero
-        for _ in range(self.k):
-            two_b = tuple((2 * c) % 4 for c in b)
-            acc = self.add(acc, self.add(t, two_b))
-            t = self.mul(t, t)
-            b = self.mul(b, b)
-        if any(acc[1:]):
-            raise AssertionError("trace is not a scalar")
-        return acc[0]
 
 
 @lru_cache(maxsize=None)
 def phase_tables(k: int):
     """Integer tables driving the basis construction in dimension d = 2^k.
 
-    Returns (mul, tr2, tr4) where mul[a, b] is the GF(2^k) product,
-    tr2[u] the F2 trace and tr4[u] the GR(4, k) trace of the Teichmuller
-    lift of u.  All are plain numpy integer arrays indexed by bitmask.
+    Returns read-only int64 arrays (mul, tr2, tr4): mul[a, b] is the
+    GF(2^k) product, tr2[u] the F2 trace and tr4[u] the Z4 trace of the
+    Teichmuller lift T(u), all indexed by bitmask.  With t = T(u), the
+    trace S = sum_i t^(2^i) satisfies S^2 = S + 2 sum_{i<j} t^(2^i + 2^j),
+    where the sum reduces mod 2 to Q(u); and S^2 = tr(u) (mod 4) because
+    S = tr(u) (mod 2).  So S = tr(u) - 2 Q(u) = tr(u) + 2 Q(u) (mod 4).
     """
-    d = 1 << k
-    ring = GaloisRing(k)
-    mul = np.zeros((d, d), dtype=np.int64)
-    for a in range(d):
-        for b in range(a, d):
-            p = gf_mul(a, b, k)
-            mul[a, b] = p
-            mul[b, a] = p
-    tr2 = np.array([gf_trace(u, k) for u in range(d)], dtype=np.int64)
-    tr4 = np.array([ring.trace(ring.teichmuller_lift(u)) for u in range(d)], dtype=np.int64)
+    if k not in IRREDUCIBLE_F2_POLYS:
+        raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
+    u = np.arange(1 << k, dtype=np.int64)
+    mul = gf_mul(u[:, None], u[None, :], k)
+    square = mul.diagonal()
+    conj = [u]  # the Frobenius conjugates u^(2^i), i < k
+    for _ in range(k - 1):
+        conj.append(square[conj[-1]])
+    tr2 = np.bitwise_xor.reduce(conj)
+    q = np.zeros_like(u)
+    for i in range(k):
+        for j in range(i + 1, k):
+            q ^= mul[conj[i], conj[j]]
+    if tr2.max() > 1 or q.max() > 1:
+        raise AssertionError("trace left the prime field; modulus not irreducible?")
+    tr4 = tr2 + 2 * q
+    for table in (mul, tr2, tr4):
+        table.setflags(write=False)
     return mul, tr2, tr4

@@ -1,9 +1,12 @@
 """Complete sets of mutually unbiased bases in dimension d = 2^k.
 
-The family consists of the computational basis plus d bases whose vectors
-have components (1/sqrt(d)) * i^(Tr((a + 2b) x)), with a, b, x ranging over
-Teichmuller representatives in GR(4, k) and Tr the Z4-valued ring trace.
-These are the common eigenbases of the d + 1 maximal commuting classes of
+The family consists of the computational basis plus one basis per field
+element a of GF(2^k), whose vector b has components
+(1/sqrt(d)) * i^tr(ax) * (-1)^(Q(ax) + tr(bx)) for x in GF(2^k), with tr
+the F2 trace and Q(u) = sum_{i<j} u^(2^i + 2^j) (see `galois`).  In
+Galois-ring form this is the classic i^Tr((a + 2b) x), with a, b, x the
+Teichmuller representatives in GR(4, k) and Tr the Z4 trace.  These are
+the common eigenbases of the d + 1 maximal commuting classes of
 generalized Pauli operators; the closed form avoids a numerically fragile
 simultaneous diagonalization and is exactly reproducible.
 
@@ -141,7 +144,7 @@ def build_mub_family(k: int) -> MubFamily:
     bases[0] = np.eye(d)
     scale = 1.0 / np.sqrt(d)
     for a in range(d):
-        # exponent[x, b] = Tr(a x) + 2 tr2(b x) mod 4, all indices field bitmasks;
+        # exponent[x, b] = tr4(a x) + 2 tr2(b x) mod 4, all indices field bitmasks;
         # x = 0 gives exponent 0, so row 0 of every basis is 1/sqrt(d)
         expo = (tr4[mul[a]][:, None] + 2 * tr2[mul]) % 4
         bases[1 + a] = _PHASES[expo[rows_cols]] * scale

@@ -70,6 +70,13 @@ def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
     return f
 
 
+def _check_lambda_cap(d: int) -> None:
+    if d > LAMBDA_BRUTE_FORCE_MAX_D:
+        raise CapabilityError(
+            f"the exact lambda sign search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
+        )
+
+
 def _norms(ops: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of Hermitian matrices."""
     eigs = np.linalg.eigvalsh(ops)
@@ -112,10 +119,7 @@ def lambda_numeric(family: MubFamily) -> float:
     closed-form bound.
     """
     d = family.d
-    if d > LAMBDA_BRUTE_FORCE_MAX_D:
-        raise CapabilityError(
-            f"the exact lambda sign search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
-        )
+    _check_lambda_cap(d)
     groups = _sign_groups(family)
     children = [sums for _, sums, _ in groups]
     children[0] = children[0][: len(children[0]) // 2]  # s_0 = +1
@@ -481,11 +485,8 @@ def strategy_monotonicity(
 @lru_cache(maxsize=None)
 def lambda_numeric_for_d(d: int) -> float:
     """Cached exact lambda of the built family for dimension d (d <= 16)."""
-    if d > LAMBDA_BRUTE_FORCE_MAX_D:
-        raise CapabilityError(
-            f"the exact lambda sign search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
-        )
-    k = d.bit_length() - 1
+    k = Dimension.from_d(d).k
+    _check_lambda_cap(d)
     return lambda_numeric(build_mub_family(k))
 
 

@@ -67,6 +67,26 @@ def test_mub_verify_nonpositive_tol_rejected(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mub-verify", "--k", "2", "--tol", "nan"),
+        ("mub-verify", "--k", "2", "--tol", "inf"),
+        ("sweep", "--d", "4", "--L", "0:inf:1"),
+        ("sweep", "--d", "4", "--L", "0:nan:1"),
+        ("sweep", "--d", "4", "--L=-inf:0:1"),
+        ("sweep", "--d", "4", "--L", "0:10:inf"),
+    ],
+    ids=["tol-nan", "tol-inf", "grid-stop-inf", "grid-stop-nan", "grid-start-inf", "grid-step-inf"],
+)
+def test_non_finite_flags_exit_1_with_a_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "finite" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- bounds
 
 

@@ -120,6 +120,15 @@ def test_lambda_numeric_cap():
         lambda_numeric(cached_family(5))
 
 
+@pytest.mark.parametrize("d", [3, 12])
+def test_lambda_numeric_for_d_rejects_non_powers_of_two(d):
+    # not rounded down to the family of the largest power of two below d
+    with pytest.raises(ValueError):
+        lambda_numeric_for_d(d)
+    with pytest.raises(ValueError):
+        security.pguess(d, 1, "certified")
+
+
 def test_lambda_paper_bound_examples():
     assert lambda_paper_bound(4) == pytest.approx(1.0 + 18 / 64, abs=1e-12)
     assert lambda_paper_bound(16) == pytest.approx(1.0 + 270 / 2048, abs=1e-12)
