@@ -25,6 +25,7 @@ from .mub import (
     VerificationReport,
     basis_state,
     build_mub_family,
+    certify_family,
     half_projector,
     verify_unbiasedness,
 )

@@ -35,7 +35,7 @@ from .detection import (
     transmittance,
 )
 from .errors import CapabilityError
-from .mub import Dimension, build_mub_family, verify_unbiasedness
+from .mub import Dimension, build_mub_family, certify_family
 from .protocol import ProtocolParams, multiparty_run, run_protocol
 from .ratemodel import sweep, sweep_rows_to_csv
 from .security import (
@@ -195,7 +195,7 @@ def cmd_mub_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     family = build_mub_family(args.k)
-    report = verify_unbiasedness(family, tol=args.tol)
+    report = certify_family(family, tol=args.tol)
     _emit_json({"format_version": FORMAT_VERSION, **report.to_dict()}, args)
     return 0 if report.passed else 2
 
@@ -378,7 +378,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"mubqct {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("mub-verify", help="build a basis family and verify unbiasedness")
+    p = sub.add_parser(
+        "mub-verify",
+        help="build a basis family and certify it with exact integer sums "
+        "(a float check decides any family outside that form)",
+    )
     p.add_argument("--k", type=int, required=True, help="dimension exponent, d = 2^k")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed deviation")
     _add_common(p)

@@ -10,9 +10,13 @@ the common eigenbases of the d + 1 maximal commuting classes of
 generalized Pauli operators; the closed form avoids a numerically fragile
 simultaneous diagonalization and is exactly reproducible.
 
-Whatever the construction, validity is decided by `verify_unbiasedness`,
-which checks orthonormality and the |<e_i|f_j>| = 1/sqrt(d) overlap law
-exhaustively.
+Validity of a stored family is decided by `certify_family`.  It reads
+the float arrays back into a Z4 exponent table and one +-1 pattern, then
+proves orthonormality and the |<e_i|f_j>| = 1/sqrt(d) overlap law with
+exact integer sums (the Z4 Gaussian sums of the construction), Theta(d^4)
+real multiply-adds in place of Theta(d^5) complex ones.  A family outside
+that form falls back to `verify_unbiasedness`, the float reference for any
+family.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .galois import MAX_K, phase_tables
 
 # i^n for n mod 4, exact complex literals so the build is bit-reproducible
 _PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+# the same phases split into exact real and imaginary parts
+_RE = _PHASES.real.copy()
+_IM = _PHASES.imag.copy()
 
 # Largest cross-basis product verification forms at once, in entries:
 # 2^17 complex entries are 2.1 MB, 8 bases per block at d = 128.  Blocks
@@ -95,6 +102,7 @@ class VerificationReport:
     worst_orthonormality: tuple[int, int, int]  # (theta, i, j)
     max_unbiasedness_dev: float
     worst_unbiasedness: tuple[int, int, int, int]  # (theta1, theta2, i, j)
+    exact: bool = False  # proved by `certify_family`'s integer sums
 
     def to_dict(self) -> dict:
         t, i, j = self.worst_orthonormality
@@ -104,6 +112,7 @@ class VerificationReport:
             "n_bases": self.n_bases,
             "tol": self.tol,
             "passed": self.passed,
+            "exact": self.exact,
             "max_orthonormality_dev": self.max_orthonormality_dev,
             "worst_orthonormality": {"theta": t, "i": i, "j": j},
             "max_unbiasedness_dev": self.max_unbiasedness_dev,
@@ -154,8 +163,10 @@ def build_mub_family(k: int) -> MubFamily:
 
 
 def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationReport:
-    """Exhaustively check orthonormality and pairwise unbiasedness.
+    """Exhaustively check orthonormality and pairwise unbiasedness in floats.
 
+    The float reference for any family, whatever its construction;
+    `certify_family` proves the built ones exactly and falls back to it.
     Reports the largest absolute deviation from <e_i|e_j> = delta_ij within
     each basis and from |<e_i|f_j>| = 1/sqrt(d) across distinct bases,
     together with the indices achieving them; ties go to the first maximum
@@ -207,6 +218,101 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
         max_unbiasedness_dev=max_unb,
         worst_unbiasedness=worst_unb,
     )
+
+
+def certify_family(family: MubFamily, tol: float = 1e-9) -> VerificationReport:
+    """Prove the MUB conditions of a stored family with exact integer sums.
+
+    Reads only the float arrays.  With s = 1/sqrt(d), the family is
+    certified when bases[0] is the identity, every entry of bases[1:] is
+    exactly s i^e, every basis a factors as i^E[a, x] h[x, j] with one +-1
+    pattern h shared by all bases, and `exact_mub_check(E, h)` holds.  Then
+    every inner product is an integer sum times s * s: d s^2 on the
+    diagonals and 0 off them within a basis, and for bases a < a' the sum
+    S(c) of `exact_mub_check` up to sign, of modulus sqrt(d) exactly; the
+    overlaps with bases[0] are the entries, of modulus s.  So each
+    deviation takes one value over all its entries, and ties go to the
+    first entry in (theta, i, j) order as in `verify_unbiasedness`.  Any
+    failed step returns `verify_unbiasedness(family, tol)`, whose float
+    check decides and locates the deviation; its report has exact = False.
+    """
+    d = family.d
+    s = 1.0 / np.sqrt(d)
+    form = _z4_form(family.bases, s)
+    if form is None or not exact_mub_check(*form):
+        return verify_unbiasedness(family, tol)
+    ss = s * s
+    max_ortho = float(abs(d * ss - 1.0))
+    max_unb = float(abs(np.sqrt(d) * ss - s))
+    return VerificationReport(
+        d=d,
+        n_bases=family.n_bases,
+        tol=tol,
+        passed=bool(max_ortho <= tol and max_unb <= tol),
+        max_orthonormality_dev=max_ortho,
+        worst_orthonormality=(1, 0, 0) if max_ortho > 0 else (0, 0, 0),
+        max_unbiasedness_dev=max_unb,
+        worst_unbiasedness=(1, 2, 0, 0) if max_unb > 0 else (0, 1, 0, 0),
+        exact=True,
+    )
+
+
+def _z4_form(bases: np.ndarray, s: float):
+    """(E, h) with bases[1 + a][x, j] == s i^E[a, x] h[x, j] exactly, or None.
+
+    Requires bases[0] to be the identity.  E[a, x] is read from column 0,
+    so h[:, 0] = 1; one basis is decoded at a time, so the temporaries are
+    d x d whatever the family size.
+    """
+    d = bases.shape[1]
+    if not np.array_equal(bases[0], np.eye(d)):
+        return None
+    e = np.empty((d, d), dtype=np.int64)
+    h = None
+    for a in range(d):
+        re, im = bases[1 + a].real, bases[1 + a].imag
+        on_axis = ((np.abs(re) == s) & (im == 0)) | ((re == 0) & (np.abs(im) == s))
+        if not on_axis.all():
+            return None
+        expo = (im == s) + 2 * (re == -s) + 3 * (im == -s)  # s i^expo
+        e[a] = expo[:, 0]
+        # flips of 0 and 2 give +-1; an odd flip leaves a 0 or -2, which
+        # differs from h or fails the +-1 test of exact_mub_check
+        pattern = 1.0 - (expo - expo[:, :1]) % 4
+        if h is None:
+            h = pattern
+        elif not np.array_equal(pattern, h):
+            return None
+    return e, h
+
+
+def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
+    """Exact MUB conditions of the bases i^e[a, x] h[x, j] / sqrt(d).
+
+    e is an (n, d) Z4 exponent table, one row per basis, and h a (d, d)
+    array of +-1 shared by all n bases.  Vectors j and j' of one basis
+    have inner product (h^T h)[j, j'] / d, so each basis is orthonormal
+    iff h^T h = d I.  For every column j, h^T (h[:, j] * h) must be d times
+    a signed permutation: then h[:, i] * h[:, j] = +-h[:, c], and entry
+    (i, j) of the Gram matrix of bases a < a' is +-S(c) / d with
+    S(c) = sum_x i^(e[a', x] - e[a, x]) h[x, c].  So the bases are
+    unbiased iff every |S(c)|^2 = d.  All values are small integers, so
+    the float64 products are exact: Theta(n^2 d^2 + d^4) real
+    multiply-adds in all.
+    """
+    d = len(h)
+    if not (np.all(np.abs(h) == 1) and np.array_equal(h.T @ h, d * np.eye(d))):
+        return False
+    for a in range(len(e) - 1):
+        w = (e[a + 1 :] - e[a]) % 4
+        re, im = _RE[w] @ h, _IM[w] @ h
+        if not np.all(re * re + im * im == d):
+            return False
+    for j in range(d):
+        m = np.abs(h.T @ (h[:, j : j + 1] * h))
+        if not (np.all(np.count_nonzero(m == d, axis=0) == 1) and np.count_nonzero(m) == d):
+            return False
+    return True
 
 
 def basis_state(family: MubFamily, theta: int, i: int) -> np.ndarray:

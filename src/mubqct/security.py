@@ -498,7 +498,7 @@ class BoundsReport:
     m: int
     lambda_numeric: Optional[float]
     lambda_paper: float
-    pguess_certified: float
+    pguess_certified: Optional[float]
     pguess_paper_single: float
     pguess_paper_multi: float
     hmin_bits: float
@@ -530,9 +530,11 @@ def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     """Assemble every bound for a (d, m) point into one record.
 
     With oracle enabled the certified guessing bound uses the exact lambda
-    (d <= 16 only) and the min-entropy comes from the "certified" source;
-    otherwise the certified bound is filled from the closed-form lambda,
-    and the min-entropy comes from the "paper" source.
+    (d <= 16 only) and the min-entropy comes from the "certified" source.
+    Otherwise pguess_certified is None (JSON null): the closed-form lambda
+    gives no certified bound (at d = 16, lambda_paper / 2 = 0.566 while a
+    single-copy attack reaches 0.834), and the min-entropy comes from the
+    "paper" source.
     """
     Dimension.from_d(d)
     if m < 1:
@@ -545,7 +547,7 @@ def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
         m=m,
         lambda_numeric=lam_num,
         lambda_paper=lam_paper,
-        pguess_certified=pguess_certified(lam_num if oracle else lam_paper, m),
+        pguess_certified=pguess_certified(lam_num, m) if oracle else None,
         pguess_paper_single=pguess_single_paper(d),
         pguess_paper_multi=pguess_multi_paper(d, m),
         hmin_bits=hmin_bits(pguess(d, m, "certified" if oracle else "paper")),

@@ -43,6 +43,16 @@ def test_mub_verify_passes(capsys):
     assert "k=3" in err
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mub_verify_certifies_every_k_exactly(capsys, k):
+    code, out, _ = run_cli(capsys, "mub-verify", "--k", str(k))
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True and report["exact"] is True
+    assert report["d"] == 2**k
+    assert report["max_unbiasedness_dev"] == 0.0
+
+
 def test_mub_verify_bad_k_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "mub-verify", "--k", "0")
     assert code == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mubqct.galois import IRREDUCIBLE_F2_POLYS, MAX_K, gf_mul, phase_tables
+from mubqct.mub import exact_mub_check
 
 ALL_K = sorted(IRREDUCIBLE_F2_POLYS)
 
@@ -183,31 +184,9 @@ def test_phase_tables_consistency(k):
     assert not any(t.flags.writeable for t in (mul, tr2, tr4))
 
 
-# i^n for n mod 4, split into exact real and imaginary parts
-_RE = np.array([1.0, 0.0, -1.0, 0.0])
-_IM = np.array([0.0, 1.0, 0.0, -1.0])
-
-
 def _tables_give_exact_mubs(mul, tr2, tr4) -> bool:
-    """Exact MUB conditions of the built family, on the integer tables.
-
-    Vector b of basis a has components i^E[a, x] (-1)^tr(bx) / sqrt(d) with
-    E[a, x] = tr4[ax].  Orthonormality within every basis is H @ H = d I for
-    H[c, x] = (-1)^tr(cx); bases a < a' are unbiased iff every
-    S(c) = sum_x i^(E[a', x] - E[a, x]) H[c, x] has |S(c)|^2 = d.  All
-    values are small integers, so the float64 products are exact.
-    """
-    d = len(tr2)
-    e = tr4[mul]
-    h = 1.0 - 2.0 * tr2[mul]
-    if not np.array_equal(h @ h, d * np.eye(d)):
-        return False
-    for a in range(d - 1):
-        w = (e[a + 1 :] - e[a]) % 4
-        re, im = _RE[w] @ h, _IM[w] @ h
-        if not np.all(re * re + im * im == d):
-            return False
-    return True
+    """Vector b of basis a has components i^tr4(ax) (-1)^tr(bx) / sqrt(d)."""
+    return exact_mub_check(tr4[mul], 1.0 - 2.0 * tr2[mul])
 
 
 @pytest.mark.parametrize("k", ALL_K)

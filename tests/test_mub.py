@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from mubqct import mub
+from mubqct.galois import phase_tables
 from mubqct import (
     Dimension,
     MubFamily,
     basis_state,
     build_mub_family,
+    certify_family,
     half_projector,
     verify_unbiasedness,
 )
@@ -212,3 +214,88 @@ def test_blocked_verification_matches_pairwise_loop(which, block_entries, monkey
     if which == "perturbed":
         assert not report.passed
         assert report.worst_unbiasedness[:2] != (0, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_certificate_agrees_with_the_float_check(k):
+    fam = cached_family(k)
+    cert, ref = certify_family(fam), verify_unbiasedness(fam)
+    assert cert.exact and not ref.exact
+    assert cert.passed == ref.passed is True
+    assert abs(cert.max_orthonormality_dev - ref.max_orthonormality_dev) <= 1.2e-16
+    assert abs(cert.max_unbiasedness_dev - ref.max_unbiasedness_dev) <= 1.2e-16
+    # d s^2 - 1 and sqrt(d) s^2 - s, with s = 1/sqrt(d) rounded
+    assert cert.max_orthonormality_dev == (2.0**-52 if k % 2 else 0.0)
+    assert cert.max_unbiasedness_dev == 0.0
+    assert cert.to_dict()["exact"] is True
+
+
+def _one_ulp_out(z):
+    return complex(np.nextafter(z.real, 2 * z.real), np.nextafter(z.imag, 2 * z.imag))
+
+
+@pytest.mark.parametrize(
+    "op, row",
+    [(lambda z: -z, 3), (lambda z: 1j * z, 3), (_one_ulp_out, 3), (_one_ulp_out, 0)],
+    ids=["sign", "times-i", "one-ulp", "one-ulp-real"],
+)
+def test_mutated_entry_falls_back_to_the_located_float_check(op, row):
+    # at d = 16 the float check is exact on the built family, so even a
+    # one-ulp move of the nonzero part of an entry shows at a tolerance
+    # below every rounding of the build.  Entry (3, 7) of basis 5 is i/4;
+    # row 0 holds the real 1/4, which a decoder that skipped the exact
+    # on-axis test would misread as an unmoved phase 0
+    fam, tol = cached_family(4), 1e-20
+    assert certify_family(fam, tol).passed
+    bases = fam.bases.copy()
+    bases[5, row, 7] = op(bases[5, row, 7])
+    bad = MubFamily(dimension=fam.dimension, bases=bases)
+    report = certify_family(bad, tol)
+    assert not report.exact and not report.passed
+    assert report == verify_unbiasedness(bad, tol)
+    assert report.worst_orthonormality == (5, 0, 7)
+
+
+def test_duplicated_basis_has_the_form_but_fails_unbiasedness():
+    fam = cached_family(3)
+    bases = fam.bases.copy()
+    bases[2] = bases[1]
+    report = certify_family(MubFamily(dimension=fam.dimension, bases=bases))
+    assert not report.exact and not report.passed
+    assert report.max_unbiasedness_dev == pytest.approx(1.0 - 1.0 / np.sqrt(8), abs=1e-12)
+    assert report.worst_unbiasedness[:2] == (1, 2)
+
+
+def test_negated_vector_is_a_valid_mub_outside_the_certified_form():
+    fam = cached_family(3)
+    bases = fam.bases.copy()
+    bases[:, :, 4] *= -1  # basis 0 is no longer the identity
+    report = certify_family(MubFamily(dimension=fam.dimension, bases=bases))
+    assert not report.exact
+    assert report.passed
+
+
+def test_exact_check_needs_a_sign_pattern_and_orthogonal_columns():
+    mul, tr2, tr4 = phase_tables(3)
+    e, h = tr4[mul], 1.0 - 2.0 * tr2[mul]
+    assert mub.exact_mub_check(e, h)
+    assert not mub.exact_mub_check(e, 2.0 * h)
+    repeated = h.copy()
+    repeated[:, 3] = repeated[:, 2]
+    assert not mub.exact_mub_check(e, repeated)
+
+
+def test_exact_check_needs_the_closure_of_the_sign_pattern():
+    # negating row x = 1 of h, and adding 2 to the second basis's exponent
+    # at x = 1, leaves every sum S(c) of the pair as it was; but h[:, i] *
+    # h[:, j] is no longer +-h[:, c], the sums no longer cover the Gram
+    # matrix, and the two bases are in fact biased
+    mul, tr2, tr4 = phase_tables(3)
+    e, h = tr4[mul][1:3], 1.0 - 2.0 * tr2[mul]
+    assert mub.exact_mub_check(e, h)
+    row = np.arange(8) == 1
+    e2 = np.stack([e[0], (e[1] + 2 * row) % 4])
+    h2 = np.where(row[:, None], -h, h)
+    assert not mub.exact_mub_check(e2, h2)
+    b0, b1 = ((1j ** e2[a])[:, None] * h2 / np.sqrt(8) for a in (0, 1))
+    assert np.max(np.abs(np.abs(b0.conj().T @ b1) - 1 / np.sqrt(8))) > 0.1

@@ -334,6 +334,8 @@ def test_bounds_report_keys_and_oracle_modes():
     rep = bounds_report(16, 1, oracle=False)
     assert list(rep.to_dict()) == keys
     assert rep.lambda_numeric is None
+    assert rep.pguess_certified is None  # the closed-form lambda certifies nothing
+    assert rep.to_dict()["pguess_certified"] is None
     assert rep.oracle_used is False
     assert rep.pguess_paper_single == pytest.approx(0.7481618, abs=1e-6)
     assert rep.hmin_bits == pytest.approx(-math.log2(0.7481617647058824), abs=1e-9)
