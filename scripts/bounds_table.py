@@ -4,7 +4,8 @@
 Tabulates, for each d, the exact lambda (where the sign search is
 offered, d <= 16), the closed-form lambda, the guessing-probability
 bounds, the resulting min-entropy, and the accessible-information
-chain. CSV on stdout.
+chain. CSV on stdout. Bad input, such as a d that is not a power of two
+or m < 1, exits 1 with an `error:` line, as in the mubqct CLI.
 
 Example:
     python3 scripts/bounds_table.py --d 2,4,8,16,64,1024 --m 1
@@ -13,6 +14,7 @@ Example:
 import argparse
 import sys
 
+from mubqct.cli import _parse_int_list
 from mubqct.errors import CapabilityError
 from mubqct.security import bounds_report
 
@@ -51,20 +53,26 @@ def _fmt(value):
     return str(value)
 
 
+def _record(d, m, oracle):
+    """bounds_report at (d, m), closed form where the exact lambda is not offered."""
+    if oracle:
+        try:
+            return bounds_report(d, m, oracle=True).to_dict()
+        except CapabilityError as exc:
+            print(f"# d={d}: oracle skipped ({exc})", file=sys.stderr)
+    return bounds_report(d, m, oracle=False).to_dict()
+
+
 def main(argv=None):
     args = parse_args(argv)
-    ds = [int(tok) for tok in args.d.split(",") if tok.strip()]
+    try:
+        ds = _parse_int_list(args.d)
+        records = [_record(d, args.m, not args.no_oracle) for d in ds]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(",".join(COLUMNS))
-    for d in ds:
-        report = None
-        if not args.no_oracle:
-            try:
-                report = bounds_report(d, args.m, oracle=True)
-            except CapabilityError as exc:
-                print(f"# d={d}: oracle skipped ({exc})", file=sys.stderr)
-        if report is None:
-            report = bounds_report(d, args.m, oracle=False)
-        record = report.to_dict()
+    for record in records:
         print(",".join(_fmt(record[col]) for col in COLUMNS))
     return 0
 

@@ -31,7 +31,6 @@ def parse_args(argv=None):
     parser.add_argument("--profile", default="snspd_lab", choices=sorted(DETECTOR_PRESETS))
     parser.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
     parser.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default="paper")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     return parser.parse_args(argv)
 
@@ -46,7 +45,6 @@ def main(argv=None):
             [args.profile],
             alpha_db_per_km=args.alpha,
             bounds_source=args.bounds_source,
-            jobs=args.jobs,
         )
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -67,7 +65,7 @@ def main(argv=None):
     for d in ds:
         # rows of one d are sorted by L, so the first is at the first grid distance
         first = next(row for row in rows if row.d == d)
-        reach = max_distance(d, detector, bounds_source=args.bounds_source)
+        reach = max_distance(d, detector, args.alpha, args.bounds_source)
         reaches.append((d, reach.distance_km))
         tag = " (saturated)" if reach.saturated else ""
         print(

@@ -216,7 +216,6 @@ def cmd_sweep(args) -> int:
         profiles,
         alpha_db_per_km=args.alpha,
         bounds_source=args.bounds_source,
-        jobs=args.jobs,
     )
     comment = _config_comment(args)
     text = sweep_rows_to_csv(rows, header_comment=comment)
@@ -401,7 +400,6 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", default="snspd_lab", help="comma-separated detector presets")
     p.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
     p.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default="paper")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", help="write CSV here instead of stdout")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

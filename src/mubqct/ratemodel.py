@@ -11,7 +11,7 @@ sift probability at the price of a weaker guessing bound; `optimize_m`
 scans the integer copy counts allowed by the coherent-attack budget
 mu + 4 sqrt(mu) <= sqrt(d) and `max_distance` bisects for the rate
 horizon.  `sweep` evaluates grids of (profile, d, L) cells and renders
-them as CSV.
+them as CSV.  Fiber loss enters every function as alpha_db_per_km alone.
 
 Only H_min depends on d; p_c, p_e, H(X|Y) and P_sift depend on
 (profile, L, m) alone.  The grid is therefore factored: a channel table
@@ -22,12 +22,12 @@ m_scan_limit(d) columns of the table with its H_min column in one array
 product, difference and maximum, which round exactly like the scalar
 formula, so the rows are identical to a per-cell scan of `key_rate`.
 `optimize_m` and `max_distance` use the same terms and combination.
+Everything runs serially in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,14 +35,13 @@ import numpy as np
 
 from .detection import (
     DETECTOR_PRESETS,
-    ChannelModel,
     DetectorModel,
     conditional_entropy_xy,
     detection_stats,
     transmittance,
 )
 from .mub import Dimension
-from .security import BOUNDS_SOURCES, hmin_bits, pguess
+from .security import hmin_bits, pguess
 
 __all__ = [
     "MaxDistanceResult",
@@ -77,13 +76,11 @@ class RatePoint:
     bounds_source: str
 
 
-def _channel_terms(
-    t: float, detector: DetectorModel, m: int, sift_uses_eta: bool = True
-) -> tuple[float, float, float, float]:
+def _channel_terms(t: float, detector: DetectorModel, m: int) -> tuple[float, float, float, float]:
     """The d-independent rate terms (p_c, p_e, H(X|Y), P_sift) for m copies."""
     stats = detection_stats(t, detector, m)
     hxy = conditional_entropy_xy(stats.p_c, stats.p_e, detector.n_detectors)
-    s_sift = t * detector.eta if sift_uses_eta else t
+    s_sift = t * detector.eta
     # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
     # small s (the direct form underflows to 0 beyond ~800 km)
     prefactor = 1.0 if s_sift >= 1.0 else -math.expm1(m * math.log1p(-s_sift))
@@ -95,22 +92,19 @@ def key_rate(
     m: int,
     length_km: float,
     detector: DetectorModel,
-    channel: Optional[ChannelModel] = None,
+    alpha_db_per_km: float = 0.2,
     bounds_source: str = "paper",
-    sift_uses_eta: bool = True,
 ) -> RatePoint:
     """Asymptotic key bits per emitted m-copy signal at distance length_km.
 
-    sift_uses_eta selects whether detector efficiency enters the sift
-    prefactor 1 - (1 - T eta)^m (the default, matching the detection
-    model) or only the channel transmittance does.
+    Detector efficiency enters the sift prefactor 1 - (1 - T eta)^m, as
+    it does the detection model.
     """
     Dimension.from_d(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    channel = channel or ChannelModel()
-    t = transmittance(length_km, channel.alpha_db_per_km)
-    p_c, p_e, hxy, prefactor = _channel_terms(t, detector, m, sift_uses_eta)
+    t = transmittance(length_km, alpha_db_per_km)
+    p_c, p_e, hxy, prefactor = _channel_terms(t, detector, m)
     hmin = hmin_bits(pguess(d, m, bounds_source))
     k = max(0.0, prefactor * hmin - hxy)
     return RatePoint(
@@ -143,13 +137,11 @@ def m_scan_limit(d: int) -> int:
     return max(1, math.floor(coherent_mu_max(d)))
 
 
-def _channel_table(
-    ts: Sequence[float], detector: DetectorModel, m_max: int, sift_uses_eta: bool = True
-) -> np.ndarray:
+def _channel_table(ts: Sequence[float], detector: DetectorModel, m_max: int) -> np.ndarray:
     """`_channel_terms` for m = 1 .. m_max at each t, shape (4, len(ts), m_max)."""
     table = np.empty((len(ts), m_max, 4))
     for i, t in enumerate(ts):
-        table[i] = [_channel_terms(t, detector, m, sift_uses_eta) for m in range(1, m_max + 1)]
+        table[i] = [_channel_terms(t, detector, m) for m in range(1, m_max + 1)]
     return np.moveaxis(table, 2, 0)
 
 
@@ -184,18 +176,17 @@ def _optimal(table: np.ndarray, hmin: np.ndarray) -> list[tuple]:
     )
 
 
-def _optimize(t: float, detector: DetectorModel, hmin: np.ndarray, sift_uses_eta: bool = True):
+def _optimize(t: float, detector: DetectorModel, hmin: np.ndarray):
     """`_optimal` at the single transmittance t."""
-    return _optimal(_channel_table([t], detector, len(hmin), sift_uses_eta), hmin)[0]
+    return _optimal(_channel_table([t], detector, len(hmin)), hmin)[0]
 
 
 def optimize_m(
     d: int,
     length_km: float,
     detector: DetectorModel,
-    channel: Optional[ChannelModel] = None,
+    alpha_db_per_km: float = 0.2,
     bounds_source: str = "paper",
-    sift_uses_eta: bool = True,
 ) -> tuple[int, float]:
     """Best integer copy count within the coherent budget and its rate.
 
@@ -203,10 +194,8 @@ def optimize_m(
     smaller m.  K* is `key_rate` at m*, so the two always agree.
     """
     hmin = _hmin_column(d, bounds_source)
-    channel = channel or ChannelModel()
-    t = transmittance(length_km, channel.alpha_db_per_km)
-    m_star = _optimize(t, detector, hmin, sift_uses_eta)[0]
-    point = key_rate(d, m_star, length_km, detector, channel, bounds_source, sift_uses_eta)
+    m_star = _optimize(transmittance(length_km, alpha_db_per_km), detector, hmin)[0]
+    point = key_rate(d, m_star, length_km, detector, alpha_db_per_km, bounds_source)
     return point.m, point.key_rate_bits
 
 
@@ -218,37 +207,34 @@ class MaxDistanceResult:
     saturated: bool
 
 
+# Bisection range and stopping width of `max_distance`.
+_LENGTH_CAP_KM = 1000.0
+_RESOLUTION_KM = 0.1
+
+
 def max_distance(
     d: int,
     detector: DetectorModel,
-    channel: Optional[ChannelModel] = None,
+    alpha_db_per_km: float = 0.2,
     bounds_source: str = "paper",
-    length_cap_km: float = 1000.0,
-    resolution_km: float = 0.1,
 ) -> MaxDistanceResult:
-    """Bisect for the largest L with optimized K(L) > 0.
+    """Bisect for the largest L with optimized K(L) > 0, to within 0.1 km.
 
     Returns 0 km if the rate already vanishes at L = 0.  If the rate is
-    still positive at length_cap_km (idealized detectors never lose to
+    still positive at the 1000 km cap (idealized detectors never lose to
     noise), the cap is returned with the saturated flag set.
     """
-    if resolution_km <= 0:
-        raise ValueError(f"resolution_km must be > 0, got {resolution_km}")
-    if length_cap_km <= 0:
-        raise ValueError(f"length_cap_km must be > 0, got {length_cap_km}")
-
     hmin = _hmin_column(d, bounds_source)
-    alpha = (channel or ChannelModel()).alpha_db_per_km
 
     def rate_at(length: float) -> float:
-        return _optimize(transmittance(length, alpha), detector, hmin)[-1]
+        return _optimize(transmittance(length, alpha_db_per_km), detector, hmin)[-1]
 
     if rate_at(0.0) <= 0.0:
         return MaxDistanceResult(distance_km=0.0, saturated=False)
-    if rate_at(length_cap_km) > 0.0:
-        return MaxDistanceResult(distance_km=length_cap_km, saturated=True)
-    lo, hi = 0.0, length_cap_km
-    while hi - lo > resolution_km:
+    if rate_at(_LENGTH_CAP_KM) > 0.0:
+        return MaxDistanceResult(distance_km=_LENGTH_CAP_KM, saturated=True)
+    lo, hi = 0.0, _LENGTH_CAP_KM
+    while hi - lo > _RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
         if rate_at(mid) > 0.0:
             lo = mid
@@ -273,35 +259,9 @@ class SweepRow:
     key_rate_bits: float
 
 
-# Lengths per sweep task.  It bounds the channel table at 4 * 16 * m_max
-# floats (100 KB at d = 65536, m_max = 199) and sets the unit of work
-# handed to worker processes.
+# Lengths per channel table.  It bounds the table at 4 * 16 * m_max
+# floats (100 KB at d = 65536, m_max = 199) at any grid size.
 _SWEEP_BLOCK = 16
-
-
-def _sweep_block(task) -> list[list[SweepRow]]:
-    """Rows of one profile over a block of lengths, one list per d."""
-    profile, lengths, ts, hmins = task
-    m_max = max(len(hmin) for _, hmin in hmins)
-    table = _channel_table(ts, DETECTOR_PRESETS[profile], m_max)
-    return [
-        [
-            SweepRow(
-                profile=profile,
-                d=d,
-                length_km=length,
-                m_opt=m,
-                t=t,
-                p_c=p_c,
-                p_e=p_e,
-                hxy_bits=hxy,
-                hmin_bits=hmin_m,
-                key_rate_bits=k,
-            )
-            for length, t, (m, p_c, p_e, hxy, hmin_m, k) in zip(lengths, ts, _optimal(table, hmin))
-        ]
-        for d, hmin in hmins
-    ]
 
 
 def sweep(
@@ -310,45 +270,41 @@ def sweep(
     profiles: Sequence[str],
     alpha_db_per_km: float = 0.2,
     bounds_source: str = "paper",
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """Optimized rate table over the (profile, d, L) grid, sorted that way.
 
-    Each profile's lengths are split into blocks of consecutive lengths,
-    and jobs > 1 evaluates the (profile, block) tasks in worker processes;
-    the rows are independent of the job count.
+    Each profile's sorted lengths are evaluated in blocks of consecutive
+    lengths: one channel table per block, combined with every d's H_min
+    column.  Empty ds, lengths_km or profiles raise ValueError.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for d in ds:
-        Dimension.from_d(d)
+    for name, values in (("ds", ds), ("lengths_km", lengths_km), ("profiles", profiles)):
+        if len(values) == 0:
+            raise ValueError(f"sweep needs at least one entry in {name}")
     for profile in profiles:
         if profile not in DETECTOR_PRESETS:
             raise ValueError(
                 f"unknown detector profile {profile!r}; available: {sorted(DETECTOR_PRESETS)}"
             )
-    if bounds_source not in BOUNDS_SOURCES:
-        raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {bounds_source!r}")
     hmins = [(d, _hmin_column(d, bounds_source)) for d in sorted(ds)]
+    m_max = max(len(hmin) for _, hmin in hmins)
     lengths = [float(length) for length in sorted(lengths_km)]
     ts = [transmittance(length, alpha_db_per_km) for length in lengths]
-    if not hmins or not lengths:
-        return []
-    blocks = [
-        (lengths[i : i + _SWEEP_BLOCK], ts[i : i + _SWEEP_BLOCK])
-        for i in range(0, len(lengths), _SWEEP_BLOCK)
-    ]
-    tasks = [(profile, *block, hmins) for profile in sorted(profiles) for block in blocks]
-    if jobs == 1:
-        done = list(map(_sweep_block, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_sweep_block, tasks))
     rows = []
-    for start in range(0, len(done), len(blocks)):
-        for per_d in zip(*done[start : start + len(blocks)]):
-            for block_rows in per_d:
-                rows.extend(block_rows)
+    for profile in sorted(profiles):
+        per_d: list[list[SweepRow]] = [[] for _ in hmins]
+        for i in range(0, len(lengths), _SWEEP_BLOCK):
+            block_ts = ts[i : i + _SWEEP_BLOCK]
+            table = _channel_table(block_ts, DETECTOR_PRESETS[profile], m_max)
+            block_lengths = lengths[i : i + _SWEEP_BLOCK]
+            for d_rows, (d, hmin) in zip(per_d, hmins):
+                # SweepRow's fields in order: profile, d, L, m*, t, then the
+                # p_c, p_e, H(X|Y), H_min and K* that follow m* in `_optimal`
+                d_rows.extend(
+                    SweepRow(profile, d, length, m, t, *terms)
+                    for length, t, (m, *terms) in zip(block_lengths, block_ts, _optimal(table, hmin))
+                )
+        for d_rows in per_d:
+            rows.extend(d_rows)
     return rows
 
 

@@ -241,6 +241,16 @@ def test_sweep_unknown_profile_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--d", ","), ("--profile", ","), ("--profile", " ")])
+def test_sweep_empty_list_exits_1(capsys, flag, value):
+    argv = {"--d": "16", "--L": "0:10:5", "--profile": "snspd_lab", flag: value}
+    code, out, err = run_cli(capsys, "sweep", *(tok for item in argv.items() for tok in item))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ simulate
 
 

@@ -32,11 +32,13 @@ def test_module_does_not_import_protocol(module):
     assert "mubqct.protocol" not in imported
 
 
-def test_import_does_not_load_numpy_fft():
-    # numpy loads numpy.fft lazily; privacy_amplify reaches it only when called
-    code = "import sys, mubqct; sys.exit('numpy.fft' in sys.modules)"
+# numpy loads numpy.fft lazily, and privacy_amplify reaches it only when
+# called; the rate layer runs serially and needs no process pool
+@pytest.mark.parametrize("module", ["numpy.fft", "multiprocessing", "concurrent.futures.process"])
+def test_import_does_not_load(module):
+    code = f"import sys, mubqct; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert result.returncode == 0, result.stderr or "import mubqct loaded numpy.fft"
+    assert result.returncode == 0, result.stderr or f"import mubqct loaded {module}"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mubqct import sweep, sweep_rows_to_csv
+from mubqct import DETECTOR_PRESETS, max_distance, sweep, sweep_rows_to_csv
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_distance.py"
 
@@ -56,3 +56,12 @@ def test_table_and_first_distance_label(script, capsys):
         at_first = next(r for r in rows if r.d == d and r.length_km == 5.0)
         assert line.startswith(f"# d={d}: K(5 km)={at_first.key_rate_bits:.4f} bits/round, ")
     assert "K(0" not in err
+
+
+def test_reach_uses_the_fiber_loss(script, capsys):
+    code, out, err = run_script(script, capsys, "--d", "64", "--L", "0:10:5", "--alpha", "0.17")
+    assert code == 0
+    assert out == sweep_rows_to_csv(sweep([64], [0.0, 5.0, 10.0], ["snspd_lab"], 0.17))
+    reach = max_distance(64, DETECTOR_PRESETS["snspd_lab"], 0.17).distance_km
+    assert f"{reach:.1f}" == "59.6"
+    assert f"L_max={reach:.1f} km" in err.splitlines()[1]

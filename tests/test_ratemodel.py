@@ -263,14 +263,11 @@ def test_key_rate_floors_at_zero():
     assert point.key_rate_bits == 0.0
 
 
-def test_key_rate_sift_prefactor_flag():
+def test_key_rate_sift_prefactor_includes_eta():
     det = DetectorModel(eta=0.5, visibility=1.0, p_dark=0.0)
-    with_eta = key_rate(16, 2, 10.0, det)
-    without = key_rate(16, 2, 10.0, det, sift_uses_eta=False)
+    point = key_rate(16, 2, 10.0, det)
     t = transmittance(10.0)
-    assert with_eta.sift_prefactor == pytest.approx(1 - (1 - 0.5 * t) ** 2, abs=1e-15)
-    assert without.sift_prefactor == pytest.approx(1 - (1 - t) ** 2, abs=1e-15)
-    assert without.key_rate_bits >= with_eta.key_rate_bits
+    assert point.sift_prefactor == pytest.approx(1 - (1 - 0.5 * t) ** 2, abs=1e-15)
 
 
 def test_key_rate_is_non_increasing_in_distance():
@@ -346,6 +343,15 @@ def test_max_distance_non_decreasing_in_d():
     assert distances == sorted(distances)
 
 
+@pytest.mark.parametrize("d", [16, 64, 2**10])
+def test_max_distance_scales_inversely_with_fiber_loss(d):
+    # the rate depends on L only through T = 10^(-alpha L / 10), so the
+    # horizon in dB is the same at every alpha, up to the 0.1 km bisection
+    loss_db = [alpha * max_distance(d, SNSPD, alpha).distance_km for alpha in (0.17, 0.2, 0.25)]
+    assert loss_db[1] > 0.0
+    assert max(loss_db) - min(loss_db) < 0.05
+
+
 def test_sweep_grid_and_csv():
     rows = sweep([16, 4], [0.0, 25.0, 50.0], ["snspd_lab"])
     assert len(rows) == 6
@@ -363,41 +369,39 @@ def test_sweep_grid_and_csv():
     assert lines[2].startswith("snspd_lab,4,0,")
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep([4, 16], [0.0, 30.0], ["snspd_lab", "ingaas_field"], jobs=1)
-    parallel = sweep([4, 16], [0.0, 30.0], ["snspd_lab", "ingaas_field"], jobs=2)
-    assert serial == parallel
-
-
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep([15], [0.0], ["snspd_lab"])
     with pytest.raises(ValueError):
         sweep([16], [0.0], ["bolometer"])
     with pytest.raises(ValueError):
-        sweep([16], [0.0], ["snspd_lab"], jobs=0)
-    with pytest.raises(ValueError):
         sweep([16], [0.0], ["snspd_lab"], bounds_source="folklore")
 
 
-def _scalar_optimum(d, length, detector, channel=None, bounds_source="paper", sift_uses_eta=True):
+@pytest.mark.parametrize("empty", ["ds", "lengths_km", "profiles"])
+def test_sweep_rejects_empty_input(empty):
+    grid = {"ds": [16], "lengths_km": [0.0], "profiles": ["snspd_lab"], empty: []}
+    with pytest.raises(ValueError, match=empty):
+        sweep(**grid)
+
+
+def _scalar_optimum(d, length, detector, alpha=0.2, bounds_source="paper"):
     """Reference optimizer: `key_rate` at every m, first strict maximum."""
     best = None
     for m in range(1, m_scan_limit(d) + 1):
-        point = key_rate(d, m, length, detector, channel, bounds_source, sift_uses_eta)
+        point = key_rate(d, m, length, detector, alpha, bounds_source)
         if best is None or point.key_rate_bits > best.key_rate_bits:
             best = point
     return best
 
 
 def _scalar_sweep(ds, lengths, profiles, alpha, bounds_source):
-    channel = ChannelModel(alpha_db_per_km=alpha)
     rows = []
     for profile in sorted(profiles):
         for d in sorted(ds):
             for length in sorted(lengths):
                 best = _scalar_optimum(
-                    d, float(length), DETECTOR_PRESETS[profile], channel, bounds_source
+                    d, float(length), DETECTOR_PRESETS[profile], alpha, bounds_source
                 )
                 rows.append(
                     SweepRow(
@@ -428,13 +432,10 @@ def _scalar_sweep(ds, lengths, profiles, alpha, bounds_source):
         ([16, 2, 8, 4, 8], [30.0, 0.0, 5.5, 30, 90.0], 0.2, "certified"),
     ],
 )
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source, jobs):
+def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source):
     profiles = ["snspd_lab", "ingaas_field"]
     expected = _scalar_sweep(ds, lengths, profiles, alpha, bounds_source)
-    rows = sweep(
-        ds, lengths, profiles, alpha_db_per_km=alpha, bounds_source=bounds_source, jobs=jobs
-    )
+    rows = sweep(ds, lengths, profiles, alpha_db_per_km=alpha, bounds_source=bounds_source)
     assert rows == expected
     assert any(r.key_rate_bits == 0.0 for r in rows)
     assert all(r.m_opt == 1 for r in rows if r.key_rate_bits == 0.0)
@@ -449,13 +450,11 @@ def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source, jobs):
         DetectorModel(eta=0.1, visibility=0.9, p_dark=1e-2),
     ],
 )
-@pytest.mark.parametrize("sift_uses_eta", [True, False])
-def test_optimize_m_matches_scalar_oracle(detector, sift_uses_eta):
-    channel = ChannelModel(alpha_db_per_km=0.25)
+def test_optimize_m_matches_scalar_oracle(detector):
     for d in (2, 16, 2**10, 2**16):
         for length in (0.0, 12.5, 60.0, 250.0):
-            best = _scalar_optimum(d, length, detector, channel, sift_uses_eta=sift_uses_eta)
-            got = optimize_m(d, length, detector, channel, sift_uses_eta=sift_uses_eta)
+            best = _scalar_optimum(d, length, detector, 0.25)
+            got = optimize_m(d, length, detector, 0.25)
             assert got == (best.m, best.key_rate_bits)
 
 
