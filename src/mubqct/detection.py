@@ -29,12 +29,16 @@ import numpy as np
 from .errors import DegenerateModeError
 
 
+def _check_fiber(length_km: float, alpha_db_per_km: float) -> None:
+    if not (math.isfinite(length_km) and length_km >= 0):
+        raise ValueError(f"length_km must be finite and >= 0, got {length_km}")
+    if not (math.isfinite(alpha_db_per_km) and alpha_db_per_km > 0):
+        raise ValueError(f"alpha_db_per_km must be finite and > 0, got {alpha_db_per_km}")
+
+
 def transmittance(length_km: float, alpha_db_per_km: float = 0.2) -> float:
     """Fiber transmission 10^(-alpha L / 10)."""
-    if length_km < 0:
-        raise ValueError(f"length_km must be >= 0, got {length_km}")
-    if alpha_db_per_km <= 0:
-        raise ValueError(f"alpha_db_per_km must be > 0, got {alpha_db_per_km}")
+    _check_fiber(length_km, alpha_db_per_km)
     return 10.0 ** (-alpha_db_per_km * length_km / 10.0)
 
 
@@ -46,10 +50,7 @@ class ChannelModel:
     length_km: float = 0.0
 
     def __post_init__(self):
-        if self.alpha_db_per_km <= 0:
-            raise ValueError(f"alpha_db_per_km must be > 0, got {self.alpha_db_per_km}")
-        if self.length_km < 0:
-            raise ValueError(f"length_km must be >= 0, got {self.length_km}")
+        _check_fiber(self.length_km, self.alpha_db_per_km)
 
     @property
     def transmittance(self) -> float:
@@ -86,7 +87,7 @@ DETECTOR_PRESETS = {
 
 @dataclass(frozen=True)
 class DetectionStats:
-    """Outcome probabilities for one signal of m copies."""
+    """Outcome probabilities for one signal of m copies (arrays if broadcast)."""
 
     p_signal_click: float
     p_right: float
@@ -96,56 +97,88 @@ class DetectionStats:
     p_e: float
 
 
+def _libm(fn, *args) -> np.ndarray:
+    """fn elementwise over the broadcast args, through Python's math library.
+
+    numpy's SIMD float64 exp, expm1, log1p, log2 and power can differ from
+    the C library in the last bit, so every transcendental of the closed
+    forms goes through `math` (or `pow`) one element at a time and the
+    arrays stay bit-identical to the scalar formulas.
+    """
+    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _first(bad: np.ndarray, *arrays: np.ndarray) -> list:
+    """The entries of arrays (bad's shape) at the first True of bad."""
+    i = int(np.argmax(bad))
+    return [a.flat[i] for a in arrays]
+
+
 def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     """Closed-form click statistics at channel transmittance t.
 
     m may be a positive real when modelling a coherent source by its mean
     photon number.  P_click = P_right + P_wrong, so p_c + p_e = 1.
+
+    t and m broadcast against each other: array inputs give array fields
+    of the broadcast shape, scalar inputs give Python floats, and every
+    entry equals the scalar evaluation bit for bit (+ - * / run in numpy
+    in the scalar order, transcendentals through `math`, see `_libm`).
+    An error in any entry raises as it would for that entry alone.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance must be in [0, 1], got {t}")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
+    t = np.asarray(t, dtype=float)
+    m = np.asarray(m)
+    bad = ~((t >= 0.0) & (t <= 1.0))
+    if bad.any():
+        raise ValueError(f"transmittance must be in [0, 1], got {_first(bad, t)[0]}")
+    bad = ~(m > 0)
+    if bad.any():
+        raise ValueError(f"m must be positive, got {_first(bad, m)[0]}")
 
     s = t * detector.eta
     v = detector.visibility
     p = detector.p_dark
     n = detector.n_detectors
 
-    no_arrival = (1.0 - s) ** m
+    no_arrival = _libm(pow, 1.0 - s, m)
     # binomial sums over i >= 1 arrivals weighted by V^i resp. (1-V)^i;
     # for small s the direct differences of near-1 powers cancel to zero
-    # in double precision, so they are evaluated in log space instead
-    if 0.0 < s < 0.5:
-        log_none = m * math.log1p(-s)
-        p_signal_click = -math.expm1(log_none)
-        p_all_good = math.exp(log_none) * math.expm1(
-            m * (math.log1p(-s * (1.0 - v)) - math.log1p(-s))
-        )
-        p_all_bad = math.exp(log_none) * math.expm1(
-            m * (math.log1p(-s * v) - math.log1p(-s))
-        )
-    else:
-        p_signal_click = 1.0 - no_arrival
-        p_all_good = (1.0 - s + s * v) ** m - no_arrival
-        p_all_bad = (1.0 - s * v) ** m - no_arrival
+    # in double precision, so they are evaluated in log space instead.
+    # The log1p terms depend on t alone; entries outside the log branch
+    # get s = 0 there, so log1p(-1) is never evaluated.
+    log_space = (0.0 < s) & (s < 0.5)
+    s_log = np.where(log_space, s, 0.0)
+    log_miss = _libm(math.log1p, -s_log)
+    log_good = _libm(math.log1p, -s_log * (1.0 - v))
+    log_bad = _libm(math.log1p, -s_log * v)
+    log_none = m * log_miss
+    none = _libm(math.exp, log_none)
+    p_signal_click = np.where(log_space, -_libm(math.expm1, log_none), 1.0 - no_arrival)
+    p_all_good = np.where(
+        log_space,
+        none * _libm(math.expm1, m * (log_good - log_miss)),
+        _libm(pow, 1.0 - s + s * v, m) - no_arrival,
+    )
+    p_all_bad = np.where(
+        log_space,
+        none * _libm(math.expm1, m * (log_bad - log_miss)),
+        _libm(pow, 1.0 - s * v, m) - no_arrival,
+    )
 
     no_dark = (1.0 - p) ** n
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
     p_wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p
 
     p_click = p_right + p_wrong
-    if p_click <= 0.0:
+    if (p_click <= 0.0).any():
         raise DegenerateModeError("no click mass: both signal and dark contributions are zero")
 
-    return DetectionStats(
-        p_signal_click=p_signal_click,
-        p_right=p_right,
-        p_wrong=p_wrong,
-        p_click=p_click,
-        p_c=p_right / p_click,
-        p_e=p_wrong / p_click,
-    )
+    fields = (p_signal_click, p_right, p_wrong, p_click, p_right / p_click, p_wrong / p_click)
+    if p_click.ndim == 0:
+        fields = tuple(float(x) for x in fields)
+    return DetectionStats(*fields)
 
 
 def physical_click_probability(t: float, detector: DetectorModel, m) -> float:
@@ -240,15 +273,22 @@ def conditional_entropy_xy(p_c: float, p_e: float, n_detectors: int = 2) -> floa
 
     p_c and p_e are the conditional probabilities of the right and wrong
     detector firing given a click; with n_detectors > 2 the wrong mass is
-    spread evenly over the n - 1 bad detectors.
+    spread evenly over the n - 1 bad detectors.  Broadcasts like
+    `detection_stats`: arrays give an array, scalars a Python float, each
+    entry bit-identical to the scalar formula.
     """
-    if not 0.0 <= p_c <= 1.0 or not 0.0 <= p_e <= 1.0:
-        raise ValueError(f"p_c and p_e must be in [0, 1], got {p_c}, {p_e}")
-    if p_c + p_e > 1.0 + 1e-9:
-        raise ValueError(f"p_c + p_e must not exceed 1, got {p_c + p_e}")
-    h = 0.0
-    if p_c > 0.0:
-        h -= p_c * math.log2(p_c)
-    if p_e > 0.0:
-        h -= p_e * math.log2(p_e / (n_detectors - 1))
-    return h
+    p_c, p_e = np.broadcast_arrays(np.asarray(p_c, dtype=float), np.asarray(p_e, dtype=float))
+    bad = ~((0.0 <= p_c) & (p_c <= 1.0) & (0.0 <= p_e) & (p_e <= 1.0))
+    if bad.any():
+        raise ValueError("p_c and p_e must be in [0, 1], got {}, {}".format(*_first(bad, p_c, p_e)))
+    total = p_c + p_e
+    bad = total > 1.0 + 1e-9
+    if bad.any():
+        raise ValueError(f"p_c + p_e must not exceed 1, got {_first(bad, total)[0]}")
+    right, wrong = p_c > 0.0, p_e > 0.0
+    # h = 0 - p_c log2 p_c - p_e log2(p_e / (n - 1)), each term only where
+    # its probability is positive (log2 sees 1 elsewhere)
+    h = np.where(right, 0.0 - p_c * _libm(math.log2, np.where(right, p_c, 1.0)), 0.0)
+    wrong_share = np.where(wrong, p_e / (n_detectors - 1), 1.0)
+    h = np.where(wrong, h - p_e * _libm(math.log2, wrong_share), h)
+    return float(h) if h.ndim == 0 else h

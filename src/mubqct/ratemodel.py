@@ -16,13 +16,16 @@ them as CSV.  Fiber loss enters every function as alpha_db_per_km alone.
 Only H_min depends on d; p_c, p_e, H(X|Y) and P_sift depend on
 (profile, L, m) alone.  The grid is therefore factored: a channel table
 holds those four terms for every L and m = 1 .. the largest scan limit,
-one scalar `detection_stats` call per entry, and an H_min column holds
--log2 P_guess(d, m) for each d.  Each d then combines the first
-m_scan_limit(d) columns of the table with its H_min column in one array
-product, difference and maximum, which round exactly like the scalar
-formula, so the rows are identical to a per-cell scan of `key_rate`.
-`optimize_m` and `max_distance` use the same terms and combination.
-Everything runs serially in the calling process.
+from one broadcast `detection_stats` call over the (L, m) grid, and an
+H_min column holds -log2 P_guess(d, m) for each d.  Each d then combines
+the first m_scan_limit(d) columns of the table with its H_min column in
+one array product, difference and maximum.  The table is the only
+evaluator: `key_rate` reads a 1 x 1 table, `optimize_m` one row of
+m = 1 .. m_scan_limit(d), and each `max_distance` step the rows of the
+midpoint and the two midpoints that can follow it, so all four agree
+exactly.  The detection closed forms keep every entry bit-identical to
+the one-point formula, so sweep rows equal a per-cell scan.  Everything
+runs serially in the calling process.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from .detection import (
     DETECTOR_PRESETS,
     DetectorModel,
+    _libm,
     conditional_entropy_xy,
     detection_stats,
     transmittance,
@@ -76,15 +80,23 @@ class RatePoint:
     bounds_source: str
 
 
-def _channel_terms(t: float, detector: DetectorModel, m: int) -> tuple[float, float, float, float]:
-    """The d-independent rate terms (p_c, p_e, H(X|Y), P_sift) for m copies."""
+def _channel_table(ts: Sequence[float], detector: DetectorModel, ms) -> np.ndarray:
+    """The d-independent rate terms at every (t, m), shape (4, len(ts), len(ms)).
+
+    ms is a sequence of copy counts.  The rows are p_c, p_e, H(X|Y) and
+    the sift prefactor P_sift.
+    """
+    t = np.asarray(ts, dtype=float)[:, None]
+    m = np.asarray(ms)[None, :]
     stats = detection_stats(t, detector, m)
     hxy = conditional_entropy_xy(stats.p_c, stats.p_e, detector.n_detectors)
-    s_sift = t * detector.eta
+    s = t * detector.eta
     # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
-    # small s (the direct form underflows to 0 beyond ~800 km)
-    prefactor = 1.0 if s_sift >= 1.0 else -math.expm1(m * math.log1p(-s_sift))
-    return stats.p_c, stats.p_e, hxy, prefactor
+    # small s (the direct form underflows to 0 beyond ~800 km); s = 1 is
+    # kept out of log1p, which would raise there
+    log_none = m * _libm(math.log1p, -np.where(s < 1.0, s, 0.0))
+    prefactor = np.where(s >= 1.0, 1.0, -_libm(math.expm1, log_none))
+    return np.stack([stats.p_c, stats.p_e, hxy, prefactor])
 
 
 def key_rate(
@@ -104,7 +116,7 @@ def key_rate(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t = transmittance(length_km, alpha_db_per_km)
-    p_c, p_e, hxy, prefactor = _channel_terms(t, detector, m)
+    p_c, p_e, hxy, prefactor = _channel_table([t], detector, [m])[:, 0, 0].tolist()
     hmin = hmin_bits(pguess(d, m, bounds_source))
     k = max(0.0, prefactor * hmin - hxy)
     return RatePoint(
@@ -135,14 +147,6 @@ def coherent_mu_max(d: int) -> float:
 def m_scan_limit(d: int) -> int:
     """Largest copy count `optimize_m` may consider (at least 1)."""
     return max(1, math.floor(coherent_mu_max(d)))
-
-
-def _channel_table(ts: Sequence[float], detector: DetectorModel, m_max: int) -> np.ndarray:
-    """`_channel_terms` for m = 1 .. m_max at each t, shape (4, len(ts), m_max)."""
-    table = np.empty((len(ts), m_max, 4))
-    for i, t in enumerate(ts):
-        table[i] = [_channel_terms(t, detector, m) for m in range(1, m_max + 1)]
-    return np.moveaxis(table, 2, 0)
 
 
 def _hmin_column(d: int, bounds_source: str) -> np.ndarray:
@@ -176,11 +180,6 @@ def _optimal(table: np.ndarray, hmin: np.ndarray) -> list[tuple]:
     )
 
 
-def _optimize(t: float, detector: DetectorModel, hmin: np.ndarray):
-    """`_optimal` at the single transmittance t."""
-    return _optimal(_channel_table([t], detector, len(hmin)), hmin)[0]
-
-
 def optimize_m(
     d: int,
     length_km: float,
@@ -194,7 +193,8 @@ def optimize_m(
     smaller m.  K* is `key_rate` at m*, so the two always agree.
     """
     hmin = _hmin_column(d, bounds_source)
-    m_star = _optimize(transmittance(length_km, alpha_db_per_km), detector, hmin)[0]
+    t = transmittance(length_km, alpha_db_per_km)
+    m_star = _optimal(_channel_table([t], detector, np.arange(1, len(hmin) + 1)), hmin)[0][0]
     point = key_rate(d, m_star, length_km, detector, alpha_db_per_km, bounds_source)
     return point.m, point.key_rate_bits
 
@@ -225,18 +225,28 @@ def max_distance(
     noise), the cap is returned with the saturated flag set.
     """
     hmin = _hmin_column(d, bounds_source)
+    ms = np.arange(1, len(hmin) + 1)
 
-    def rate_at(length: float) -> float:
-        return _optimize(transmittance(length, alpha_db_per_km), detector, hmin)[-1]
+    def positive(lengths: list[float]) -> dict[float, bool]:
+        """Whether the optimized rate is > 0 at each length, from one table."""
+        ts = [transmittance(length, alpha_db_per_km) for length in lengths]
+        optima = _optimal(_channel_table(ts, detector, ms), hmin)
+        return {length: optimum[-1] > 0.0 for length, optimum in zip(lengths, optima)}
 
-    if rate_at(0.0) <= 0.0:
+    ends = positive([0.0, _LENGTH_CAP_KM])
+    if not ends[0.0]:
         return MaxDistanceResult(distance_km=0.0, saturated=False)
-    if rate_at(_LENGTH_CAP_KM) > 0.0:
+    if ends[_LENGTH_CAP_KM]:
         return MaxDistanceResult(distance_km=_LENGTH_CAP_KM, saturated=True)
     lo, hi = 0.0, _LENGTH_CAP_KM
+    known: dict[float, bool] = {}
     while hi - lo > _RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
+        if mid not in known:
+            # the midpoint and the two that can follow it share one table,
+            # so each table serves two halvings
+            known = positive([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
+        if known[mid]:
             lo = mid
         else:
             hi = mid
@@ -294,7 +304,7 @@ def sweep(
         per_d: list[list[SweepRow]] = [[] for _ in hmins]
         for i in range(0, len(lengths), _SWEEP_BLOCK):
             block_ts = ts[i : i + _SWEEP_BLOCK]
-            table = _channel_table(block_ts, DETECTOR_PRESETS[profile], m_max)
+            table = _channel_table(block_ts, DETECTOR_PRESETS[profile], np.arange(1, m_max + 1))
             block_lengths = lengths[i : i + _SWEEP_BLOCK]
             for d_rows, (d, hmin) in zip(per_d, hmins):
                 # SweepRow's fields in order: profile, d, L, m*, t, then the

@@ -97,6 +97,28 @@ def test_non_finite_flags_exit_1_with_a_message(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv, flag, name",
+    [
+        (("sweep", "--d", "16", "--L", "0:10:5"), "--alpha", "alpha_db_per_km"),
+        (("simulate", "--d", "16", "--L", "50", "--rounds", "100"), "--alpha", "alpha_db_per_km"),
+        (("simulate", "--d", "16", "--rounds", "100"), "--L", "length_km"),
+        (("multiparty", "--parties", "2", "--d", "16", "--L", "50", "--rounds", "100"),
+         "--alpha", "alpha_db_per_km"),
+        (("oracle", "--d", "2", "--samples", "100"), "--alpha", "alpha_db_per_km"),
+    ],
+    ids=["sweep-alpha", "simulate-alpha", "simulate-L", "multiparty-alpha", "oracle-alpha"],
+)
+def test_non_finite_fiber_exits_1_naming_the_argument(capsys, argv, flag, name, value):
+    # at L > 0 an infinite loss or length would give T = 0 and a silent run
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"error: {name} must be finite" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- bounds
 
 

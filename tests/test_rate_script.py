@@ -40,6 +40,14 @@ def test_bad_dimensions_exit_1(script, capsys, ds):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+def test_non_finite_fiber_loss_exits_1(script, capsys, alpha):
+    code, out, err = run_script(script, capsys, "--d", "16", "--L", "0:10:5", f"--alpha={alpha}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: alpha_db_per_km must be finite and > 0")
+
+
 def test_certified_above_oracle_cap_exits_3(script, capsys):
     code, _, err = run_script(script, capsys, "--d", "32", "--bounds-source", "certified")
     assert code == 3

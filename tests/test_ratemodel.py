@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mubqct import (
     transmittance,
 )
 from mubqct.detection import classify_clicks
-from mubqct.ratemodel import SWEEP_CSV_HEADER
+from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_table
 from mubqct.security import lambda_numeric_for_d
 
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
@@ -56,6 +57,19 @@ def test_transmittance_is_multiplicative(l1, l2):
     combined = transmittance(l1 + l2)
     split = transmittance(l1) * transmittance(l2)
     assert combined == pytest.approx(split, abs=1e-12, rel=1e-12)
+
+
+def test_fiber_rejects_non_finite_input():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha_db_per_km must be finite"):
+            transmittance(10.0, alpha_db_per_km=value)
+        with pytest.raises(ValueError, match="alpha_db_per_km must be finite"):
+            ChannelModel(alpha_db_per_km=value)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="length_km must be finite"):
+            transmittance(value)
+        with pytest.raises(ValueError, match="length_km must be finite"):
+            ChannelModel(length_km=value)
 
 
 def test_channel_and_detector_validation():
@@ -484,3 +498,151 @@ def test_sweep_benchmark_grid_invariants(bench_rows):
         curves.setdefault((row.profile, row.d), []).append(row.key_rate_bits)
     for rates in curves.values():
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+# ------------------------------------------- array kernel vs the scalar formula
+
+
+def _scalar_closed_form(t, det, m):
+    """The one-point closed forms the array kernel replaced, operation for operation.
+
+    Returns (p_signal_click, p_right, p_wrong, p_click, p_c, p_e, H(X|Y),
+    P_sift) as Python floats from `math` and `**` alone.
+    """
+    s = t * det.eta
+    v, p, n = det.visibility, det.p_dark, det.n_detectors
+    no_arrival = (1.0 - s) ** m
+    if 0.0 < s < 0.5:
+        log_none = m * math.log1p(-s)
+        p_signal_click = -math.expm1(log_none)
+        p_all_good = math.exp(log_none) * math.expm1(
+            m * (math.log1p(-s * (1.0 - v)) - math.log1p(-s))
+        )
+        p_all_bad = math.exp(log_none) * math.expm1(m * (math.log1p(-s * v) - math.log1p(-s)))
+    else:
+        p_signal_click = 1.0 - no_arrival
+        p_all_good = (1.0 - s + s * v) ** m - no_arrival
+        p_all_bad = (1.0 - s * v) ** m - no_arrival
+    no_dark = (1.0 - p) ** n
+    p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
+    p_wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p
+    p_click = p_right + p_wrong
+    p_c, p_e = p_right / p_click, p_wrong / p_click
+    h = 0.0
+    if p_c > 0.0:
+        h -= p_c * math.log2(p_c)
+    if p_e > 0.0:
+        h -= p_e * math.log2(p_e / (n - 1))
+    prefactor = 1.0 if s >= 1.0 else -math.expm1(m * math.log1p(-s))
+    return p_signal_click, p_right, p_wrong, p_click, p_c, p_e, h, prefactor
+
+
+_EDGE_DETECTORS = {
+    "snspd": SNSPD,
+    "ingaas": DETECTOR_PRESETS["ingaas_field"],
+    "ideal": IDEAL,  # visibility 1 and no dark counts: p_e = 0
+    "dark-3det": DetectorModel(eta=1.0, visibility=0.9, p_dark=1e-3, n_detectors=3),
+    "darkfree-3det": DetectorModel(eta=0.8, visibility=0.97, p_dark=0.0, n_detectors=3),
+}
+_EDGE_TS = [0.0, 1e-12, 1e-4, 0.05, 0.3, 0.49, 0.5, 0.6, 0.8, 0.99, 1.0]
+_EDGE_MS = [1, 2, 2.5, 3, 7, 50, 199]
+
+
+def _edge_ts(det):
+    # t = 0 has no click mass without dark counts
+    return [t for t in _EDGE_TS if t > 0.0 or det.p_dark > 0.0]
+
+
+def test_edge_grid_covers_every_branch():
+    points = [(t * det.eta, det) for det in _EDGE_DETECTORS.values() for t in _edge_ts(det)]
+    assert any(s == 0.0 and det.p_dark > 0.0 for s, det in points)
+    assert any(0.0 < s < 0.5 for s, _ in points)
+    assert any(0.5 <= s < 1.0 for s, _ in points)
+    assert any(s == 1.0 for s, _ in points)
+    assert detection_stats(0.5, IDEAL, 3).p_e == 0.0
+
+
+@pytest.mark.parametrize("det", list(_EDGE_DETECTORS.values()), ids=list(_EDGE_DETECTORS))
+def test_array_kernel_equals_scalar_formula_on_edge_grid(det):
+    ts = _edge_ts(det)
+    stats = detection_stats(np.array(ts)[:, None], det, np.array(_EDGE_MS)[None, :])
+    table = _channel_table(ts, det, _EDGE_MS)
+    assert np.array_equal(table[:2], [stats.p_c, stats.p_e])
+    got = np.stack(
+        [stats.p_signal_click, stats.p_right, stats.p_wrong, stats.p_click, stats.p_c,
+         stats.p_e, table[2], table[3]]
+    )
+    for i, t in enumerate(ts):
+        for j, m in enumerate(_EDGE_MS):
+            want = _scalar_closed_form(t, det, m)
+            assert got[:, i, j].tolist() == list(want), (t, m)
+            one = detection_stats(t, det, m)
+            assert all(type(x) is float for x in vars(one).values())
+            assert list(vars(one).values()) == list(want[:6])
+            assert conditional_entropy_xy(one.p_c, one.p_e, det.n_detectors) == want[6]
+
+
+@pytest.fixture(scope="module")
+def bench_tables():
+    """Channel tables of the ratecurve grid, m = 1 .. m_scan_limit(65536)."""
+    ts = [transmittance(length) for length in BENCH_LENGTHS]
+    ms = range(1, m_scan_limit(max(BENCH_DS)) + 1)
+    return {
+        profile: (ts, ms, _channel_table(ts, DETECTOR_PRESETS[profile], ms))
+        for profile in ("snspd_lab", "ingaas_field")
+    }
+
+
+@pytest.mark.parametrize("profile", ["snspd_lab", "ingaas_field"])
+def test_channel_table_equals_scalar_formula_on_benchmark_grid(bench_tables, profile):
+    ts, ms, table = bench_tables[profile]
+    det = DETECTOR_PRESETS[profile]
+    want = [[_scalar_closed_form(t, det, m)[4:] for m in ms] for t in ts]
+    assert np.array_equal(table, np.moveaxis(np.array(want), 2, 0))
+
+
+@pytest.mark.parametrize("profile", ["snspd_lab", "ingaas_field"])
+def test_channel_table_invariants_on_benchmark_grid(bench_tables, profile):
+    table = bench_tables[profile][2]
+    p_c, p_e, hxy, prefactor = table
+    assert np.isfinite(table).all()
+    assert np.abs(p_c + p_e - 1.0).max() <= 1e-15
+    for probability in (p_c, p_e, prefactor):
+        assert ((0.0 <= probability) & (probability <= 1.0)).all()
+    assert (hxy >= 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "det, ts, ms, bad_t, bad_m",
+    [
+        (SNSPD, [0.2, 1.5, 0.3], [2], 1.5, 2),
+        (SNSPD, [0.2, math.nan], [2], math.nan, 2),
+        (SNSPD, [-0.1, 0.2], [2], -0.1, 2),
+        (SNSPD, [0.3], [1, 0, 2], 0.3, 0),
+        (SNSPD, [0.3], [2.5, -1.0], 0.3, -1.0),
+        (SNSPD, [0.3], [2.0, math.nan], 0.3, math.nan),
+        (IDEAL, [0.5, 0.0], [1, 3], 0.0, 1),
+    ],
+    ids=["t-above-1", "t-nan", "t-negative", "m-zero", "m-negative", "m-nan", "no-click-mass"],
+)
+def test_array_with_one_bad_entry_raises_like_the_scalar_call(det, ts, ms, bad_t, bad_m):
+    with pytest.raises(ValueError) as scalar:
+        detection_stats(bad_t, det, bad_m)
+    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+        detection_stats(np.array(ts)[:, None], det, np.array(ms)[None, :])
+
+
+@pytest.mark.parametrize(
+    "p_c, p_e, bad",
+    [
+        ([0.9, -0.1], [0.1, 0.5], (-0.1, 0.5)),
+        ([0.5, 0.9], [0.5, 0.2], (0.9, 0.2)),
+        ([0.5, math.nan], [0.5, 0.5], (math.nan, 0.5)),
+    ],
+    ids=["negative", "sum-above-1", "nan"],
+)
+def test_entropy_with_one_bad_entry_raises_like_the_scalar_call(p_c, p_e, bad):
+    with pytest.raises(ValueError) as scalar:
+        conditional_entropy_xy(*bad)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        conditional_entropy_xy(np.array(p_c), np.array(p_e))
