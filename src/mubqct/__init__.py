@@ -15,7 +15,6 @@ from .detection import (
     conditional_entropy_xy,
     detection_stats,
     mc_detection_stats,
-    physical_click_probability,
     transmittance,
 )
 from .errors import CapabilityError, ConstraintError, DegenerateModeError

@@ -181,19 +181,6 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     return DetectionStats(*fields)
 
 
-def physical_click_probability(t: float, detector: DetectorModel, m) -> float:
-    """Probability that at least one detector fires, with no taxonomy cuts.
-
-    Upper-bounds the simulated click rate: the round-level simulation
-    erases ambiguous firing patterns on top of the no-click rounds.
-    """
-    s = t * detector.eta
-    if s >= 1.0:
-        return 1.0
-    log_none = m * math.log1p(-s) + detector.n_detectors * math.log1p(-detector.p_dark)
-    return -math.expm1(log_none)
-
-
 @dataclass(frozen=True)
 class McDetectionStats:
     """Monte Carlo estimate of the taxonomy-classified click ratios."""

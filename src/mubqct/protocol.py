@@ -18,6 +18,8 @@ sharing one encoding stream.  Both run the same session driver.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,8 +30,11 @@ from .errors import CapabilityError, ConstraintError
 from .mub import Dimension, MubFamily, basis_state, half_projector
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
-# rows formatted per write: bounds the writer's extra memory at any round count
-TRANSCRIPT_CHUNK_ROWS = 1 << 16
+# rows rendered per chunk; the writer holds at most 2 x workers rendered or
+# rendering chunks, so its extra memory is bounded at any round count
+TRANSCRIPT_CHUNK_ROWS = 1 << 15
+# at most this many threads render transcript chunks (a cap measured on two cores)
+_CSV_MAX_WORKERS = 2
 # FFT length cap of privacy_amplify: its working set is about 32 bytes per
 # point (padded float input, complex spectra, float output), ~1.1 GB at the cap
 PRIVACY_AMPLIFY_MAX_FFT_LEN = 1 << 25
@@ -138,40 +143,81 @@ class ProtocolTranscript:
         return self.outcome[self.clicked]
 
     @property
+    def n_right(self) -> int:
+        """Clicked rounds where Bob's bit matches Alice's; an erasure's -1 matches no bit."""
+        return int(np.count_nonzero(self.outcome == self.x))
+
+    @property
     def p_c_empirical(self) -> float:
         """Fraction of clicked rounds where Bob's bit matches Alice's."""
-        if self.n_clicks == 0:
+        n_clicks = self.n_clicks
+        if n_clicks == 0:
             return float("nan")
-        return float(np.count_nonzero(self.alice_sifted == self.bob_sifted) / self.n_clicks)
+        return self.n_right / n_clicks
 
     @property
     def p_e_empirical(self) -> float:
-        if self.n_clicks == 0:
+        n_clicks = self.n_clicks
+        if n_clicks == 0:
             return float("nan")
-        return float(np.count_nonzero(self.alice_sifted != self.bob_sifted) / self.n_clicks)
+        return (n_clicks - self.n_right) / n_clicks
 
     def to_csv(self, path, comment: Optional[str] = None) -> None:
         """Write one CSV row per round, after a `# {comment}` line if given.
 
         Each TRANSCRIPT_CHUNK_ROWS block of rows is rendered as one byte
-        buffer by `_csv_rows` and written in one call, so the writer's
-        extra memory is bounded at any round count.  The bytes are those
-        of formatting every field with str(): the same digits, '-' signs,
-        commas and newlines.
+        buffer by `_csv_rows` and written in one call.  With more than one
+        usable CPU and more than one chunk, up to _CSV_MAX_WORKERS threads
+        render the chunks while this thread writes them strictly in order,
+        with at most 2 x workers chunks in flight, so the file is the same
+        and the writer's extra memory stays bounded at any round count.
+        The bytes are those of formatting every field with str(): the same
+        digits, '-' signs, commas and newlines.  An error in any chunk
+        propagates unchanged, after the threads have stopped.
         """
+        n = self.n_rounds
+        starts = range(0, n, TRANSCRIPT_CHUNK_ROWS)
+
+        def render(start: int) -> np.ndarray:
+            stop = min(start + TRANSCRIPT_CHUNK_ROWS, n)
+            return _csv_rows((
+                np.arange(start, stop),
+                self.x[start:stop],
+                self.r[start:stop],
+                self.theta[start:stop],
+                self.outcome[start:stop],
+            ))
+
+        workers = min(_CSV_MAX_WORKERS, _usable_cpus(), len(starts))
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode("utf-8"))
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
-            for start in range(0, self.n_rounds, TRANSCRIPT_CHUNK_ROWS):
-                stop = min(start + TRANSCRIPT_CHUNK_ROWS, self.n_rounds)
-                fh.write(_csv_rows((
-                    np.arange(start, stop),
-                    self.x[start:stop],
-                    self.r[start:stop],
-                    self.theta[start:stop],
-                    self.outcome[start:stop],
-                )))
+            if workers <= 1:
+                for start in starts:
+                    fh.write(render(start))
+                return
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=workers)
+            try:
+                in_flight = deque()
+                for start in starts:
+                    if len(in_flight) == 2 * workers:
+                        fh.write(in_flight.popleft().result())
+                    in_flight.append(pool.submit(render, start))
+                while in_flight:
+                    fh.write(in_flight.popleft().result())
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -229,9 +275,11 @@ def _receiver_outcome(
     right, wrong = classify_clicks(rng, n, copies, params.channel.transmittance, params.detector)
     coin = rng.integers(0, 2, size=n).astype(np.int8)
     overlap = right & wrong
+    only_right = right & ~wrong
+    only_wrong = wrong & ~right
     outcome = np.full(n, -1, dtype=np.int8)
-    outcome[right & ~wrong] = xs[right & ~wrong]
-    outcome[wrong & ~right] = 1 - xs[wrong & ~right]
+    outcome[only_right] = xs[only_right]
+    outcome[only_wrong] = 1 - xs[only_wrong]
     outcome[overlap] = np.where(coin[overlap] == 0, xs[overlap], 1 - xs[overlap])
     return outcome
 

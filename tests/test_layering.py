@@ -33,8 +33,11 @@ def test_module_does_not_import_protocol(module):
 
 
 # numpy loads numpy.fft lazily, and privacy_amplify reaches it only when
-# called; the rate layer runs serially and needs no process pool
-@pytest.mark.parametrize("module", ["numpy.fft", "multiprocessing", "concurrent.futures.process"])
+# called; the rate layer runs serially and needs no process pool; the
+# transcript writer imports its thread pool only when it writes
+@pytest.mark.parametrize(
+    "module", ["numpy.fft", "multiprocessing", "concurrent.futures", "concurrent.futures.process"]
+)
 def test_import_does_not_load(module):
     code = f"import sys, mubqct; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}

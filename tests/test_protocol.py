@@ -1,7 +1,10 @@
 """Protocol mechanics: encoding, measurement, simulation runs."""
 
+import builtins
 import hashlib
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -223,14 +226,18 @@ def _per_row_csv(tr) -> str:
     return TRANSCRIPT_HEADER + "\n" + "".join(rows)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 203, 1000])
-def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+def _mixed_transcript():
     params = ProtocolParams(
         d=16, m=2, n_rounds=203, seed=9,
         channel=ChannelModel(length_km=30.0), detector=DetectorModel(eta=0.5, p_dark=0.1),
     )
-    tr = run_protocol(params)
+    return run_protocol(params)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 203, 1000])
+def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    tr = _mixed_transcript()
     assert set(tr.outcome.tolist()) == {-1, 0, 1}
     path = tmp_path / "t.csv"
     tr.to_csv(path)
@@ -284,6 +291,93 @@ def test_transcript_csv_rejects_non_integer_columns(tmp_path):
                             outcome=ints)
     with pytest.raises(TypeError):
         tr.to_csv(tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_transcript_csv_threaded_writer_matches_per_row_writer(
+    tmp_path, monkeypatch, chunk, workers
+):
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)
+    real_csv_rows = protocol._csv_rows
+    renderers = set()
+
+    def recording_csv_rows(columns):
+        renderers.add(threading.get_ident())
+        return real_csv_rows(columns)
+
+    monkeypatch.setattr(protocol, "_csv_rows", recording_csv_rows)
+    tr = _mixed_transcript()
+    path = tmp_path / "t.csv"
+    tr.to_csv(path, comment="config: demo")
+    assert path.read_text(encoding="utf-8") == "# config: demo\n" + _per_row_csv(tr)
+    if workers == 1:
+        assert renderers == {threading.get_ident()}  # the serial loop, no pool
+    else:
+        assert threading.get_ident() not in renderers and 1 <= len(renderers) <= workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_transcript_csv_error_in_middle_chunk_propagates(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", 7)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)
+    real_csv_rows = protocol._csv_rows
+
+    def csv_rows_with_float_x_at_row_98(columns):
+        if columns[0][0] == 98:
+            columns = (columns[0], columns[1] + 0.5, *columns[2:])
+        return real_csv_rows(columns)
+
+    monkeypatch.setattr(protocol, "_csv_rows", csv_rows_with_float_x_at_row_98)
+    tr = _mixed_transcript()
+    before = threading.active_count()
+    with pytest.raises(TypeError):
+        tr.to_csv(tmp_path / "t.csv")
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_transcript_csv_in_flight_chunks_are_bounded(tmp_path, monkeypatch, workers):
+    # a slow file lets the renderers run ahead as far as the writer allows
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", 1)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)
+    counts = {"rendered": 0, "written": 0, "peak": 0}
+    lock = threading.Lock()
+    real_csv_rows = protocol._csv_rows
+
+    def counting_csv_rows(columns):
+        buf = real_csv_rows(columns)
+        with lock:
+            counts["rendered"] += 1
+            counts["peak"] = max(counts["peak"], counts["rendered"] - counts["written"])
+        return buf
+
+    class SlowFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data)
+            if isinstance(data, np.ndarray):
+                time.sleep(0.002)
+                with lock:
+                    counts["written"] += 1
+
+    monkeypatch.setattr(protocol, "_csv_rows", counting_csv_rows)
+    monkeypatch.setattr(protocol, "open", lambda *a: SlowFile(builtins.open(*a)), raising=False)
+    tr = _mixed_transcript()
+    path = tmp_path / "t.csv"
+    tr.to_csv(path)
+    assert counts["rendered"] == counts["written"] == tr.n_rounds
+    assert 1 <= counts["peak"] <= 2 * workers
+    assert path.read_text(encoding="utf-8") == _per_row_csv(tr)
 
 
 def test_multiparty_single_party_reduces_to_run_protocol():
