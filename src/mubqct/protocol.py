@@ -33,7 +33,9 @@ TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # rows rendered per chunk; the writer holds at most 2 x workers rendered or
 # rendering chunks, so its extra memory is bounded at any round count
 TRANSCRIPT_CHUNK_ROWS = 1 << 15
-# at most this many threads render transcript chunks (a cap measured on two cores)
+# at most this many threads render transcript chunks; the cap bounds the
+# threads and the in-flight window on hosts with more cores (measured only on
+# two-CPU hosts, where it equals the CPU count)
 _CSV_MAX_WORKERS = 2
 # FFT length cap of privacy_amplify: its working set is about 32 bytes per
 # point (padded float input, complex spectra, float output), ~1.1 GB at the cap
@@ -166,15 +168,17 @@ class ProtocolTranscript:
         """Write one CSV row per round, after a `# {comment}` line if given.
 
         Each TRANSCRIPT_CHUNK_ROWS block of rows is rendered as one byte
-        buffer by `_csv_rows` and written in one call.  With more than one
-        usable CPU and more than one chunk, up to _CSV_MAX_WORKERS threads
-        render the chunks while this thread writes them strictly in order,
-        with at most 2 x workers chunks in flight, so the file is the same
-        and the writer's extra memory stays bounded at any round count.
+        buffer by `_csv_rows` and written in one call.  A pool of one
+        thread per usable CPU, at most _CSV_MAX_WORKERS and at most one per
+        chunk, renders the chunks while this thread writes them strictly in
+        order, with at most 2 x workers chunks in flight, so the file is the
+        same and the writer's extra memory stays bounded at any round count.
         The bytes are those of formatting every field with str(): the same
         digits, '-' signs, commas and newlines.  An error in any chunk
         propagates unchanged, after the threads have stopped.
         """
+        from concurrent.futures import ThreadPoolExecutor
+
         n = self.n_rounds
         starts = range(0, n, TRANSCRIPT_CHUNK_ROWS)
 
@@ -188,17 +192,11 @@ class ProtocolTranscript:
                 self.outcome[start:stop],
             ))
 
-        workers = min(_CSV_MAX_WORKERS, _usable_cpus(), len(starts))
+        workers = max(1, min(_CSV_MAX_WORKERS, _usable_cpus(), len(starts)))
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode("utf-8"))
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
-            if workers <= 1:
-                for start in starts:
-                    fh.write(render(start))
-                return
-            from concurrent.futures import ThreadPoolExecutor
-
             pool = ThreadPoolExecutor(max_workers=workers)
             try:
                 in_flight = deque()

@@ -312,10 +312,7 @@ def test_transcript_csv_threaded_writer_matches_per_row_writer(
     path = tmp_path / "t.csv"
     tr.to_csv(path, comment="config: demo")
     assert path.read_text(encoding="utf-8") == "# config: demo\n" + _per_row_csv(tr)
-    if workers == 1:
-        assert renderers == {threading.get_ident()}  # the serial loop, no pool
-    else:
-        assert threading.get_ident() not in renderers and 1 <= len(renderers) <= workers
+    assert threading.get_ident() not in renderers and 1 <= len(renderers) <= workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
