@@ -17,6 +17,7 @@ sharing one encoding stream.  Both run the same session driver.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -37,6 +38,10 @@ TRANSCRIPT_CHUNK_ROWS = 1 << 15
 # threads and the in-flight window on hosts with more cores (measured only on
 # two-CPU hosts, where it equals the CPU count)
 _CSV_MAX_WORKERS = 2
+# _csv_rows renders magnitudes in base-10^4 digit groups, one 4-byte word each
+_CSV_GROUP = 10_000
+# the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
+_CSV_PAD = 0
 # FFT length cap of privacy_amplify: its working set is about 32 bytes per
 # point (padded float input, complex spectra, float output), ~1.1 GB at the cap
 PRIVACY_AMPLIFY_MAX_FFT_LEN = 1 << 25
@@ -218,43 +223,93 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _digit_words() -> dict[int, np.ndarray]:
+    """Tables of the ASCII digits of 0..9999, built on first use.
+
+    Entry v * 10^4 + g holds g in variant v: 0 zero-padded to four
+    digits, 1 with its leading zeros as pad bytes (0 is all pad), 2 the
+    same but 0 keeps its units digit.  Keyed by span: the last 1, 2 or 4
+    bytes of each entry, as uint8, uint16 or uint32 items in memory order.
+    """
+    g = np.arange(_CSV_GROUP)
+    place = np.array([1000, 100, 10, 1])
+    padded = (ord("0") + g[:, None] // place % 10).astype(np.uint8)
+    leading = np.where(g[:, None] < place, _CSV_PAD, padded).astype(np.uint8)
+    units = leading.copy()
+    units[:, 3] = padded[:, 3]
+    table = np.concatenate((padded, leading, units))
+    return {
+        1: table[:, 3].copy(),
+        2: table[:, 2:].copy().view(np.uint16).ravel(),
+        4: table.view(np.uint32).ravel(),
+    }
+
+
 def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
     """ASCII bytes of comma-separated integer rows, one row per entry.
 
     A field is '-' for a negative value followed by the decimal digits of
-    its magnitude, so it is exactly str(v).  Each field's width is counted
-    from its digit count, the row offsets come from one cumsum, and the
-    digits are scattered to their positions one place value at a time.
+    its magnitude, so it is exactly str(v).  Each row is first laid out in
+    W fixed bytes: per column, a sign slot if any value is negative, a
+    digit slot as wide as the column's longest magnitude, and the comma or
+    newline.  Magnitudes are taken as uint64, so -2**63 keeps its digits,
+    and split into base-10^4 groups; each group is one table lookup of a
+    digit word, right-aligned in the digit slot.  Words with no nonzero
+    group above them put pad bytes (0) where leading zeros would be, and
+    an unused sign slot is pad too.  The result is the (rows, W) layout
+    with its pad bytes removed.  A 3-digit top group is written as a
+    4-byte word that overlaps the byte before its slot, the sign slot or
+    the previous separator, which are written after the digits.
     Non-integer columns raise TypeError instead of being truncated.
     """
+    words = _digit_words()
     fields = []
-    row_len = 0
+    width = 0
     for col in columns:
         col = np.asarray(col).astype(np.int64, casting="safe", copy=False)
         neg = col < 0
-        mag = np.abs(col)
-        ndig = np.ones(col.size, dtype=np.int64)
-        place = 10
-        top = int(mag.max(initial=0))
-        while place <= top:
-            ndig += mag >= place
-            place *= 10
-        fields.append((mag, neg, ndig))
-        row_len = row_len + neg + ndig + 1  # + 1: the comma or newline
-    row_end = np.cumsum(row_len)
-    buf = np.empty(int(row_end[-1]), dtype=np.uint8)
-    pos = row_end - row_len
-    for c, (mag, neg, ndig) in enumerate(fields):
-        buf[pos[neg]] = ord("-")
-        last = pos + neg + ndig - 1  # position of the units digit
-        buf[last] = ord("0") + mag % 10
-        for k in range(1, int(ndig.max())):
-            mag = mag // 10
-            has = np.flatnonzero(ndig > k)
-            buf[last[has] - k] = ord("0") + mag[has] % 10
-        buf[last + 1] = ord("\n") if c == len(fields) - 1 else ord(",")
-        pos = last + 2
-    return buf
+        signed = bool(neg.any())
+        mag = np.abs(col).view(np.uint64)
+        ndig = len(str(int(mag.max(initial=0))))
+        fields.append((neg if signed else None, mag, ndig))
+        width += signed + ndig + 1
+    n = fields[0][1].size
+    # one leading spare byte takes the overlap of a first field's 3-digit word
+    buf = np.empty(1 + n * width, dtype=np.uint8)
+
+    def slot(offset: int, dtype) -> np.ndarray:
+        return np.ndarray((n,), dtype, buffer=buf, offset=1 + offset, strides=(width,))
+
+    seps = []
+    pos = 0
+    for neg, mag, ndig in fields:
+        sign = pos
+        pos += neg is not None
+        end = pos + ndig  # one past the units digit
+        rest = mag
+        lead = 2 * _CSV_GROUP  # table of a leading group: the units group keeps its 0
+        while end - pos > 4:
+            high = rest // _CSV_GROUP
+            idx = (high == 0) * lead
+            idx += (rest - high * _CSV_GROUP).view(np.int64)
+            slot(end - 4, np.uint32)[...] = np.take(words[4], idx)
+            rest = high
+            end -= 4
+            lead = _CSV_GROUP
+        span = 4 if end - pos == 3 else end - pos
+        table = words[span]
+        slot(end - span, table.dtype)[...] = np.take(table, rest.view(np.int64) + lead)
+        if neg is not None:
+            slot(sign, np.uint8)[...] = neg.view(np.uint8) * np.uint8(ord("-"))
+        pos += ndig
+        seps.append(pos)
+        pos += 1
+    for sep in seps[:-1]:
+        slot(sep, np.uint8)[...] = ord(",")
+    slot(seps[-1], np.uint8)[...] = ord("\n")
+    flat = buf[1:]
+    return flat[flat != _CSV_PAD]
 
 
 def _receiver_outcome(
@@ -294,8 +349,8 @@ def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTran
     children = np.random.SeedSequence(params.seed).spawn(1 + n_receivers)
     alice_rng = np.random.default_rng(children[0])
     xs = alice_rng.integers(0, 2, size=n).astype(np.int8)
-    rs = alice_rng.integers(0, params.d // 2, size=n).astype(np.int64)
-    thetas = alice_rng.integers(0, params.d + 1, size=n).astype(np.int64)
+    rs = alice_rng.integers(0, params.d // 2, size=n)
+    thetas = alice_rng.integers(0, params.d + 1, size=n)
     copies_each = params.m // n_receivers
     if params.photon_statistics == "poisson":
         copies = alice_rng.poisson(params.mu, size=n)

@@ -326,14 +326,50 @@ PINNED_ARTIFACTS = {
 }
 
 
+# Digests at the scale of the session benchmark, written by the build before
+# transcript rows were rendered from fixed-width digit slots: seven-digit
+# round numbers and 31 transcript chunks per file.
+PINNED_BENCHMARK_SCALE_ARTIFACTS = {
+    "simulate_1e6": (
+        ("simulate", "--d", "16", "--m", "4", "--L", "50", "--rounds", "1000000",
+         "--seed", "7"),
+        {
+            "t.csv": "533ff055fd01ed8aaac1c3bb97177b80b63f70c6843cadfc028214c2833e4d47",
+            "s.json": "541aa4496aada36201b854128923f45874f19d1eed102e9cd418d554a311fccf",
+        },
+    ),
+    "multiparty_1e6": (
+        ("multiparty", "--parties", "3", "--d", "16", "--m", "3", "--L", "25",
+         "--rounds", "1000000", "--seed", "7"),
+        {
+            "t.csv.party0.csv": "c902bb7210de8582e5e39c5b3a9090a9ccb6aca6572c90286573e48cf20ceb09",
+            "t.csv.party1.csv": "1de6e66d1419ea1d65331fc8a6e901ecaa53286274d247f24d1390524ab4f751",
+            "t.csv.party2.csv": "c20cff7b3e55ebb884c764f0bf1a287f66e59385a250bcd405083df0358808bf",
+            "s.json": "4b78dad0c891658df4e870f76bd25206e4208cfbe469e87722c811b1f021995a",
+        },
+    ),
+}
+
+
+def _artifact_digests(capsys, directory, argv) -> dict:
+    code, _, _ = run_cli(capsys, *argv, "--out-transcript", "t.csv", "--out-summary", "s.json")
+    assert code == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in directory.iterdir()}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_ARTIFACTS))
 def test_simulation_artifacts_match_pinned_digests(capsys, tmp_path, monkeypatch, case):
     argv, digests = PINNED_ARTIFACTS[case]
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run_cli(capsys, *argv, "--out-transcript", "t.csv", "--out-summary", "s.json")
-    assert code == 0
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
-    assert got == digests
+    assert _artifact_digests(capsys, tmp_path, argv) == digests
+
+
+def test_benchmark_scale_artifacts_match_pinned_digests(capsys, tmp_path, monkeypatch):
+    for case, (argv, digests) in sorted(PINNED_BENCHMARK_SCALE_ARTIFACTS.items()):
+        directory = tmp_path / case
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        assert _artifact_digests(capsys, directory, argv) == digests, case
 
 
 def test_simulate_transcript_layout(capsys, tmp_path):

@@ -285,6 +285,42 @@ def test_transcript_csv_single_round(tmp_path, outcome):
     assert path.read_text(encoding="utf-8").endswith(f"\n0,1,511,1024,{outcome}\n")
 
 
+# every digit-count boundary, which includes each base-10^4 group boundary,
+# and the ends of the int64 range
+_CSV_EDGE_VALUES = sorted(
+    {0, 2**63 - 1, -(2**63 - 1), -(2**63)}
+    | {sign * v for j in range(1, 19) for v in (10**j - 1, 10**j) for sign in (1, -1)}
+)
+_int64_values = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1), st.sampled_from(_CSV_EDGE_VALUES)
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda n: st.lists(st.lists(_int64_values, min_size=n, max_size=n),
+                           min_size=1, max_size=5)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_csv_rows_matches_str_of_every_field(columns):
+    rows = zip(*columns)
+    expected = "".join(",".join(map(str, row)) + "\n" for row in rows).encode("ascii")
+    arrays = [np.array(col, dtype=np.int64) for col in columns]
+    assert protocol._csv_rows(arrays).tobytes() == expected
+
+
+def test_csv_rows_renders_int64_min_exactly():
+    col = np.array([-(2**63), 2**63 - 1, -1, 0], dtype=np.int64)
+    assert protocol._csv_rows([col]).tobytes() == (
+        b"-9223372036854775808\n9223372036854775807\n-1\n0\n"
+    )
+    assert protocol._csv_rows([col, col[::-1]]).tobytes() == (
+        b"-9223372036854775808,0\n9223372036854775807,-1\n"
+        b"-1,9223372036854775807\n0,-9223372036854775808\n"
+    )
+
+
 def test_transcript_csv_rejects_non_integer_columns(tmp_path):
     ints = np.array([0, 1])
     tr = ProtocolTranscript(d=4, m=1, seed=0, x=np.array([0.0, 1.5]), r=ints, theta=ints,
