@@ -288,7 +288,9 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
         pos += neg is not None
         end = pos + ndig  # one past the units digit
         rest = mag
-        lead = 2 * _CSV_GROUP  # table of a leading group: the units group keeps its 0
+        # table offset of a group with no nonzero group above it: variant 2
+        # for the units group, whose 0 stays a digit, variant 1 above it
+        lead = 2 * _CSV_GROUP
         while end - pos > 4:
             high = rest // _CSV_GROUP
             idx = (high == 0) * lead
