@@ -28,6 +28,10 @@ import numpy as np
 
 from .errors import DegenerateModeError
 
+# rows per chunk of the session's per-round draws: one chunk of int64 or
+# float64 values is 256 KiB, which stays in cache while it is reduced
+_CHUNK_ROWS = 1 << 15
+
 
 def _check_fiber(length_km: float, alpha_db_per_km: float) -> None:
     if not (math.isfinite(length_km) and length_km >= 0):
@@ -198,6 +202,22 @@ class McDetectionStats:
         return math.sqrt(max(self.p_c * (1.0 - self.p_c), 0.0) / n) if n else float("nan")
 
 
+def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
+    """An n-array of dtype, filled _CHUNK_ROWS rows at a time.
+
+    Rows [a, b) get draw(b - a, *(c[a:b] for c in columns)), cast to
+    dtype.  numpy's distributions take their values from the bit
+    generator one after another, so drawing one distribution chunk by
+    chunk consumes the stream exactly as one call of size n does, and
+    only one chunk of the int64 or float64 draw is alive at a time.
+    """
+    out = np.empty(n, dtype)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        out[start:stop] = draw(stop - start, *(c[start:stop] for c in columns))
+    return out
+
+
 def classify_clicks(
     rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -212,22 +232,37 @@ def classify_clicks(
     is in both.  For n_detectors = 2 the classification matches the
     analytic probabilities exactly; for n > 2 the wrong-side dark class
     uses "any bad detector dark", an O(p_dark^2) mismatch.
+
+    Each of the four distributions is drawn over all n rounds before the
+    next, in chunks (`draw_chunked`), and kept as a small integer or bool
+    array.
     """
     s = t * detector.eta
     p = detector.p_dark
-    arrivals = rng.binomial(copies, s, size=n)
-    n_good = rng.binomial(arrivals, detector.visibility)
-    dark_good = rng.random(n) < p
-    dark_bad = rng.binomial(detector.n_detectors - 1, p, size=n) > 0
+    fits = np.min_scalar_type(int(np.max(copies)))  # holds every arrival count
+    if np.ndim(copies):
+        arrivals = draw_chunked(n, fits, lambda size, c: rng.binomial(c, s), copies)
+    else:
+        arrivals = draw_chunked(n, fits, lambda size: rng.binomial(copies, s, size))
 
-    got_signal = arrivals > 0
-    all_good = got_signal & (n_good == arrivals)
-    all_bad = got_signal & (n_good == 0)
-    no_arrival = ~got_signal
-    dark_none = ~dark_good & ~dark_bad
+    def spread(size, arrived):
+        # 1: every arrival in the good detector, -1: every arrival in a bad
+        # one, 0: split across both sides, 2: no arrival
+        n_good = rng.binomial(arrived, detector.visibility)
+        return np.where(arrived == 0, 2, (n_good == arrived) * 1 - (n_good == 0))
 
-    right = (all_good & (dark_none | dark_good)) | (no_arrival & dark_good)
-    wrong = (all_bad & (dark_none | dark_bad)) | (no_arrival & dark_bad)
+    side = draw_chunked(n, np.int8, spread, arrivals)
+    del arrivals
+    dark_good = draw_chunked(n, bool, lambda size: rng.random(size) < p)
+    dark_bad = draw_chunked(
+        n, bool, lambda size: rng.binomial(detector.n_detectors - 1, p, size) > 0
+    )
+
+    no_arrival = side == 2
+    right = (side == 1) & (dark_good | ~dark_bad)
+    right |= no_arrival & dark_good
+    wrong = (side == -1) & (dark_bad | ~dark_good)
+    wrong |= no_arrival & dark_bad
     return right, wrong
 
 

@@ -19,25 +19,19 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import ChannelModel, DetectorModel, classify_clicks
+from .detection import _CHUNK_ROWS, ChannelModel, DetectorModel, classify_clicks, draw_chunked
 from .errors import CapabilityError, ConstraintError
 from .mub import Dimension, MubFamily, basis_state, half_projector
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
-# rows rendered per chunk; the writer holds at most 2 x workers rendered or
-# rendering chunks, so its extra memory is bounded at any round count
-TRANSCRIPT_CHUNK_ROWS = 1 << 15
-# at most this many threads render transcript chunks; the cap bounds the
-# threads and the in-flight window on hosts with more cores (measured only on
-# two-CPU hosts, where it equals the CPU count)
-_CSV_MAX_WORKERS = 2
+# rows rendered per chunk; the writer holds one rendered chunk at a time, so
+# its extra memory is bounded at any round count
+TRANSCRIPT_CHUNK_ROWS = _CHUNK_ROWS
 # _csv_rows renders magnitudes in base-10^4 digit groups, one 4-byte word each
 _CSV_GROUP = 10_000
 # the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
@@ -173,54 +167,25 @@ class ProtocolTranscript:
         """Write one CSV row per round, after a `# {comment}` line if given.
 
         Each TRANSCRIPT_CHUNK_ROWS block of rows is rendered as one byte
-        buffer by `_csv_rows` and written in one call.  A pool of one
-        thread per usable CPU, at most _CSV_MAX_WORKERS and at most one per
-        chunk, renders the chunks while this thread writes them strictly in
-        order, with at most 2 x workers chunks in flight, so the file is the
-        same and the writer's extra memory stays bounded at any round count.
-        The bytes are those of formatting every field with str(): the same
-        digits, '-' signs, commas and newlines.  An error in any chunk
-        propagates unchanged, after the threads have stopped.
+        buffer by `_csv_rows` and written in one call, so the writer's
+        extra memory is one chunk's at any round count.  The bytes are
+        those of formatting every field with str(): the same digits, '-'
+        signs, commas and newlines.
         """
-        from concurrent.futures import ThreadPoolExecutor
-
         n = self.n_rounds
-        starts = range(0, n, TRANSCRIPT_CHUNK_ROWS)
-
-        def render(start: int) -> np.ndarray:
-            stop = min(start + TRANSCRIPT_CHUNK_ROWS, n)
-            return _csv_rows((
-                np.arange(start, stop),
-                self.x[start:stop],
-                self.r[start:stop],
-                self.theta[start:stop],
-                self.outcome[start:stop],
-            ))
-
-        workers = max(1, min(_CSV_MAX_WORKERS, _usable_cpus(), len(starts)))
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode("utf-8"))
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
-            pool = ThreadPoolExecutor(max_workers=workers)
-            try:
-                in_flight = deque()
-                for start in starts:
-                    if len(in_flight) == 2 * workers:
-                        fh.write(in_flight.popleft().result())
-                    in_flight.append(pool.submit(render, start))
-                while in_flight:
-                    fh.write(in_flight.popleft().result())
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+            for start in range(0, n, TRANSCRIPT_CHUNK_ROWS):
+                stop = min(start + TRANSCRIPT_CHUNK_ROWS, n)
+                fh.write(_csv_rows((
+                    np.arange(start, stop),
+                    self.x[start:stop],
+                    self.r[start:stop],
+                    self.theta[start:stop],
+                    self.outcome[start:stop],
+                )))
 
 
 @functools.cache
@@ -328,15 +293,12 @@ def _receiver_outcome(
     """
     n = xs.size
     right, wrong = classify_clicks(rng, n, copies, params.channel.transmittance, params.detector)
-    coin = rng.integers(0, 2, size=n).astype(np.int8)
-    overlap = right & wrong
-    only_right = right & ~wrong
-    only_wrong = wrong & ~right
-    outcome = np.full(n, -1, dtype=np.int8)
-    outcome[only_right] = xs[only_right]
-    outcome[only_wrong] = 1 - xs[only_wrong]
-    outcome[overlap] = np.where(coin[overlap] == 0, xs[overlap], 1 - xs[overlap])
-    return outcome
+    coin = draw_chunked(n, bool, lambda size: rng.integers(0, 2, size) == 1)
+    # x is flipped on a wrong-only round, and on an overlap round by the coin
+    flip = ~right
+    flip |= coin
+    flip &= wrong
+    return np.where(right | wrong, xs ^ flip, np.int8(-1))
 
 
 def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTranscript, ...]:
@@ -350,9 +312,10 @@ def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTran
     n = params.n_rounds
     children = np.random.SeedSequence(params.seed).spawn(1 + n_receivers)
     alice_rng = np.random.default_rng(children[0])
-    xs = alice_rng.integers(0, 2, size=n).astype(np.int8)
-    rs = alice_rng.integers(0, params.d // 2, size=n)
-    thetas = alice_rng.integers(0, params.d + 1, size=n)
+    xs = draw_chunked(n, np.int8, lambda size: alice_rng.integers(0, 2, size))
+    index = np.min_scalar_type(-(params.d + 1))  # holds every r and theta, signed
+    rs = draw_chunked(n, index, lambda size: alice_rng.integers(0, params.d // 2, size))
+    thetas = draw_chunked(n, index, lambda size: alice_rng.integers(0, params.d + 1, size))
     copies_each = params.m // n_receivers
     if params.photon_statistics == "poisson":
         copies = alice_rng.poisson(params.mu, size=n)

@@ -36,13 +36,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .detection import draw_chunked
 from .errors import CapabilityError
 from .mub import Dimension, MubFamily, build_mub_family, half_projector
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
-# n_trials * d cap of simulate_eve_random_basis: at most ~53 bytes of peak
-# memory per entry (measured at d = 2, where it is largest), ~1.8 GB at the cap
+# n_trials * d cap of simulate_eve_random_basis: at most ~22 bytes of peak
+# memory per entry (measured at d = 2, where it is largest), ~0.7 GB at the cap
 EVE_SIM_MAX_ENTRIES = 1 << 25
 # The lambda sign search prunes a branch only when its bound trails the
 # best norm found by more than this; the eigenvalue rounding it must
@@ -396,9 +397,12 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  Trials
     are grouped by Eve's basis and only their own Born rows are computed,
     one product per group, so memory is O(n_trials) and no
-    (d+1)^2 d^2 overlap table is formed.  n_trials * d is capped at
-    EVE_SIM_MAX_ENTRIES (2^25); beyond it CapabilityError is raised
-    before anything is drawn.
+    (d+1)^2 d^2 overlap table is formed.  The per-trial integers are
+    drawn in chunks (`draw_chunked`) into the smallest signed type that
+    holds 0..d, only the uniforms u stay float64, and each group's
+    successes are counted before the next group's rows are formed.
+    n_trials * d is capped at EVE_SIM_MAX_ENTRIES (2^25); beyond it
+    CapabilityError is raised before anything is drawn.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -412,24 +416,27 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     n_bases = d + 1
 
     rng = np.random.default_rng(seed)
-    xs = rng.integers(0, 2, size=n_trials)
-    rs = rng.integers(0, half, size=n_trials)
-    thetas = rng.integers(0, n_bases, size=n_trials)
-    eve_bases = rng.integers(0, n_bases, size=n_trials)
-    u = rng.random(n_trials)
-    coins = rng.integers(0, 2, size=n_trials)
+    index = np.min_scalar_type(-n_bases)  # holds 0..d, so every basis and half * x + r
 
-    idx = half * xs + rs
-    outcomes = np.empty(n_trials, dtype=np.int64)
+    def draw(high):
+        return draw_chunked(n_trials, index, lambda size: rng.integers(0, high, size))
+
+    xs, rs, thetas, eve_bases = draw(2), draw(half), draw(n_bases), draw(n_bases)
+    u = rng.random(n_trials)
+    coins = draw(2)
+
+    successes = 0
     for t in range(n_bases):
         trials = np.flatnonzero(eve_bases == t)
-        states = family.bases[thetas[trials], :, idx[trials]]  # (trials, d)
+        x = xs[trials]
+        states = family.bases[thetas[trials], :, half * x + rs[trials]]  # (trials, d)
         # born[n, i] = |<e_t(i)|psi_n>|^2, accumulated over outcomes i
         cdf = np.cumsum(np.abs(states @ family.bases[t].conj()) ** 2, axis=1)
-        outcomes[trials] = (u[trials, None] > cdf).sum(axis=1)
-    decoded = (outcomes >= half).astype(np.int64)
-    guesses = np.where(eve_bases == thetas, decoded, coins)
-    p_hat = float(np.mean(guesses == xs))
+        decoded = (u[trials, None] > cdf).sum(axis=1) >= half
+        del cdf  # not alive while the next group's rows are formed
+        guesses = np.where(thetas[trials] == t, decoded, coins[trials])
+        successes += int(np.count_nonzero(guesses == x))
+    p_hat = successes / n_trials
     return EveSimResult(
         d=d,
         n_trials=n_trials,

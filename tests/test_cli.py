@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from mubqct import detection, protocol
 from mubqct.cli import DEFAULT_SEED, main
 from mubqct.ratemodel import SWEEP_CSV_HEADER
 
@@ -359,6 +360,18 @@ def _artifact_digests(capsys, directory, argv) -> dict:
 
 @pytest.mark.parametrize("case", sorted(PINNED_ARTIFACTS))
 def test_simulation_artifacts_match_pinned_digests(capsys, tmp_path, monkeypatch, case):
+    argv, digests = PINNED_ARTIFACTS[case]
+    monkeypatch.chdir(tmp_path)
+    assert _artifact_digests(capsys, tmp_path, argv) == digests
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ARTIFACTS))
+def test_simulation_artifacts_match_pinned_digests_in_chunks_of_7(
+    capsys, tmp_path, monkeypatch, case
+):
+    # draws and transcript rows in chunks of 7 give the same files
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", 7)
     argv, digests = PINNED_ARTIFACTS[case]
     monkeypatch.chdir(tmp_path)
     assert _artifact_digests(capsys, tmp_path, argv) == digests

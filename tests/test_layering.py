@@ -33,8 +33,8 @@ def test_module_does_not_import_protocol(module):
 
 
 # numpy loads numpy.fft lazily, and privacy_amplify reaches it only when
-# called; the rate layer runs serially and needs no process pool; the
-# transcript writer imports its thread pool only when it writes
+# called; the rate layer and the transcript writer run serially and need
+# no process or thread pool
 @pytest.mark.parametrize(
     "module", ["numpy.fft", "multiprocessing", "concurrent.futures", "concurrent.futures.process"]
 )

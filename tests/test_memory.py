@@ -1,0 +1,61 @@
+"""Peak traced memory of the session, the transcript writer and the
+intercept simulation.
+
+numpy reports its array allocations to tracemalloc, so the traced peak of
+a call counts every temporary array it makes and the arrays it returns.
+"""
+
+import tracemalloc
+
+import pytest
+
+from mubqct import (
+    DETECTOR_PRESETS,
+    ChannelModel,
+    ProtocolParams,
+    multiparty_run,
+    run_protocol,
+    simulate_eve_random_basis,
+)
+from tests.conftest import cached_family
+
+SNSPD = DETECTOR_PRESETS["snspd_lab"]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _session(n_rounds, m=4):
+    return ProtocolParams(d=16, m=m, n_rounds=n_rounds, seed=1,
+                          channel=ChannelModel(length_km=50.0), detector=SNSPD)
+
+
+def test_run_protocol_peak_bytes_per_round():
+    n = 10**6
+    assert _traced_peak(lambda: run_protocol(_session(n))) <= 20 * n
+
+
+def test_multiparty_run_peak_bytes_per_round():
+    n = 10**6
+    assert _traced_peak(lambda: multiparty_run(_session(n, m=3), 3)) <= 20 * n
+
+
+@pytest.mark.parametrize("n_rounds", [1 << 17, 1 << 20])
+def test_transcript_writer_peak_is_flat(tmp_path, n_rounds):
+    tr = run_protocol(_session(n_rounds))
+    path = tmp_path / "t.csv"
+    assert _traced_peak(lambda: tr.to_csv(path, comment="memory")) <= 6 * 2**20
+
+
+@pytest.mark.parametrize("k, n_trials", [(1, 2 * 10**5), (6, 10**5)])
+def test_eve_simulation_peak_bytes_per_trial(k, n_trials):
+    family = cached_family(k)
+    peak = _traced_peak(lambda: simulate_eve_random_basis(family, n_trials, seed=5))
+    assert peak <= 64 * n_trials
