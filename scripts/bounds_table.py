@@ -37,11 +37,6 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--d", default="2,4,8,16,64,1024", help="comma-separated dimensions")
     parser.add_argument("--m", type=int, default=1, help="signal copies per round")
-    parser.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip the exact lambda even where it is offered",
-    )
     return parser.parse_args(argv)
 
 
@@ -53,13 +48,12 @@ def _fmt(value):
     return str(value)
 
 
-def _record(d, m, oracle):
+def _record(d, m):
     """bounds_report at (d, m), closed form where the exact lambda is not offered."""
-    if oracle:
-        try:
-            return bounds_report(d, m, oracle=True).to_dict()
-        except CapabilityError as exc:
-            print(f"# d={d}: oracle skipped ({exc})", file=sys.stderr)
+    try:
+        return bounds_report(d, m, oracle=True).to_dict()
+    except CapabilityError as exc:
+        print(f"# d={d}: oracle skipped ({exc})", file=sys.stderr)
     return bounds_report(d, m, oracle=False).to_dict()
 
 
@@ -67,7 +61,7 @@ def main(argv=None):
     args = parse_args(argv)
     try:
         ds = _parse_int_list(args.d)
-        records = [_record(d, args.m, not args.no_oracle) for d in ds]
+        records = [_record(d, args.m) for d in ds]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

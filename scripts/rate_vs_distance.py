@@ -6,7 +6,8 @@ rate at the first grid distance and the maximum reachable distance,
 followed by the fitted distance-extension slope (km gained per 100x
 increase in d).  Errors exit as in the mubqct CLI, with a message: 1 for
 bad input such as a malformed --d or --L, 3 for a bound source that
-cannot be computed at a requested d.
+cannot be computed at a requested d, a grid over the sweep cap or a
+failed allocation.
 
 Example:
     python3 scripts/rate_vs_distance.py --d 128,1024,16384 --L 0:150:5 \
@@ -46,13 +47,13 @@ def main(argv=None):
             alpha_db_per_km=args.alpha,
             bounds_source=args.bounds_source,
         )
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        csv_text = sweep_rows_to_csv(rows)
+    except (CapabilityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    csv_text = sweep_rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)

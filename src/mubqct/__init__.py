@@ -54,12 +54,8 @@ from .ratemodel import (
 from .security import (
     BoundsReport,
     EveSimResult,
-    MonotonicityReport,
-    alicki_fannes_iacc,
     bounds_report,
-    decohere,
     encoding_average_state,
-    f_operator,
     helstrom_multi_bound,
     helstrom_numeric,
     helstrom_paper_single,
@@ -74,11 +70,7 @@ from .security import (
     pguess_paper,
     pguess_single_paper,
     pinsker_delta,
-    security_distance_bounds,
     simulate_eve_random_basis,
-    strategy_monotonicity,
-    theorem1_bound,
-    trace_norm,
 )
 
 __version__ = "0.1.0"

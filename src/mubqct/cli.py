@@ -3,7 +3,7 @@
 Subcommands: mub-verify, bounds, sweep, simulate, multiparty, oracle.
 
 Exit codes: 0 success, 1 usage or parameter errors, 2 verification
-failure, 3 capability cap exceeded, 4 I/O errors.
+failure, 3 capability cap exceeded or out of memory, 4 I/O errors.
 
 Options may be preloaded from a flat config file (`key = value` lines,
 `#` comments) via --config; explicit flags override config entries,
@@ -37,7 +37,7 @@ from .detection import (
 from .errors import CapabilityError
 from .mub import Dimension, build_mub_family, certify_family
 from .protocol import ProtocolParams, multiparty_run, run_protocol
-from .ratemodel import sweep, sweep_rows_to_csv
+from .ratemodel import SWEEP_MAX_CELLS, sweep, sweep_rows_to_csv
 from .security import (
     BOUNDS_SOURCES,
     bounds_report,
@@ -187,7 +187,12 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError(f"grid step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"grid stop must be >= start, got {spec!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step  # may be inf, which floor() cannot take
+    if span + 1 > SWEEP_MAX_CELLS:
+        raise CapabilityError(
+            f"grid {spec!r} has {span + 1:.3g} points; a sweep is capped at {SWEEP_MAX_CELLS} cells"
+        )
+    n = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -447,8 +452,8 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapabilityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -195,12 +195,6 @@ class McDetectionStats:
     n_wrong: int
     n_samples: int
 
-    @property
-    def se_p_c(self) -> float:
-        """Binomial standard error of p_c given the classified count."""
-        n = self.n_right + self.n_wrong
-        return math.sqrt(max(self.p_c * (1.0 - self.p_c), 0.0) / n) if n else float("nan")
-
 
 def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
     """An n-array of dtype, filled _CHUNK_ROWS rows at a time.

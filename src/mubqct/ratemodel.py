@@ -44,6 +44,7 @@ from .detection import (
     detection_stats,
     transmittance,
 )
+from .errors import CapabilityError
 from .mub import Dimension
 from .security import hmin_bits, pguess
 
@@ -51,6 +52,7 @@ __all__ = [
     "MaxDistanceResult",
     "RatePoint",
     "SWEEP_CSV_HEADER",
+    "SWEEP_MAX_CELLS",
     "coherent_mu_max",
     "key_rate",
     "m_scan_limit",
@@ -269,6 +271,10 @@ class SweepRow:
     key_rate_bits: float
 
 
+# Largest number of (profile, d, L) cells `sweep` evaluates: a cell costs
+# about 650 traced bytes through the sweep and its CSV, so ~1.4 GB at the cap.
+SWEEP_MAX_CELLS = 1 << 21
+
 # Lengths per channel table.  It bounds the table at 4 * 16 * m_max
 # floats (100 KB at d = 65536, m_max = 199) at any grid size.
 _SWEEP_BLOCK = 16
@@ -285,11 +291,15 @@ def sweep(
 
     Each profile's sorted lengths are evaluated in blocks of consecutive
     lengths: one channel table per block, combined with every d's H_min
-    column.  Empty ds, lengths_km or profiles raise ValueError.
+    column.  Empty ds, lengths_km or profiles raise ValueError, and more
+    than SWEEP_MAX_CELLS cells CapabilityError, before anything is computed.
     """
     for name, values in (("ds", ds), ("lengths_km", lengths_km), ("profiles", profiles)):
         if len(values) == 0:
             raise ValueError(f"sweep needs at least one entry in {name}")
+    cells = len(ds) * len(lengths_km) * len(profiles)
+    if cells > SWEEP_MAX_CELLS:
+        raise CapabilityError(f"a sweep of {cells} cells exceeds the cap of {SWEEP_MAX_CELLS}")
     for profile in profiles:
         if profile not in DETECTOR_PRESETS:
             raise ValueError(

@@ -8,10 +8,11 @@ optimal single-shot guessing probability is governed by the operator
 the uniform mixture over bases of the half-space projector the adversary
 would like to certify; P_guess <= lambda / 2 with lambda = max over the
 2^(d+1) outcome strings Omega of the largest eigenvalue of F.  This
-module computes lambda exactly by a sign search in small dimensions,
-evaluates the closed-form bounds used at large d, and provides numeric
-Helstrom discrimination and a simulated intercept strategy as anchors
-from below.
+module holds what the rate model, the `bounds` and `oracle` commands and
+the benchmark use: lambda computed exactly by a sign search in small
+dimensions, the closed-form bounds used at large d and assembled into
+the `bounds` record, and numeric Helstrom discrimination and a simulated
+intercept strategy as anchors from below.
 
 The exact computations use the algebra of the construction rather than
 generic dense algebra.  The two halves of every basis sum to the
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -50,25 +51,6 @@ EVE_SIM_MAX_ENTRIES = 1 << 25
 # absorb is about 1e-14 at d <= 16.
 _PRUNE_SLACK = 1e-9
 BOUNDS_SOURCES = ("paper", "certified")
-
-
-def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
-    """The adversary's score operator for outcome string omega.
-
-    omega assigns one binary outcome per basis; the operator averages the
-    corresponding half-space projectors with weight 2/d each, so its trace
-    is d + 1 regardless of omega.
-    """
-    d = family.d
-    omega = list(omega)
-    if len(omega) != d + 1:
-        raise ValueError(f"omega must have length d + 1 = {d + 1}, got {len(omega)}")
-    if any(w not in (0, 1) for w in omega):
-        raise ValueError("omega entries must be 0 or 1")
-    f = np.zeros((d, d), dtype=complex)
-    for theta, w in enumerate(omega):
-        f += (2.0 / d) * half_projector(family, theta, w)
-    return f
 
 
 def _check_lambda_cap(d: int) -> None:
@@ -148,32 +130,6 @@ def lambda_paper_bound(d: int) -> float:
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     return 1.0 + (d * (d + 1.0) - 2.0) / (2.0 * d * d * math.sqrt(d))
-
-
-def theorem1_bound(operators: Sequence[np.ndarray], tol: float = 1e-9) -> float:
-    """Norm bound ||sum O_i|| <= 1 + (l - 1) cos(phi) for rank-one projectors.
-
-    cos(phi) is the largest pairwise operator norm ||O_i O_j||, i != j.
-    Inputs are validated to be rank-one orthogonal projectors within tol.
-    """
-    ops = [np.asarray(o, dtype=complex) for o in operators]
-    if not ops:
-        raise ValueError("need at least one projector")
-    dim = ops[0].shape[0]
-    for o in ops:
-        if o.ndim != 2 or o.shape != (dim, dim):
-            raise ValueError("projectors must be square matrices of equal size")
-        if np.max(np.abs(o - o.conj().T)) > tol:
-            raise ValueError("projector is not Hermitian within tolerance")
-        if np.max(np.abs(o @ o - o)) > tol:
-            raise ValueError("projector is not idempotent within tolerance")
-        if abs(np.trace(o).real - 1.0) > tol:
-            raise ValueError("projector is not rank one within tolerance")
-    cos_phi = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            cos_phi = max(cos_phi, float(np.linalg.norm(ops[i] @ ops[j], 2)))
-    return 1.0 + (len(ops) - 1) * cos_phi
 
 
 def _clamp_guess(p: float) -> float:
@@ -259,30 +215,6 @@ def pinsker_delta(iacc: float) -> float:
     return math.sqrt(iacc / 2.0)
 
 
-def alicki_fannes_iacc(delta: float, alphabet_size: int) -> float:
-    """Continuity bound 2 delta log2|X| + eta(2 delta), eta(p) = -p log2 p."""
-    if not 0.0 <= delta <= 0.5:
-        raise ValueError(f"delta must be in [0, 0.5], got {delta}")
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
-    two_d = 2.0 * delta
-    eta = -two_d * math.log2(two_d) if two_d > 0 else 0.0
-    return two_d * math.log2(alphabet_size) + eta
-
-
-def security_distance_bounds(iacc: float, alphabet_size: int = 2) -> tuple[float, float]:
-    """Round-trip (delta_upper, iacc_back) between information and distance.
-
-    delta_upper converts an accessible-information bound into a trace
-    distance via Pinsker; iacc_back maps that distance back through the
-    continuity bound.  For small iacc the round trip is lossy upward:
-    iacc_back >= iacc.
-    """
-    delta = pinsker_delta(iacc)
-    back = alicki_fannes_iacc(min(delta, 0.5), alphabet_size)
-    return delta, back
-
-
 def encoding_average_state(family: MubFamily, x: int) -> np.ndarray:
     """Average signal state for bit x over the sub-index and the basis."""
     if x not in (0, 1):
@@ -292,31 +224,6 @@ def encoding_average_state(family: MubFamily, x: int) -> np.ndarray:
     for theta in range(d + 1):
         rho += half_projector(family, theta, x)
     return rho * (2.0 / (d * (d + 1.0)))
-
-
-def trace_norm(a: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix (sum of absolute eigenvalues)."""
-    a = np.asarray(a, dtype=complex)
-    if np.max(np.abs(a - a.conj().T)) > 1e-9:
-        raise ValueError("matrix is not Hermitian within 1e-9")
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
-def decohere(rho: np.ndarray, delta: float) -> np.ndarray:
-    """Depolarize a density matrix: (1 - delta) rho + delta I/d."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"rho must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("rho is not Hermitian within 1e-9")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
-        raise ValueError("rho does not have unit trace within 1e-9")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError("rho is not positive semidefinite within 1e-9")
-    d = rho.shape[0]
-    return (1.0 - delta) * rho + delta * np.eye(d) / d
 
 
 def helstrom_numeric(family: MubFamily, m: int = 1) -> float:
@@ -445,50 +352,6 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     )
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Distinguishability of the two bit states under depolarization."""
-
-    deltas: tuple[float, ...]
-    distances: tuple[float, ...]
-    initial_distance: float
-    monotone_nonincreasing: bool
-    max_linearity_dev: float
-
-
-def strategy_monotonicity(
-    family: MubFamily, deltas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0)
-) -> MonotonicityReport:
-    """Trace distance of the averaged bit states as decoherence grows.
-
-    Depolarization commutes with the uniform mixture, so the distance
-    scales exactly as (1 - delta) times its initial value; the report
-    records both the monotonicity check and the deviation from that line.
-    """
-    deltas = tuple(float(x) for x in deltas)
-    if any(not 0.0 <= x <= 1.0 for x in deltas):
-        raise ValueError("deltas must lie in [0, 1]")
-    rho0 = encoding_average_state(family, 0)
-    rho1 = encoding_average_state(family, 1)
-    dists = tuple(
-        trace_norm(decohere(rho0, delta) - decohere(rho1, delta)) for delta in deltas
-    )
-    d0 = trace_norm(rho0 - rho1)
-    order = np.argsort(deltas)
-    sorted_d = np.asarray(dists)[order]
-    monotone = bool(np.all(np.diff(sorted_d) <= 1e-12))
-    max_dev = max(
-        abs(dist - (1.0 - delta) * d0) for delta, dist in zip(deltas, dists)
-    )
-    return MonotonicityReport(
-        deltas=deltas,
-        distances=dists,
-        initial_distance=d0,
-        monotone_nonincreasing=monotone,
-        max_linearity_dev=float(max_dev),
-    )
-
-
 @lru_cache(maxsize=None)
 def lambda_numeric_for_d(d: int) -> float:
     """Cached exact lambda of the built family for dimension d (d <= 16)."""
@@ -516,21 +379,8 @@ class BoundsReport:
     oracle_used: bool
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m": self.m,
-            "lambda_numeric": self.lambda_numeric,
-            "lambda_paper": self.lambda_paper,
-            "pguess_certified": self.pguess_certified,
-            "pguess_paper_single": self.pguess_paper_single,
-            "pguess_paper_multi": self.pguess_paper_multi,
-            "hmin_bits": self.hmin_bits,
-            "iacc_bits": self.iacc_bits,
-            "helstrom_single": self.helstrom_single,
-            "helstrom_multi_bound": self.helstrom_multi_bound,
-            "delta_pinsker": self.delta_pinsker,
-            "oracle_used": self.oracle_used,
-        }
+        """The fields in declaration order, which is the `bounds` JSON key order."""
+        return asdict(self)
 
 
 def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:

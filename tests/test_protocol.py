@@ -15,7 +15,6 @@ from mubqct import (
     ProtocolParams,
     ProtocolTranscript,
     bob_povm,
-    decohere,
     detection_stats,
     encode_index,
     multiparty_run,
@@ -99,35 +98,6 @@ def test_mismatched_basis_measurement_is_a_coin():
             psi = prepare_state(fam, 1, 0, theta_prep)
             p0 = np.real(np.vdot(psi, m0 @ psi))
             assert abs(p0 - 0.5) < 1e-9
-
-
-def test_decohere_endpoints_and_spectrum():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    assert np.allclose(decohere(rho, 0.0), rho, atol=1e-15)
-    assert np.allclose(decohere(rho, 1.0), np.eye(4) / 4, atol=1e-15)
-    delta = 0.3
-    got = np.sort(np.linalg.eigvalsh(decohere(rho, delta)))
-    want = np.sort((1 - delta) * np.linalg.eigvalsh(rho) + delta / 4)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_decohere_validates_inputs():
-    rho = np.eye(2) / 2
-    with pytest.raises(ValueError):
-        decohere(rho, -0.1)
-    with pytest.raises(ValueError):
-        decohere(rho, 1.1)
-    with pytest.raises(ValueError):
-        decohere(np.eye(3)[:2], 0.5)  # not square
-    with pytest.raises(ValueError):
-        decohere(np.array([[0.5, 1.0], [0.0, 0.5]]), 0.5)  # not Hermitian
-    with pytest.raises(ValueError):
-        decohere(np.eye(2), 0.5)  # trace 2
-    with pytest.raises(ValueError):
-        decohere(np.diag([1.5, -0.5]), 0.5)  # negative eigenvalue
 
 
 def test_protocol_params_validation():

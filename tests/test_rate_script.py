@@ -33,6 +33,26 @@ def test_bad_grid_exits_1(script, capsys, grid):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["0:1e9:1e-3", "0:1e308:1e-308"])
+def test_grid_over_cell_cap_exits_3(script, capsys, grid):
+    code, out, err = run_script(script, capsys, "--d", "16", "--L", grid)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "capped at 2097152" in err
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_3(script, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(script, "sweep", out_of_memory)
+    code, out, err = run_script(script, capsys, "--d", "16", "--L", "0:10:5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("ds", ["15", "16,x", ","])
 def test_bad_dimensions_exit_1(script, capsys, ds):
     code, _, err = run_script(script, capsys, "--d", ds, "--L", "0:10:5")

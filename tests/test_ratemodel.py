@@ -29,6 +29,7 @@ from mubqct import (
     sweep_rows_to_csv,
     transmittance,
 )
+from mubqct import ratemodel
 from mubqct.detection import classify_clicks
 from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_table
 from mubqct.security import lambda_numeric_for_d
@@ -400,6 +401,20 @@ def test_sweep_rejects_empty_input(empty):
     grid = {"ds": [16], "lengths_km": [0.0], "profiles": ["snspd_lab"], empty: []}
     with pytest.raises(ValueError, match=empty):
         sweep(**grid)
+
+
+def test_sweep_cell_cap_is_checked_before_any_evaluation(monkeypatch):
+    # the ratecurve benchmark grid, 16 d x 201 L x 2 profiles, fits the cap
+    assert 16 * 201 * 2 <= ratemodel.SWEEP_MAX_CELLS
+    monkeypatch.setattr(ratemodel, "SWEEP_MAX_CELLS", 12)
+    assert len(sweep([16, 64], [0.0, 5.0, 10.0], ["snspd_lab", "ingaas_field"])) == 12
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("the cap must be checked before anything is evaluated")
+
+    monkeypatch.setattr(ratemodel, "_hmin_column", no_eval)
+    with pytest.raises(CapabilityError, match="13 cells"):
+        sweep([16], list(range(13)), ["snspd_lab"])
 
 
 def _scalar_optimum(d, length, detector, alpha=0.2, bounds_source="paper"):

@@ -5,17 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mubqct import (
     CapabilityError,
     Dimension,
     MubFamily,
-    alicki_fannes_iacc,
     bounds_report,
     build_mub_family,
     encoding_average_state,
-    f_operator,
     helstrom_multi_bound,
     helstrom_numeric,
     helstrom_paper_single,
@@ -29,14 +27,10 @@ from mubqct import (
     pguess_paper,
     pguess_single_paper,
     pinsker_delta,
-    security_distance_bounds,
     simulate_eve_random_basis,
-    strategy_monotonicity,
-    theorem1_bound,
-    trace_norm,
 )
 from mubqct import security
-from tests.conftest import cached_family
+from tests.conftest import cached_family, f_operator, trace_norm
 
 # maxima over all 2^(d+1) outcome strings, first found by enumerating
 # every string and frozen as this repository's reference constants
@@ -137,52 +131,6 @@ def test_lambda_paper_bound_examples():
     assert values == sorted(values, reverse=True)
 
 
-def _random_projectors(rng, l, d):
-    ops = []
-    for _ in range(l):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        ops.append(np.outer(v, v.conj()))
-    return ops
-
-
-def test_theorem1_equality_cases():
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0
-    proj = np.outer(v, v.conj())
-    ops = [proj] * 5
-    bound = theorem1_bound(ops)
-    exact = np.linalg.eigvalsh(sum(ops))[-1]
-    assert bound == pytest.approx(5.0, abs=1e-12)
-    assert exact == pytest.approx(bound, abs=1e-9)
-
-    ortho = [np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0]), np.diag([0, 0, 1.0, 0])]
-    bound = theorem1_bound([o.astype(complex) for o in ortho])
-    assert bound == pytest.approx(1.0, abs=1e-12)
-
-    assert theorem1_bound([proj]) == pytest.approx(1.0, abs=1e-12)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_theorem1_bound_dominates_exact_norm(seed):
-    rng = np.random.default_rng(seed)
-    l = int(rng.integers(2, 11))
-    d = int(rng.integers(2, 9))
-    ops = _random_projectors(rng, l, d)
-    exact = np.linalg.eigvalsh(sum(ops))[-1]
-    assert exact <= theorem1_bound(ops) + 1e-9
-
-
-def test_theorem1_rejects_non_projectors():
-    with pytest.raises(ValueError):
-        theorem1_bound([np.eye(3, dtype=complex)])  # rank 3
-    with pytest.raises(ValueError):
-        theorem1_bound([np.diag([2.0, 0.0]).astype(complex)])  # not idempotent
-    with pytest.raises(ValueError):
-        theorem1_bound([])
-
-
 def test_pguess_paper_examples():
     assert pguess_single_paper(4) == pytest.approx(0.95, abs=1e-12)
     assert pguess_single_paper(16) == pytest.approx(0.7481618, abs=1e-6)
@@ -238,12 +186,8 @@ def test_pinsker_and_alicki_fannes():
     assert pinsker_delta(0.02) == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(ValueError):
         pinsker_delta(-0.1)
-    with pytest.raises(ValueError):
-        alicki_fannes_iacc(0.6, 2)
     for iacc in np.linspace(0.005, 0.5, 40):
-        delta, back = security_distance_bounds(iacc)
-        assert delta == pytest.approx(math.sqrt(iacc / 2), abs=1e-12)
-        assert back >= iacc - 1e-12
+        assert pinsker_delta(iacc) == pytest.approx(math.sqrt(iacc / 2), abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -309,20 +253,6 @@ def test_eve_simulation_is_deterministic():
     a = simulate_eve_random_basis(fam, n_trials=2000, seed=7)
     b = simulate_eve_random_basis(fam, n_trials=2000, seed=7)
     assert a.p_success == b.p_success
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_strategy_monotonicity_exact_linear_law(k):
-    fam = cached_family(k)
-    report = strategy_monotonicity(fam)
-    d = fam.d
-    assert report.deltas == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert report.monotone_nonincreasing
-    assert report.max_linearity_dev < 1e-9
-    assert report.initial_distance == pytest.approx(2 / math.sqrt(d + 1), abs=1e-9)
-    assert report.distances[-1] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        strategy_monotonicity(fam, deltas=(0.0, 1.5))
 
 
 def test_bounds_report_keys_and_oracle_modes():
