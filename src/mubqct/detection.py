@@ -212,6 +212,25 @@ def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def draw_counts_chunked(n: int, draw) -> np.ndarray:
+    """An n-array of non-negative counts, drawn chunk by chunk as in `draw_chunked`.
+
+    The array starts as uint8 and is widened to the smallest unsigned
+    type that holds the largest count drawn so far, so a law without an
+    upper bound (a Poisson source at any mu) neither wraps nor costs a
+    full int64 per row.
+    """
+    out = np.empty(n, np.uint8)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        chunk = draw(stop - start)
+        fits = np.min_scalar_type(int(chunk.max()))
+        if fits.itemsize > out.itemsize:
+            out = out.astype(fits)
+        out[start:stop] = chunk
+    return out
+
+
 def classify_clicks(
     rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -148,15 +148,16 @@ def build_mub_family(k: int) -> MubFamily:
     perm = np.array(
         [2 * j if j < d // 2 else 2 * (j - d // 2) + 1 for j in range(d)], dtype=np.int64
     )
-    rows_cols = np.ix_(perm, perm)
+    # exponent[x, b] = tr4(a x) + 2 tr2(b x) mod 4, all indices field bitmasks;
+    # x = 0 gives exponent 0, so row 0 of every basis is 1/sqrt(d).  Only the
+    # tr4 term depends on a, so the rest is permuted and scaled once.
+    two_tr2 = 2 * tr2[mul[np.ix_(perm, perm)]]
+    tr4_rows = tr4[mul[:, perm]]  # tr4_rows[a, x] = tr4(a perm[x])
+    scaled = _PHASES * (1.0 / np.sqrt(d))
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
-    scale = 1.0 / np.sqrt(d)
     for a in range(d):
-        # exponent[x, b] = tr4(a x) + 2 tr2(b x) mod 4, all indices field bitmasks;
-        # x = 0 gives exponent 0, so row 0 of every basis is 1/sqrt(d)
-        expo = (tr4[mul[a]][:, None] + 2 * tr2[mul]) % 4
-        bases[1 + a] = _PHASES[expo[rows_cols]] * scale
+        np.take(scaled, (tr4_rows[a][:, None] + two_tr2) & 3, out=bases[1 + a])
 
     bases.setflags(write=False)
     return MubFamily(dimension=dim, bases=bases)

@@ -24,7 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import _CHUNK_ROWS, ChannelModel, DetectorModel, classify_clicks, draw_chunked
+from .detection import (
+    _CHUNK_ROWS,
+    ChannelModel,
+    DetectorModel,
+    classify_clicks,
+    draw_chunked,
+    draw_counts_chunked,
+)
 from .errors import CapabilityError, ConstraintError
 from .mub import Dimension, MubFamily, basis_state, half_projector
 
@@ -318,7 +325,7 @@ def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTran
     thetas = draw_chunked(n, index, lambda size: alice_rng.integers(0, params.d + 1, size))
     copies_each = params.m // n_receivers
     if params.photon_statistics == "poisson":
-        copies = alice_rng.poisson(params.mu, size=n)
+        copies = draw_counts_chunked(n, lambda size: alice_rng.poisson(params.mu, size))
     else:
         copies = copies_each
 

@@ -43,8 +43,9 @@ from .mub import Dimension, MubFamily, build_mub_family, half_projector
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
-# n_trials * d cap of simulate_eve_random_basis: at most ~22 bytes of peak
-# memory per entry (measured at d = 2, where it is largest), ~0.7 GB at the cap
+# n_trials * d cap of simulate_eve_random_basis: at most ~14 traced bytes of
+# peak memory per entry (13.2 measured at d = 2, where it is largest; 0.27 at
+# d = 64), ~0.45 GB at the cap
 EVE_SIM_MAX_ENTRIES = 1 << 25
 # The lambda sign search prunes a branch only when its bound trails the
 # best norm found by more than this; the eigenvalue rounding it must
@@ -301,13 +302,16 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     Outcomes follow the Born rule through the family's actual overlaps.
     After the basis is disclosed, a matching-basis outcome decodes the bit
     exactly; otherwise the outcome is uninformative and the guess falls
-    back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  Trials
-    are grouped by Eve's basis and only their own Born rows are computed,
-    one product per group, so memory is O(n_trials) and no
-    (d+1)^2 d^2 overlap table is formed.  The per-trial integers are
-    drawn in chunks (`draw_chunked`) into the smallest signed type that
-    holds 0..d, only the uniforms u stay float64, and each group's
-    successes are counted before the next group's rows are formed.
+    back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  Only a
+    matched trial's outcome is used, so only the matched trials (about
+    1 in d + 1) get a Born row, computed through the family's overlaps
+    bases[t][:, half x + r] against bases[t].conj() and grouped by the
+    basis t, one product per group; the mismatched trials only count
+    their coins.  Memory is O(n_trials) and no (d+1)^2 d^2 overlap table
+    is formed.  Every per-trial value is still drawn for every trial, so
+    the random stream is that of the all-rows simulation.  The per-trial
+    integers are drawn in chunks (`draw_chunked`) into the smallest
+    signed type that holds 0..d, and only the uniforms u stay float64.
     n_trials * d is capped at EVE_SIM_MAX_ENTRIES (2^25); beyond it
     CapabilityError is raised before anything is drawn.
     """
@@ -332,17 +336,22 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     u = rng.random(n_trials)
     coins = draw(2)
 
-    successes = 0
+    # a mismatched basis leaves the outcome uninformative: the guess is the coin
+    matched = np.flatnonzero(thetas == eve_bases)
+    coin_hits = coins == xs
+    coin_hits[matched] = False
+    successes = int(np.count_nonzero(coin_hits))
+    del coin_hits
+    matched_bases = eve_bases[matched]
     for t in range(n_bases):
-        trials = np.flatnonzero(eve_bases == t)
+        trials = matched[matched_bases == t]
         x = xs[trials]
-        states = family.bases[thetas[trials], :, half * x + rs[trials]]  # (trials, d)
+        states = family.bases[t, :, half * x + rs[trials]]  # (trials, d)
         # born[n, i] = |<e_t(i)|psi_n>|^2, accumulated over outcomes i
         cdf = np.cumsum(np.abs(states @ family.bases[t].conj()) ** 2, axis=1)
         decoded = (u[trials, None] > cdf).sum(axis=1) >= half
-        del cdf  # not alive while the next group's rows are formed
-        guesses = np.where(thetas[trials] == t, decoded, coins[trials])
-        successes += int(np.count_nonzero(guesses == x))
+        del states, cdf  # not alive while the next group's rows are formed
+        successes += int(np.count_nonzero(decoded == x))
     p_hat = successes / n_trials
     return EveSimResult(
         d=d,

@@ -19,7 +19,7 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct import detection
-from mubqct.detection import classify_clicks, transmittance
+from mubqct.detection import classify_clicks, draw_counts_chunked, transmittance
 from tests.conftest import cached_family
 
 CHUNKS = [1, 7, 1 << 16]
@@ -151,6 +151,20 @@ def test_classify_clicks_matches_whole_array_draws(monkeypatch, case, chunk):
 def test_poisson_cases_reach_wide_copy_counts():
     assert CLASSIFY_CASES["poisson_mu_200"][1].max() > 127
     assert CLASSIFY_CASES["poisson_mu_400"][1].max() > 255
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("mu, dtype", [(4.0, np.uint8), (220.0, np.uint16), (70000.0, np.uint32)])
+def test_copy_counts_widen_as_they_are_drawn(monkeypatch, mu, dtype, chunk):
+    # at mu = 220 the first count above 255 is row 123, so the smaller chunks
+    # widen an array that already holds uint8 rows
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(5)
+    counts = draw_counts_chunked(N_ROUNDS, lambda size: rng.poisson(mu, size))
+    assert counts.dtype == dtype and np.array_equal(counts, _poisson(mu))
+    ref_rng = np.random.default_rng(5)
+    ref_rng.poisson(mu, size=N_ROUNDS)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _params(d, m, seed, length_km, detector, **source):

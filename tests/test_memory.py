@@ -42,6 +42,14 @@ def test_run_protocol_peak_bytes_per_round():
     assert _traced_peak(lambda: run_protocol(_session(n))) <= 20 * n
 
 
+def test_poisson_run_protocol_peak_bytes_per_round():
+    n = 10**6
+    params = ProtocolParams(d=1024, m=1, n_rounds=n, seed=1,
+                            channel=ChannelModel(length_km=50.0), detector=SNSPD,
+                            photon_statistics="poisson", mu=4.0)
+    assert _traced_peak(lambda: run_protocol(params)) <= 16 * n
+
+
 def test_multiparty_run_peak_bytes_per_round():
     n = 10**6
     assert _traced_peak(lambda: multiparty_run(_session(n, m=3), 3)) <= 20 * n
@@ -54,8 +62,13 @@ def test_transcript_writer_peak_is_flat(tmp_path, n_rounds):
     assert _traced_peak(lambda: tr.to_csv(path, comment="memory")) <= 6 * 2**20
 
 
+# about 1.3 times the traced peak measured on the matched-rows simulation:
+# 29.9 B/trial at k = 1 and 15.6 at k = 6
+EVE_BYTES_PER_TRIAL = {1: 39, 6: 20}
+
+
 @pytest.mark.parametrize("k, n_trials", [(1, 2 * 10**5), (6, 10**5)])
 def test_eve_simulation_peak_bytes_per_trial(k, n_trials):
     family = cached_family(k)
     peak = _traced_peak(lambda: simulate_eve_random_basis(family, n_trials, seed=5))
-    assert peak <= 64 * n_trials
+    assert peak <= EVE_BYTES_PER_TRIAL[k] * n_trials

@@ -1,5 +1,7 @@
 """Construction and verification of the mutually unbiased basis families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,27 @@ def test_row_zero_is_real_positive_for_every_k(k):
     first_rows = fam.bases[1:, 0, :]
     assert np.all(first_rows.imag == 0)
     assert np.all(first_rows.real > 0)
+
+
+# sha256 of build_mub_family(k).bases.tobytes(), frozen from the build that
+# formed every basis's exponent table from scratch; array_equal cannot see a
+# 0.0 that turned into -0.0, the bytes can
+FAMILY_SHA256 = {
+    1: "b9d9f13c056e51c9795cf0e33dd6ddd1074792360b1236348ab016463bfde4b2",
+    2: "bd6ecb7b05bd40d4cab9b27fd7318c1b0ca080ca2904e52afda0d6aed54c0bd6",
+    3: "aab31b238dc5e17e1b884543dae37b566e0197321f0dd999026d13954383b856",
+    4: "94525f26ef91400f9cf7f575b1b1bfadffb3325b322072a6a1f3b5434e6e3ba8",
+    5: "bbdc18bcd22e6468fe64f50dc32a274db2c31bbe26e24dd14fc3388b48b80f7e",
+    6: "9987cba717e3d48a458236bcb42af89cccd5dceed6f08b37bd60e94c6fc47398",
+    7: "eaff22c7cc072beef411f704874a971f540c571dbb61ebc913c0df40146e4339",
+    8: "86054ccb5f656d20521a1a23fa13a858431c4e10f36289c87786ba2fb8d504ef",
+}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_family_bytes_match_pinned_digest(k):
+    fam = cached_family(k) if k <= 7 else build_mub_family(k)
+    assert hashlib.sha256(fam.bases.tobytes()).hexdigest() == FAMILY_SHA256[k]
 
 
 def _verify_pairwise(fam):

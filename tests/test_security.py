@@ -417,3 +417,35 @@ def test_eve_simulation_matches_full_table_reference(k, seed):
     fam = cached_family(k)
     got = simulate_eve_random_basis(fam, n_trials=5000, seed=seed).p_success
     assert got == _eve_full_table(fam, 5000, seed)
+
+
+def _eve_all_rows(fam, n_trials, seed):
+    """The intercept simulation with a Born row for every trial, grouped by Eve's basis."""
+    d = fam.d
+    half = d // 2
+    n_bases = d + 1
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 2, size=n_trials)
+    rs = rng.integers(0, half, size=n_trials)
+    thetas = rng.integers(0, n_bases, size=n_trials)
+    eve_bases = rng.integers(0, n_bases, size=n_trials)
+    u = rng.random(n_trials)
+    coins = rng.integers(0, 2, size=n_trials)
+    successes = 0
+    for t in range(n_bases):
+        trials = np.flatnonzero(eve_bases == t)
+        x = xs[trials]
+        states = fam.bases[thetas[trials], :, half * x + rs[trials]]
+        cdf = np.cumsum(np.abs(states @ fam.bases[t].conj()) ** 2, axis=1)
+        decoded = (u[trials, None] > cdf).sum(axis=1) >= half
+        guesses = np.where(thetas[trials] == t, decoded, coins[trials])
+        successes += int(np.count_nonzero(guesses == x))
+    return successes / n_trials
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("seed", [3, 31, 2024])
+def test_eve_simulation_matches_all_rows_reference(k, seed):
+    fam = cached_family(k)
+    got = simulate_eve_random_basis(fam, n_trials=20000, seed=seed).p_success
+    assert got == _eve_all_rows(fam, 20000, seed)
