@@ -15,6 +15,7 @@ from .detection import (
     conditional_entropy_xy,
     detection_stats,
     mc_detection_stats,
+    poisson_detection_stats,
     transmittance,
 )
 from .errors import CapabilityError, ConstraintError, DegenerateModeError
@@ -24,6 +25,7 @@ from .mub import (
     VerificationReport,
     basis_state,
     build_mub_family,
+    certify_build,
     certify_family,
     half_projector,
     verify_unbiasedness,

@@ -32,10 +32,11 @@ from .detection import (
     DetectorModel,
     detection_stats,
     mc_detection_stats,
+    poisson_detection_stats,
     transmittance,
 )
 from .errors import CapabilityError
-from .mub import Dimension, build_mub_family, certify_family
+from .mub import Dimension, build_mub_family, certify_build
 from .protocol import ProtocolParams, multiparty_run, run_protocol
 from .ratemodel import SWEEP_MAX_CELLS, sweep, sweep_rows_to_csv
 from .security import (
@@ -199,8 +200,7 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_mub_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-    family = build_mub_family(args.k)
-    report = certify_family(family, tol=args.tol)
+    report = certify_build(args.k, tol=args.tol)
     _emit_json({"format_version": FORMAT_VERSION, **report.to_dict()}, args)
     return 0 if report.passed else 2
 
@@ -233,8 +233,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _summary_core(transcript, detector, t, m_eff) -> dict:
-    stats = detection_stats(t, detector, m_eff)
+def _summary_core(transcript, stats) -> dict:
     click_analytic = stats.p_click
     n_clicks = transcript.n_clicks
     return {
@@ -273,11 +272,15 @@ def cmd_simulate(args) -> int:
     transcript = run_protocol(params)
     if args.out_transcript:
         transcript.to_csv(args.out_transcript, comment=_config_comment(args))
-    m_eff = args.mu if args.photon_statistics == "poisson" else args.m
+    t = params.channel.transmittance
+    if params.photon_statistics == "poisson":
+        stats = poisson_detection_stats(t, params.detector, params.mu)
+    else:
+        stats = detection_stats(t, params.detector, params.m)
     summary = {
         "format_version": FORMAT_VERSION,
         "config": _config_items(args),
-        **_summary_core(transcript, params.detector, params.channel.transmittance, m_eff),
+        **_summary_core(transcript, stats),
     }
     _emit_json(summary, args, out_path=args.out_summary)
     return 0
@@ -286,13 +289,12 @@ def cmd_simulate(args) -> int:
 def cmd_multiparty(args) -> int:
     params = _protocol_params(args)
     result = multiparty_run(params, args.parties)
-    t = params.channel.transmittance
+    stats = detection_stats(params.channel.transmittance, params.detector, result.copies_per_party)
     parties = []
     for p, transcript in enumerate(result.transcripts):
         if args.out_transcript:
             transcript.to_csv(f"{args.out_transcript}.party{p}.csv")
-        core = _summary_core(transcript, params.detector, t, result.copies_per_party)
-        parties.append({"party": p, **core})
+        parties.append({"party": p, **_summary_core(transcript, stats)})
     out = {
         "format_version": FORMAT_VERSION,
         "config": _config_items(args),
@@ -384,7 +386,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "mub-verify",
-        help="build a basis family and certify it with exact integer sums "
+        help="build a basis family and certify it with exact integer arithmetic "
         "(a float check decides any family outside that form)",
     )
     p.add_argument("--k", type=int, required=True, help="dimension exponent, d = 2^k")

@@ -123,8 +123,9 @@ def _first(bad: np.ndarray, *arrays: np.ndarray) -> list:
 def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     """Closed-form click statistics at channel transmittance t.
 
-    m may be a positive real when modelling a coherent source by its mean
-    photon number.  P_click = P_right + P_wrong, so p_c + p_e = 1.
+    m copies are sent; m may be any positive real.  A Poisson source of
+    mean mu is `poisson_detection_stats`, not m = mu.  P_click = P_right
+    + P_wrong, so p_c + p_e = 1.
 
     t and m broadcast against each other: array inputs give array fields
     of the broadcast shape, scalar inputs give Python floats, and every
@@ -132,19 +133,9 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     in the scalar order, transcendentals through `math`, see `_libm`).
     An error in any entry raises as it would for that entry alone.
     """
-    t = np.asarray(t, dtype=float)
-    m = np.asarray(m)
-    bad = ~((t >= 0.0) & (t <= 1.0))
-    if bad.any():
-        raise ValueError(f"transmittance must be in [0, 1], got {_first(bad, t)[0]}")
-    bad = ~(m > 0)
-    if bad.any():
-        raise ValueError(f"m must be positive, got {_first(bad, m)[0]}")
-
+    t, m = _checked_source(t, m, "m")
     s = t * detector.eta
     v = detector.visibility
-    p = detector.p_dark
-    n = detector.n_detectors
 
     no_arrival = _libm(pow, 1.0 - s, m)
     # binomial sums over i >= 1 arrivals weighted by V^i resp. (1-V)^i;
@@ -170,7 +161,50 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
         none * _libm(math.expm1, m * (log_bad - log_miss)),
         _libm(pow, 1.0 - s * v, m) - no_arrival,
     )
+    return _with_dark_counts(detector, p_signal_click, no_arrival, p_all_good, p_all_bad)
 
+
+def poisson_detection_stats(t: float, detector: DetectorModel, mu) -> DetectionStats:
+    """Closed-form click statistics of a Poisson source of mean photon number mu.
+
+    With s = t eta, the arrivals thin into independent Poisson counts of
+    mean mu s V in the good detector and mu s (1 - V) in the bad ones, so
+    no arrival has probability e^(-mu s), all arrivals good
+    e^(-mu s (1 - V)) - e^(-mu s) = e^(-mu s) expm1(mu s V), and all bad
+    e^(-mu s) expm1(mu s (1 - V)).  The dark-count terms and the
+    broadcasting are those of `detection_stats`.
+    """
+    t, mu = _checked_source(t, mu, "mu")
+    mean = mu * (t * detector.eta)
+    none = _libm(math.exp, -mean)
+    return _with_dark_counts(
+        detector,
+        -_libm(math.expm1, -mean),
+        none,
+        none * _libm(math.expm1, mean * detector.visibility),
+        none * _libm(math.expm1, mean * (1.0 - detector.visibility)),
+    )
+
+
+def _checked_source(t, m, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """t and the source's photon number m as arrays, each entry validated."""
+    t = np.asarray(t, dtype=float)
+    m = np.asarray(m)
+    bad = ~((t >= 0.0) & (t <= 1.0))
+    if bad.any():
+        raise ValueError(f"transmittance must be in [0, 1], got {_first(bad, t)[0]}")
+    bad = ~(m > 0)
+    if bad.any():
+        raise ValueError(f"{name} must be positive, got {_first(bad, m)[0]}")
+    return t, m
+
+
+def _with_dark_counts(
+    detector: DetectorModel, p_signal_click, no_arrival, p_all_good, p_all_bad
+) -> DetectionStats:
+    """The click statistics from the signal's arrival classes and the dark counts."""
+    p = detector.p_dark
+    n = detector.n_detectors
     no_dark = (1.0 - p) ** n
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
     p_wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p

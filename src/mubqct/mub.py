@@ -12,11 +12,13 @@ simultaneous diagonalization and is exactly reproducible.
 
 Validity of a stored family is decided by `certify_family`.  It reads
 the float arrays back into a Z4 exponent table and one +-1 pattern, then
-proves orthonormality and the |<e_i|f_j>| = 1/sqrt(d) overlap law with
-exact integer sums (the Z4 Gaussian sums of the construction), Theta(d^4)
-real multiply-adds in place of Theta(d^5) complex ones.  A family outside
-that form falls back to `verify_unbiasedness`, the float reference for any
-family.
+proves orthonormality and the |<e_i|f_j>| = 1/sqrt(d) overlap law from
+the Z4 quadratic forms of the table: O(k d^2) integer operations and
+d(d - 1)/2 GF(2) ranks of k x k matrices, in place of the Theta(d^5)
+complex multiply-adds of the float check.  `certify_build(k)` does the
+same for `build_mub_family(k)` one basis at a time, without the family's
+(d + 1) d^2 complex entries.  A family outside that form falls back to
+`verify_unbiasedness`, the float reference for any family.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .galois import MAX_K, phase_tables
 
 # i^n for n mod 4, exact complex literals so the build is bit-reproducible
 _PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-# the same phases split into exact real and imaginary parts
-_RE = _PHASES.real.copy()
-_IM = _PHASES.imag.copy()
 
 # Largest cross-basis product verification forms at once, in entries:
 # 2^17 complex entries are 2.1 MB, 8 bases per block at d = 128.  Blocks
@@ -102,7 +101,7 @@ class VerificationReport:
     worst_orthonormality: tuple[int, int, int]  # (theta, i, j)
     max_unbiasedness_dev: float
     worst_unbiasedness: tuple[int, int, int, int]  # (theta1, theta2, i, j)
-    exact: bool = False  # proved by `certify_family`'s integer sums
+    exact: bool = False  # proved exactly by `certify_family` or `certify_build`
 
     def to_dict(self) -> dict:
         t, i, j = self.worst_orthonormality
@@ -120,25 +119,17 @@ class VerificationReport:
         }
 
 
-def build_mub_family(k: int) -> MubFamily:
-    """Construct the full family of 2^k + 1 mutually unbiased bases.
+def _basis_writer(k: int):
+    """write(a, out): basis 1 + a of the family, stored into the d x d complex out.
 
-    Vector order within each basis follows the split-balanced labeling:
-    the natural Galois labels u are rotated (u -> u >> 1 with the low bit
-    moved to the top) in every basis, and the same permutation is applied
-    to the Hilbert-space coordinates.  Under this labeling the two halves
-    {i < d/2} and {i >= d/2} that carry the protocol bit are maximally
-    symmetric across the family: the averaged half-mixtures reach the
-    flat-spectrum trace distance 2/sqrt(d+1) that the closed-form
-    discrimination bounds assume.  Deterministic: repeated calls return
-    identical arrays.  Supported for 1 <= k <= 8 (d up to 256).
+    The one per-basis formula of the family, shared by `build_mub_family`
+    and `certify_build`; the basis-independent tables are formed once.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-    dim = Dimension.from_k(k)
-    d = dim.d
+    d = 1 << k
     mul, tr2, tr4 = phase_tables(k)
 
     # split-balanced labeling: even Galois labels fill the lower half,
@@ -154,10 +145,33 @@ def build_mub_family(k: int) -> MubFamily:
     two_tr2 = 2 * tr2[mul[np.ix_(perm, perm)]]
     tr4_rows = tr4[mul[:, perm]]  # tr4_rows[a, x] = tr4(a perm[x])
     scaled = _PHASES * (1.0 / np.sqrt(d))
+
+    def write(a: int, out: np.ndarray) -> np.ndarray:
+        return np.take(scaled, (tr4_rows[a][:, None] + two_tr2) & 3, out=out)
+
+    return write
+
+
+def build_mub_family(k: int) -> MubFamily:
+    """Construct the full family of 2^k + 1 mutually unbiased bases.
+
+    Vector order within each basis follows the split-balanced labeling:
+    the natural Galois labels u are rotated (u -> u >> 1 with the low bit
+    moved to the top) in every basis, and the same permutation is applied
+    to the Hilbert-space coordinates.  Under this labeling the two halves
+    {i < d/2} and {i >= d/2} that carry the protocol bit are maximally
+    symmetric across the family: the averaged half-mixtures reach the
+    flat-spectrum trace distance 2/sqrt(d+1) that the closed-form
+    discrimination bounds assume.  Deterministic: repeated calls return
+    identical arrays.  Supported for 1 <= k <= 8 (d up to 256).
+    """
+    write = _basis_writer(k)
+    dim = Dimension.from_k(k)
+    d = dim.d
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
     for a in range(d):
-        np.take(scaled, (tr4_rows[a][:, None] + two_tr2) & 3, out=bases[1 + a])
+        write(a, bases[1 + a])
 
     bases.setflags(write=False)
     return MubFamily(dimension=dim, bases=bases)
@@ -222,15 +236,16 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
 
 
 def certify_family(family: MubFamily, tol: float = 1e-9) -> VerificationReport:
-    """Prove the MUB conditions of a stored family with exact integer sums.
+    """Prove the MUB conditions of a stored family with exact integer arithmetic.
 
     Reads only the float arrays.  With s = 1/sqrt(d), the family is
     certified when bases[0] is the identity, every entry of bases[1:] is
     exactly s i^e, every basis a factors as i^E[a, x] h[x, j] with one +-1
-    pattern h shared by all bases, and `exact_mub_check(E, h)` holds.  Then
-    every inner product is an integer sum times s * s: d s^2 on the
-    diagonals and 0 off them within a basis, and for bases a < a' the sum
-    S(c) of `exact_mub_check` up to sign, of modulus sqrt(d) exactly; the
+    pattern h shared by all bases, and `exact_mub_check(E, h)` proves the
+    rest from the Z4 quadratic forms of the rows of E: O(k d^2) integer
+    operations after the O(d^3) decode.  Then every inner product is an
+    integer sum times s * s: d s^2 on the diagonals and 0 off them within
+    a basis, and of modulus sqrt(d) s^2 exactly for bases a < a'; the
     overlaps with bases[0] are the entries, of modulus s.  So each
     deviation takes one value over all its entries, and ties go to the
     first entry in (theta, i, j) order as in `verify_unbiasedness`.  Any
@@ -238,16 +253,40 @@ def certify_family(family: MubFamily, tol: float = 1e-9) -> VerificationReport:
     check decides and locates the deviation; its report has exact = False.
     """
     d = family.d
-    s = 1.0 / np.sqrt(d)
-    form = _z4_form(family.bases, s)
+    form = _z4_form(family.bases[1:], d) if np.array_equal(family.bases[0], np.eye(d)) else None
     if form is None or not exact_mub_check(*form):
         return verify_unbiasedness(family, tol)
+    return _exact_report(d, tol)
+
+
+def certify_build(k: int, tol: float = 1e-9) -> VerificationReport:
+    """`certify_family(build_mub_family(k), tol)`, without holding the family.
+
+    Each basis is written by the build's own formula into one d x d
+    buffer and decoded there, so the certificate covers the exact bytes
+    that `build_mub_family(k)` returns in O(d^2) memory, against the
+    (d + 1) d^2 complex entries of the family; basis 0 is the identity by
+    construction.  Only a failed certificate builds the family, for
+    `verify_unbiasedness`.
+    """
+    write = _basis_writer(k)
+    d = 1 << k
+    buf = np.empty((d, d), dtype=complex)
+    form = _z4_form((write(a, buf) for a in range(d)), d)
+    if form is None or not exact_mub_check(*form):
+        return verify_unbiasedness(build_mub_family(k), tol)
+    return _exact_report(d, tol)
+
+
+def _exact_report(d: int, tol: float) -> VerificationReport:
+    """The report of a certified family: each deviation is one rounding of s = 1/sqrt(d)."""
+    s = 1.0 / np.sqrt(d)
     ss = s * s
     max_ortho = float(abs(d * ss - 1.0))
     max_unb = float(abs(np.sqrt(d) * ss - s))
     return VerificationReport(
         d=d,
-        n_bases=family.n_bases,
+        n_bases=d + 1,
         tol=tol,
         passed=bool(max_ortho <= tol and max_unb <= tol),
         max_orthonormality_dev=max_ortho,
@@ -258,20 +297,18 @@ def certify_family(family: MubFamily, tol: float = 1e-9) -> VerificationReport:
     )
 
 
-def _z4_form(bases: np.ndarray, s: float):
-    """(E, h) with bases[1 + a][x, j] == s i^E[a, x] h[x, j] exactly, or None.
+def _z4_form(bases, d: int):
+    """(E, h) with bases[a][x, j] == s i^E[a, x] h[x, j] exactly, or None.
 
-    Requires bases[0] to be the identity.  E[a, x] is read from column 0,
-    so h[:, 0] = 1; one basis is decoded at a time, so the temporaries are
-    d x d whatever the family size.
+    bases yields the d bases after the computational one, one at a time,
+    so the temporaries are d x d whatever the family size; s = 1/sqrt(d).
+    E[a, x] is read from column 0, so h[:, 0] = 1.
     """
-    d = bases.shape[1]
-    if not np.array_equal(bases[0], np.eye(d)):
-        return None
+    s = 1.0 / np.sqrt(d)
     e = np.empty((d, d), dtype=np.int64)
     h = None
-    for a in range(d):
-        re, im = bases[1 + a].real, bases[1 + a].imag
+    for a, basis in enumerate(bases):
+        re, im = basis.real, basis.imag
         on_axis = ((np.abs(re) == s) & (im == 0)) | ((re == 0) & (np.abs(im) == s))
         if not on_axis.all():
             return None
@@ -288,31 +325,71 @@ def _z4_form(bases: np.ndarray, s: float):
 
 
 def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
-    """Exact MUB conditions of the bases i^e[a, x] h[x, j] / sqrt(d).
+    """Exact MUB conditions of the bases i^e[a, x] h[x, j] / sqrt(d), from Z4 quadratic forms.
 
     e is an (n, d) Z4 exponent table, one row per basis, and h a (d, d)
-    array of +-1 shared by all n bases.  Vectors j and j' of one basis
-    have inner product (h^T h)[j, j'] / d, so each basis is orthonormal
-    iff h^T h = d I.  For every column j, h^T (h[:, j] * h) must be d times
-    a signed permutation: then h[:, i] * h[:, j] = +-h[:, c], and entry
-    (i, j) of the Gram matrix of bases a < a' is +-S(c) / d with
-    S(c) = sum_x i^(e[a', x] - e[a, x]) h[x, c].  So the bases are
-    unbiased iff every |S(c)|^2 = d.  All values are small integers, so
-    the float64 products are exact: Theta(n^2 d^2 + d^4) real
-    multiply-adds in all.
+    array of +-1 shared by all n bases.  With d = 2^k, a row index x is a
+    vector of (Z2)^k written as a k-bit mask, and g runs over the
+    generators 1 << i.  A global phase of a basis or of one vector moves
+    no overlap modulus, so the rows of e are first shifted to e[a, 0] = 0
+    and the columns of h signed to h[0, j] = 1.  Then the check asks:
+
+    - h is a character table with distinct columns: h[x ^ g] = h[x] h[g]
+      for every g.  So h[x, j] = (-1)^(c_j . x) with distinct masks c_j,
+      which cover (Z2)^k, and vectors j, j' of one basis have inner
+      product sum_x (-1)^((c_j ^ c_j') . x) / d = delta_jj'.
+    - Each row is a Z4 quadratic form: e[a, x ^ g] - e[a, x] - e[a, g]
+      = 2 <B_a g, x> (mod 4) for every g and x, with the k-bit mask
+      B_a g read off at the x = 1 << i.  By induction over the bits of y,
+      e[a, x ^ y] = e[a, x] + e[a, y] + 2 <B_a y, x> for all x and y.
+    - Every B_a ^ B_a' with a < a' has GF(2) rank k.
+
+    That decides unbiasedness exactly.  Entry (j, j') of the Gram matrix
+    of bases a < a' is S / d with S = sum_x i^q(x) (-1)^(c . x),
+    q = e[a'] - e[a] a form with bilinear part B = B_a ^ B_a' and
+    c = c_j ^ c_j'.  Writing x = y ^ z,
+
+        |S|^2 = sum_z i^q(z) (-1)^(c . z) sum_y (-1)^<B z, y>
+              = d sum_{z in rad} i^q(z) (-1)^(c . z),   rad = ker B,
+
+    which is d when the radical is zero.  Otherwise q(z) = <B z, z> = 0
+    (mod 2) on rad and q is additive there, so i^q is a +-1 character of
+    rad; the c that matches it makes every term 1, and |S|^2 = d |rad| > d.
+    A table outside the form returns False, so True never certifies a
+    biased set.  Cost: O(k n d) integer operations for the forms and
+    O(n^2 k^2) bit operations for the ranks, eliminated for all pairs at
+    once.
     """
     d = len(h)
-    if not (np.all(np.abs(h) == 1) and np.array_equal(h.T @ h, d * np.eye(d))):
+    k = d.bit_length() - 1
+    if d & (d - 1) or not np.all(np.abs(h) == 1):
         return False
-    for a in range(len(e) - 1):
-        w = (e[a + 1 :] - e[a]) % 4
-        re, im = _RE[w] @ h, _IM[w] @ h
-        if not np.all(re * re + im * im == d):
+    h = h * h[0]
+    e = (e - e[:, :1]) % 4
+    x = np.arange(d)
+    gens = 1 << np.arange(k)
+    if not all(np.array_equal(h[x ^ g], h * h[g]) for g in gens):
+        return False
+    if np.unique((h[gens] < 0).T @ gens).size < d:  # the masks c_j
+        return False
+    parity = np.bitwise_xor.reduce((x[:, None] >> np.arange(k)) & 1, axis=1)
+    masks = np.empty((len(e), k), dtype=np.min_scalar_type(d - 1))  # masks[a, i] = B_a g_i
+    for i, g in enumerate(gens):
+        two_b = (e[:, x ^ g] - e - e[:, g : g + 1]) % 4
+        masks[:, i] = (two_b[:, gens] >> 1) @ gens
+        if not np.array_equal(two_b, 2 * parity[masks[:, i : i + 1] & x]):
             return False
-    for j in range(d):
-        m = np.abs(h.T @ (h[:, j : j + 1] * h))
-        if not (np.all(np.count_nonzero(m == d, axis=0) == 1) and np.count_nonzero(m) == d):
+    # rank k of every B_a ^ B_a': each column in turn must keep a pivot
+    # bit, its lowest, which is then cleared from the later columns
+    a, b = np.triu_indices(len(e), 1)
+    pairs = masks[a] ^ masks[b]
+    for r in range(k):
+        col = pairs[:, r]
+        pivot = col & -col
+        if not pivot.all():
             return False
+        rest = pairs[:, r + 1 :]
+        rest ^= np.where(rest & pivot[:, None], col[:, None], 0)
     return True
 
 

@@ -37,15 +37,15 @@ from typing import Optional
 
 import numpy as np
 
-from .detection import draw_chunked
+from .detection import _CHUNK_ROWS, draw_chunked
 from .errors import CapabilityError
 from .mub import Dimension, MubFamily, build_mub_family, half_projector
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
-# n_trials * d cap of simulate_eve_random_basis: at most ~14 traced bytes of
-# peak memory per entry (13.2 measured at d = 2, where it is largest; 0.27 at
-# d = 64), ~0.45 GB at the cap
+# n_trials * d cap of simulate_eve_random_basis: at most ~11 traced bytes of
+# peak memory per entry (10.9 measured at d = 2, where it is largest; 0.15 at
+# d = 64), ~0.37 GB at the cap
 EVE_SIM_MAX_ENTRIES = 1 << 25
 # The lambda sign search prunes a branch only when its bound trails the
 # best norm found by more than this; the eigenvalue rounding it must
@@ -311,7 +311,8 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     is formed.  Every per-trial value is still drawn for every trial, so
     the random stream is that of the all-rows simulation.  The per-trial
     integers are drawn in chunks (`draw_chunked`) into the smallest
-    signed type that holds 0..d, and only the uniforms u stay float64.
+    signed type that holds 0..d, and the float64 uniforms are drawn in
+    the same chunks, keeping only the matched trials' entries.
     n_trials * d is capped at EVE_SIM_MAX_ENTRIES (2^25); beyond it
     CapabilityError is raised before anything is drawn.
     """
@@ -333,23 +334,29 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
         return draw_chunked(n_trials, index, lambda size: rng.integers(0, high, size))
 
     xs, rs, thetas, eve_bases = draw(2), draw(half), draw(n_bases), draw(n_bases)
-    u = rng.random(n_trials)
+    matched = np.flatnonzero(thetas == eve_bases)
+    # every trial draws its uniform, but only the matched trials' are kept
+    u = np.empty(matched.size)
+    for start in range(0, n_trials, _CHUNK_ROWS):
+        chunk = rng.random(min(_CHUNK_ROWS, n_trials - start))
+        lo, hi = np.searchsorted(matched, (start, start + chunk.size))
+        u[lo:hi] = chunk[matched[lo:hi] - start]
     coins = draw(2)
 
     # a mismatched basis leaves the outcome uninformative: the guess is the coin
-    matched = np.flatnonzero(thetas == eve_bases)
     coin_hits = coins == xs
     coin_hits[matched] = False
     successes = int(np.count_nonzero(coin_hits))
     del coin_hits
     matched_bases = eve_bases[matched]
     for t in range(n_bases):
-        trials = matched[matched_bases == t]
+        group = np.flatnonzero(matched_bases == t)
+        trials = matched[group]
         x = xs[trials]
         states = family.bases[t, :, half * x + rs[trials]]  # (trials, d)
         # born[n, i] = |<e_t(i)|psi_n>|^2, accumulated over outcomes i
         cdf = np.cumsum(np.abs(states @ family.bases[t].conj()) ** 2, axis=1)
-        decoded = (u[trials, None] > cdf).sum(axis=1) >= half
+        decoded = (u[group, None] > cdf).sum(axis=1) >= half
         del states, cdf  # not alive while the next group's rows are formed
         successes += int(np.count_nonzero(decoded == x))
     p_hat = successes / n_trials

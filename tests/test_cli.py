@@ -352,7 +352,9 @@ PINNED_ARTIFACTS = {
          "--L", "50", "--rounds", "2000", "--seed", "7"),
         {
             "t.csv": "cf41f2b9506ca7ad4fd41e0517622ee699c071ae1cb6c0b2426cb515fe69df4d",
-            "s.json": "7e8b931d4753723b396a34fb08c1df6b1ff71ccd37c971c8bf1b70a00c732c12",
+            # re-pinned when the analytic fields took the Poisson closed form
+            # in place of the fixed-copy one at m = mu; the transcript is as it was
+            "s.json": "7df2baa3c4bb8dbeacd38b259d97b680a0b0c00006a851e0bcba313e32fef061",
         },
     ),
     # p_dark = 0.1 puts a few rounds per party into the coin-resolved class
@@ -459,6 +461,21 @@ def test_simulate_z_scores_reasonable(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--d", "16", "--m", "4", "--L", "50",
         "--rounds", "20000", "--profile", "snspd_lab", "--seed", "11",
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert abs(summary["z_click_rate"]) < 5.0
+    assert abs(summary["z_p_c"]) < 5.0
+    assert abs(summary["z_p_e"]) < 5.0
+
+
+@pytest.mark.parametrize("length, mu", [(0, 1), (0, 4), (50, 1), (50, 4)])
+def test_simulate_poisson_z_scores_reasonable(capsys, length, mu):
+    # the fixed-copy formula at m = mu read z_click_rate = -166 and -159
+    # at L = 0 on 2e5 rounds of this seed: a Poisson source needs its own form
+    code, out, _ = run_cli(
+        capsys, "simulate", "--d", "1024", "--photon-statistics", "poisson",
+        "--mu", str(mu), "--L", str(length), "--rounds", "400000", "--seed", "3",
     )
     assert code == 0
     summary = json.loads(out)

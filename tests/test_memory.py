@@ -1,5 +1,5 @@
-"""Peak traced memory of the session, the transcript writer and the
-intercept simulation.
+"""Peak traced memory of the session, the transcript writer, the
+intercept simulation and the family certificate.
 
 numpy reports its array allocations to tracemalloc, so the traced peak of
 a call counts every temporary array it makes and the arrays it returns.
@@ -13,6 +13,7 @@ from mubqct import (
     DETECTOR_PRESETS,
     ChannelModel,
     ProtocolParams,
+    certify_build,
     multiparty_run,
     run_protocol,
     simulate_eve_random_basis,
@@ -62,9 +63,9 @@ def test_transcript_writer_peak_is_flat(tmp_path, n_rounds):
     assert _traced_peak(lambda: tr.to_csv(path, comment="memory")) <= 6 * 2**20
 
 
-# about 1.3 times the traced peak measured on the matched-rows simulation:
-# 29.9 B/trial at k = 1 and 15.6 at k = 6
-EVE_BYTES_PER_TRIAL = {1: 39, 6: 20}
+# about 1.3 times the traced peak measured with only the matched trials'
+# uniforms kept: 21.8 B/trial at k = 1 and 9.5 at k = 6
+EVE_BYTES_PER_TRIAL = {1: 29, 6: 13}
 
 
 @pytest.mark.parametrize("k, n_trials", [(1, 2 * 10**5), (6, 10**5)])
@@ -72,3 +73,8 @@ def test_eve_simulation_peak_bytes_per_trial(k, n_trials):
     family = cached_family(k)
     peak = _traced_peak(lambda: simulate_eve_random_basis(family, n_trials, seed=5))
     assert peak <= EVE_BYTES_PER_TRIAL[k] * n_trials
+
+
+def test_certifying_the_largest_family_holds_one_basis_at_a_time():
+    # 5.8 MB measured at k = 8; the whole complex family alone is 270 MB
+    assert _traced_peak(lambda: certify_build(8)) < 16 * 2**20

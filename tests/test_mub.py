@@ -16,7 +16,7 @@ from mubqct import (
     half_projector,
     verify_unbiasedness,
 )
-from tests.conftest import cached_family
+from tests.conftest import cached_family, reference_mub_check
 
 
 def _diagonalizes(basis: np.ndarray, op: np.ndarray) -> bool:
@@ -322,3 +322,105 @@ def test_exact_check_needs_the_closure_of_the_sign_pattern():
     assert not mub.exact_mub_check(e2, h2)
     b0, b1 = ((1j ** e2[a])[:, None] * h2 / np.sqrt(8) for a in (0, 1))
     assert np.max(np.abs(np.abs(b0.conj().T @ b1) - 1 / np.sqrt(8))) > 0.1
+
+
+# ------------------------------------------------- quadratic-form check
+
+
+def _built_form(k):
+    fam = cached_family(k)
+    return mub._z4_form(fam.bases[1:], fam.d)
+
+
+def _agrees(e, h) -> bool:
+    """The form check and the Gaussian-sum reference on (e, h); their common verdict."""
+    verdict = mub.exact_mub_check(e, h)
+    assert verdict == reference_mub_check(e, h)
+    return verdict
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_form_check_agrees_with_the_reference_on_the_built_tables(k):
+    assert _agrees(*_built_form(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_form_check_agrees_with_the_reference_on_every_single_phase_shift(k):
+    e, h = _built_form(k)
+    d = 1 << k
+    kept = 0
+    for a in range(d):
+        for x in range(d):
+            for shift in (1, 2, 3):
+                shifted = e.copy()
+                shifted[a, x] = (shifted[a, x] + shift) % 4
+                kept += _agrees(shifted, h)
+    # at k = 1 a shift by 2 only re-signs or swaps the two vectors of a
+    # basis (at x = 0 it is a global sign, which the form check must
+    # normalise away); from k = 2 on every single shift breaks the set
+    assert kept == (4 if k == 1 else 0)
+
+
+def test_form_check_agrees_with_the_reference_on_sampled_phase_shifts_at_k7():
+    e, h = _built_form(7)
+    rng = np.random.default_rng(16)
+    samples = zip(rng.integers(0, 128, 12), rng.integers(0, 128, 12), rng.integers(1, 4, 12))
+    for a, x, shift in samples:
+        shifted = e.copy()
+        shifted[a, x] = (shifted[a, x] + shift) % 4
+        assert not _agrees(shifted, h), (a, x, shift)
+
+
+def test_form_check_rejects_a_copied_basis_row():
+    e, h = _built_form(4)
+    e = e.copy()
+    e[5] = e[2]  # B_2 ^ B_5 = 0, rank 0
+    assert not _agrees(e, h)
+
+
+def test_form_check_rejects_a_duplicated_column_and_accepts_a_swap():
+    e, h = _built_form(4)
+    duplicated = h.copy()
+    duplicated[:, 7] = duplicated[:, 3]
+    assert not _agrees(e, duplicated)
+    # a swap only relabels two vectors of every basis: still a MUB set
+    assert _agrees(e, h[:, [0, 1, 2, 7, 4, 5, 6, 3, 8, 9, 10, 11, 12, 13, 14, 15]])
+
+
+def test_form_check_rejects_rows_of_h_swapped_off_the_generators():
+    # rows 3 and 5 are no generator rows, so the masks read from h and the
+    # forms of e stay valid; only the character test sees the swap
+    e, h = _built_form(4)
+    assert not _agrees(e, h[[0, 1, 2, 5, 4, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]])
+
+
+def test_form_check_rejects_the_closure_counterexample():
+    mul, tr2, tr4 = phase_tables(3)
+    e, h = tr4[mul][1:3], 1.0 - 2.0 * tr2[mul]
+    row = np.arange(8) == 1
+    assert not _agrees(np.stack([e[0], (e[1] + 2 * row) % 4]), np.where(row[:, None], -h, h))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_certify_build_decodes_the_bytes_of_build_mub_family(k, monkeypatch):
+    checked, check = [], mub.exact_mub_check
+
+    def spy(e, h):
+        checked.append((e.copy(), h.copy()))
+        return check(e, h)
+
+    monkeypatch.setattr(mub, "exact_mub_check", spy)
+    report = mub.certify_build(k)
+    assert report.exact and report.passed
+    [(e, h)] = checked
+    want_e, want_h = _built_form(k)
+    assert np.array_equal(e, want_e) and np.array_equal(h, want_h)
+    assert e.dtype == want_e.dtype and h.dtype == want_h.dtype
+    assert report == certify_family(cached_family(k))
+
+
+def test_failed_certificate_falls_back_to_the_float_check_of_the_built_family(monkeypatch):
+    monkeypatch.setattr(mub, "exact_mub_check", lambda e, h: False)
+    report = mub.certify_build(3)
+    assert not report.exact and report.passed
+    assert report == verify_unbiasedness(cached_family(3))

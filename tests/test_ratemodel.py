@@ -24,6 +24,7 @@ from mubqct import (
     mc_detection_stats,
     optimize_m,
     pguess_certified,
+    poisson_detection_stats,
     pguess_single_paper,
     sweep,
     sweep_rows_to_csv,
@@ -126,6 +127,40 @@ def test_detection_stats_against_binomial_oracle(t, eta, v, p, n, m):
     assert stats.p_right == pytest.approx(right, rel=1e-12)
     assert stats.p_wrong == pytest.approx(wrong, rel=1e-12)
     assert stats.p_c == pytest.approx(right / (right + wrong), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "t,eta,v,p,n,mu",
+    [
+        (1.0, 0.66, 0.995, 1e-8, 2, 4.0),
+        (0.1, 0.66, 0.995, 1e-8, 2, 1.0),
+        (0.9, 0.9, 0.9, 0.01, 3, 2.5),
+        (0.02, 0.4, 0.97, 1e-4, 4, 6.0),
+    ],
+)
+def test_poisson_detection_stats_against_a_mixture_of_binomial_oracles(t, eta, v, p, n, mu):
+    det = DetectorModel(eta=eta, visibility=v, p_dark=p, n_detectors=n)
+    stats = poisson_detection_stats(t, det, mu)
+    weights = [math.exp(-mu) * mu**m / math.factorial(m) for m in range(80)]
+    right, wrong = (
+        sum(w * part for w, part in zip(weights, parts))
+        for parts in zip(*(_binomial_oracle(t * eta, v, p, n, m) for m in range(80)))
+    )
+    assert stats.p_right == pytest.approx(right, rel=1e-12)
+    assert stats.p_wrong == pytest.approx(wrong, rel=1e-12)
+    assert stats.p_c + stats.p_e == pytest.approx(1.0, abs=1e-15)
+    assert stats.p_signal_click == pytest.approx(-math.expm1(-mu * t * eta), rel=1e-15)
+
+
+def test_poisson_detection_stats_broadcast_is_the_scalar_evaluation():
+    ts, mus = np.array([[0.0], [0.01], [0.7]]), np.array([0.5, 4.0])
+    grid = poisson_detection_stats(ts, SNSPD, mus)
+    for i, t in enumerate(ts[:, 0]):
+        for j, mu in enumerate(mus):
+            point = poisson_detection_stats(float(t), SNSPD, float(mu))
+            assert point.p_click == grid.p_click[i, j] and point.p_c == grid.p_c[i, j]
+    with pytest.raises(ValueError, match="mu must be positive"):
+        poisson_detection_stats(0.5, SNSPD, 0.0)
 
 
 def test_detection_stats_noiseless_point():

@@ -29,7 +29,7 @@ from mubqct import (
     pinsker_delta,
     simulate_eve_random_basis,
 )
-from mubqct import security
+from mubqct import detection, security
 from tests.conftest import cached_family, f_operator, trace_norm
 
 # maxima over all 2^(d+1) outcome strings, first found by enumerating
@@ -417,6 +417,15 @@ def test_eve_simulation_matches_full_table_reference(k, seed):
     fam = cached_family(k)
     got = simulate_eve_random_basis(fam, n_trials=5000, seed=seed).p_success
     assert got == _eve_full_table(fam, 5000, seed)
+
+
+def test_eve_simulation_in_chunks_of_7_matches_full_table_reference(monkeypatch):
+    # the kept uniforms straddle chunk edges; the stream is the one-call stream
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(security, "_CHUNK_ROWS", 7)
+    fam = cached_family(2)
+    got = simulate_eve_random_basis(fam, n_trials=5000, seed=3).p_success
+    assert got == _eve_full_table(fam, 5000, 3)
 
 
 def _eve_all_rows(fam, n_trials, seed):
