@@ -13,10 +13,13 @@ The analytic model tracks the three leading event classes per outcome:
 Cross terms (signal split across detectors, signal contradicted by a
 dark count) are deliberately excluded from both probabilities, and the
 round-level simulation erases such rounds for consistency.
-`classify_clicks` samples raw per-copy and per-detector events and sorts
+`click_classes` samples raw per-copy and per-detector events and sorts
 them into exactly this taxonomy; the Monte Carlo oracle and the protocol
 simulation both draw their events through it, so they estimate the same
 quantities as the closed forms without sharing any algebra with them.
+It keeps one byte per round: the event code, whose bits say which
+detector sides the signal reached and which dark-fired, and then the
+click class that a 16-entry table assigns to that code.
 """
 
 from __future__ import annotations
@@ -230,6 +233,11 @@ class McDetectionStats:
     n_samples: int
 
 
+def chunk_slices(n: int):
+    """The slices of rows [0, n), _CHUNK_ROWS rows each (the last may be shorter)."""
+    return (slice(a, min(a + _CHUNK_ROWS, n)) for a in range(0, n, _CHUNK_ROWS))
+
+
 def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
     """An n-array of dtype, filled _CHUNK_ROWS rows at a time.
 
@@ -240,9 +248,8 @@ def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
     only one chunk of the int64 or float64 draw is alive at a time.
     """
     out = np.empty(n, dtype)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        out[start:stop] = draw(stop - start, *(c[start:stop] for c in columns))
+    for rows in chunk_slices(n):
+        out[rows] = draw(rows.stop - rows.start, *(c[rows] for c in columns))
     return out
 
 
@@ -255,62 +262,97 @@ def draw_counts_chunked(n: int, draw) -> np.ndarray:
     full int64 per row.
     """
     out = np.empty(n, np.uint8)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        chunk = draw(stop - start)
+    for rows in chunk_slices(n):
+        chunk = draw(rows.stop - rows.start)
         fits = np.min_scalar_type(int(chunk.max()))
         if fits.itemsize > out.itemsize:
             out = out.astype(fits)
-        out[start:stop] = chunk
+        out[rows] = chunk
     return out
 
 
-def classify_clicks(
+# Bits of a round's event code.  The signal bits say which side its
+# arrivals reached: neither (no arrival), the good detector only, a bad
+# one only, or both (split).  The dark bits are the dark counts.
+_SIGNAL_BAD, _SIGNAL_GOOD, _DARK_GOOD, _DARK_BAD = 1, 2, 4, 8
+# Bits of a round's click class: right, wrong, both (the overlap) or neither
+RIGHT, WRONG = 1, 2
+
+
+def _click_table() -> np.ndarray:
+    """The click class of each of the 16 event codes, by the module's taxonomy."""
+    code = np.arange(16)
+    signal_bad = (code & _SIGNAL_BAD) > 0
+    signal_good = (code & _SIGNAL_GOOD) > 0
+    dark_good = (code & _DARK_GOOD) > 0
+    dark_bad = (code & _DARK_BAD) > 0
+    no_arrival = ~signal_good & ~signal_bad
+    right = (signal_good & ~signal_bad & (dark_good | ~dark_bad)) | (no_arrival & dark_good)
+    wrong = (signal_bad & ~signal_good & (dark_bad | ~dark_good)) | (no_arrival & dark_bad)
+    return (right * RIGHT + wrong * WRONG).astype(np.uint8)
+
+
+_CLICK_CLASS = _click_table()
+
+
+def click_classes(
     rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample n rounds of raw detection events; return the right and wrong masks.
+) -> np.ndarray:
+    """Sample n rounds of raw detection events; return each round's click class.
 
     Per round: arrivals ~ Binomial(copies, t*eta), each arrival lands in
     the good detector w.p. V, every detector dark-fires independently
     w.p. p_dark.  copies is an integer, or a per-round integer array for
-    a Poisson source.  A round is right/wrong according to the three
-    event classes in the module docstring; rounds outside the taxonomy
-    are in neither mask, and a lone dark count on each side (no arrival)
-    is in both.  For n_detectors = 2 the classification matches the
-    analytic probabilities exactly; for n > 2 the wrong-side dark class
-    uses "any bad detector dark", an O(p_dark^2) mismatch.
+    a Poisson source.  A round's class has the RIGHT bit and the WRONG
+    bit set according to the three event classes in the module
+    docstring; rounds outside the taxonomy have neither, and a lone dark
+    count on each side (no arrival) has both.  For n_detectors = 2 the
+    classification matches the analytic probabilities exactly; for
+    n > 2 the wrong-side dark class uses "any bad detector dark", an
+    O(p_dark^2) mismatch.
 
-    Each of the four distributions is drawn over all n rounds before the
-    next, in chunks (`draw_chunked`), and kept as a small integer or bool
-    array.
+    One unsigned array holds the rounds' events and is rewritten in
+    place, pass by pass, chunk by chunk (`chunk_slices`): the arrival
+    counts; over them, for rounds with an arrival, the signal bits of
+    the split Binomial(arrivals, V); then each dark bit; then the class,
+    looked up from the 16-entry event-code table.  Each distribution is
+    drawn over all n rounds before the next.  The split is drawn only
+    where something arrived: numpy's binomial returns 0 for zero trials
+    without taking a value from the bit generator, so the stream is the
+    one a draw over every round consumes.
     """
     s = t * detector.eta
     p = detector.p_dark
     fits = np.min_scalar_type(int(np.max(copies)))  # holds every arrival count
     if np.ndim(copies):
-        arrivals = draw_chunked(n, fits, lambda size, c: rng.binomial(c, s), copies)
+        events = draw_chunked(n, fits, lambda size, c: rng.binomial(c, s), copies)
     else:
-        arrivals = draw_chunked(n, fits, lambda size: rng.binomial(copies, s, size))
-
-    def spread(size, arrived):
-        # 1: every arrival in the good detector, -1: every arrival in a bad
-        # one, 0: split across both sides, 2: no arrival
+        events = draw_chunked(n, fits, lambda size: rng.binomial(copies, s, size))
+    for rows in chunk_slices(n):
+        chunk = events[rows]
+        got_signal = chunk != 0
+        arrived = chunk[got_signal]
         n_good = rng.binomial(arrived, detector.visibility)
-        return np.where(arrived == 0, 2, (n_good == arrived) * 1 - (n_good == 0))
+        signal = (n_good != 0).view(np.uint8) * np.uint8(_SIGNAL_GOOD)
+        signal |= (n_good != arrived).view(np.uint8)  # _SIGNAL_BAD
+        chunk[got_signal] = signal
+    for rows in chunk_slices(n):
+        dark = rng.random(rows.stop - rows.start) < p
+        events[rows] |= dark.view(np.uint8) * np.uint8(_DARK_GOOD)
+    for rows in chunk_slices(n):
+        dark = rng.binomial(detector.n_detectors - 1, p, rows.stop - rows.start) > 0
+        chunk = events[rows]
+        chunk |= dark.view(np.uint8) * np.uint8(_DARK_BAD)
+        chunk[...] = _CLICK_CLASS[chunk]
+    return events
 
-    side = draw_chunked(n, np.int8, spread, arrivals)
-    del arrivals
-    dark_good = draw_chunked(n, bool, lambda size: rng.random(size) < p)
-    dark_bad = draw_chunked(
-        n, bool, lambda size: rng.binomial(detector.n_detectors - 1, p, size) > 0
-    )
 
-    no_arrival = side == 2
-    right = (side == 1) & (dark_good | ~dark_bad)
-    right |= no_arrival & dark_good
-    wrong = (side == -1) & (dark_bad | ~dark_good)
-    wrong |= no_arrival & dark_bad
-    return right, wrong
+def classify_clicks(
+    rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The right and wrong masks of `click_classes`: a round is in both, one or neither."""
+    classes = click_classes(rng, n, copies, t, detector)
+    return (classes & RIGHT) > 0, (classes & WRONG) > 0
 
 
 def mc_detection_stats(

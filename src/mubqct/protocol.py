@@ -12,7 +12,10 @@ adversary's side of the premise is carried by the security bounds.
 detectors: per-copy transmission and visibility Bernoullis, per-detector
 dark counts, fair-coin resolution of double clicks, erasure when nothing
 clicks.  `multiparty_run` splits the copy budget across several receivers
-sharing one encoding stream.  Both run the same session driver.
+sharing one encoding stream.  Both run the same session driver.  A
+receiver's detection events take one byte per round (`click_classes`),
+and its declared bits are written over them, so a session holds x, r,
+theta and one int8 outcome per receiver.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ import numpy as np
 
 from .detection import (
     _CHUNK_ROWS,
+    RIGHT,
+    WRONG,
     ChannelModel,
     DetectorModel,
-    classify_clicks,
+    chunk_slices,
+    click_classes,
     draw_chunked,
     draw_counts_chunked,
 )
@@ -98,8 +104,8 @@ class ProtocolParams:
                 f"photon_statistics must be 'fixed' or 'poisson', got {self.photon_statistics!r}"
             )
         if self.photon_statistics == "poisson":
-            if self.mu is None or self.mu <= 0:
-                raise ValueError("poisson statistics require mu > 0")
+            if self.mu is None or not (math.isfinite(self.mu) and self.mu > 0):
+                raise ValueError(f"poisson statistics require a finite mu > 0, got {self.mu}")
             budget = math.sqrt(self.d)
             if self.mu + 4.0 * math.sqrt(self.mu) > budget and not self.allow_insecure_mu:
                 raise ConstraintError(
@@ -174,25 +180,30 @@ class ProtocolTranscript:
         """Write one CSV row per round, after a `# {comment}` line if given.
 
         Each TRANSCRIPT_CHUNK_ROWS block of rows is rendered as one byte
-        buffer by `_csv_rows` and written in one call, so the writer's
-        extra memory is one chunk's at any round count.  The bytes are
-        those of formatting every field with str(): the same digits, '-'
-        signs, commas and newlines.
+        buffer by `_csv_rows` and written in one call.  The chunks share
+        one set of scratch arrays, so the writer's extra memory is one
+        chunk's at any round count and no chunk allocates its own.  The
+        bytes are those of formatting every field with str(): the same
+        digits, '-' signs, commas and newlines.
         """
         n = self.n_rounds
+        chunk = TRANSCRIPT_CHUNK_ROWS
+        scratch = {}
+        rounds = np.arange(min(chunk, n))
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode("utf-8"))
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
-            for start in range(0, n, TRANSCRIPT_CHUNK_ROWS):
-                stop = min(start + TRANSCRIPT_CHUNK_ROWS, n)
+            for start in range(0, n, chunk):
+                stop = min(start + chunk, n)
                 fh.write(_csv_rows((
-                    np.arange(start, stop),
+                    rounds[: stop - start],
                     self.x[start:stop],
                     self.r[start:stop],
                     self.theta[start:stop],
                     self.outcome[start:stop],
-                )))
+                ), scratch))
+                rounds += chunk
 
 
 @functools.cache
@@ -218,7 +229,21 @@ def _digit_words() -> dict[int, np.ndarray]:
     }
 
 
-def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+def _scratch(pool: dict, name: str, size: int, dtype) -> np.ndarray:
+    """The first size entries of pool[name], which is reallocated only to grow."""
+    buf = pool.get(name)
+    if buf is None or buf.size < size:
+        buf = pool[name] = np.empty(size, dtype)
+    return buf[:size]
+
+
+def _lookup(table: np.ndarray, idx: np.ndarray, pool: dict) -> np.ndarray:
+    """table[idx] in a scratch array of pool; idx must lie in range."""
+    out = _scratch(pool, f"lookup{table.dtype}", idx.size, table.dtype)
+    return np.take(table, idx, out=out, mode="clip")  # "raise" would buffer out
+
+
+def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> np.ndarray:
     """ASCII bytes of comma-separated integer rows, one row per entry.
 
     A field is '-' for a negative value followed by the decimal digits of
@@ -234,48 +259,60 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
     4-byte word that overlaps the byte before its slot, the sign slot or
     the previous separator, which are written after the digits.
     Non-integer columns raise TypeError instead of being truncated.
+
+    Every intermediate array is taken from `scratch`, a dict that a
+    caller rendering many chunks passes to each call, so the chunks
+    reuse one set of arrays; only the returned bytes are new.
     """
+    pool = {} if scratch is None else scratch
     words = _digit_words()
+    columns = [np.asarray(col) for col in columns]
     fields = []
     width = 0
     for col in columns:
-        col = np.asarray(col).astype(np.int64, casting="safe", copy=False)
-        neg = col < 0
-        signed = bool(neg.any())
-        mag = np.abs(col).view(np.uint64)
-        ndig = len(str(int(mag.max(initial=0))))
-        fields.append((neg if signed else None, mag, ndig))
+        if not np.can_cast(col.dtype, np.int64):
+            raise TypeError(f"cannot render {col.dtype} values as integers")
+        low, high = int(col.min(initial=0)), int(col.max(initial=0))
+        signed = low < 0
+        ndig = len(str(max(-low, high)))
+        fields.append((signed, ndig))
         width += signed + ndig + 1
-    n = fields[0][1].size
+    n = columns[0].size
     # one leading spare byte takes the overlap of a first field's 3-digit word
-    buf = np.empty(1 + n * width, dtype=np.uint8)
+    buf = _scratch(pool, "rows", 1 + n * width, np.uint8)
 
     def slot(offset: int, dtype) -> np.ndarray:
         return np.ndarray((n,), dtype, buffer=buf, offset=1 + offset, strides=(width,))
 
+    value = _scratch(pool, "value", n, np.int64)
+    idx = _scratch(pool, "idx", n, np.int64)
+    flag = _scratch(pool, "flag", n, bool)
+    neg = _scratch(pool, "neg", n, bool)
     seps = []
     pos = 0
-    for neg, mag, ndig in fields:
+    for col, (signed, ndig) in zip(columns, fields):
+        np.copyto(value, col)
         sign = pos
-        pos += neg is not None
+        if signed:
+            np.less(value, 0, out=neg)
+            pos += 1
         end = pos + ndig  # one past the units digit
-        rest = mag
+        rest = np.abs(value, out=value).view(np.uint64)
         # table offset of a group with no nonzero group above it: variant 2
         # for the units group, whose 0 stays a digit, variant 1 above it
         lead = 2 * _CSV_GROUP
         while end - pos > 4:
-            high = rest // _CSV_GROUP
-            idx = (high == 0) * lead
-            idx += (rest - high * _CSV_GROUP).view(np.int64)
-            slot(end - 4, np.uint32)[...] = np.take(words[4], idx)
-            rest = high
+            np.divmod(rest, _CSV_GROUP, out=(rest, idx.view(np.uint64)))
+            np.add(idx, lead, out=idx, where=np.equal(rest, 0, out=flag))
+            slot(end - 4, np.uint32)[...] = _lookup(words[4], idx, pool)
             end -= 4
             lead = _CSV_GROUP
         span = 4 if end - pos == 3 else end - pos
         table = words[span]
-        slot(end - span, table.dtype)[...] = np.take(table, rest.view(np.int64) + lead)
-        if neg is not None:
-            slot(sign, np.uint8)[...] = neg.view(np.uint8) * np.uint8(ord("-"))
+        np.add(rest.view(np.int64), lead, out=idx)
+        slot(end - span, table.dtype)[...] = _lookup(table, idx, pool)
+        if signed:
+            np.multiply(neg.view(np.uint8), np.uint8(ord("-")), out=slot(sign, np.uint8))
         pos += ndig
         seps.append(pos)
         pos += 1
@@ -283,7 +320,25 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
         slot(sep, np.uint8)[...] = ord(",")
     slot(seps[-1], np.uint8)[...] = ord("\n")
     flat = buf[1:]
-    return flat[flat != _CSV_PAD]
+    return flat[np.not_equal(flat, _CSV_PAD, out=_scratch(pool, "keep", flat.size, bool))]
+
+
+def _outcome_table() -> np.ndarray:
+    """Bob's bit for each (click class, x, coin) key, class + 4 x + 8 coin; -1 erases.
+
+    x is kept on a right-only round, flipped on a wrong-only round, and
+    flipped on an overlap round by the coin; a round with no click is erased.
+    """
+    key = np.arange(16)
+    right = (key & RIGHT) > 0
+    wrong = (key & WRONG) > 0
+    x = key >> 2 & 1
+    coin = (key >> 3) > 0
+    flip = wrong & (~right | coin)
+    return np.where(right | wrong, x ^ flip, -1).astype(np.int8)
+
+
+_OUTCOME = _outcome_table()
 
 
 def _receiver_outcome(
@@ -292,20 +347,24 @@ def _receiver_outcome(
     """One receiver's declared bits; -1 marks erasures.
 
     Rounds are declared right/wrong by the event classes of the
-    closed-form click statistics (`classify_clicks`).  Ambiguous rounds
+    closed-form click statistics (`click_classes`).  Ambiguous rounds
     (signal split across detectors, signal contradicted by a dark count)
     are erased, so the sifted error statistics match the closed forms;
     the one right-and-wrong overlap class, no arrival with darks on both
-    sides, is resolved by a fair coin.
+    sides, is resolved by a fair coin.  The coins are drawn chunk by
+    chunk after every detection event, and each chunk's outcomes are
+    looked up from the 16-entry (class, x, coin) table into the array
+    that held its classes.
     """
     n = xs.size
-    right, wrong = classify_clicks(rng, n, copies, params.channel.transmittance, params.detector)
-    coin = draw_chunked(n, bool, lambda size: rng.integers(0, 2, size) == 1)
-    # x is flipped on a wrong-only round, and on an overlap round by the coin
-    flip = ~right
-    flip |= coin
-    flip &= wrong
-    return np.where(right | wrong, xs ^ flip, np.int8(-1))
+    classes = click_classes(rng, n, copies, params.channel.transmittance, params.detector)
+    outcome = classes.view(np.int8) if classes.itemsize == 1 else np.empty(n, np.int8)
+    for rows in chunk_slices(n):
+        coin = rng.integers(0, 2, rows.stop - rows.start)
+        key = classes[rows] | xs[rows].view(np.uint8) << 2
+        key |= (coin == 1).view(np.uint8) << 3
+        outcome[rows] = _OUTCOME[key]
+    return outcome
 
 
 def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTranscript, ...]:
@@ -329,8 +388,6 @@ def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTran
     else:
         copies = copies_each
 
-    # one call per receiver frees its event arrays before the next receiver
-    # draws: inlined, they stay alive across iterations and raise peak RSS
     return tuple(
         ProtocolTranscript(
             d=params.d, m=copies_each, seed=params.seed, x=xs, r=rs, theta=thetas,
@@ -398,15 +455,20 @@ def privacy_amplify(bits, seed: int, out_len: int) -> np.ndarray:
 
     The integer product is one slice of the linear convolution of diag
     and bits, formed with a real FFT zero-padded to the next power of two
-    >= out_len + 2n - 2, in O(n log n).  Every exact entry is an integer
-    in 0..n, far below 2^53, so the float result is rounded and its parity
-    taken; FloatingPointError is raised if any entry lies 0.25 or more
-    from its nearest integer.  The largest distance measured is 2.8e-9,
-    at n = out_len = 11 184 811, the largest size the cap admits.  The FFT
-    length is capped at PRIVACY_AMPLIFY_MAX_FFT_LEN (2^25, about 1.1 GB
-    of working set); beyond it CapabilityError is raised before anything
-    is drawn.  Input entries must be 0 or 1 (bool, integer or float);
-    anything else, such as 0.5, NaN, 2 or -1, raises ValueError.
+    >= out_len + n - 1, the diagonal's length, in O(n log n).  The
+    circular product is exact on the kept slice: the convolution's
+    entries at fft_len and beyond wrap onto indices below n - 1.  Every
+    exact entry is an integer in 0..n, far below 2^53, so the float result
+    is rounded and its parity taken; FloatingPointError is raised if any
+    entry lies 0.25 or more from its nearest integer.  At the capped FFT
+    length the largest distance measured is 4.7e-10 (n = out_len =
+    16 000 000, random bits); at n = out_len = 2^24 = 16 777 216, the
+    largest size the cap admits, every entry came out exact on random and
+    on all-one bits.  The FFT length is capped at
+    PRIVACY_AMPLIFY_MAX_FFT_LEN (2^25, about 1.1 GB of working set);
+    beyond it CapabilityError is raised before anything is drawn.  Input
+    entries must be 0 or 1 (bool, integer or float); anything else, such
+    as 0.5, NaN, 2 or -1, raises ValueError.
     """
     bits = np.asarray(bits).ravel()
     if bits.dtype.kind not in "biuf" or not np.all((bits == 0) | (bits == 1)):
@@ -416,7 +478,7 @@ def privacy_amplify(bits, seed: int, out_len: int) -> np.ndarray:
         raise ValueError(f"out_len must be in 0..{n}, got {out_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    fft_len = 1 << (out_len + 2 * n - 3).bit_length()
+    fft_len = 1 << (out_len + n - 2).bit_length()
     if fft_len > PRIVACY_AMPLIFY_MAX_FFT_LEN:
         raise CapabilityError(
             f"privacy amplification of {n} -> {out_len} bits needs an FFT of length "

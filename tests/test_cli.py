@@ -493,6 +493,19 @@ def test_simulate_poisson_budget_violation_exits_1(capsys):
     assert "mu" in err
 
 
+@pytest.mark.parametrize("mu, extra", [("nan", ()), ("inf", ("--allow-insecure-mu",))])
+def test_simulate_non_finite_mu_exits_1_naming_mu(capsys, mu, extra):
+    # NaN fails every comparison, so it used to pass the photon-budget check
+    code, out, err = run_cli(
+        capsys, "simulate", "--d", "16", "--photon-statistics", "poisson", "--mu", mu,
+        *extra, "--rounds", "10",
+    )
+    assert code == 1
+    assert out == ""
+    assert f"finite mu > 0, got {mu}" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_non_power_of_two_d_exits_1(capsys):
     code, _, _ = run_cli(capsys, "simulate", "--d", "3", "--rounds", "10")
     assert code == 1

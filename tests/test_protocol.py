@@ -302,10 +302,10 @@ def test_transcript_csv_error_in_middle_chunk_propagates(tmp_path, monkeypatch, 
     monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
     real_csv_rows = protocol._csv_rows
 
-    def csv_rows_with_float_x_at_row_98(columns):
+    def csv_rows_with_float_x_at_row_98(columns, *scratch):
         if columns[0][0] == 98:
             columns = (columns[0], columns[1] + 0.5, *columns[2:])
-        return real_csv_rows(columns)
+        return real_csv_rows(columns, *scratch)
 
     monkeypatch.setattr(protocol, "_csv_rows", csv_rows_with_float_x_at_row_98)
     tr = _mixed_transcript()
@@ -417,7 +417,7 @@ def test_privacy_amplify_matches_explicit_toeplitz_matrix():
 
 @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 4097])
 def test_privacy_amplify_matches_direct_convolution(n):
-    # out_len + 2n - 2 falls on both sides of the powers of two 2048, 4096 and 16384
+    # out_len + n - 1 falls on both sides of the powers of two 1024, 2048 and 8192
     bits = np.random.default_rng(n).integers(0, 2, size=n)
     for out_len in sorted({1, n // 2, n} - {0}):
         diag = np.random.default_rng(7).integers(0, 2, size=out_len + n - 1)
@@ -445,16 +445,16 @@ def test_privacy_amplify_rejects_inexact_convolution(monkeypatch):
 
 def test_privacy_amplify_size_cap(monkeypatch):
     monkeypatch.setattr(protocol, "PRIVACY_AMPLIFY_MAX_FFT_LEN", 16)
-    bits = np.ones(8, dtype=np.int64)
-    # out_len + 2n - 2 = 16 needs an FFT of length 16, at the cap
-    assert privacy_amplify(bits[:7], seed=1, out_len=4).size == 4
+    bits = np.ones(9, dtype=np.int64)
+    # out_len + n - 1 = 16 needs an FFT of length 16, at the cap
+    assert privacy_amplify(bits, seed=1, out_len=8).size == 8
 
     def no_draw(*args, **kwargs):
         raise AssertionError("the cap must be checked before the diagonal is drawn")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(CapabilityError):
-        privacy_amplify(bits, seed=1, out_len=3)  # 3 + 16 - 2 = 17 needs length 32
+        privacy_amplify(bits, seed=1, out_len=9)  # 9 + 9 - 1 = 17 needs length 32
     assert privacy_amplify(bits, seed=1, out_len=0).size == 0
 
 
