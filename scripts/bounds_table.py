@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Adversary-bound table across dimensions.
 
-Tabulates, for each d, the exact lambda (where the sign search is
-offered, d <= 16), the closed-form lambda, the guessing-probability
+Tabulates, for each d, the exact lambda (read from the commuting classes
+of the split observables where their dense relation check is offered,
+d <= 16), the closed-form lambda, the guessing-probability
 bounds, the resulting min-entropy, and the accessible-information
 chain. CSV on stdout. Bad input, such as a d that is not a power of two
 or m < 1, exits 1 with an `error:` line, as in the mubqct CLI.

@@ -397,7 +397,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="adversary bounds for one (d, m) point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--oracle", action="store_true", help="use the exact lambda (d <= 16)")
+    oracle_help = "exact lambda from the commutation classes of the split observables (d <= 16)"
+    p.add_argument("--oracle", action="store_true", help=oracle_help)
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 

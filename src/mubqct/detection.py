@@ -347,26 +347,17 @@ def click_classes(
     return events
 
 
-def classify_clicks(
-    rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """The right and wrong masks of `click_classes`: a round is in both, one or neither."""
-    classes = click_classes(rng, n, copies, t, detector)
-    return (classes & RIGHT) > 0, (classes & WRONG) > 0
-
-
 def mc_detection_stats(
     t: float, detector: DetectorModel, m: int, n_samples: int, seed: int
 ) -> McDetectionStats:
-    """Monte Carlo estimate of the closed-form ratios via `classify_clicks`."""
+    """Monte Carlo estimate of the closed-form ratios via `click_classes`."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    right, wrong = classify_clicks(np.random.default_rng(seed), n_samples, m, t, detector)
-
-    n_right = int(np.count_nonzero(right))
-    n_wrong = int(np.count_nonzero(wrong))
+    classes = click_classes(np.random.default_rng(seed), n_samples, m, t, detector)
+    n_right = int(np.count_nonzero(classes & RIGHT))
+    n_wrong = int(np.count_nonzero(classes & WRONG))
     total = n_right + n_wrong
     if total == 0:
         raise DegenerateModeError("no classifiable click events sampled")

@@ -9,18 +9,18 @@ the uniform mixture over bases of the half-space projector the adversary
 would like to certify; P_guess <= lambda / 2 with lambda = max over the
 2^(d+1) outcome strings Omega of the largest eigenvalue of F.  This
 module holds what the rate model, the `bounds` and `oracle` commands and
-the benchmark use: lambda computed exactly by a sign search in small
-dimensions, the closed-form bounds used at large d and assembled into
-the `bounds` record, and numeric Helstrom discrimination and a simulated
-intercept strategy as anchors from below.
+the benchmark use: lambda exactly, in small dimensions, from how the
+split observables commute, the closed-form bounds used at large d and
+assembled into the `bounds` record, and numeric Helstrom discrimination
+and a simulated intercept strategy as anchors from below.
 
 The exact computations use the algebra of the construction rather than
 generic dense algebra.  The two halves of every basis sum to the
 identity, so F(Omega) = (d+1)/d I + (1/d) sum_theta s_theta Z_theta with
 signs s_theta = (-1)^omega_theta and split observables Z_theta = P_theta^0
-- P_theta^1; in d = 2^k these are Pauli operators that pairwise commute
-or anticommute, which bounds the norm of each small group of them and
-lets the search prune almost every sign string.  rho_0 + rho_1 = 2I/d
+- P_theta^1; in d = 2^k these are Pauli operators whose commuting
+classes (sizes 1, d/2 and d/2) pairwise anticommute, which gives the
+largest norm over all sign strings in closed form.  rho_0 + rho_1 = 2I/d
 makes the two bit states commute, so their tensor powers are
 discriminated from the spectra alone.  The size caps
 LAMBDA_BRUTE_FORCE_MAX_D, HELSTROM_MAX_DIM and EVE_SIM_MAX_ENTRIES are
@@ -29,7 +29,6 @@ kept as contracts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -47,83 +46,61 @@ HELSTROM_MAX_DIM = 4096
 # peak memory per entry (10.9 measured at d = 2, where it is largest; 0.15 at
 # d = 64), ~0.37 GB at the cap
 EVE_SIM_MAX_ENTRIES = 1 << 25
-# The lambda sign search prunes a branch only when its bound trails the
-# best norm found by more than this; the eigenvalue rounding it must
-# absorb is about 1e-14 at d <= 16.
-_PRUNE_SLACK = 1e-9
 BOUNDS_SOURCES = ("paper", "certified")
 
 
 def _check_lambda_cap(d: int) -> None:
     if d > LAMBDA_BRUTE_FORCE_MAX_D:
         raise CapabilityError(
-            f"the exact lambda sign search is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
+            f"the exact lambda relation check is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
         )
 
 
-def _norms(ops: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of Hermitian matrices."""
-    eigs = np.linalg.eigvalsh(ops)
-    return np.maximum(eigs[:, -1], -eigs[:, 0])
+def _commuting_classes(family: MubFamily) -> np.ndarray:
+    """Sizes n_g of the classes of pairwise commuting split observables.
 
-
-def _sign_groups(family: MubFamily) -> list[tuple[tuple[int, ...], np.ndarray, float]]:
-    """The groups of split observables that the lambda sign search fixes in turn.
-
-    Bases 0, 1, 2 form a triple and the later bases consecutive pairs.
-    Each group comes with the signed sums of its split observables
-    Z_theta, one per sign pattern, the first half of them with + on the
-    group's first observable, and its bound: the largest norm among them.  On the built families Z_0
-    anticommutes with every other Z_theta and consecutive ones
-    anticommute, so the bounds are sqrt(3) and sqrt(2).
+    Checks, by the largest entry deviation within 1e-9, that every Z_theta
+    = 2 P_theta^0 - I squares to I, that every pair commutes or
+    anticommutes, and that commuting is transitive, so distinct classes
+    anticommute; ValueError otherwise.  The products are formed one row
+    (Z_t Z and Z Z_t) at a time.
     """
-    n = family.n_bases
-    groups = []
-    for g in [(0, 1, 2)] + [(t, t + 1) for t in range(3, n, 2)]:
-        z = [half_projector(family, t, 0) - half_projector(family, t, 1) for t in g]
-        signs = itertools.product((1.0, -1.0), repeat=len(g))
-        sums = np.array([sum(s * z_t for s, z_t in zip(pattern, z)) for pattern in signs])
-        groups.append((g, sums, float(_norms(sums).max())))
-    return groups
+    d = family.d
+    cols = family.bases[:, :, : d // 2]
+    z = 2.0 * cols @ cols.conj().transpose(0, 2, 1) - np.eye(d)
+    commute = np.empty((family.n_bases, family.n_bases), dtype=bool)
+    for t, z_t in enumerate(z):
+        left, right = z_t @ z, z @ z_t
+        commute[t] = np.abs(left - right).max(axis=(1, 2)) <= 1e-9
+        anti = np.abs(left + right).max(axis=(1, 2)) <= 1e-9
+        if np.abs(left[t] - np.eye(d)).max() > 1e-9 or not np.all(commute[t] | anti):
+            raise ValueError(f"split observable {t} breaks the Pauli relations within 1e-9")
+    if not (np.array_equal(commute, commute.T) and np.array_equal(commute @ commute, commute)):
+        raise ValueError("commutation of the split observables is not symmetric and transitive")
+    first = commute.argmax(axis=1) == np.arange(family.n_bases)  # each class's first member
+    return commute.sum(axis=1)[first]
 
 
 def lambda_numeric(family: MubFamily) -> float:
     """max over all outcome strings of the largest eigenvalue of F(Omega).
 
     F(Omega) = (d+1)/d I + (1/d) S with S = sum_theta s_theta Z_theta, and
-    flipping every sign turns lambda_max(S) into -lambda_min(S), so lambda
-    = (d+1)/d + (1/d) max ||S|| over the signs with s_0 = +1.  A
-    depth-first search fixes the signs one group of `_sign_groups` at a
-    time, trying the larger partial norms first.  By the triangle
-    inequality a partial sum completes to a norm of at most its own plus
-    the bounds of the groups still free, and a branch is pruned only when
-    that falls short of the best norm found by more than _PRUNE_SLACK, so
-    the result is exact for any orthonormal family.  It is offered for
-    d <= LAMBDA_BRUTE_FORCE_MAX_D (16); larger dimensions must rely on the
-    closed-form bound.
+    flipping every sign negates S, so lambda = (d+1)/d + max ||S|| / d =
+    (d+1)/d + sqrt(sum_g n_g^2) / d over the `_commuting_classes` g.
+    Proof: S = sum_g alpha_g with alpha_g the signed sum of class g; the
+    alpha_g pairwise anticommute, so S^2 = sum_g alpha_g^2 and ||S||^2 <=
+    sum_g n_g^2.  A within-class product Z_theta Z_theta' commutes with
+    every Z, so these Hermitian products commute and share an eigenvector
+    v.  Fix r_g in each class and take s_theta from Z_(r_g) Z_theta v =
+    s_theta v; as Z_theta Z_theta' = (Z_(r_g) Z_theta)(Z_(r_g) Z_theta'),
+    alpha_g^2 v = n_g^2 v, so S^2 v = (sum_g n_g^2) v: the bound is
+    reached.  The built families have classes of sizes 1, d/2 and d/2.
+    Offered for d <= LAMBDA_BRUTE_FORCE_MAX_D (16); larger dimensions must
+    rely on the closed-form bound.
     """
     d = family.d
     _check_lambda_cap(d)
-    groups = _sign_groups(family)
-    children = [sums for _, sums, _ in groups]
-    children[0] = children[0][: len(children[0]) // 2]  # s_0 = +1
-    # tails[j] bounds the norm that groups j, j + 1, ... can add
-    tails = np.cumsum([0.0] + [bound for _, _, bound in reversed(groups)])[::-1]
-    best = 0.0
-
-    def search(j: int, partial: np.ndarray) -> None:
-        nonlocal best
-        sums = partial + children[j]
-        norms = _norms(sums)
-        if j + 1 == len(groups):
-            best = max(best, float(norms.max()))
-            return
-        for i in np.argsort(-norms, kind="stable"):
-            if norms[i] + tails[j + 1] >= best - _PRUNE_SLACK:
-                search(j + 1, sums[i])
-
-    search(0, np.zeros((d, d), dtype=complex))
-    return (d + 1) / d + best / d
+    return (d + 1) / d + math.sqrt(sum(int(n) ** 2 for n in _commuting_classes(family))) / d
 
 
 def lambda_paper_bound(d: int) -> float:

@@ -25,6 +25,10 @@ SNSPD = DETECTOR_PRESETS["snspd_lab"]
 
 def _traced_peak(fn) -> int:
     """Peak bytes allocated while fn runs, its result included."""
+    # numpy loads numpy.random on first use: load it here so that its module
+    # objects are not counted against whichever test runs first
+    import numpy.random  # noqa: F401
+
     tracemalloc.start()
     try:
         fn()

@@ -317,8 +317,7 @@ def test_complement_string_spectrum_law(d):
 @pytest.mark.parametrize("seed", [1, 5, 2048])
 def test_lambda_numeric_matches_every_string_enumerated(d, seed):
     # the built family with its bases in a random order: lambda does not
-    # depend on the order, but the sign groups, their bounds and so the
-    # pruning do
+    # depend on the order, and neither do the commuting classes
     built = cached_family(d.bit_length() - 1)
     order = np.random.default_rng(seed).permutation(built.n_bases)
     fam = MubFamily(dimension=built.dimension, bases=built.bases[order])
@@ -330,38 +329,56 @@ def test_lambda_numeric_matches_every_string_enumerated(d, seed):
     assert abs(lambda_numeric(built) - want) < 1e-12
 
 
-@pytest.mark.parametrize("d", [4, 8])
-def test_lambda_numeric_finds_optimum_with_last_bit_set(d):
-    # random orthonormal bases (not unbiased) whose best string, for this
-    # seed, has omega_d = 1; their group bounds are loose, so the search
-    # prunes on weaker bounds than on the built families
+@pytest.mark.parametrize("k", range(1, 6))
+def test_split_observables_fall_into_classes_of_one_and_two_halves(k):
+    # Z_0 anticommutes with every other Z_theta, and Z_1..Z_d split into
+    # two halves that commute within and anticommute across
+    d = 2**k
+    sizes = security._commuting_classes(cached_family(k))
+    assert sorted(sizes.tolist()) == [1, d // 2, d // 2]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_lambda_numeric_of_a_unitary_image_is_bit_identical(k):
+    # U Z_theta U^H keeps every relation, so the class sizes and lambda stay
+    built = cached_family(k)
+    d = built.d
+    z = np.random.default_rng(k).normal(size=(2, d, d))
+    u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    image = MubFamily(dimension=built.dimension, bases=u @ built.bases)
+    assert lambda_numeric(image) == lambda_numeric(built)
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_lambda_numeric_rejects_random_orthonormal_bases(d):
     rng = np.random.default_rng(1)
     z = rng.normal(size=(d + 1, d, d)) + 1j * rng.normal(size=(d + 1, d, d))
     fam = MubFamily(dimension=Dimension.from_d(d), bases=np.linalg.qr(z)[0])
-    tops = {
-        omega: np.linalg.eigvalsh(f_operator(fam, omega))[-1]
-        for omega in itertools.product((0, 1), repeat=d + 1)
-    }
-    best = max(tops, key=tops.get)
-    assert best[-1] == 1
-    assert abs(lambda_numeric(fam) - tops[best]) < 1e-12
+    with pytest.raises(ValueError):
+        lambda_numeric(fam)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
-def test_sign_group_bounds_cover_every_signed_sum(k):
-    fam = cached_family(k)
-    groups = security._sign_groups(fam)
-    assert [t for g, _, _ in groups for t in g] == list(range(fam.n_bases))
-    half = fam.d // 2
-    for g, _, bound in groups:
-        # Z_t = P_t^0 - P_t^1 = 2 P_t^0 - I
-        z = [2 * fam.bases[t][:, :half] @ fam.bases[t][:, :half].conj().T for t in g]
-        z = [z_t - np.eye(fam.d) for z_t in z]
-        for signs in itertools.product((1, -1), repeat=len(g)):
-            norm = np.linalg.norm(sum(s * z_t for s, z_t in zip(signs, z)), 2)
-            assert norm <= bound + 1e-12
-        # consecutive split observables anticommute, and Z_0 with all others
-        assert bound == pytest.approx(math.sqrt(len(g)), abs=1e-12)
+@pytest.mark.parametrize("d", [2, 4])
+def test_lambda_numeric_rejects_bases_that_are_not_orthonormal(d):
+    # every Z_theta = diag(3, .., 3, -1, .., -1): they all commute, but none
+    # squares to I
+    bases = np.broadcast_to(math.sqrt(2) * np.eye(d), (d + 1, d, d))
+    with pytest.raises(ValueError, match="Pauli relations"):
+        lambda_numeric(MubFamily(dimension=Dimension.from_d(d), bases=bases))
+
+
+@pytest.mark.parametrize(
+    "k, broken", [(2, "transitive"), (3, "Pauli relations"), (4, "Pauli relations")]
+)
+def test_lambda_numeric_rejects_a_swapped_basis_vector(k, broken):
+    # vectors 0 and d/2 of basis 3 trade halves, so Z_3 is no longer the
+    # built split observable
+    built = cached_family(k)
+    half = built.d // 2
+    bases = built.bases.copy()
+    bases[3][:, [0, half]] = bases[3][:, [half, 0]]
+    with pytest.raises(ValueError, match=broken):
+        lambda_numeric(MubFamily(dimension=built.dimension, bases=bases))
 
 
 def _helstrom_dense_kron(fam, m):
