@@ -2,7 +2,7 @@
 
 The receiver routes each arriving copy to the detector matching its
 encoded bit with probability given by the interference visibility V, and
-each of the n detectors additionally dark-fires with probability p_dark.
+each of its two detectors additionally dark-fires with probability p_dark.
 The analytic model tracks the three leading event classes per outcome:
 
   right click: all arrivals in the good detector and no dark count,
@@ -71,7 +71,6 @@ class DetectorModel:
     eta: float = 1.0
     visibility: float = 1.0
     p_dark: float = 0.0
-    n_detectors: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -80,8 +79,6 @@ class DetectorModel:
             raise ValueError(f"visibility must be in (0, 1], got {self.visibility}")
         if not 0.0 <= self.p_dark < 1.0:
             raise ValueError(f"p_dark must be in [0, 1), got {self.p_dark}")
-        if self.n_detectors < 2:
-            raise ValueError(f"n_detectors must be >= 2, got {self.n_detectors}")
 
 
 DETECTOR_PRESETS = {
@@ -115,6 +112,11 @@ def _libm(fn, *args) -> np.ndarray:
     arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
     values = map(fn, *(a.ravel().tolist() for a in arrays))
     return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _exp_times_expm1(a: float, x: float) -> float:
+    """e^a expm1(x); for x beyond expm1's range as e^(a + x) (-expm1(-x)), needing a + x <= 0."""
+    return math.exp(a) * math.expm1(x) if x < 709.0 else math.exp(a + x) * -math.expm1(-x)
 
 
 def _first(bad: np.ndarray, *arrays: np.ndarray) -> list:
@@ -152,16 +154,15 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     log_good = _libm(math.log1p, -s_log * (1.0 - v))
     log_bad = _libm(math.log1p, -s_log * v)
     log_none = m * log_miss
-    none = _libm(math.exp, log_none)
     p_signal_click = np.where(log_space, -_libm(math.expm1, log_none), 1.0 - no_arrival)
     p_all_good = np.where(
         log_space,
-        none * _libm(math.expm1, m * (log_good - log_miss)),
+        _libm(_exp_times_expm1, log_none, m * (log_good - log_miss)),
         _libm(pow, 1.0 - s + s * v, m) - no_arrival,
     )
     p_all_bad = np.where(
         log_space,
-        none * _libm(math.expm1, m * (log_bad - log_miss)),
+        _libm(_exp_times_expm1, log_none, m * (log_bad - log_miss)),
         _libm(pow, 1.0 - s * v, m) - no_arrival,
     )
     return _with_dark_counts(detector, p_signal_click, no_arrival, p_all_good, p_all_bad)
@@ -179,13 +180,12 @@ def poisson_detection_stats(t: float, detector: DetectorModel, mu) -> DetectionS
     """
     t, mu = _checked_source(t, mu, "mu")
     mean = mu * (t * detector.eta)
-    none = _libm(math.exp, -mean)
     return _with_dark_counts(
         detector,
         -_libm(math.expm1, -mean),
-        none,
-        none * _libm(math.expm1, mean * detector.visibility),
-        none * _libm(math.expm1, mean * (1.0 - detector.visibility)),
+        _libm(math.exp, -mean),
+        _libm(_exp_times_expm1, -mean, mean * detector.visibility),
+        _libm(_exp_times_expm1, -mean, mean * (1.0 - detector.visibility)),
     )
 
 
@@ -207,10 +207,9 @@ def _with_dark_counts(
 ) -> DetectionStats:
     """The click statistics from the signal's arrival classes and the dark counts."""
     p = detector.p_dark
-    n = detector.n_detectors
-    no_dark = (1.0 - p) ** n
+    no_dark = (1.0 - p) ** 2
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
-    p_wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p
+    p_wrong = p_all_bad * no_dark + no_arrival * p + p_all_bad * p
 
     p_click = p_right + p_wrong
     if (p_click <= 0.0).any():
@@ -253,18 +252,24 @@ def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_type(high: int) -> np.dtype:
+    """The smallest type that holds 0..high and casts to binomial's int64 (not uint64)."""
+    fits = np.min_scalar_type(high)
+    return np.dtype(np.int64) if fits == np.uint64 else fits
+
+
 def draw_counts_chunked(n: int, draw) -> np.ndarray:
     """An n-array of non-negative counts, drawn chunk by chunk as in `draw_chunked`.
 
-    The array starts as uint8 and is widened to the smallest unsigned
-    type that holds the largest count drawn so far, so a law without an
-    upper bound (a Poisson source at any mu) neither wraps nor costs a
-    full int64 per row.
+    The array starts as uint8 and is widened to the `_count_type` of the
+    largest count drawn so far, so a law without an upper bound (a
+    Poisson source at any mu) neither wraps nor costs a full int64 per
+    row below 2^32.
     """
     out = np.empty(n, np.uint8)
     for rows in chunk_slices(n):
         chunk = draw(rows.stop - rows.start)
-        fits = np.min_scalar_type(int(chunk.max()))
+        fits = _count_type(int(chunk.max()))
         if fits.itemsize > out.itemsize:
             out = out.astype(fits)
         out[rows] = chunk
@@ -301,17 +306,15 @@ def click_classes(
     """Sample n rounds of raw detection events; return each round's click class.
 
     Per round: arrivals ~ Binomial(copies, t*eta), each arrival lands in
-    the good detector w.p. V, every detector dark-fires independently
-    w.p. p_dark.  copies is an integer, or a per-round integer array for
-    a Poisson source.  A round's class has the RIGHT bit and the WRONG
-    bit set according to the three event classes in the module
-    docstring; rounds outside the taxonomy have neither, and a lone dark
-    count on each side (no arrival) has both.  For n_detectors = 2 the
-    classification matches the analytic probabilities exactly; for
-    n > 2 the wrong-side dark class uses "any bad detector dark", an
-    O(p_dark^2) mismatch.
+    the good detector w.p. V, and each of the two detectors dark-fires
+    independently w.p. p_dark.  copies is an integer, or a per-round
+    integer array for a Poisson source.  A round's class has the RIGHT
+    bit and the WRONG bit set according to the three event classes in the
+    module docstring, which the closed forms count exactly; rounds outside
+    the taxonomy have neither, and a lone dark count on each side (no
+    arrival) has both.
 
-    One unsigned array holds the rounds' events and is rewritten in
+    One array of the arrival counts' `_count_type` holds the rounds' events and is rewritten in
     place, pass by pass, chunk by chunk (`chunk_slices`): the arrival
     counts; over them, for rounds with an arrival, the signal bits of
     the split Binomial(arrivals, V); then each dark bit; then the class,
@@ -323,7 +326,7 @@ def click_classes(
     """
     s = t * detector.eta
     p = detector.p_dark
-    fits = np.min_scalar_type(int(np.max(copies)))  # holds every arrival count
+    fits = _count_type(int(np.max(copies)))  # holds every arrival count
     if np.ndim(copies):
         events = draw_chunked(n, fits, lambda size, c: rng.binomial(c, s), copies)
     else:
@@ -340,7 +343,7 @@ def click_classes(
         dark = rng.random(rows.stop - rows.start) < p
         events[rows] |= dark.view(np.uint8) * np.uint8(_DARK_GOOD)
     for rows in chunk_slices(n):
-        dark = rng.binomial(detector.n_detectors - 1, p, rows.stop - rows.start) > 0
+        dark = rng.binomial(1, p, rows.stop - rows.start) > 0
         chunk = events[rows]
         chunk |= dark.view(np.uint8) * np.uint8(_DARK_BAD)
         chunk[...] = _CLICK_CLASS[chunk]
@@ -370,14 +373,15 @@ def mc_detection_stats(
     )
 
 
-def conditional_entropy_xy(p_c: float, p_e: float, n_detectors: int = 2) -> float:
+def conditional_entropy_xy(p_c: float, p_e: float) -> float:
     """Bob's residual uncertainty H(X|Y) in bits.
 
     p_c and p_e are the conditional probabilities of the right and wrong
-    detector firing given a click; with n_detectors > 2 the wrong mass is
-    spread evenly over the n - 1 bad detectors.  Broadcasts like
-    `detection_stats`: arrays give an array, scalars a Python float, each
-    entry bit-identical to the scalar formula.
+    detector firing given a click.  Bob declares one bit, so H(X|Y) =
+    -p_c log2 p_c - p_e log2 p_e, the binary entropy of his error when
+    p_c + p_e = 1.  Broadcasts like `detection_stats`: arrays give an
+    array, scalars a Python float, each entry bit-identical to the scalar
+    formula.
     """
     p_c, p_e = np.broadcast_arrays(np.asarray(p_c, dtype=float), np.asarray(p_e, dtype=float))
     bad = ~((0.0 <= p_c) & (p_c <= 1.0) & (0.0 <= p_e) & (p_e <= 1.0))
@@ -387,10 +391,9 @@ def conditional_entropy_xy(p_c: float, p_e: float, n_detectors: int = 2) -> floa
     bad = total > 1.0 + 1e-9
     if bad.any():
         raise ValueError(f"p_c + p_e must not exceed 1, got {_first(bad, total)[0]}")
-    right, wrong = p_c > 0.0, p_e > 0.0
-    # h = 0 - p_c log2 p_c - p_e log2(p_e / (n - 1)), each term only where
-    # its probability is positive (log2 sees 1 elsewhere)
-    h = np.where(right, 0.0 - p_c * _libm(math.log2, np.where(right, p_c, 1.0)), 0.0)
-    wrong_share = np.where(wrong, p_e / (n_detectors - 1), 1.0)
-    h = np.where(wrong, h - p_e * _libm(math.log2, wrong_share), h)
+    # h = 0 - p_c log2 p_c - p_e log2 p_e; where a probability is 0, log2
+    # sees 1 and its term is 0
+    h = 0.0
+    for p in (p_c, p_e):
+        h = h - p * _libm(math.log2, np.where(p > 0.0, p, 1.0))
     return float(h) if h.ndim == 0 else h

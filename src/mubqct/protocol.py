@@ -52,6 +52,7 @@ _CSV_PAD = 0
 # FFT length cap of privacy_amplify: its working set is about 32 bytes per
 # point (padded float input, complex spectra, float output), ~1.1 GB at the cap
 PRIVACY_AMPLIFY_MAX_FFT_LEN = 1 << 25
+_NUMPY_POISSON_MU_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def encode_index(x: int, r: int, d: int) -> int:
@@ -95,8 +96,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         Dimension.from_d(self.d)
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not 1 <= self.m < 1 << 63:
+            raise ValueError(f"m must be in [1, 2^63), got {self.m}")
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if self.photon_statistics not in ("fixed", "poisson"):
@@ -104,8 +105,11 @@ class ProtocolParams:
                 f"photon_statistics must be 'fixed' or 'poisson', got {self.photon_statistics!r}"
             )
         if self.photon_statistics == "poisson":
-            if self.mu is None or not (math.isfinite(self.mu) and self.mu > 0):
-                raise ValueError(f"poisson statistics require a finite mu > 0, got {self.mu}")
+            if self.mu is None or not 0 < self.mu <= _NUMPY_POISSON_MU_MAX:
+                raise ValueError(
+                    f"poisson statistics require a finite mu > 0, got {self.mu}; "
+                    f"numpy's Poisson sampler takes mu <= {_NUMPY_POISSON_MU_MAX:.6g}"
+                )
             budget = math.sqrt(self.d)
             if self.mu + 4.0 * math.sqrt(self.mu) > budget and not self.allow_insecure_mu:
                 raise ConstraintError(

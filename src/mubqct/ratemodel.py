@@ -91,7 +91,7 @@ def _channel_table(ts: Sequence[float], detector: DetectorModel, ms) -> np.ndarr
     t = np.asarray(ts, dtype=float)[:, None]
     m = np.asarray(ms)[None, :]
     stats = detection_stats(t, detector, m)
-    hxy = conditional_entropy_xy(stats.p_c, stats.p_e, detector.n_detectors)
+    hxy = conditional_entropy_xy(stats.p_c, stats.p_e)
     s = t * detector.eta
     # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
     # small s (the direct form underflows to 0 beyond ~800 km); s = 1 is

@@ -23,7 +23,7 @@ classes (sizes 1, d/2 and d/2) pairwise anticommute, which gives the
 largest norm over all sign strings in closed form.  rho_0 + rho_1 = 2I/d
 makes the two bit states commute, so their tensor powers are
 discriminated from the spectra alone.  The size caps
-LAMBDA_BRUTE_FORCE_MAX_D, HELSTROM_MAX_DIM and EVE_SIM_MAX_ENTRIES are
+LAMBDA_BRUTE_FORCE_MAX_D, HELSTROM_MAX_DIM and EVE_SIM_MAX_TRIALS are
 kept as contracts.
 """
 
@@ -36,16 +36,15 @@ from typing import Optional
 
 import numpy as np
 
-from .detection import _CHUNK_ROWS, draw_chunked
+from .detection import chunk_slices, draw_chunked
 from .errors import CapabilityError
 from .mub import Dimension, MubFamily, build_mub_family, half_projector
 
 LAMBDA_BRUTE_FORCE_MAX_D = 16
 HELSTROM_MAX_DIM = 4096
-# n_trials * d cap of simulate_eve_random_basis: at most ~11 traced bytes of
-# peak memory per entry (10.9 measured at d = 2, where it is largest; 0.15 at
-# d = 64), ~0.37 GB at the cap
-EVE_SIM_MAX_ENTRIES = 1 << 25
+# trial cap of simulate_eve_random_basis: about 6 traced bytes of peak memory
+# per trial at any d, ~0.1 GB at the cap
+EVE_SIM_MAX_TRIALS = 1 << 24
 BOUNDS_SOURCES = ("paper", "certified")
 
 
@@ -221,9 +220,10 @@ def helstrom_numeric(family: MubFamily, m: int = 1) -> float:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     d = family.d
-    if d**m > HELSTROM_MAX_DIM:
+    # d = 2^k, so d^m > HELSTROM_MAX_DIM exactly when k m > floor(log2 cap)
+    if (d.bit_length() - 1) * m > HELSTROM_MAX_DIM.bit_length() - 1:
         raise CapabilityError(
-            f"Helstrom tensor power needs dimension d^m = {d**m}; "
+            f"Helstrom tensor power of m = {m} copies at d = {d} needs dimension d^m; "
             f"the exact solver is capped at {HELSTROM_MAX_DIM}"
         )
     rho0 = encoding_average_state(family, 0)
@@ -276,71 +276,39 @@ class EveSimResult:
 def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> EveSimResult:
     """Simulate an interceptor who measures in a uniformly random basis.
 
-    Outcomes follow the Born rule through the family's actual overlaps.
     After the basis is disclosed, a matching-basis outcome decodes the bit
     exactly; otherwise the outcome is uninformative and the guess falls
-    back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  Only a
-    matched trial's outcome is used, so only the matched trials (about
-    1 in d + 1) get a Born row, computed through the family's overlaps
-    bases[t][:, half x + r] against bases[t].conj() and grouped by the
-    basis t, one product per group; the mismatched trials only count
-    their coins.  Memory is O(n_trials) and no (d+1)^2 d^2 overlap table
-    is formed.  Every per-trial value is still drawn for every trial, so
-    the random stream is that of the all-rows simulation.  The per-trial
-    integers are drawn in chunks (`draw_chunked`) into the smallest
-    signed type that holds 0..d, and the float64 uniforms are drawn in
-    the same chunks, keeping only the matched trials' entries.
-    n_trials * d is capped at EVE_SIM_MAX_ENTRIES (2^25); beyond it
-    CapabilityError is raised before anything is drawn.
+    back to a fair coin.  Expected success: 1/2 + 1/(2(d + 1)).  A matched
+    trial measures Alice's own vector of an orthonormal basis, whose
+    Born-rule outcome is that vector, so only family.d is read.  Each
+    trial still draws x, r, theta, Eve's basis, her measurement's uniform
+    and a coin, in that order and in chunks (`draw_chunked`), so the
+    random stream is that of the Born-rule simulation.  n_trials is
+    capped at EVE_SIM_MAX_TRIALS (2^24); beyond it CapabilityError is
+    raised before anything is drawn.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    d = family.d
-    if n_trials * d > EVE_SIM_MAX_ENTRIES:
+    if n_trials > EVE_SIM_MAX_TRIALS:
         raise CapabilityError(
-            f"intercept simulation of {n_trials} trials at d = {d} needs n_trials * d = "
-            f"{n_trials * d}; it is capped at {EVE_SIM_MAX_ENTRIES}"
+            f"intercept simulation of {n_trials} trials is capped at {EVE_SIM_MAX_TRIALS}"
         )
-    half = d // 2
-    n_bases = d + 1
-
+    d = family.d
     rng = np.random.default_rng(seed)
-    index = np.min_scalar_type(-n_bases)  # holds 0..d, so every basis and half * x + r
+    index = np.min_scalar_type(-(d + 1))  # holds 0..d, so every basis
 
     def draw(high):
         return draw_chunked(n_trials, index, lambda size: rng.integers(0, high, size))
 
-    xs, rs, thetas, eve_bases = draw(2), draw(half), draw(n_bases), draw(n_bases)
-    matched = np.flatnonzero(thetas == eve_bases)
-    # every trial draws its uniform, but only the matched trials' are kept
-    u = np.empty(matched.size)
-    for start in range(0, n_trials, _CHUNK_ROWS):
-        chunk = rng.random(min(_CHUNK_ROWS, n_trials - start))
-        lo, hi = np.searchsorted(matched, (start, start + chunk.size))
-        u[lo:hi] = chunk[matched[lo:hi] - start]
-    coins = draw(2)
-
-    # a mismatched basis leaves the outcome uninformative: the guess is the coin
-    coin_hits = coins == xs
-    coin_hits[matched] = False
-    successes = int(np.count_nonzero(coin_hits))
-    del coin_hits
-    matched_bases = eve_bases[matched]
-    for t in range(n_bases):
-        group = np.flatnonzero(matched_bases == t)
-        trials = matched[group]
-        x = xs[trials]
-        states = family.bases[t, :, half * x + rs[trials]]  # (trials, d)
-        # born[n, i] = |<e_t(i)|psi_n>|^2, accumulated over outcomes i
-        cdf = np.cumsum(np.abs(states @ family.bases[t].conj()) ** 2, axis=1)
-        decoded = (u[group, None] > cdf).sum(axis=1) >= half
-        del states, cdf  # not alive while the next group's rows are formed
-        successes += int(np.count_nonzero(decoded == x))
-    p_hat = successes / n_trials
+    xs = draw(2)
+    for rows in chunk_slices(n_trials):
+        rng.integers(0, d // 2, rows.stop - rows.start)  # r
+    hits = draw(d + 1) == draw(d + 1)  # Alice's basis, then Eve's: a match decodes x
+    for rows in chunk_slices(n_trials):
+        rng.random(rows.stop - rows.start)  # the uniform of Eve's measurement
+    hits |= draw(2) == xs  # the other trials guess x by a coin
     return EveSimResult(
-        d=d,
-        n_trials=n_trials,
-        p_success=p_hat,
+        d=d, n_trials=n_trials, p_success=int(np.count_nonzero(hits)) / n_trials,
         p_success_analytic=0.5 + 0.5 / (d + 1.0),
     )
 

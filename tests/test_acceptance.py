@@ -157,7 +157,6 @@ def test_criterion_07_detection_model_consistency():
             eta=float(rng.uniform(0.2, 1.0)),
             visibility=float(rng.uniform(0.8, 1.0)),
             p_dark=float(10.0 ** rng.uniform(-6.0, -2.0)),
-            n_detectors=int(rng.integers(2, 5)),
         )
         m = int(rng.integers(1, 7))
         stats = detection_stats(t, det, m)

@@ -7,6 +7,7 @@ stdout/stderr split (JSON on stdout, `# config:` echo on stderr).
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -506,6 +507,44 @@ def test_simulate_non_finite_mu_exits_1_naming_mu(capsys, mu, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--m", str(2**32)),
+        ("multiparty", "--parties", "2", "--m", str(2**33)),
+        # beyond expm1's range in the closed forms' log branch
+        ("simulate", "--m", str(2**63 - 1), "--L", "100"),
+        ("simulate", "--photon-statistics", "poisson", "--mu", "1e12", "--allow-insecure-mu",
+         "--L", "30"),
+    ],
+    ids=["simulate-2^32", "multiparty-2^33", "simulate-2^63-1", "poisson-mu-1e12"],
+)
+def test_sources_of_2_to_the_32_copies_and_more_run(capsys, argv):
+    # numpy's binomial takes no uint64 counts, and expm1 overflows past 709.78
+    code, out, err = run_cli(capsys, *argv, "--d", "16", "--rounds", "1000", *IDEAL_FLAGS)
+    assert code == 0, err
+    summaries = json.loads(out).get("parties") or [json.loads(out)]
+    for summary in summaries:
+        assert summary["n_clicks"] == 1000 and summary["p_c_analytic"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--m", str(2**63)), f"m must be in [1, 2^63), got {2**63}"),
+        (("multiparty", "--parties", "2", "--m", str(2**64)), "m must be in [1, 2^63)"),
+        (("simulate", "--photon-statistics", "poisson", "--mu", "1e300", "--allow-insecure-mu"),
+         "finite mu > 0, got 1e+300; numpy's Poisson sampler takes mu <= 9.22337e+18"),
+    ],
+    ids=["simulate-m", "multiparty-m", "poisson-mu"],
+)
+def test_sources_numpy_cannot_draw_exit_1_naming_the_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--d", "16", "--rounds", "10")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_simulate_non_power_of_two_d_exits_1(capsys):
     code, _, _ = run_cli(capsys, "simulate", "--d", "3", "--rounds", "10")
     assert code == 1
@@ -576,6 +615,17 @@ def test_memory_error_exits_3(capsys, monkeypatch, argv, layer, exc, message):
     assert code == 3
     assert out == ""
     assert err == message
+
+
+@pytest.mark.parametrize("m", [4000, 10**8, 10**12])
+def test_oracle_helstrom_cap_exits_3_before_forming_d_to_the_m(capsys, m):
+    # 16^4000 has more digits than int-to-str converts; 16^(10^12) never finishes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--d", "16", "--m", str(m), "--samples", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert f"m = {m} copies at d = 16" in err and "capped at 4096" in err
 
 
 def test_oracle_reference_values(capsys):

@@ -71,9 +71,9 @@ def test_transcript_writer_peak_is_flat(tmp_path, n_rounds):
     assert _traced_peak(lambda: tr.to_csv(path, comment="memory")) <= 4 * 2**20
 
 
-# about 1.3 times the traced peak measured with only the matched trials'
-# uniforms kept: 21.8 B/trial at k = 1 and 9.5 at k = 6
-EVE_BYTES_PER_TRIAL = {1: 29, 6: 13}
+# about 1.3 times the traced peak of the count over the kept integer draws:
+# 4.3 B/trial at k = 1 and 5.6 at k = 6, where the chunk scratch weighs more
+EVE_BYTES_PER_TRIAL = {1: 6, 6: 8}
 
 
 @pytest.mark.parametrize("k, n_trials", [(1, 2 * 10**5), (6, 10**5)])

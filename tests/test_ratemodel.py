@@ -85,8 +85,6 @@ def test_channel_and_detector_validation():
         DetectorModel(visibility=1.2)
     with pytest.raises(ValueError):
         DetectorModel(p_dark=1.0)
-    with pytest.raises(ValueError):
-        DetectorModel(n_detectors=1)
 
 
 def test_detector_presets():
@@ -96,7 +94,7 @@ def test_detector_presets():
     )
 
 
-def _binomial_oracle(s, v, p, n, m):
+def _binomial_oracle(s, v, p, m):
     """Right/wrong click masses by explicit enumeration of arrival counts."""
     p_all_good = sum(
         math.comb(m, i) * (s * v) ** i * (1 - s) ** (m - i) for i in range(1, m + 1)
@@ -105,46 +103,46 @@ def _binomial_oracle(s, v, p, n, m):
         math.comb(m, i) * (s * (1 - v)) ** i * (1 - s) ** (m - i) for i in range(1, m + 1)
     )
     no_arrival = (1 - s) ** m
-    no_dark = (1 - p) ** n
+    no_dark = (1 - p) ** 2
     right = p_all_good * no_dark + no_arrival * p + p_all_good * p
-    wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p
+    wrong = p_all_bad * no_dark + no_arrival * p + p_all_bad * p
     return right, wrong
 
 
 @pytest.mark.parametrize(
-    "t,eta,v,p,n,m",
+    "t,eta,v,p,m",
     [
-        (0.1, 0.2, 0.99, 1e-5, 2, 10),
-        (0.5, 0.66, 0.995, 1e-8, 2, 4),
-        (0.9, 0.9, 0.9, 0.01, 3, 3),
-        (0.02, 0.4, 0.97, 1e-4, 4, 6),
+        (0.1, 0.2, 0.99, 1e-5, 10),
+        (0.5, 0.66, 0.995, 1e-8, 4),
+        (0.9, 0.9, 0.9, 0.01, 3),
+        (0.02, 0.4, 0.97, 1e-4, 6),
     ],
 )
-def test_detection_stats_against_binomial_oracle(t, eta, v, p, n, m):
-    det = DetectorModel(eta=eta, visibility=v, p_dark=p, n_detectors=n)
+def test_detection_stats_against_binomial_oracle(t, eta, v, p, m):
+    det = DetectorModel(eta=eta, visibility=v, p_dark=p)
     stats = detection_stats(t, det, m)
-    right, wrong = _binomial_oracle(t * eta, v, p, n, m)
+    right, wrong = _binomial_oracle(t * eta, v, p, m)
     assert stats.p_right == pytest.approx(right, rel=1e-12)
     assert stats.p_wrong == pytest.approx(wrong, rel=1e-12)
     assert stats.p_c == pytest.approx(right / (right + wrong), rel=1e-12)
 
 
 @pytest.mark.parametrize(
-    "t,eta,v,p,n,mu",
+    "t,eta,v,p,mu",
     [
-        (1.0, 0.66, 0.995, 1e-8, 2, 4.0),
-        (0.1, 0.66, 0.995, 1e-8, 2, 1.0),
-        (0.9, 0.9, 0.9, 0.01, 3, 2.5),
-        (0.02, 0.4, 0.97, 1e-4, 4, 6.0),
+        (1.0, 0.66, 0.995, 1e-8, 4.0),
+        (0.1, 0.66, 0.995, 1e-8, 1.0),
+        (0.9, 0.9, 0.9, 0.01, 2.5),
+        (0.02, 0.4, 0.97, 1e-4, 6.0),
     ],
 )
-def test_poisson_detection_stats_against_a_mixture_of_binomial_oracles(t, eta, v, p, n, mu):
-    det = DetectorModel(eta=eta, visibility=v, p_dark=p, n_detectors=n)
+def test_poisson_detection_stats_against_a_mixture_of_binomial_oracles(t, eta, v, p, mu):
+    det = DetectorModel(eta=eta, visibility=v, p_dark=p)
     stats = poisson_detection_stats(t, det, mu)
     weights = [math.exp(-mu) * mu**m / math.factorial(m) for m in range(80)]
     right, wrong = (
         sum(w * part for w, part in zip(weights, parts))
-        for parts in zip(*(_binomial_oracle(t * eta, v, p, n, m) for m in range(80)))
+        for parts in zip(*(_binomial_oracle(t * eta, v, p, m) for m in range(80)))
     )
     assert stats.p_right == pytest.approx(right, rel=1e-12)
     assert stats.p_wrong == pytest.approx(wrong, rel=1e-12)
@@ -183,7 +181,6 @@ _valid_point = st.tuples(
     st.floats(min_value=0.01, max_value=1.0),
     st.floats(min_value=0.01, max_value=1.0),
     st.floats(min_value=0.0, max_value=0.5),
-    st.integers(min_value=2, max_value=5),
     st.integers(min_value=1, max_value=40),
 )
 
@@ -191,8 +188,8 @@ _valid_point = st.tuples(
 @given(_valid_point)
 @settings(max_examples=200)
 def test_normalized_mode_is_a_probability_split(point):
-    t, eta, v, p, n, m = point
-    det = DetectorModel(eta=eta, visibility=v, p_dark=p, n_detectors=n)
+    t, eta, v, p, m = point
+    det = DetectorModel(eta=eta, visibility=v, p_dark=p)
     try:
         stats = detection_stats(t, det, m)
     except DegenerateModeError:
@@ -201,14 +198,13 @@ def test_normalized_mode_is_a_probability_split(point):
     assert 0.0 <= stats.p_c <= 1.0
     assert 0.0 <= stats.p_e <= 1.0
     assert stats.p_c + stats.p_e == pytest.approx(1.0, abs=1e-12)
-    if n == 2:
-        # any detector fires: 1 - (1 - t eta)^m (1 - p)^n, in log space so
-        # that a tiny t eta does not cancel to 0
-        s = t * eta
-        any_fires = 1.0 if s >= 1.0 else -math.expm1(m * math.log1p(-s) + n * math.log1p(-p))
-        # the taxonomy only double-counts the no-signal double-dark class
-        slack = (1 - t * eta) ** m * p * p + 1e-15
-        assert stats.p_click <= any_fires + slack
+    # any detector fires: 1 - (1 - t eta)^m (1 - p)^2, in log space so
+    # that a tiny t eta does not cancel to 0
+    s = t * eta
+    any_fires = 1.0 if s >= 1.0 else -math.expm1(m * math.log1p(-s) + 2 * math.log1p(-p))
+    # the taxonomy only double-counts the no-signal double-dark class
+    slack = (1 - t * eta) ** m * p * p + 1e-15
+    assert stats.p_click <= any_fires + slack
 
 
 @given(
@@ -248,7 +244,6 @@ def test_mc_oracle_matches_analytic_at_pinned_point():
     "t, det, m, seed, counts",
     [
         (0.1, DetectorModel(eta=0.2, visibility=0.99, p_dark=0.05), 10, 123, (21232, 4164)),
-        (0.3, DetectorModel(eta=0.5, visibility=0.9, p_dark=0.05, n_detectors=3), 3, 5, (34124, 9136)),
     ],
 )
 def test_mc_oracle_counts_are_pinned(t, det, m, seed, counts):
@@ -282,9 +277,6 @@ def test_conditional_entropy_examples():
     assert conditional_entropy_xy(1.0, 0.0) == 0.0
     assert conditional_entropy_xy(0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
     assert conditional_entropy_xy(0.9, 0.1) == pytest.approx(0.4689955936, abs=1e-9)
-    # with three detectors the wrong mass spreads over two bad ones
-    three = conditional_entropy_xy(0.9, 0.1, n_detectors=3)
-    assert three == pytest.approx(0.4689955936 + 0.1, abs=1e-9)
     with pytest.raises(ValueError):
         conditional_entropy_xy(0.9, 0.2)
     with pytest.raises(ValueError):
@@ -513,7 +505,7 @@ def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source):
     [
         IDEAL,
         SNSPD,
-        DetectorModel(eta=0.4, visibility=0.98, p_dark=1e-6, n_detectors=3),
+        DetectorModel(eta=0.4, visibility=0.98, p_dark=1e-6),
         DetectorModel(eta=0.1, visibility=0.9, p_dark=1e-2),
     ],
 )
@@ -563,7 +555,7 @@ def _scalar_closed_form(t, det, m):
     P_sift) as Python floats from `math` and `**` alone.
     """
     s = t * det.eta
-    v, p, n = det.visibility, det.p_dark, det.n_detectors
+    v, p = det.visibility, det.p_dark
     no_arrival = (1.0 - s) ** m
     if 0.0 < s < 0.5:
         log_none = m * math.log1p(-s)
@@ -576,16 +568,16 @@ def _scalar_closed_form(t, det, m):
         p_signal_click = 1.0 - no_arrival
         p_all_good = (1.0 - s + s * v) ** m - no_arrival
         p_all_bad = (1.0 - s * v) ** m - no_arrival
-    no_dark = (1.0 - p) ** n
+    no_dark = (1.0 - p) ** 2
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
-    p_wrong = p_all_bad * no_dark + no_arrival * (n - 1) * p + p_all_bad * (n - 1) * p
+    p_wrong = p_all_bad * no_dark + no_arrival * p + p_all_bad * p
     p_click = p_right + p_wrong
     p_c, p_e = p_right / p_click, p_wrong / p_click
     h = 0.0
     if p_c > 0.0:
         h -= p_c * math.log2(p_c)
     if p_e > 0.0:
-        h -= p_e * math.log2(p_e / (n - 1))
+        h -= p_e * math.log2(p_e)
     prefactor = 1.0 if s >= 1.0 else -math.expm1(m * math.log1p(-s))
     return p_signal_click, p_right, p_wrong, p_click, p_c, p_e, h, prefactor
 
@@ -594,8 +586,8 @@ _EDGE_DETECTORS = {
     "snspd": SNSPD,
     "ingaas": DETECTOR_PRESETS["ingaas_field"],
     "ideal": IDEAL,  # visibility 1 and no dark counts: p_e = 0
-    "dark-3det": DetectorModel(eta=1.0, visibility=0.9, p_dark=1e-3, n_detectors=3),
-    "darkfree-3det": DetectorModel(eta=0.8, visibility=0.97, p_dark=0.0, n_detectors=3),
+    "dark": DetectorModel(eta=1.0, visibility=0.9, p_dark=1e-3),
+    "darkfree": DetectorModel(eta=0.8, visibility=0.97, p_dark=0.0),
 }
 _EDGE_TS = [0.0, 1e-12, 1e-4, 0.05, 0.3, 0.49, 0.5, 0.6, 0.8, 0.99, 1.0]
 _EDGE_MS = [1, 2, 2.5, 3, 7, 50, 199]
@@ -632,7 +624,7 @@ def test_array_kernel_equals_scalar_formula_on_edge_grid(det):
             one = detection_stats(t, det, m)
             assert all(type(x) is float for x in vars(one).values())
             assert list(vars(one).values()) == list(want[:6])
-            assert conditional_entropy_xy(one.p_c, one.p_e, det.n_detectors) == want[6]
+            assert conditional_entropy_xy(one.p_c, one.p_e) == want[6]
 
 
 @pytest.fixture(scope="module")

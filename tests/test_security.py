@@ -234,18 +234,19 @@ def test_eve_random_basis_simulation(d):
 
 
 def test_eve_simulation_size_cap(monkeypatch):
-    fam = cached_family(2)
-    # the certify benchmark's intercept job, d = 64 and 10^5 trials, fits the cap
-    assert 64 * 10**5 <= security.EVE_SIM_MAX_ENTRIES
-    monkeypatch.setattr(security, "EVE_SIM_MAX_ENTRIES", 100)
-    assert simulate_eve_random_basis(fam, n_trials=25, seed=7).n_trials == 25  # 25 * 4 = cap
+    fam = cached_family(6)
+    # the certify benchmark's intercept job, 10^5 trials, fits the cap
+    assert 10**5 <= security.EVE_SIM_MAX_TRIALS
+    monkeypatch.setattr(security, "EVE_SIM_MAX_TRIALS", 100)
+    # the cap counts trials alone: d = 64 does not lower it
+    assert simulate_eve_random_basis(fam, n_trials=100, seed=7).n_trials == 100
 
     def no_draw(*args, **kwargs):
         raise AssertionError("the cap must be checked before anything is drawn")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(CapabilityError):
-        simulate_eve_random_basis(fam, n_trials=26, seed=7)
+        simulate_eve_random_basis(fam, n_trials=101, seed=7)
 
 
 def test_eve_simulation_is_deterministic():
@@ -437,9 +438,9 @@ def test_eve_simulation_matches_full_table_reference(k, seed):
 
 
 def test_eve_simulation_in_chunks_of_7_matches_full_table_reference(monkeypatch):
-    # the kept uniforms straddle chunk edges; the stream is the one-call stream
+    # the dropped r and uniform draws straddle chunk edges; the stream is the
+    # one-call stream
     monkeypatch.setattr(detection, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(security, "_CHUNK_ROWS", 7)
     fam = cached_family(2)
     got = simulate_eve_random_basis(fam, n_trials=5000, seed=3).p_success
     assert got == _eve_full_table(fam, 5000, 3)
