@@ -102,27 +102,37 @@ class DetectionStats:
 
 
 def _libm(fn, *args) -> np.ndarray:
-    """fn elementwise over the broadcast args, through Python's math library.
+    """fn elementwise over args of one shape, through Python's math library.
 
     numpy's SIMD float64 exp, expm1, log1p, log2 and power can differ from
     the C library in the last bit, so every transcendental of the closed
     forms goes through `math` (or `pow`) one element at a time and the
-    arrays stay bit-identical to the scalar formulas.
+    arrays stay bit-identical to the scalar formulas.  Callers pass only
+    the entries a call applies to, so each cell costs one call per term.
     """
-    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
-    values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+    values = map(fn, *(a.ravel().tolist() for a in args))
+    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
 
 
-def _exp_times_expm1(a: float, x: float) -> float:
-    """e^a expm1(x); for x beyond expm1's range as e^(a + x) (-expm1(-x)), needing a + x <= 0."""
-    return math.exp(a) * math.expm1(x) if x < 709.0 else math.exp(a + x) * -math.expm1(-x)
+def _exp_times_expm1(a: np.ndarray, exp_a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e^a expm1(x) from exp_a = e^a; where x >= 709, beyond expm1's range,
+    e^(a + x) (-expm1(-x)) instead, which needs a + x <= 0."""
+    big = x >= 709.0
+    out = np.asarray(exp_a * _libm(math.expm1, np.where(big, 0.0, x)))
+    if big.any():
+        out[big] = _libm(math.exp, a[big] + x[big]) * -_libm(math.expm1, -x[big])
+    return out
 
 
 def _first(bad: np.ndarray, *arrays: np.ndarray) -> list:
     """The entries of arrays (bad's shape) at the first True of bad."""
     i = int(np.argmax(bad))
     return [a.flat[i] for a in arrays]
+
+
+def _log_space(s: np.ndarray) -> np.ndarray:
+    """The arrival probabilities s whose binomial sums are taken in log space."""
+    return (0.0 < s) & (s < 0.5)
 
 
 def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
@@ -137,34 +147,39 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     entry equals the scalar evaluation bit for bit (+ - * / run in numpy
     in the scalar order, transcendentals through `math`, see `_libm`).
     An error in any entry raises as it would for that entry alone.
+
+    Per cell: one pow for (1 - s)^m, then on 0 < s < 0.5 (`_log_space`)
+    expm1 and exp of m log1p(-s) and one expm1 per arrival class, and
+    elsewhere one pow per arrival class; log1p runs once per t.
     """
     t, m = _checked_source(t, m, "m")
     s = t * detector.eta
     v = detector.visibility
-
-    no_arrival = _libm(pow, 1.0 - s, m)
     # binomial sums over i >= 1 arrivals weighted by V^i resp. (1-V)^i;
     # for small s the direct differences of near-1 powers cancel to zero
-    # in double precision, so they are evaluated in log space instead.
-    # The log1p terms depend on t alone; entries outside the log branch
-    # get s = 0 there, so log1p(-1) is never evaluated.
-    log_space = (0.0 < s) & (s < 0.5)
-    s_log = np.where(log_space, s, 0.0)
+    # in double precision, so they are evaluated in log space instead, each
+    # branch on its own cells.  The log1p terms depend on t alone; s = 0
+    # stands in outside the log branch, so log1p(-1) is never evaluated.
+    s_log = np.where(_log_space(s), s, 0.0)
     log_miss = _libm(math.log1p, -s_log)
-    log_good = _libm(math.log1p, -s_log * (1.0 - v))
-    log_bad = _libm(math.log1p, -s_log * v)
-    log_none = m * log_miss
-    p_signal_click = np.where(log_space, -_libm(math.expm1, log_none), 1.0 - no_arrival)
-    p_all_good = np.where(
-        log_space,
-        _libm(_exp_times_expm1, log_none, m * (log_good - log_miss)),
-        _libm(pow, 1.0 - s + s * v, m) - no_arrival,
+    log_good = _libm(math.log1p, -s_log * (1.0 - v)) - log_miss
+    log_bad = _libm(math.log1p, -s_log * v) - log_miss
+    logs, s, m, log_miss, log_good, log_bad = np.broadcast_arrays(
+        _log_space(s), s, m, log_miss, log_good, log_bad
     )
-    p_all_bad = np.where(
-        log_space,
-        _libm(_exp_times_expm1, log_none, m * (log_bad - log_miss)),
-        _libm(pow, 1.0 - s * v, m) - no_arrival,
-    )
+    no_arrival = _libm(pow, 1.0 - s, m)
+    p_signal_click, p_all_good, p_all_bad = (np.empty(logs.shape) for _ in range(3))
+    m_log = m[logs]
+    log_none = m_log * log_miss[logs]
+    exp_none = _libm(math.exp, log_none)
+    p_signal_click[logs] = -_libm(math.expm1, log_none)
+    p_all_good[logs] = _exp_times_expm1(log_none, exp_none, m_log * log_good[logs])
+    p_all_bad[logs] = _exp_times_expm1(log_none, exp_none, m_log * log_bad[logs])
+    direct = ~logs
+    s, m, none = s[direct], m[direct], no_arrival[direct]
+    p_signal_click[direct] = 1.0 - none
+    p_all_good[direct] = _libm(pow, 1.0 - s + s * v, m) - none
+    p_all_bad[direct] = _libm(pow, 1.0 - s * v, m) - none
     return _with_dark_counts(detector, p_signal_click, no_arrival, p_all_good, p_all_bad)
 
 
@@ -176,16 +191,18 @@ def poisson_detection_stats(t: float, detector: DetectorModel, mu) -> DetectionS
     no arrival has probability e^(-mu s), all arrivals good
     e^(-mu s (1 - V)) - e^(-mu s) = e^(-mu s) expm1(mu s V), and all bad
     e^(-mu s) expm1(mu s (1 - V)).  The dark-count terms and the
-    broadcasting are those of `detection_stats`.
+    broadcasting are those of `detection_stats`; e^(-mu s) is one exp
+    per cell, shared by the three terms.
     """
     t, mu = _checked_source(t, mu, "mu")
     mean = mu * (t * detector.eta)
+    no_arrival = _libm(math.exp, -mean)
     return _with_dark_counts(
         detector,
         -_libm(math.expm1, -mean),
-        _libm(math.exp, -mean),
-        _libm(_exp_times_expm1, -mean, mean * detector.visibility),
-        _libm(_exp_times_expm1, -mean, mean * (1.0 - detector.visibility)),
+        no_arrival,
+        _exp_times_expm1(-mean, no_arrival, mean * detector.visibility),
+        _exp_times_expm1(-mean, no_arrival, mean * (1.0 - detector.visibility)),
     )
 
 
@@ -196,9 +213,9 @@ def _checked_source(t, m, name: str) -> tuple[np.ndarray, np.ndarray]:
     bad = ~((t >= 0.0) & (t <= 1.0))
     if bad.any():
         raise ValueError(f"transmittance must be in [0, 1], got {_first(bad, t)[0]}")
-    bad = ~(m > 0)
+    bad = ~((m > 0) & (m < math.inf))
     if bad.any():
-        raise ValueError(f"{name} must be positive, got {_first(bad, m)[0]}")
+        raise ValueError(f"{name} must be positive and finite, got {_first(bad, m)[0]}")
     return t, m
 
 

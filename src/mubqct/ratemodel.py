@@ -24,8 +24,11 @@ evaluator: `key_rate` reads a 1 x 1 table, `optimize_m` one row of
 m = 1 .. m_scan_limit(d), and each `max_distance` step the rows of the
 midpoint and the two midpoints that can follow it, so all four agree
 exactly.  The detection closed forms keep every entry bit-identical to
-the one-point formula, so sweep rows equal a per-cell scan.  Everything
-runs serially in the calling process.
+the one-point formula, so sweep rows equal a per-cell scan.  Each math
+call runs once per cell, on the cells of its own branch: seven per cell
+where 0 < t eta < 0.5 (pow, expm1, exp, two expm1, two log2), as P_sift
+is read from p_signal_click there.  Everything runs serially in the
+calling process.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .detection import (
     DETECTOR_PRESETS,
     DetectorModel,
     _libm,
+    _log_space,
     conditional_entropy_xy,
     detection_stats,
     transmittance,
@@ -86,18 +90,24 @@ def _channel_table(ts: Sequence[float], detector: DetectorModel, ms) -> np.ndarr
     """The d-independent rate terms at every (t, m), shape (4, len(ts), len(ms)).
 
     ms is a sequence of copy counts.  The rows are p_c, p_e, H(X|Y) and
-    the sift prefactor P_sift.
+    the sift prefactor P_sift.  Per cell that is the calls of
+    `detection_stats` and two log2; P_sift costs one expm1 more per cell
+    only on the rows where s = t eta is outside (0, 0.5).
     """
     t = np.asarray(ts, dtype=float)[:, None]
     m = np.asarray(ms)[None, :]
     stats = detection_stats(t, detector, m)
     hxy = conditional_entropy_xy(stats.p_c, stats.p_e)
-    s = t * detector.eta
     # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
-    # small s (the direct form underflows to 0 beyond ~800 km); s = 1 is
-    # kept out of log1p, which would raise there
+    # small s (the direct form underflows to 0 beyond ~800 km).  On 0 < s
+    # < 0.5 that is p_signal_click, the same product through the same call;
+    # elsewhere s = 1 is kept out of log1p, which would raise there.
+    s = t * detector.eta
+    rest = ~_log_space(s[:, 0])
+    s = s[rest]
+    prefactor = stats.p_signal_click.copy()
     log_none = m * _libm(math.log1p, -np.where(s < 1.0, s, 0.0))
-    prefactor = np.where(s >= 1.0, 1.0, -_libm(math.expm1, log_none))
+    prefactor[rest] = np.where(s >= 1.0, 1.0, -_libm(math.expm1, log_none))
     return np.stack([stats.p_c, stats.p_e, hxy, prefactor])
 
 
@@ -328,31 +338,18 @@ def sweep(
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
+# One CSV row of a SweepRow: floats to 10 significant digits
+_SWEEP_ROW = "%s,%d,%.10g,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g"
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow], header_comment: Optional[str] = None) -> str:
-    """Render sweep rows as CSV text (10 significant digits for floats)."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
+    """Render sweep rows as CSV text, one `_SWEEP_ROW` %-format per row."""
+    lines = [f"# {header_comment}"] if header_comment else []
     lines.append(SWEEP_CSV_HEADER)
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.profile,
-                    str(row.d),
-                    _fmt(row.length_km),
-                    str(row.m_opt),
-                    _fmt(row.t),
-                    _fmt(row.p_c),
-                    _fmt(row.p_e),
-                    _fmt(row.hxy_bits),
-                    _fmt(row.hmin_bits),
-                    _fmt(row.key_rate_bits),
-                ]
-            )
-        )
+    lines.extend(
+        _SWEEP_ROW
+        % (r.profile, r.d, r.length_km, r.m_opt, r.t, r.p_c, r.p_e, r.hxy_bits, r.hmin_bits,
+           r.key_rate_bits)
+        for r in rows
+    )
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """scripts/rate_vs_distance.py: shared grid parser, exit codes, stderr report."""
 
+import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,26 @@ import pytest
 from mubqct import DETECTOR_PRESETS, max_distance, sweep, sweep_rows_to_csv
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_distance.py"
+
+# The ratecurve benchmark's grid.  The script's CSV has no config line, so
+# its digest does not depend on --out.
+BENCH_D = ",".join(str(2**k) for k in range(1, 17))
+BENCH_L = "0:400:2"
+BENCH_RATES_SHA256 = {
+    "ingaas_field": "c0e6a054e1231a01b21746ea9e0e67e0328d3c0c9acae117c4b8641737bcbb07",
+    "snspd_lab": "1916f11ffb4aac7e40f0d6e70e6a3a39600b8e4a106c04b6238b586316bd3915",
+}
+# L_max in km for d = 2 .. 65536, as printed, and the fitted slope line
+BENCH_REACH = {
+    "ingaas_field": (
+        "0.0 0.0 0.0 0.7 7.1 12.0 20.7 27.7 34.9 42.1 49.4 56.8 64.2 71.7 79.1 86.6",
+        "# distance extension: 41.9 km per 100x in d",
+    ),
+    "snspd_lab": (
+        "0.0 1.5 27.6 39.2 45.7 50.7 59.3 66.3 73.5 80.7 88.1 95.5 102.9 110.4 117.8 125.3",
+        "# distance extension: 53.6 km per 100x in d",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +115,18 @@ def test_reach_uses_the_fiber_loss(script, capsys):
     reach = max_distance(64, DETECTOR_PRESETS["snspd_lab"], 0.17).distance_km
     assert f"{reach:.1f}" == "59.6"
     assert f"L_max={reach:.1f} km" in err.splitlines()[1]
+
+
+@pytest.mark.parametrize("profile", sorted(BENCH_RATES_SHA256))
+def test_benchmark_grid_outputs_are_pinned(script, capsys, tmp_path, profile):
+    out = tmp_path / f"rates_{profile}.csv"
+    code, _, err = run_script(
+        script, capsys, "--d", BENCH_D, "--L", BENCH_L, "--profile", profile, "--out", str(out)
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_RATES_SHA256[profile]
+    lines = err.splitlines()
+    reach, slope = BENCH_REACH[profile]
+    assert len(lines) == 18 and lines[0] == f"# profile={profile} bounds=paper"
+    assert " ".join(re.search(r"L_max=(\S+) km$", line).group(1) for line in lines[1:17]) == reach
+    assert lines[17] == slope

@@ -548,6 +548,11 @@ def test_sweep_benchmark_grid_invariants(bench_rows):
 # ------------------------------------------- array kernel vs the scalar formula
 
 
+def _scalar_exp_times_expm1(a, x):
+    """e^a expm1(x); past expm1's range (x >= 709) as e^(a + x) (-expm1(-x))."""
+    return math.exp(a) * math.expm1(x) if x < 709.0 else math.exp(a + x) * -math.expm1(-x)
+
+
 def _scalar_closed_form(t, det, m):
     """The one-point closed forms the array kernel replaced, operation for operation.
 
@@ -560,14 +565,33 @@ def _scalar_closed_form(t, det, m):
     if 0.0 < s < 0.5:
         log_none = m * math.log1p(-s)
         p_signal_click = -math.expm1(log_none)
-        p_all_good = math.exp(log_none) * math.expm1(
-            m * (math.log1p(-s * (1.0 - v)) - math.log1p(-s))
+        p_all_good = _scalar_exp_times_expm1(
+            log_none, m * (math.log1p(-s * (1.0 - v)) - math.log1p(-s))
         )
-        p_all_bad = math.exp(log_none) * math.expm1(m * (math.log1p(-s * v) - math.log1p(-s)))
+        p_all_bad = _scalar_exp_times_expm1(log_none, m * (math.log1p(-s * v) - math.log1p(-s)))
     else:
         p_signal_click = 1.0 - no_arrival
         p_all_good = (1.0 - s + s * v) ** m - no_arrival
         p_all_bad = (1.0 - s * v) ** m - no_arrival
+    return _scalar_with_dark_counts(det, s, m, p_signal_click, no_arrival, p_all_good, p_all_bad)
+
+
+def _scalar_poisson_closed_form(t, det, mu):
+    """`poisson_detection_stats` at one point, from `math` alone, in the fields of
+    `_scalar_closed_form` (its P_sift is that of mu copies)."""
+    s = t * det.eta
+    mean = mu * s
+    no_arrival = math.exp(-mean)
+    p_all_good = _scalar_exp_times_expm1(-mean, mean * det.visibility)
+    p_all_bad = _scalar_exp_times_expm1(-mean, mean * (1.0 - det.visibility))
+    return _scalar_with_dark_counts(
+        det, s, mu, -math.expm1(-mean), no_arrival, p_all_good, p_all_bad
+    )
+
+
+def _scalar_with_dark_counts(det, s, m, p_signal_click, no_arrival, p_all_good, p_all_bad):
+    """The fields of `_scalar_closed_form` from the arrival classes."""
+    p = det.p_dark
     no_dark = (1.0 - p) ** 2
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
     p_wrong = p_all_bad * no_dark + no_arrival * p + p_all_bad * p
@@ -625,6 +649,58 @@ def test_array_kernel_equals_scalar_formula_on_edge_grid(det):
             assert all(type(x) is float for x in vars(one).values())
             assert list(vars(one).values()) == list(want[:6])
             assert conditional_entropy_xy(one.p_c, one.p_e) == want[6]
+
+
+def test_overflow_fallback_next_to_the_plain_product_equals_the_scalar_formula():
+    # s = 0.198 and 0.165: the good class's exponent m (log1p(-s (1 - V))
+    # - log1p(-s)) passes expm1's range at m = 3228 and m = 3950, so each
+    # row mixes plain entries and e^(a + x) (-expm1(-x)) entries
+    ts, ms = np.array([[0.3], [0.25]]), np.arange(1, 5001)
+    stats = detection_stats(ts, SNSPD, ms[None, :])
+    s = ts * SNSPD.eta
+    x_good = ms * (np.log1p(-s * (1.0 - SNSPD.visibility)) - np.log1p(-s))
+    assert ((x_good >= 709.0).any(axis=1) & (x_good < 709.0).any(axis=1)).all()
+    assert (stats.p_right > 0.0).all()
+    got = np.stack([stats.p_signal_click, stats.p_right, stats.p_wrong, stats.p_click,
+                    stats.p_c, stats.p_e])
+    for i, t in enumerate(ts[:, 0].tolist()):
+        for j, m in enumerate(ms.tolist()):
+            assert got[:, i, j].tolist() == list(_scalar_closed_form(t, SNSPD, m)[:6]), (t, m)
+        first = int(np.argmax(x_good[i] >= 709.0)) + 1
+        for m in (1, first - 1, first, first + 1, 5000):
+            one = detection_stats(t, SNSPD, m)
+            assert list(vars(one).values()) == got[:, i, m - 1].tolist(), (t, m)
+
+
+_EDGE_MUS = [0.5, 1.0, 2.5, 50.0, 1000.0, 3000.0, 5000.0]
+
+
+@pytest.mark.parametrize("det", list(_EDGE_DETECTORS.values()), ids=list(_EDGE_DETECTORS))
+def test_poisson_kernel_equals_scalar_formula_on_edge_grid(det):
+    ts = _edge_ts(det)
+    means = np.array(ts)[:, None] * det.eta * np.array(_EDGE_MUS)[None, :]
+    # both sides of the e^(a + x) (-expm1(-x)) fallback of the good class
+    assert (means * det.visibility >= 709.0).any() and (means * det.visibility < 709.0).any()
+    stats = poisson_detection_stats(np.array(ts)[:, None], det, np.array(_EDGE_MUS)[None, :])
+    got = np.stack([stats.p_signal_click, stats.p_right, stats.p_wrong, stats.p_click,
+                    stats.p_c, stats.p_e])
+    for i, t in enumerate(ts):
+        for j, mu in enumerate(_EDGE_MUS):
+            want = _scalar_poisson_closed_form(t, det, mu)[:6]
+            assert got[:, i, j].tolist() == list(want), (t, mu)
+            one = poisson_detection_stats(t, det, mu)
+            assert all(type(x) is float for x in vars(one).values())
+            assert list(vars(one).values()) == list(want)
+
+
+@pytest.mark.parametrize("kernel, name", [(detection_stats, "m"), (poisson_detection_stats, "mu")])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_source_raises(kernel, name, value):
+    message = f"{name} must be positive and finite, got {value}"
+    with pytest.raises(ValueError, match=message):
+        kernel(0.001, SNSPD, value)
+    with pytest.raises(ValueError, match=message):
+        kernel(np.array([[0.001], [0.5]]), SNSPD, np.array([2.0, value, 3.0]))
 
 
 @pytest.fixture(scope="module")
