@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Adversary-bound table across dimensions.
 
-Tabulates, for each d, the exact lambda (read from the commuting classes
-of the split observables where their dense relation check is offered,
-d <= 16), the closed-form lambda, the guessing-probability
-bounds, the resulting min-entropy, and the accessible-information
-chain. CSV on stdout. Bad input, such as a d that is not a power of two
-or m < 1, exits 1 with an `error:` line, as in the mubqct CLI.
+Tabulates, for each d, the exact lambda (from the commuting classes of
+the split observables), the paper's closed-form lambda, the
+guessing-probability bounds, the resulting min-entropy, and the
+accessible-information chain. CSV on stdout. Bad input, such as a d
+that is not a power of two or m < 1, exits 1 with an `error:` line, as
+in the mubqct CLI.
 
 Example:
     python3 scripts/bounds_table.py --d 2,4,8,16,64,1024 --m 1
@@ -16,7 +16,6 @@ import argparse
 import sys
 
 from mubqct.cli import _parse_int_list
-from mubqct.errors import CapabilityError
 from mubqct.security import bounds_report
 
 COLUMNS = (
@@ -42,27 +41,16 @@ def parse_args(argv=None):
 
 
 def _fmt(value):
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
-
-
-def _record(d, m):
-    """bounds_report at (d, m), closed form where the exact lambda is not offered."""
-    try:
-        return bounds_report(d, m, oracle=True).to_dict()
-    except CapabilityError as exc:
-        print(f"# d={d}: oracle skipped ({exc})", file=sys.stderr)
-    return bounds_report(d, m, oracle=False).to_dict()
 
 
 def main(argv=None):
     args = parse_args(argv)
     try:
         ds = _parse_int_list(args.d)
-        records = [_record(d, args.m) for d in ds]
+        records = [bounds_report(d, args.m, oracle=True).to_dict() for d in ds]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

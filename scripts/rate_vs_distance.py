@@ -5,9 +5,8 @@ Writes the optimized sweep table as CSV and prints, per dimension, the
 rate at the first grid distance and the maximum reachable distance,
 followed by the fitted distance-extension slope (km gained per 100x
 increase in d).  Errors exit as in the mubqct CLI, with a message: 1 for
-bad input such as a malformed --d or --L, 3 for a bound source that
-cannot be computed at a requested d, a grid over the sweep cap or a
-failed allocation.
+bad input such as a malformed --d or --L, 3 for a grid over the sweep
+cap or a failed allocation.
 
 Example:
     python3 scripts/rate_vs_distance.py --d 128,1024,16384 --L 0:150:5 \

@@ -57,14 +57,14 @@ from .security import (
     BoundsReport,
     EveSimResult,
     bounds_report,
-    encoding_average_state,
+    helstrom_exact,
     helstrom_multi_bound,
     helstrom_numeric,
     helstrom_paper_single,
     hmin_bits,
     iacc_bound,
+    lambda_exact,
     lambda_numeric,
-    lambda_numeric_for_d,
     lambda_paper_bound,
     pguess,
     pguess_certified,

@@ -36,14 +36,14 @@ from .detection import (
     transmittance,
 )
 from .errors import CapabilityError
-from .mub import Dimension, build_mub_family, certify_build
+from .mub import certify_build
 from .protocol import ProtocolParams, multiparty_run, run_protocol
 from .ratemodel import SWEEP_MAX_CELLS, sweep, sweep_rows_to_csv
 from .security import (
     BOUNDS_SOURCES,
     bounds_report,
-    helstrom_numeric,
-    lambda_numeric,
+    helstrom_exact,
+    lambda_exact,
     lambda_paper_bound,
 )
 
@@ -307,10 +307,8 @@ def cmd_multiparty(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    dim = Dimension.from_d(args.d)
-    family = build_mub_family(dim.k)
-    lam = lambda_numeric(family)
-    hel = helstrom_numeric(family, args.m)
+    lam = lambda_exact(args.d)
+    hel = helstrom_exact(args.d, args.m)
     detector = _detector_from_args(args)
     t = transmittance(args.length_km, args.alpha)
     stats = detection_stats(t, detector, args.m)
@@ -397,7 +395,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="adversary bounds for one (d, m) point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    oracle_help = "exact lambda from the commutation classes of the split observables (d <= 16)"
+    oracle_help = "exact lambda from the commutation classes of the split observables"
     p.add_argument("--oracle", action="store_true", help=oracle_help)
     _add_common(p)
     p.set_defaults(func=cmd_bounds)

@@ -370,7 +370,7 @@ def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
     gens = 1 << np.arange(k)
     if not all(np.array_equal(h[x ^ g], h * h[g]) for g in gens):
         return False
-    if np.unique((h[gens] < 0).T @ gens).size < d:  # the masks c_j
+    if np.count_nonzero(np.bincount((h[gens] < 0).T @ gens, minlength=d)) < d:  # masks c_j
         return False
     parity = np.bitwise_xor.reduce((x[:, None] >> np.arange(k)) & 1, axis=1)
     masks = np.empty((len(e), k), dtype=np.min_scalar_type(d - 1))  # masks[a, i] = B_a g_i

@@ -9,97 +9,67 @@ the uniform mixture over bases of the half-space projector the adversary
 would like to certify; P_guess <= lambda / 2 with lambda = max over the
 2^(d+1) outcome strings Omega of the largest eigenvalue of F.  This
 module holds what the rate model, the `bounds` and `oracle` commands and
-the benchmark use: lambda exactly, in small dimensions, from how the
-split observables commute, the closed-form bounds used at large d and
-assembled into the `bounds` record, and numeric Helstrom discrimination
-and a simulated intercept strategy as anchors from below.
+the benchmark use: lambda and the m-copy Helstrom value in closed form at
+every d, the closed-form bounds of the paper assembled into the `bounds`
+record, and a simulated intercept strategy as an anchor from below.
 
-The exact computations use the algebra of the construction rather than
-generic dense algebra.  The two halves of every basis sum to the
-identity, so F(Omega) = (d+1)/d I + (1/d) sum_theta s_theta Z_theta with
-signs s_theta = (-1)^omega_theta and split observables Z_theta = P_theta^0
-- P_theta^1; in d = 2^k these are Pauli operators whose commuting
-classes (sizes 1, d/2 and d/2) pairwise anticommute, which gives the
-largest norm over all sign strings in closed form.  rho_0 + rho_1 = 2I/d
-makes the two bit states commute, so their tensor powers are
-discriminated from the spectra alone.  The size caps
-LAMBDA_BRUTE_FORCE_MAX_D, HELSTROM_MAX_DIM and EVE_SIM_MAX_TRIALS are
-kept as contracts.
+Both closed forms come from the algebra of the construction, not from
+dense matrices.  The two halves of every basis sum to the identity, so
+F(Omega) = (d+1)/d I + (1/d) sum_theta s_theta Z_theta with signs
+s_theta = (-1)^omega_theta and split observables Z_theta = P_theta^0 -
+P_theta^1; in d = 2^k these are Pauli operators whose commuting classes
+(sizes 1, d/2 and d/2) pairwise anticommute, which gives the largest
+norm over all sign strings (`lambda_exact`).  rho_0 + rho_1 = 2I/d makes
+the two bit states commute, with one pair of eigenvalues, so their
+tensor powers are discriminated by a binomial sum of O(m) terms
+(`helstrom_exact`).  The dense versions of both live in the test suite
+as references.  HELSTROM_MAX_COPIES and EVE_SIM_MAX_TRIALS are kept as
+contracts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .detection import chunk_slices, draw_chunked
 from .errors import CapabilityError
-from .mub import Dimension, MubFamily, build_mub_family, half_projector
+from .mub import Dimension, MubFamily, build_mub_family
 
-LAMBDA_BRUTE_FORCE_MAX_D = 16
-HELSTROM_MAX_DIM = 4096
+# copy cap of helstrom_exact: above every m the rate model scans
+# (m_scan_limit(65536) = 199); at the cap one call sums 512 terms in about
+# 10 ms, within 3e-14 of a 60-digit evaluation
+HELSTROM_MAX_COPIES = 1024
 # trial cap of simulate_eve_random_basis: about 6 traced bytes of peak memory
 # per trial at any d, ~0.1 GB at the cap
 EVE_SIM_MAX_TRIALS = 1 << 24
 BOUNDS_SOURCES = ("paper", "certified")
 
 
-def _check_lambda_cap(d: int) -> None:
-    if d > LAMBDA_BRUTE_FORCE_MAX_D:
-        raise CapabilityError(
-            f"the exact lambda relation check is capped at d = {LAMBDA_BRUTE_FORCE_MAX_D}, got {d}"
-        )
-
-
-def _commuting_classes(family: MubFamily) -> np.ndarray:
-    """Sizes n_g of the classes of pairwise commuting split observables.
-
-    Checks, by the largest entry deviation within 1e-9, that every Z_theta
-    = 2 P_theta^0 - I squares to I, that every pair commutes or
-    anticommutes, and that commuting is transitive, so distinct classes
-    anticommute; ValueError otherwise.  The products are formed one row
-    (Z_t Z and Z Z_t) at a time.
-    """
-    d = family.d
-    cols = family.bases[:, :, : d // 2]
-    z = 2.0 * cols @ cols.conj().transpose(0, 2, 1) - np.eye(d)
-    commute = np.empty((family.n_bases, family.n_bases), dtype=bool)
-    for t, z_t in enumerate(z):
-        left, right = z_t @ z, z @ z_t
-        commute[t] = np.abs(left - right).max(axis=(1, 2)) <= 1e-9
-        anti = np.abs(left + right).max(axis=(1, 2)) <= 1e-9
-        if np.abs(left[t] - np.eye(d)).max() > 1e-9 or not np.all(commute[t] | anti):
-            raise ValueError(f"split observable {t} breaks the Pauli relations within 1e-9")
-    if not (np.array_equal(commute, commute.T) and np.array_equal(commute @ commute, commute)):
-        raise ValueError("commutation of the split observables is not symmetric and transitive")
-    first = commute.argmax(axis=1) == np.arange(family.n_bases)  # each class's first member
-    return commute.sum(axis=1)[first]
-
-
-def lambda_numeric(family: MubFamily) -> float:
-    """max over all outcome strings of the largest eigenvalue of F(Omega).
+def lambda_exact(d: int) -> float:
+    """max over all outcome strings of the largest eigenvalue of F(Omega), in closed form.
 
     F(Omega) = (d+1)/d I + (1/d) S with S = sum_theta s_theta Z_theta, and
-    flipping every sign negates S, so lambda = (d+1)/d + max ||S|| / d =
-    (d+1)/d + sqrt(sum_g n_g^2) / d over the `_commuting_classes` g.
-    Proof: S = sum_g alpha_g with alpha_g the signed sum of class g; the
-    alpha_g pairwise anticommute, so S^2 = sum_g alpha_g^2 and ||S||^2 <=
-    sum_g n_g^2.  A within-class product Z_theta Z_theta' commutes with
-    every Z, so these Hermitian products commute and share an eigenvector
-    v.  Fix r_g in each class and take s_theta from Z_(r_g) Z_theta v =
-    s_theta v; as Z_theta Z_theta' = (Z_(r_g) Z_theta)(Z_(r_g) Z_theta'),
-    alpha_g^2 v = n_g^2 v, so S^2 v = (sum_g n_g^2) v: the bound is
-    reached.  The built families have classes of sizes 1, d/2 and d/2.
-    Offered for d <= LAMBDA_BRUTE_FORCE_MAX_D (16); larger dimensions must
-    rely on the closed-form bound.
+    flipping every sign negates S, so lambda = (d+1)/d + max ||S|| / d.
+    The split observables of the built family are signed Paulis in three
+    classes of mutually commuting members, of sizes n_g = 1, d/2 and d/2,
+    every two classes anticommuting (Bandyopadhyay, Boykin, Roychowdhury
+    & Vatan, Algorithmica 34, 2002; the tests check it by a dense relation
+    check at d <= 64).  Write S = sum_g alpha_g with alpha_g the signed
+    sum of class g.  The alpha_g pairwise anticommute, so S^2 = sum_g
+    alpha_g^2 and ||S||^2 <= sum_g n_g^2.  A within-class product
+    Z_theta Z_theta' commutes with every Z, so these Hermitian products
+    commute and share an eigenvector v.  Fix r_g in each class and take
+    s_theta from Z_(r_g) Z_theta v = s_theta v; as Z_theta Z_theta' =
+    (Z_(r_g) Z_theta)(Z_(r_g) Z_theta'), alpha_g^2 v = n_g^2 v, so S^2 v =
+    (sum_g n_g^2) v and the bound is reached: lambda = (d+1)/d +
+    sqrt(1 + d^2/2) / d, which falls toward 1 + 1/sqrt(2).
     """
-    d = family.d
-    _check_lambda_cap(d)
-    return (d + 1) / d + math.sqrt(sum(int(n) ** 2 for n in _commuting_classes(family))) / d
+    Dimension.from_d(d)
+    return (d + 1) / d + math.sqrt(1 + d * d // 2) / d
 
 
 def lambda_paper_bound(d: int) -> float:
@@ -160,12 +130,12 @@ def pguess(d: int, m: int, source: str) -> float:
     """The m-copy guessing bound at dimension d from one of BOUNDS_SOURCES.
 
     "paper" is the closed form `pguess_paper`; "certified" is lambda^m / 2
-    with the exact lambda, so it is capped at d <= 16.
+    with `lambda_exact`.
     """
     if source == "paper":
         return pguess_paper(d, m)
     if source == "certified":
-        return pguess_certified(lambda_numeric_for_d(d), m)
+        return pguess_certified(lambda_exact(d), m)
     raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {source!r}")
 
 
@@ -192,54 +162,41 @@ def pinsker_delta(iacc: float) -> float:
     return math.sqrt(iacc / 2.0)
 
 
-def encoding_average_state(family: MubFamily, x: int) -> np.ndarray:
-    """Average signal state for bit x over the sub-index and the basis."""
-    if x not in (0, 1):
-        raise ValueError(f"x must be 0 or 1, got {x!r}")
-    d = family.d
-    rho = np.zeros((d, d), dtype=complex)
-    for theta in range(d + 1):
-        rho += half_projector(family, theta, x)
-    return rho * (2.0 / (d * (d + 1.0)))
+def helstrom_exact(d: int, m: int = 1) -> float:
+    """Optimal discrimination probability of the two m-copy bit states, in closed form.
 
+    On the built family rho_0 - rho_1 = 2 S / (d (d + 1)) with S =
+    sum_theta Z_theta and S^2 = (d + 1) I, and rho_0 + rho_1 = 2I/d, so the
+    two states commute: rho_0 has eigenvalues (2/d) p and (2/d) q, each
+    d/2 times, with p, q = (1 +- 1/sqrt(d + 1)) / 2, and rho_1 has them
+    swapped (the tests check both against the dense states).  The tensor
+    powers share the product eigenbasis, so the Helstrom (1976) value
+    (1 + ||rho_0^(x m) - rho_1^(x m)||_1 / 2) / 2 is
 
-def helstrom_numeric(family: MubFamily, m: int = 1) -> float:
-    """Optimal discrimination probability of the two m-copy bit states.
+        1/2 + (1/4) sum_j C(m, j) |p^j q^(m-j) - q^j p^(m-j)|.
 
-    Evaluates (1 + ||rho_0^(x m) - rho_1^(x m)||_1 / 2) / 2.  Each basis's
-    two halves sum to the identity, so rho_0 + rho_1 = 2I/d and the two
-    states commute: one eigendecomposition rho_0 = V diag(a) V^H also
-    diagonalises rho_1, whose eigenvalues b are read from the diagonal of
-    V^H rho_1 V.  The tensor powers share the product eigenbasis, so the
-    trace norm is sum |prod a_i - prod b_i| over the d^m products and no
-    Kronecker power is formed.  ValueError is raised if rho_0's
-    Hermiticity error or the residual of V^H rho_1 V off its real
-    diagonal exceeds 1e-9.  The dimension d^m stays capped at
-    HELSTROM_MAX_DIM (4096).
+    Terms j and m - j are equal and j = m/2 gives 0, so the sum runs over
+    j > m/2 twice, each term C(m, j) p^j q^(m-j) (1 - (q/p)^(2j-m)) taken
+    in log space; roundoff that lifts the sum past 1 (up to 1.1e-14 at the
+    cap) is clamped away.  m is capped at HELSTROM_MAX_COPIES (1024); beyond it
+    CapabilityError is raised before any term is formed.
     """
+    Dimension.from_d(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    d = family.d
-    # d = 2^k, so d^m > HELSTROM_MAX_DIM exactly when k m > floor(log2 cap)
-    if (d.bit_length() - 1) * m > HELSTROM_MAX_DIM.bit_length() - 1:
+    if m > HELSTROM_MAX_COPIES:
         raise CapabilityError(
-            f"Helstrom tensor power of m = {m} copies at d = {d} needs dimension d^m; "
-            f"the exact solver is capped at {HELSTROM_MAX_DIM}"
+            f"Helstrom value of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
         )
-    rho0 = encoding_average_state(family, 0)
-    rho1 = encoding_average_state(family, 1)
-    if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
-        raise ValueError("rho_0 is not Hermitian within 1e-9")
-    a, v = np.linalg.eigh(rho0)
-    rho1_in_v = v.conj().T @ rho1 @ v
-    b = np.diagonal(rho1_in_v).real
-    if np.max(np.abs(rho1_in_v - np.diag(b))) > 1e-9:
-        raise ValueError("rho_1 is not diagonal in rho_0's eigenbasis within 1e-9")
-    a_m, b_m = a, b
-    for _ in range(m - 1):
-        a_m = np.multiply.outer(a_m, a).ravel()
-        b_m = np.multiply.outer(b_m, b).ravel()
-    return 0.5 + float(np.abs(a_m - b_m).sum()) / 4.0
+    c = 1.0 / math.sqrt(d + 1.0)
+    log_p, log_q = math.log1p(c) - math.log(2.0), math.log1p(-c) - math.log(2.0)
+    total = 0.0
+    for j in range(m // 2 + 1, m + 1):
+        total += math.exp(
+            math.log(math.comb(m, j)) + j * log_p + (m - j) * log_q
+            + math.log(-math.expm1((2 * j - m) * (log_q - log_p)))
+        )
+    return _clamp_guess(0.5 + 0.5 * total)
 
 
 def helstrom_paper_single(d: int) -> float:
@@ -313,12 +270,29 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     )
 
 
-@lru_cache(maxsize=None)
-def lambda_numeric_for_d(d: int) -> float:
-    """Cached exact lambda of the built family for dimension d (d <= 16)."""
-    k = Dimension.from_d(d).k
-    _check_lambda_cap(d)
-    return lambda_numeric(build_mub_family(k))
+def _built_d(family: MubFamily) -> int:
+    """family.d, after checking that family is `build_mub_family`'s own; ValueError otherwise."""
+    if not np.array_equal(family.bases, build_mub_family(family.dimension.k).bases):
+        raise ValueError("the closed forms hold for the built family only, and this family differs")
+    return family.d
+
+
+def lambda_numeric(family: MubFamily) -> float:
+    """`lambda_exact(family.d)` for the built family; ValueError for any other family.
+
+    An adapter for the benchmark's library job and tracer, which call it
+    by name; it goes when a benchmark change drops those imports.
+    """
+    return lambda_exact(_built_d(family))
+
+
+def helstrom_numeric(family: MubFamily, m: int = 1) -> float:
+    """`helstrom_exact(family.d, m)` for the built family; ValueError for any other family.
+
+    An adapter for the benchmark's library job and tracer, which call it
+    by name; it goes when a benchmark change drops those imports.
+    """
+    return helstrom_exact(_built_d(family), m)
 
 
 @dataclass(frozen=True)
@@ -347,10 +321,10 @@ class BoundsReport:
 def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     """Assemble every bound for a (d, m) point into one record.
 
-    With oracle enabled the certified guessing bound uses the exact lambda
-    (d <= 16 only) and the min-entropy comes from the "certified" source.
-    Otherwise pguess_certified is None (JSON null): the closed-form lambda
-    gives no certified bound (at d = 16, lambda_paper / 2 = 0.566 while a
+    With oracle enabled the certified guessing bound uses `lambda_exact`
+    and the min-entropy comes from the "certified" source.  Otherwise
+    pguess_certified is None (JSON null): the paper's lambda gives no
+    certified bound (at d = 16, lambda_paper / 2 = 0.566 while a
     single-copy attack reaches 0.834), and the min-entropy comes from the
     "paper" source.
     """
@@ -358,7 +332,7 @@ def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     lam_paper = lambda_paper_bound(d)
-    lam_num = lambda_numeric_for_d(d) if oracle else None
+    lam_num = lambda_exact(d) if oracle else None
     iacc = iacc_bound(d, m)
     return BoundsReport(
         d=d,

@@ -25,9 +25,8 @@ from mubqct.security import (
     pguess_certified,
     pguess_single_paper,
     simulate_eve_random_basis,
-    encoding_average_state,
 )
-from tests.conftest import cached_family, trace_norm
+from tests.conftest import cached_family, encoding_average_state, trace_norm
 
 SNSPD = DETECTOR_PRESETS["snspd_lab"]
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from mubqct.security import lambda_exact
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bounds_table.py"
 
 
@@ -45,16 +47,16 @@ def test_default_table(script, capsys):
     rows = [dict(zip(script.COLUMNS, line.split(","))) for line in lines[1:]]
     assert [row["d"] for row in rows] == ["2", "4", "8", "16", "64", "1024"]
     for row in rows:
-        # the exact lambda is offered up to d = 16; above it the closed form stands alone
-        certified = int(row["d"]) <= 16
-        assert (row["pguess_certified"] != "") == certified
-        assert (row["lambda_numeric"] != "") == certified
-    assert "d=64: oracle skipped" in err
+        # the exact lambda is a closed form, so every d gets the certified columns
+        assert row["lambda_numeric"] == f"{lambda_exact(int(row['d'])):.10g}"
+        assert row["pguess_certified"] != ""
+    assert err == ""
 
 
 def test_default_table_matches_pinned_digest(script, capsys):
-    # pinned while BoundsReport.to_dict still listed its keys by hand
+    # re-pinned when the exact lambda filled the d = 64 and 1024 rows; the
+    # rows d <= 16 are byte-identical to the earlier pin 21fee061..4bd7
     code, out, _ = run_script(script, capsys)
     assert code == 0
-    digest = "21fee06119afeae8207cfba14e9385ba5f829b3c539dd719cb052b7415db4bd7"
+    digest = "d828737f9e0c44672be8bb04989a3a102a5e79c63fe2a1f2b8281c4fa9159c54"
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from mubqct import cli, detection, protocol
+from mubqct import cli, detection, mub, protocol, security
 from mubqct.cli import DEFAULT_SEED, main
 from mubqct.ratemodel import SWEEP_CSV_HEADER
+from mubqct.security import helstrom_exact, lambda_exact
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 IDEAL_FLAGS = ("--eta", "1.0", "--visibility", "1.0", "--p-dark", "0")
@@ -143,10 +144,11 @@ def test_bounds_large_d_without_oracle(capsys):
     assert report["pguess_paper_multi"] > 0.5
 
 
-def test_bounds_oracle_above_cap_exits_3(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--d", "1024", "--m", "4", "--oracle")
-    assert code == 3
-    assert "error" in err
+def test_bounds_oracle_at_d1024_exits_0(capsys):
+    # the exact lambda is a closed form: no dimension cap
+    code, out, _ = run_cli(capsys, "bounds", "--d", "1024", "--m", "4", "--oracle")
+    assert code == 0
+    assert json.loads(out)["lambda_numeric"] == lambda_exact(1024)
 
 
 # sha256 of `bounds` stdout, pinned while BoundsReport.to_dict still listed
@@ -625,7 +627,20 @@ def test_oracle_helstrom_cap_exits_3_before_forming_d_to_the_m(capsys, m):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
-    assert f"m = {m} copies at d = 16" in err and "capped at 4096" in err
+    assert f"m = {m} copies at d = 16" in err and "capped at 1024 copies" in err
+
+
+def test_oracle_builds_no_family(capsys, monkeypatch):
+    def no_build(k):
+        raise AssertionError("oracle reads lambda and Helstrom from closed forms")
+
+    monkeypatch.setattr(mub, "build_mub_family", no_build)
+    monkeypatch.setattr(security, "build_mub_family", no_build)
+    code, out, _ = run_cli(capsys, "oracle", "--d", "1024", "--m", "3", "--samples", "1000")
+    assert code == 0
+    ref = json.loads(out)
+    assert ref["lambda_numeric"] == lambda_exact(1024)
+    assert ref["helstrom_numeric"] == helstrom_exact(1024, 3)
 
 
 def test_oracle_reference_values(capsys):

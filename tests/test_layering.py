@@ -45,3 +45,20 @@ def test_import_does_not_load(module):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr or f"import mubqct loaded {module}"
+
+
+def test_mub_verify_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 14 ms of every
+    # mub-verify process; the certificate counts distinct masks without it
+    code = (
+        "import contextlib, io, sys\n"
+        "from mubqct.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert main(['mub-verify', '--k', '3']) == 0\n"
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr or "mub-verify loaded numpy.ma"

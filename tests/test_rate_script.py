@@ -90,10 +90,14 @@ def test_non_finite_fiber_loss_exits_1(script, capsys, alpha):
     assert err.startswith("error: alpha_db_per_km must be finite and > 0")
 
 
-def test_certified_above_oracle_cap_exits_3(script, capsys):
-    code, _, err = run_script(script, capsys, "--d", "32", "--bounds-source", "certified")
-    assert code == 3
-    assert err.startswith("error: ")
+def test_certified_at_d32_exits_0(script, capsys):
+    # the exact lambda is a closed form: the certified source has no dimension cap
+    code, out, _ = run_script(
+        script, capsys, "--d", "32", "--L", "0:20:5", "--bounds-source", "certified"
+    )
+    assert code == 0
+    rows = sweep([32], [0.0, 5.0, 10.0, 15.0, 20.0], ["snspd_lab"], bounds_source="certified")
+    assert out == sweep_rows_to_csv(rows)
 
 
 def test_table_and_first_distance_label(script, capsys):

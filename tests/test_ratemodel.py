@@ -33,7 +33,7 @@ from mubqct import (
 from mubqct import ratemodel
 from mubqct.detection import RIGHT, WRONG, click_classes
 from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_table
-from mubqct.security import lambda_numeric_for_d
+from mubqct.security import lambda_exact
 
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
 SNSPD = DETECTOR_PRESETS["snspd_lab"]
@@ -322,11 +322,10 @@ def test_key_rate_is_non_increasing_in_distance():
 
 
 def test_key_rate_certified_source():
-    lam = lambda_numeric_for_d(8)
-    point = key_rate(8, 1, 0.0, IDEAL, bounds_source="certified")
-    assert point.hmin_bits == pytest.approx(-math.log2(pguess_certified(lam, 1)), abs=1e-12)
-    with pytest.raises(CapabilityError):
-        key_rate(32, 1, 0.0, IDEAL, bounds_source="certified")
+    for d in (8, 32):  # the exact lambda is a closed form at every d
+        point = key_rate(d, 1, 0.0, IDEAL, bounds_source="certified")
+        want = -math.log2(pguess_certified(lambda_exact(d), 1))
+        assert point.hmin_bits == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         key_rate(16, 1, 0.0, IDEAL, bounds_source="folklore")
 

@@ -1,4 +1,4 @@
-"""Adversary bounds: exact oracles, closed forms, and their ordering."""
+"""Adversary bounds: exact closed forms, their dense references, and their ordering."""
 
 import itertools
 import math
@@ -13,14 +13,14 @@ from mubqct import (
     MubFamily,
     bounds_report,
     build_mub_family,
-    encoding_average_state,
+    helstrom_exact,
     helstrom_multi_bound,
     helstrom_numeric,
     helstrom_paper_single,
     hmin_bits,
     iacc_bound,
+    lambda_exact,
     lambda_numeric,
-    lambda_numeric_for_d,
     lambda_paper_bound,
     pguess_certified,
     pguess_multi_paper,
@@ -30,7 +30,18 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct import detection, security
-from tests.conftest import cached_family, f_operator, trace_norm
+from tests.conftest import (
+    cached_family,
+    commuting_classes,
+    encoding_average_state,
+    f_operator,
+    helstrom_spectral,
+    lambda_from_classes,
+    trace_norm,
+)
+
+# every dimension the tests sweep the closed forms over, d = 2^k <= 65536
+ALL_D = [2**k for k in range(1, 17)]
 
 # maxima over all 2^(d+1) outcome strings, first found by enumerating
 # every string and frozen as this repository's reference constants
@@ -78,7 +89,8 @@ def test_f_operator_rejects_wrong_length():
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_lambda_numeric_matches_frozen_reference(d):
-    lam = lambda_numeric_for_d(d)
+    lam = lambda_numeric(cached_family(d.bit_length() - 1))
+    assert lam == lambda_exact(d)
     assert lam == pytest.approx(LAMBDA_REFERENCE[d], abs=1e-9)
     assert lam >= (d + 1) / d - 1e-12
     assert lam <= _sound_cap(d) + 1e-9
@@ -86,10 +98,11 @@ def test_lambda_numeric_matches_frozen_reference(d):
 
 def test_lambda_numeric_d16_is_pinned_exactly():
     assert lambda_numeric(cached_family(4)) == 1.7723635432250342
+    assert lambda_exact(16) == 1.7723635432250342
 
 
 def test_lambda_numeric_d2_closed_form():
-    assert lambda_numeric_for_d(2) == pytest.approx(1.5 + math.sqrt(3) / 2, abs=1e-9)
+    assert lambda_exact(2) == pytest.approx(1.5 + math.sqrt(3) / 2, abs=1e-9)
 
 
 def test_lambda_minus_one_decreases_with_d():
@@ -107,18 +120,26 @@ def test_every_outcome_string_respects_the_sound_cap(d):
         assert top <= cap + 1e-9
 
 
-def test_lambda_numeric_cap():
-    with pytest.raises(CapabilityError):
-        lambda_numeric_for_d(32)
-    with pytest.raises(CapabilityError):
-        lambda_numeric(cached_family(5))
+def test_lambda_exact_decreases_toward_its_limit():
+    values = [lambda_exact(d) for d in ALL_D]
+    limit = 1.0 + 1.0 / math.sqrt(2.0)
+    assert all(v > limit for v in values)
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert values[-1] - limit < 2.0 / ALL_D[-1]  # (d+1)/d + sqrt(1 + d^2/2)/d - limit < 2/d
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lambda_exact_equals_the_dense_class_size_reference(k):
+    # the dense relation check forms every Z_t Z_u: 1.8 s at d = 64
+    fam = cached_family(k)
+    assert lambda_exact(fam.d) == lambda_from_classes(fam)
 
 
 @pytest.mark.parametrize("d", [3, 12])
 def test_lambda_numeric_for_d_rejects_non_powers_of_two(d):
     # not rounded down to the family of the largest power of two below d
     with pytest.raises(ValueError):
-        lambda_numeric_for_d(d)
+        lambda_exact(d)
     with pytest.raises(ValueError):
         security.pguess(d, 1, "certified")
 
@@ -217,11 +238,64 @@ def test_helstrom_multi_copy():
     assert helstrom_multi_bound(16, 1) == pytest.approx(0.5 + 0.5 / math.sqrt(17), abs=1e-12)
 
 
-def test_helstrom_dimension_cap():
-    with pytest.raises(CapabilityError):
-        helstrom_numeric(cached_family(4), 4)  # 16^4 far exceeds the cap
-    with pytest.raises(CapabilityError):
-        helstrom_numeric(cached_family(3), 5)
+def test_helstrom_copy_cap(monkeypatch):
+    cap = security.HELSTROM_MAX_COPIES
+    assert helstrom_numeric(cached_family(4), 4) == helstrom_exact(16, 4)  # no d^m cap
+    assert 0.5 < helstrom_exact(65536, cap) < 1.0
+
+    def no_term(*args):
+        raise AssertionError("the cap must be checked before any term is formed")
+
+    monkeypatch.setattr(math, "comb", no_term)
+    for m in (cap + 1, 10**12):
+        with pytest.raises(CapabilityError, match=f"m = {m} copies at d = 16"):
+            helstrom_exact(16, m)
+
+
+def test_helstrom_exact_single_copy_is_the_paper_closed_form():
+    for d in ALL_D:
+        assert abs(helstrom_exact(d, 1) - helstrom_paper_single(d)) <= 1e-15
+
+
+def test_helstrom_exact_is_monotone_bounded_and_finite_up_to_the_copy_cap():
+    cap = security.HELSTROM_MAX_COPIES
+    copies = list(range(1, 65)) + [2**j for j in range(7, cap.bit_length())]
+    assert copies[-1] == cap
+    for d in ALL_D:
+        values = [helstrom_exact(d, m) for m in copies]
+        assert all(math.isfinite(v) and 0.5 < v <= 1.0 for v in values)
+        # an even m gains nothing over m - 1, so equal neighbours differ by roundoff
+        assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "d, m", [(d, m) for d in (2, 4, 8, 16, 32, 64, 128) for m in range(1, 13) if d**m <= 4096]
+)
+def test_helstrom_exact_matches_the_dense_reference(d, m):
+    assert abs(helstrom_exact(d, m) - helstrom_spectral(cached_family(d.bit_length() - 1), m)) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_bit_states_have_one_pair_of_eigenvalues(k):
+    # rho_0 - rho_1 = 2 S / (d (d + 1)) with S^2 = (d + 1) I, and rho_0 +
+    # rho_1 = 2I/d: each state has eigenvalues (1 +- c)/d, d/2 times each
+    fam = cached_family(k)
+    d = fam.d
+    c = 1.0 / math.sqrt(d + 1.0)
+    want = np.repeat([(1.0 - c) / d, (1.0 + c) / d], d // 2)
+    for x in (0, 1):
+        assert np.max(np.abs(np.linalg.eigvalsh(encoding_average_state(fam, x)) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_adapters_raise_on_a_perturbed_family(k):
+    built = cached_family(k)
+    bases = built.bases.copy()
+    bases[2][0, 1] += 1e-12
+    perturbed = MubFamily(dimension=built.dimension, bases=bases)
+    for adapter in (lambda_numeric, lambda fam: helstrom_numeric(fam, 2)):
+        with pytest.raises(ValueError, match="built family"):
+            adapter(perturbed)
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -277,9 +351,9 @@ def test_bounds_report_keys_and_oracle_modes():
     assert cert.pguess_certified == 1.0
     assert cert.hmin_bits == 0.0
 
-    with pytest.raises(CapabilityError):
-        bounds_report(32, 1, oracle=True)
-    # without the oracle the same dimension falls back to closed forms
+    # the exact lambda is a closed form at every d
+    for d in (32, 65536):
+        assert bounds_report(d, 1, oracle=True).lambda_numeric == lambda_exact(d)
     assert bounds_report(32, 1, oracle=False).lambda_numeric is None
 
 
@@ -326,8 +400,9 @@ def test_lambda_numeric_matches_every_string_enumerated(d, seed):
         np.linalg.eigvalsh(f_operator(fam, omega))[-1]
         for omega in itertools.product((0, 1), repeat=d + 1)
     )
-    assert abs(lambda_numeric(fam) - want) < 1e-12
+    assert abs(lambda_from_classes(fam) - want) < 1e-12
     assert abs(lambda_numeric(built) - want) < 1e-12
+    assert abs(lambda_exact(d) - want) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -335,7 +410,7 @@ def test_split_observables_fall_into_classes_of_one_and_two_halves(k):
     # Z_0 anticommutes with every other Z_theta, and Z_1..Z_d split into
     # two halves that commute within and anticommute across
     d = 2**k
-    sizes = security._commuting_classes(cached_family(k))
+    sizes = commuting_classes(cached_family(k))
     assert sorted(sizes.tolist()) == [1, d // 2, d // 2]
 
 
@@ -347,7 +422,9 @@ def test_lambda_numeric_of_a_unitary_image_is_bit_identical(k):
     z = np.random.default_rng(k).normal(size=(2, d, d))
     u = np.linalg.qr(z[0] + 1j * z[1])[0]
     image = MubFamily(dimension=built.dimension, bases=u @ built.bases)
-    assert lambda_numeric(image) == lambda_numeric(built)
+    assert lambda_from_classes(image) == lambda_numeric(built)
+    with pytest.raises(ValueError, match="built family"):
+        lambda_numeric(image)  # the closed form is not offered for another family
 
 
 @pytest.mark.parametrize("d", [4, 8, 16])
@@ -357,15 +434,21 @@ def test_lambda_numeric_rejects_random_orthonormal_bases(d):
     fam = MubFamily(dimension=Dimension.from_d(d), bases=np.linalg.qr(z)[0])
     with pytest.raises(ValueError):
         lambda_numeric(fam)
+    with pytest.raises(ValueError):
+        commuting_classes(fam)
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_lambda_numeric_rejects_bases_that_are_not_orthonormal(d):
     # every Z_theta = diag(3, .., 3, -1, .., -1): they all commute, but none
     # squares to I
-    bases = np.broadcast_to(math.sqrt(2) * np.eye(d), (d + 1, d, d))
+    fam = MubFamily(
+        dimension=Dimension.from_d(d), bases=np.broadcast_to(math.sqrt(2) * np.eye(d), (d + 1, d, d))
+    )
+    with pytest.raises(ValueError, match="built family"):
+        lambda_numeric(fam)
     with pytest.raises(ValueError, match="Pauli relations"):
-        lambda_numeric(MubFamily(dimension=Dimension.from_d(d), bases=bases))
+        commuting_classes(fam)
 
 
 @pytest.mark.parametrize(
@@ -378,8 +461,11 @@ def test_lambda_numeric_rejects_a_swapped_basis_vector(k, broken):
     half = built.d // 2
     bases = built.bases.copy()
     bases[3][:, [0, half]] = bases[3][:, [half, 0]]
+    fam = MubFamily(dimension=built.dimension, bases=bases)
+    with pytest.raises(ValueError, match="built family"):
+        lambda_numeric(fam)
     with pytest.raises(ValueError, match=broken):
-        lambda_numeric(MubFamily(dimension=built.dimension, bases=bases))
+        commuting_classes(fam)
 
 
 def _helstrom_dense_kron(fam, m):
@@ -397,7 +483,9 @@ def _helstrom_dense_kron(fam, m):
 )
 def test_helstrom_spectral_matches_dense_kron(d, m):
     fam = _family(d.bit_length() - 1)
-    assert abs(helstrom_numeric(fam, m) - _helstrom_dense_kron(fam, m)) < 1e-12
+    dense = _helstrom_dense_kron(fam, m)
+    assert abs(helstrom_spectral(fam, m) - dense) < 1e-12
+    assert abs(helstrom_exact(d, m) - dense) < 1e-12
 
 
 def test_helstrom_rejects_non_commuting_bit_states():
@@ -405,8 +493,10 @@ def test_helstrom_rejects_non_commuting_bit_states():
     bases = fam.bases.copy()
     bases[1][:, 0] += 0.01 * bases[1][:, 3]  # leaks half 1 into half 0
     bad = MubFamily(dimension=fam.dimension, bases=bases)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="built family"):
         helstrom_numeric(bad, 1)
+    with pytest.raises(ValueError, match="not diagonal"):
+        helstrom_spectral(bad, 1)
 
 
 def _eve_full_table(fam, n_trials, seed):
