@@ -24,28 +24,23 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
+# Only numpy-free modules load with this one; each subcommand imports the
+# layers it calls when it runs, so `bounds` never loads numpy.
 from . import __version__
-from .detection import (
+from .errors import CapabilityError
+from .models import (
+    BOUNDS_SOURCES,
     DETECTOR_PRESETS,
+    SWEEP_MAX_CELLS,
     ChannelModel,
     DetectorModel,
-    detection_stats,
-    mc_detection_stats,
-    poisson_detection_stats,
     transmittance,
 )
-from .errors import CapabilityError
-from .mub import certify_build
-from .protocol import ProtocolParams, multiparty_run, run_protocol
-from .ratemodel import SWEEP_MAX_CELLS, sweep, sweep_rows_to_csv
-from .security import (
-    BOUNDS_SOURCES,
-    bounds_report,
-    helstrom_exact,
-    lambda_exact,
-    lambda_paper_bound,
-)
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolParams
 
 FORMAT_VERSION = 1
 DEFAULT_SEED = 12345
@@ -200,18 +195,24 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_mub_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    from .mub import certify_build
+
     report = certify_build(args.k, tol=args.tol)
     _emit_json({"format_version": FORMAT_VERSION, **report.to_dict()}, args)
     return 0 if report.passed else 2
 
 
 def cmd_bounds(args) -> int:
+    from .security import bounds_report
+
     report = bounds_report(args.d, args.m, oracle=args.oracle)
     _emit_json({"format_version": FORMAT_VERSION, **report.to_dict()}, args)
     return 0
 
 
 def cmd_sweep(args) -> int:
+    from .ratemodel import sweep, sweep_rows_to_csv
+
     ds = _parse_int_list(args.d)
     lengths = _parse_grid(args.length_grid)
     profiles = [tok.strip() for tok in args.profile.split(",") if tok.strip()]
@@ -252,6 +253,8 @@ def _summary_core(transcript, stats) -> dict:
 
 
 def _protocol_params(args) -> ProtocolParams:
+    from .protocol import ProtocolParams
+
     detector = _detector_from_args(args)
     channel = ChannelModel(alpha_db_per_km=args.alpha, length_km=args.length_km)
     return ProtocolParams(
@@ -268,6 +271,9 @@ def _protocol_params(args) -> ProtocolParams:
 
 
 def cmd_simulate(args) -> int:
+    from .detection import detection_stats, poisson_detection_stats
+    from .protocol import run_protocol
+
     params = _protocol_params(args)
     transcript = run_protocol(params)
     if args.out_transcript:
@@ -287,6 +293,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_multiparty(args) -> int:
+    from .detection import detection_stats
+    from .protocol import multiparty_run
+
     params = _protocol_params(args)
     result = multiparty_run(params, args.parties)
     stats = detection_stats(params.channel.transmittance, params.detector, result.copies_per_party)
@@ -307,6 +316,9 @@ def cmd_multiparty(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .detection import detection_stats, mc_detection_stats
+    from .security import helstrom_exact, lambda_exact, lambda_paper_bound
+
     lam = lambda_exact(args.d)
     hel = helstrom_exact(args.d, args.m)
     detector = _detector_from_args(args)

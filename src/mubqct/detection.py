@@ -20,6 +20,10 @@ quantities as the closed forms without sharing any algebra with them.
 It keeps one byte per round: the event code, whose bits say which
 detector sides the signal reached and which dark-fired, and then the
 click class that a 16-entry table assigns to that code.
+
+The detector and channel models and their presets are defined in `models`
+and bound here too, so `mubqct.detection.DetectorModel` and the like keep
+resolving.
 """
 
 from __future__ import annotations
@@ -30,63 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeError
+from .models import DETECTOR_PRESETS, ChannelModel, DetectorModel, transmittance  # noqa: F401
 
 # rows per chunk of the session's per-round draws: one chunk of int64 or
 # float64 values is 256 KiB, which stays in cache while it is reduced
 _CHUNK_ROWS = 1 << 15
-
-
-def _check_fiber(length_km: float, alpha_db_per_km: float) -> None:
-    if not (math.isfinite(length_km) and length_km >= 0):
-        raise ValueError(f"length_km must be finite and >= 0, got {length_km}")
-    if not (math.isfinite(alpha_db_per_km) and alpha_db_per_km > 0):
-        raise ValueError(f"alpha_db_per_km must be finite and > 0, got {alpha_db_per_km}")
-
-
-def transmittance(length_km: float, alpha_db_per_km: float = 0.2) -> float:
-    """Fiber transmission 10^(-alpha L / 10)."""
-    _check_fiber(length_km, alpha_db_per_km)
-    return 10.0 ** (-alpha_db_per_km * length_km / 10.0)
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Attenuating fiber characterized by a dB/km loss coefficient."""
-
-    alpha_db_per_km: float = 0.2
-    length_km: float = 0.0
-
-    def __post_init__(self):
-        _check_fiber(self.length_km, self.alpha_db_per_km)
-
-    @property
-    def transmittance(self) -> float:
-        return transmittance(self.length_km, self.alpha_db_per_km)
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Threshold detection stage: efficiency, visibility, dark counts."""
-
-    eta: float = 1.0
-    visibility: float = 1.0
-    p_dark: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not 0.0 < self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in (0, 1], got {self.visibility}")
-        if not 0.0 <= self.p_dark < 1.0:
-            raise ValueError(f"p_dark must be in [0, 1), got {self.p_dark}")
-
-
-DETECTOR_PRESETS = {
-    # superconducting nanowire, cryostat-grade dark counts
-    "snspd_lab": DetectorModel(eta=0.66, visibility=0.995, p_dark=1e-8),
-    # free-running InGaAs avalanche diode, field conditions
-    "ingaas_field": DetectorModel(eta=0.20, visibility=0.99, p_dark=1e-5),
-}
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .galois import MAX_K, phase_tables
+from .models import Dimension
 
 # i^n for n mod 4, exact complex literals so the build is bit-reproducible
 _PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
@@ -36,32 +37,6 @@ _PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 # 2^17 complex entries are 2.1 MB, 8 bases per block at d = 128.  Blocks
 # of 2^14 to 2^20 entries measured equally fast at d = 64 and 128.
 _VERIFY_BLOCK_ENTRIES = 1 << 17
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """A power-of-two Hilbert space dimension d = 2^k."""
-
-    k: int
-    d: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.d != 1 << self.k:
-            raise ValueError(f"d must equal 2^k, got d={self.d}, k={self.k}")
-
-    @classmethod
-    def from_k(cls, k: int) -> "Dimension":
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        return cls(k=k, d=1 << k)
-
-    @classmethod
-    def from_d(cls, d: int) -> "Dimension":
-        if not isinstance(d, int) or d < 2 or d & (d - 1):
-            raise ValueError(f"d must be a power of two >= 2, got {d!r}")
-        return cls(k=d.bit_length() - 1, d=d)
 
 
 @dataclass(frozen=True)
@@ -146,8 +121,10 @@ def _basis_writer(k: int):
     tr4_rows = tr4[mul[:, perm]]  # tr4_rows[a, x] = tr4(a perm[x])
     scaled = _PHASES * (1.0 / np.sqrt(d))
 
+    # the exponents lie in 0..3, so mode="clip" never clips; unlike the
+    # default "raise", it writes into out without buffering a copy of it
     def write(a: int, out: np.ndarray) -> np.ndarray:
-        return np.take(scaled, (tr4_rows[a][:, None] + two_tr2) & 3, out=out)
+        return np.take(scaled, (tr4_rows[a][:, None] + two_tr2) & 3, out=out, mode="clip")
 
     return write
 

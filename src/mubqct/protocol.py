@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -31,15 +31,16 @@ from .detection import (
     _CHUNK_ROWS,
     RIGHT,
     WRONG,
-    ChannelModel,
-    DetectorModel,
     chunk_slices,
     click_classes,
     draw_chunked,
     draw_counts_chunked,
 )
 from .errors import CapabilityError, ConstraintError
-from .mub import Dimension, MubFamily, basis_state, half_projector
+from .models import ChannelModel, Dimension, DetectorModel
+
+if TYPE_CHECKING:
+    from .mub import MubFamily
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # rows rendered per chunk; the writer holds one rendered chunk at a time, so
@@ -67,6 +68,8 @@ def encode_index(x: int, r: int, d: int) -> int:
 
 def prepare_state(family: MubFamily, x: int, r: int, theta: int) -> np.ndarray:
     """Alice's signal state |e_theta(i_xr)> for one protocol round."""
+    from .mub import basis_state
+
     i = encode_index(x, r, family.d)
     return basis_state(family, theta, i)
 
@@ -77,6 +80,8 @@ def bob_povm(family: MubFamily, theta: int) -> tuple[np.ndarray, np.ndarray]:
     M_b sums the rank-one projectors of basis theta over indices with
     (d/2) b <= i < (d/2) (b + 1); M0 + M1 = identity.
     """
+    from .mub import half_projector
+
     return half_projector(family, theta, 0), half_projector(family, theta, 1)
 
 

@@ -39,17 +39,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import (
-    DETECTOR_PRESETS,
-    DetectorModel,
-    _libm,
-    _log_space,
-    conditional_entropy_xy,
-    detection_stats,
-    transmittance,
-)
+from .detection import _libm, _log_space, conditional_entropy_xy, detection_stats
 from .errors import CapabilityError
-from .mub import Dimension
+from .models import DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension, DetectorModel, transmittance
 from .security import hmin_bits, pguess
 
 __all__ = [
@@ -280,10 +272,6 @@ class SweepRow:
     hmin_bits: float
     key_rate_bits: float
 
-
-# Largest number of (profile, d, L) cells `sweep` evaluates: a cell costs
-# about 650 traced bytes through the sweep and its CSV, so ~1.4 GB at the cap.
-SWEEP_MAX_CELLS = 1 << 21
 
 # Lengths per channel table.  It bounds the table at 4 * 16 * m_max
 # floats (100 KB at d = 65536, m_max = 199) at any grid size.

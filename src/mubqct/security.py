@@ -11,7 +11,10 @@ would like to certify; P_guess <= lambda / 2 with lambda = max over the
 module holds what the rate model, the `bounds` and `oracle` commands and
 the benchmark use: lambda and the m-copy Helstrom value in closed form at
 every d, the closed-form bounds of the paper assembled into the `bounds`
-record, and a simulated intercept strategy as an anchor from below.
+record, and two anchors from below: the success of an m-copy
+majority-vote attack in closed form (`majority_attack`) and a simulated
+intercept strategy.  Only the intercept simulation and the adapters that
+check a family import numpy, when they are called.
 
 Both closed forms come from the algebra of the construction, not from
 dense matrices.  The two halves of every basis sum to the identity, so
@@ -31,22 +34,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .detection import chunk_slices, draw_chunked
 from .errors import CapabilityError
-from .mub import Dimension, MubFamily, build_mub_family
+from .models import BOUNDS_SOURCES, Dimension
 
-# copy cap of helstrom_exact: above every m the rate model scans
+if TYPE_CHECKING:
+    from .mub import MubFamily
+
+# copy cap of helstrom_exact and majority_attack: above every m the rate model scans
 # (m_scan_limit(65536) = 199); at the cap one call sums 512 terms in about
 # 10 ms, within 3e-14 of a 60-digit evaluation
 HELSTROM_MAX_COPIES = 1024
 # trial cap of simulate_eve_random_basis: about 6 traced bytes of peak memory
 # per trial at any d, ~0.1 GB at the cap
 EVE_SIM_MAX_TRIALS = 1 << 24
-BOUNDS_SOURCES = ("paper", "certified")
 
 
 def lambda_exact(d: int) -> float:
@@ -199,6 +201,52 @@ def helstrom_exact(d: int, m: int = 1) -> float:
     return _clamp_guess(0.5 + 0.5 * total)
 
 
+def majority_attack(d: int, m: int) -> float:
+    """Success probability of the m-copy majority-vote attack, in closed form.
+
+    Eve measures each copy with the covariant POVM {(1/d) W |psi><psi| W^+}
+    over the d^2 Weyl operators W, psi the top eigenvector of S = sum_theta
+    s_theta Z_theta with the signs read off a common eigenvector of the
+    within-class products (see `lambda_exact`).  Once theta is disclosed
+    she decodes every copy and takes the majority, a fair coin on a tie.
+    Each W maps every basis to itself, so given the sent vector the
+    copies' outcomes are i.i.d., each right with probability q_theta: on
+    psi every Z_theta of a class is s_theta times the class's
+    representative, which gives q_0 = 1/2 + 1/(2 sqrt(1 + d^2/2)) on basis
+    0 and q = 1/2 + (d/2)/(2 sqrt(1 + d^2/2)) on the d others.  So the
+    attack succeeds with
+
+        (Maj(q_0, m) + d Maj(q, m)) / (d + 1),
+
+    Maj(q, m) the probability that a Binomial(m, q) count wins the vote.
+    At m = 1 that is d lambda / (2 (d + 1)): the attack reaches the
+    single-copy bound.  The tie's coin makes Maj(q, m) = Maj(q, m - 1) at
+    even m, so even m is evaluated as m - 1.  At odd m Maj is 1 minus the
+    minority tail sum_{j < m/2} C(m, j) q^j (1 - q)^(m-j), each term taken
+    in log space, so the value stays finite, <= 1 and non-decreasing in m.
+    m is capped at HELSTROM_MAX_COPIES, as in `helstrom_exact`.
+    """
+    Dimension.from_d(d)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > HELSTROM_MAX_COPIES:
+        raise CapabilityError(
+            f"majority attack of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
+        )
+    if m % 2 == 0:
+        m -= 1  # the tie's coin: Maj(q, m) = Maj(q, m - 1)
+    root = math.sqrt(1 + d * d // 2)
+
+    def majority(bias: float) -> float:  # Maj((1 + bias) / 2, m)
+        log_right, log_wrong = math.log1p(bias) - math.log(2.0), math.log1p(-bias) - math.log(2.0)
+        return 1.0 - sum(
+            math.exp(math.log(math.comb(m, j)) + j * log_right + (m - j) * log_wrong)
+            for j in range(m // 2 + 1)
+        )
+
+    return (majority(1.0 / root) + d * majority(d / 2 / root)) / (d + 1)
+
+
 def helstrom_paper_single(d: int) -> float:
     """Closed-form one-copy discrimination probability 1/2 + 1/(2 sqrt(d+1))."""
     if d < 2:
@@ -244,6 +292,10 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     capped at EVE_SIM_MAX_TRIALS (2^24); beyond it CapabilityError is
     raised before anything is drawn.
     """
+    import numpy as np
+
+    from .detection import chunk_slices, draw_chunked
+
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if n_trials > EVE_SIM_MAX_TRIALS:
@@ -271,10 +323,27 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
 
 
 def _built_d(family: MubFamily) -> int:
-    """family.d, after checking that family is `build_mub_family`'s own; ValueError otherwise."""
-    if not np.array_equal(family.bases, build_mub_family(family.dimension.k).bases):
+    """family.d, after checking that family is `build_mub_family`'s own; ValueError otherwise.
+
+    Basis 0 is compared with the identity and every other basis with the
+    build's own formula (`mub._basis_writer`), written into one d x d
+    buffer, so the check holds one basis beside the family, not a second
+    family.
+    """
+    import numpy as np
+
+    from .mub import _basis_writer
+
+    d = family.d
+    write = _basis_writer(family.dimension.k)
+    buf = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(buf, 1.0)
+    built = np.array_equal(family.bases[0], buf) and all(
+        np.array_equal(family.bases[1 + a], write(a, buf)) for a in range(d)
+    )
+    if not built:
         raise ValueError("the closed forms hold for the built family only, and this family differs")
-    return family.d
+    return d
 
 
 def lambda_numeric(family: MubFamily) -> float:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from mubqct import cli, detection, mub, protocol, security
+from mubqct import cli, detection, mub, protocol
 from mubqct.cli import DEFAULT_SEED, main
 from mubqct.ratemodel import SWEEP_CSV_HEADER
 from mubqct.security import helstrom_exact, lambda_exact
@@ -593,13 +593,13 @@ def test_multiparty_over_receiver_cap_exits_1(capsys):
     [
         (
             ("simulate", "--d", "16", "--rounds", "1000000000000"),
-            "run_protocol",
+            (protocol, "run_protocol"),
             MemoryError("Unable to allocate 931. GiB for an array"),
             "error: Unable to allocate 931. GiB for an array\n",
         ),
         (
             ("oracle", "--d", "2", "--samples", "1000000000000"),
-            "mc_detection_stats",
+            (detection, "mc_detection_stats"),
             MemoryError(),
             "error: out of memory\n",
         ),
@@ -608,11 +608,12 @@ def test_multiparty_over_receiver_cap_exits_1(capsys):
 )
 def test_memory_error_exits_3(capsys, monkeypatch, argv, layer, exc, message):
     # a failed allocation, raised in process: whether a real one fails
-    # depends on the host's overcommit policy
+    # depends on the host's overcommit policy.  Each subcommand imports its
+    # layer when it runs, so the layer is patched in the module defining it.
     def out_of_memory(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, layer, out_of_memory)
+    monkeypatch.setattr(*layer, out_of_memory)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -635,7 +636,6 @@ def test_oracle_builds_no_family(capsys, monkeypatch):
         raise AssertionError("oracle reads lambda and Helstrom from closed forms")
 
     monkeypatch.setattr(mub, "build_mub_family", no_build)
-    monkeypatch.setattr(security, "build_mub_family", no_build)
     code, out, _ = run_cli(capsys, "oracle", "--d", "1024", "--m", "3", "--samples", "1000")
     assert code == 0
     ref = json.loads(out)

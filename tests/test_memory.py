@@ -1,5 +1,5 @@
 """Peak traced memory of the session, the transcript writer, the
-intercept simulation and the family certificate.
+intercept simulation, the family certificate and the closed-form adapters.
 
 numpy reports its array allocations to tracemalloc, so the traced peak of
 a call counts every temporary array it makes and the arrays it returns.
@@ -14,6 +14,8 @@ from mubqct import (
     ChannelModel,
     ProtocolParams,
     certify_build,
+    helstrom_numeric,
+    lambda_numeric,
     multiparty_run,
     run_protocol,
     simulate_eve_random_basis,
@@ -86,3 +88,11 @@ def test_eve_simulation_peak_bytes_per_trial(k, n_trials):
 def test_certifying_the_largest_family_holds_one_basis_at_a_time():
     # 5.8 MB measured at k = 8; the whole complex family alone is 270 MB
     assert _traced_peak(lambda: certify_build(8)) < 16 * 2**20
+
+
+@pytest.mark.parametrize("adapter", [lambda_numeric, helstrom_numeric])
+def test_closed_form_adapter_checks_one_basis_at_a_time(adapter):
+    # 0.79 MB measured at k = 7: one d x d complex buffer and the build's
+    # exponent tables, against 36 MB when a second family was built
+    family = cached_family(7)
+    assert _traced_peak(lambda: adapter(family)) < 1e6

@@ -30,6 +30,7 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct import detection, security
+from mubqct.security import majority_attack
 from tests.conftest import (
     cached_family,
     commuting_classes,
@@ -268,6 +269,64 @@ def test_helstrom_exact_is_monotone_bounded_and_finite_up_to_the_copy_cap():
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
+def test_majority_attack_single_copy_reaches_the_exact_bound():
+    for d in ALL_D:
+        assert abs(majority_attack(d, 1) - d * lambda_exact(d) / (2 * (d + 1))) <= 1e-12
+
+
+def _majority_direct(q: float, m: int) -> float:
+    """P(a Binomial(m, q) count wins the vote), a tie settled by a fair coin, summed directly."""
+    def term(j):
+        return math.comb(m, j) * q**j * (1.0 - q) ** (m - j)
+
+    tie = 0.5 * term(m // 2) if m % 2 == 0 else 0.0
+    return math.fsum([term(j) for j in range(m // 2 + 1, m + 1)] + [tie])
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 256, 65536])
+def test_majority_attack_matches_the_direct_binomial_sum(d):
+    root = math.sqrt(1 + d * d / 2)
+    q0, q = 0.5 + 0.5 / root, 0.5 + 0.25 * d / root
+    for m in range(1, 41):
+        want = (_majority_direct(q0, m) + d * _majority_direct(q, m)) / (d + 1)
+        assert abs(majority_attack(d, m) - want) <= 1e-13
+
+
+def test_majority_attack_is_monotone_bounded_and_finite():
+    for d in ALL_D:
+        values = [majority_attack(d, m) for m in range(1, 200)]
+        assert all(math.isfinite(v) and 0.5 < v <= 1.0 for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        # the tie's coin: an even m gains nothing over m - 1
+        assert all(values[m - 1] == values[m - 2] for m in range(2, 200, 2))
+
+
+def test_majority_attack_values():
+    assert majority_attack(16, 3) == pytest.approx(0.919, abs=5e-4)
+    assert majority_attack(256, 3) == pytest.approx(0.9402, abs=5e-5)
+    assert majority_attack(256, 5) == pytest.approx(0.9733, abs=5e-5)
+    # the attack refutes the paper's m-copy bound at these points
+    for m in (3, 5):
+        assert pguess_multi_paper(256, m) < majority_attack(256, m)
+
+
+def test_majority_attack_rejects_bad_input_before_any_term(monkeypatch):
+    cap = security.HELSTROM_MAX_COPIES
+    assert 0.5 < majority_attack(65536, cap) <= 1.0
+
+    def no_term(*args):
+        raise AssertionError("the cap must be checked before any term is formed")
+
+    monkeypatch.setattr(math, "comb", no_term)
+    for m in (cap + 1, 10**12):
+        with pytest.raises(CapabilityError, match=f"m = {m} copies at d = 16"):
+            majority_attack(16, m)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        majority_attack(16, 0)
+    with pytest.raises(ValueError, match="power of two"):
+        majority_attack(12, 3)
+
+
 @pytest.mark.parametrize(
     "d, m", [(d, m) for d in (2, 4, 8, 16, 32, 64, 128) for m in range(1, 13) if d**m <= 4096]
 )
@@ -290,12 +349,14 @@ def test_bit_states_have_one_pair_of_eigenvalues(k):
 @pytest.mark.parametrize("k", [1, 3, 4])
 def test_adapters_raise_on_a_perturbed_family(k):
     built = cached_family(k)
-    bases = built.bases.copy()
-    bases[2][0, 1] += 1e-12
-    perturbed = MubFamily(dimension=built.dimension, bases=bases)
-    for adapter in (lambda_numeric, lambda fam: helstrom_numeric(fam, 2)):
-        with pytest.raises(ValueError, match="built family"):
-            adapter(perturbed)
+    # the computational basis, one in the middle and the last are each checked
+    for theta in (0, 2, built.d):
+        bases = built.bases.copy()
+        bases[theta][0, 1] += 1e-12
+        perturbed = MubFamily(dimension=built.dimension, bases=bases)
+        for adapter in (lambda_numeric, lambda fam: helstrom_numeric(fam, 2)):
+            with pytest.raises(ValueError, match="built family"):
+                adapter(perturbed)
 
 
 @pytest.mark.parametrize("d", [2, 4])
