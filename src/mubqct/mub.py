@@ -142,16 +142,44 @@ def build_mub_family(k: int) -> MubFamily:
     discrimination bounds assume.  Deterministic: repeated calls return
     identical arrays.  Supported for 1 <= k <= 8 (d up to 256).
     """
-    write = _basis_writer(k)
     dim = Dimension.from_k(k)
-    d = dim.d
-    bases = np.empty((d + 1, d, d), dtype=complex)
-    bases[0] = np.eye(d)
-    for a in range(d):
-        write(a, bases[1 + a])
+    bases = np.empty((dim.d + 1, dim.d, dim.d), dtype=complex)
+    for _ in _write_bases(k, bases.__getitem__):
+        pass
 
     bases.setflags(write=False)
     return MubFamily(dimension=dim, bases=bases)
+
+
+def _write_bases(k: int, slot):
+    """Write the family's bases in order, yielding each: the family's layout.
+
+    Basis 0 is the identity and basis 1 + a is `_basis_writer(k)`'s
+    write(a); basis theta is stored into slot(theta), a d x d complex
+    array, so a slot that always returns one buffer holds one basis at a
+    time.
+    """
+    write = _basis_writer(k)
+    out = slot(0)
+    out.fill(0)
+    np.fill_diagonal(out, 1.0)
+    yield out
+    for a in range(1 << k):
+        yield write(a, slot(1 + a))
+
+
+def is_built_family(family: MubFamily) -> bool:
+    """Whether family holds exactly the bases `build_mub_family` returns for its k.
+
+    Each basis is written into one d x d buffer and compared there, so
+    the check holds one basis beside the family, not a second family.
+    """
+    d = family.d
+    buf = np.empty((d, d), dtype=complex)
+    return family.bases.shape == (d + 1, d, d) and all(
+        np.array_equal(family.bases[theta], basis)
+        for theta, basis in enumerate(_write_bases(family.dimension.k, lambda theta: buf))
+    )
 
 
 def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationReport:

@@ -323,27 +323,12 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
 
 
 def _built_d(family: MubFamily) -> int:
-    """family.d, after checking that family is `build_mub_family`'s own; ValueError otherwise.
+    """family.d, after checking that family is `build_mub_family`'s own; ValueError otherwise."""
+    from .mub import is_built_family
 
-    Basis 0 is compared with the identity and every other basis with the
-    build's own formula (`mub._basis_writer`), written into one d x d
-    buffer, so the check holds one basis beside the family, not a second
-    family.
-    """
-    import numpy as np
-
-    from .mub import _basis_writer
-
-    d = family.d
-    write = _basis_writer(family.dimension.k)
-    buf = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(buf, 1.0)
-    built = np.array_equal(family.bases[0], buf) and all(
-        np.array_equal(family.bases[1 + a], write(a, buf)) for a in range(d)
-    )
-    if not built:
+    if not is_built_family(family):
         raise ValueError("the closed forms hold for the built family only, and this family differs")
-    return d
+    return family.d
 
 
 def lambda_numeric(family: MubFamily) -> float:

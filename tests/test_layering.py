@@ -36,12 +36,18 @@ def test_module_does_not_import_protocol(module):
 
 # numpy loads numpy.fft lazily, and privacy_amplify reaches it only when
 # called; the rate layer and the transcript writer run serially and need
-# no process or thread pool
+# no process or thread pool.  The package loads its submodules on first
+# access, so each is loaded here before the check.
 @pytest.mark.parametrize(
     "module", ["numpy.fft", "multiprocessing", "concurrent.futures", "concurrent.futures.process"]
 )
 def test_import_does_not_load(module):
-    code = f"import sys, mubqct; sys.exit({module!r} in sys.modules)"
+    code = (
+        "import sys, mubqct\n"
+        "for name in mubqct._SUBMODULES:\n"
+        "    getattr(mubqct, name)\n"
+        f"sys.exit({module!r} in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
