@@ -33,7 +33,6 @@ _EXPORTED_FROM = {
         "basis_state",
         "build_mub_family",
         "certify_build",
-        "certify_family",
         "half_projector",
         "verify_unbiasedness",
     ),

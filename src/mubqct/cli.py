@@ -358,7 +358,8 @@ def _add_detector_options(parser: _Parser) -> None:
     parser.add_argument(
         "--profile",
         default="snspd_lab",
-        help=f"detector preset, one of {sorted(DETECTOR_PRESETS)}",
+        choices=sorted(DETECTOR_PRESETS),
+        help="detector preset",
     )
     parser.add_argument("--eta", type=float, help="override detector efficiency")
     parser.add_argument("--visibility", type=float, help="override interference visibility")

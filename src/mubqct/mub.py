@@ -10,15 +10,12 @@ the common eigenbases of the d + 1 maximal commuting classes of
 generalized Pauli operators; the closed form avoids a numerically fragile
 simultaneous diagonalization and is exactly reproducible.
 
-Validity of a stored family is decided by `certify_family`.  It reads
-the float arrays back into a Z4 exponent table and one +-1 pattern, then
-proves orthonormality and the |<e_i|f_j>| = 1/sqrt(d) overlap law from
-the Z4 quadratic forms of the table: O(k d^2) integer operations and
-d(d - 1)/2 GF(2) ranks of k x k matrices, in place of the Theta(d^5)
-complex multiply-adds of the float check.  `certify_build(k)` does the
-same for `build_mub_family(k)` one basis at a time, without the family's
-(d + 1) d^2 complex entries.  A family outside that form falls back to
-`verify_unbiasedness`, the float reference for any family.
+`certify_build(k)` proves the built family valid from the integer
+tables it is written from (`_exponent_tables`): orthonormality and the
+|<e_i|f_j>| = 1/sqrt(d) overlap law follow from the Z4 quadratic forms of
+the tables, in O(k d^2) integer operations and d(d - 1)/2 GF(2) ranks of
+k x k matrices, in place of the Theta(d^5) complex multiply-adds of
+`verify_unbiasedness`, the float check of any family.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ class VerificationReport:
     worst_orthonormality: tuple[int, int, int]  # (theta, i, j)
     max_unbiasedness_dev: float
     worst_unbiasedness: tuple[int, int, int, int]  # (theta1, theta2, i, j)
-    exact: bool = False  # proved exactly by `certify_family` or `certify_build`
+    exact: bool = False  # proved exactly by `certify_build`
 
     def to_dict(self) -> dict:
         t, i, j = self.worst_orthonormality
@@ -94,11 +91,12 @@ class VerificationReport:
         }
 
 
-def _basis_writer(k: int):
-    """write(a, out): basis 1 + a of the family, stored into the d x d complex out.
+def _exponent_tables(k: int):
+    """(E, T): the family's format.  Basis 1 + a has entries s i^(E[a, x] + T[x, j]).
 
-    The one per-basis formula of the family, shared by `build_mub_family`
-    and `certify_build`; the basis-independent tables are formed once.
+    s = 1/sqrt(d), E[a, x] = tr4(a perm[x]) and T[x, j] = 2 tr2(perm[x]
+    perm[j]): int64 Z4 exponents, with a and perm[.] field bitmasks.  x = 0
+    gives exponent 0, so row 0 of every basis is s.  Only E depends on a.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -114,19 +112,7 @@ def _basis_writer(k: int):
     perm = np.array(
         [2 * j if j < d // 2 else 2 * (j - d // 2) + 1 for j in range(d)], dtype=np.int64
     )
-    # exponent[x, b] = tr4(a x) + 2 tr2(b x) mod 4, all indices field bitmasks;
-    # x = 0 gives exponent 0, so row 0 of every basis is 1/sqrt(d).  Only the
-    # tr4 term depends on a, so the rest is permuted and scaled once.
-    two_tr2 = 2 * tr2[mul[np.ix_(perm, perm)]]
-    tr4_rows = tr4[mul[:, perm]]  # tr4_rows[a, x] = tr4(a perm[x])
-    scaled = _PHASES * (1.0 / np.sqrt(d))
-
-    # the exponents lie in 0..3, so mode="clip" never clips; unlike the
-    # default "raise", it writes into out without buffering a copy of it
-    def write(a: int, out: np.ndarray) -> np.ndarray:
-        return np.take(scaled, (tr4_rows[a][:, None] + two_tr2) & 3, out=out, mode="clip")
-
-    return write
+    return tr4[mul[:, perm]], 2 * tr2[mul[np.ix_(perm, perm)]]
 
 
 def build_mub_family(k: int) -> MubFamily:
@@ -154,18 +140,21 @@ def build_mub_family(k: int) -> MubFamily:
 def _write_bases(k: int, slot):
     """Write the family's bases in order, yielding each: the family's layout.
 
-    Basis 0 is the identity and basis 1 + a is `_basis_writer(k)`'s
-    write(a); basis theta is stored into slot(theta), a d x d complex
-    array, so a slot that always returns one buffer holds one basis at a
-    time.
+    Basis 0 is the identity and basis 1 + a is written from
+    `_exponent_tables(k)`; basis theta is stored into slot(theta), a d x d
+    complex array, so a slot that always returns one buffer holds one
+    basis at a time.
     """
-    write = _basis_writer(k)
+    e, t = _exponent_tables(k)
+    scaled = _PHASES * (1.0 / np.sqrt(1 << k))
     out = slot(0)
     out.fill(0)
     np.fill_diagonal(out, 1.0)
     yield out
-    for a in range(1 << k):
-        yield write(a, slot(1 + a))
+    # the exponents lie in 0..3, so mode="clip" never clips; unlike the
+    # default "raise", it writes into the slot without buffering a copy of it
+    for a, row in enumerate(e):
+        yield np.take(scaled, (row[:, None] + t) & 3, out=slot(1 + a), mode="clip")
 
 
 def is_built_family(family: MubFamily) -> bool:
@@ -186,7 +175,7 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
     """Exhaustively check orthonormality and pairwise unbiasedness in floats.
 
     The float reference for any family, whatever its construction;
-    `certify_family` proves the built ones exactly and falls back to it.
+    `certify_build` proves the built one exactly and falls back to it.
     Reports the largest absolute deviation from <e_i|e_j> = delta_ij within
     each basis and from |<e_i|f_j>| = 1/sqrt(d) across distinct bases,
     together with the indices achieving them; ties go to the first maximum
@@ -240,47 +229,26 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
     )
 
 
-def certify_family(family: MubFamily, tol: float = 1e-9) -> VerificationReport:
-    """Prove the MUB conditions of a stored family with exact integer arithmetic.
-
-    Reads only the float arrays.  With s = 1/sqrt(d), the family is
-    certified when bases[0] is the identity, every entry of bases[1:] is
-    exactly s i^e, every basis a factors as i^E[a, x] h[x, j] with one +-1
-    pattern h shared by all bases, and `exact_mub_check(E, h)` proves the
-    rest from the Z4 quadratic forms of the rows of E: O(k d^2) integer
-    operations after the O(d^3) decode.  Then every inner product is an
-    integer sum times s * s: d s^2 on the diagonals and 0 off them within
-    a basis, and of modulus sqrt(d) s^2 exactly for bases a < a'; the
-    overlaps with bases[0] are the entries, of modulus s.  So each
-    deviation takes one value over all its entries, and ties go to the
-    first entry in (theta, i, j) order as in `verify_unbiasedness`.  Any
-    failed step returns `verify_unbiasedness(family, tol)`, whose float
-    check decides and locates the deviation; its report has exact = False.
-    """
-    d = family.d
-    form = _z4_form(family.bases[1:], d) if np.array_equal(family.bases[0], np.eye(d)) else None
-    if form is None or not exact_mub_check(*form):
-        return verify_unbiasedness(family, tol)
-    return _exact_report(d, tol)
-
-
 def certify_build(k: int, tol: float = 1e-9) -> VerificationReport:
-    """`certify_family(build_mub_family(k), tol)`, without holding the family.
+    """Prove the MUB conditions of `build_mub_family(k)` with exact integer arithmetic.
 
-    Each basis is written by the build's own formula into one d x d
-    buffer and decoded there, so the certificate covers the exact bytes
-    that `build_mub_family(k)` returns in O(d^2) memory, against the
-    (d + 1) d^2 complex entries of the family; basis 0 is the identity by
-    construction.  Only a failed certificate builds the family, for
-    `verify_unbiasedness`.
+    `exact_mub_check(E, 1 - T)` proves them for the tables (E, T) =
+    `_exponent_tables(k)` that the build writes from; each entry of basis
+    1 + a is then the exact lookup s i^(E[a, x] + T[x, j]), s = 1/sqrt(d)
+    rounded, and basis 0 is the identity.  So every inner product is an
+    integer sum times s * s: d s^2 on the diagonals and 0 off them within
+    a basis, and of modulus sqrt(d) s^2 exactly across bases; the
+    overlaps with basis 0 are the entries, of modulus s.  Each deviation
+    takes one value over all its entries, and ties go to the first entry
+    in (theta, i, j) order as in `verify_unbiasedness`.  No complex array
+    is formed.  A failed certificate returns `verify_unbiasedness` of the
+    built family, whose float check decides and locates the deviation;
+    its report has exact = False.
     """
-    write = _basis_writer(k)
-    d = 1 << k
-    buf = np.empty((d, d), dtype=complex)
-    form = _z4_form((write(a, buf) for a in range(d)), d)
-    if form is None or not exact_mub_check(*form):
+    e, t = _exponent_tables(k)
+    if not exact_mub_check(e, 1 - t):
         return verify_unbiasedness(build_mub_family(k), tol)
-    return _exact_report(d, tol)
+    return _exact_report(1 << k, tol)
 
 
 def _exact_report(d: int, tol: float) -> VerificationReport:
@@ -300,33 +268,6 @@ def _exact_report(d: int, tol: float) -> VerificationReport:
         worst_unbiasedness=(1, 2, 0, 0) if max_unb > 0 else (0, 1, 0, 0),
         exact=True,
     )
-
-
-def _z4_form(bases, d: int):
-    """(E, h) with bases[a][x, j] == s i^E[a, x] h[x, j] exactly, or None.
-
-    bases yields the d bases after the computational one, one at a time,
-    so the temporaries are d x d whatever the family size; s = 1/sqrt(d).
-    E[a, x] is read from column 0, so h[:, 0] = 1.
-    """
-    s = 1.0 / np.sqrt(d)
-    e = np.empty((d, d), dtype=np.int64)
-    h = None
-    for a, basis in enumerate(bases):
-        re, im = basis.real, basis.imag
-        on_axis = ((np.abs(re) == s) & (im == 0)) | ((re == 0) & (np.abs(im) == s))
-        if not on_axis.all():
-            return None
-        expo = (im == s) + 2 * (re == -s) + 3 * (im == -s)  # s i^expo
-        e[a] = expo[:, 0]
-        # flips of 0 and 2 give +-1; an odd flip leaves a 0 or -2, which
-        # differs from h or fails the +-1 test of exact_mub_check
-        pattern = 1.0 - (expo - expo[:, :1]) % 4
-        if h is None:
-            h = pattern
-        elif not np.array_equal(pattern, h):
-            return None
-    return e, h
 
 
 def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:

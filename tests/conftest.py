@@ -43,6 +43,35 @@ def reference_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
     return True
 
 
+def z4_form(bases, d: int):
+    """(E, h) with bases[a][x, j] == s i^E[a, x] h[x, j] exactly, or None; s = 1/sqrt(d).
+
+    The float decoder of a stored family: the reference that the build's
+    bytes are its integer tables.  bases yields the d bases after the
+    computational one; E[a, x] is read from column 0, so h[:, 0] = 1.  An
+    entry off the four points s i^e, or a basis whose +-1 pattern differs
+    from the first one's, gives None.
+    """
+    s = 1.0 / np.sqrt(d)
+    e = np.empty((d, d), dtype=np.int64)
+    h = None
+    for a, basis in enumerate(bases):
+        re, im = basis.real, basis.imag
+        on_axis = ((np.abs(re) == s) & (im == 0)) | ((re == 0) & (np.abs(im) == s))
+        if not on_axis.all():
+            return None
+        expo = (im == s) + 2 * (re == -s) + 3 * (im == -s)  # s i^expo
+        e[a] = expo[:, 0]
+        # flips of 0 and 2 give +-1; an odd flip leaves a 0 or -2, which
+        # differs from h or fails the +-1 test of exact_mub_check
+        pattern = 1 - (expo - expo[:, :1]) % 4
+        if h is None:
+            h = pattern
+        elif not np.array_equal(pattern, h):
+            return None
+    return e, h
+
+
 @functools.lru_cache(maxsize=None)
 def cached_family(k: int):
     return build_mub_family(k)
@@ -81,15 +110,15 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
-def commuting_classes(family: MubFamily) -> np.ndarray:
-    """Sizes n_g of the classes of pairwise commuting split observables.
+def split_relations(family: MubFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(z, commute): the split observables Z_theta = 2 P_theta^0 - I and which pairs commute.
 
     The dense reference behind `security.lambda_exact`.  Checks, by the
-    largest entry deviation within 1e-9, that every Z_theta = 2 P_theta^0
-    - I squares to I, that every pair commutes or anticommutes, and that
-    commuting is transitive, so distinct classes anticommute; ValueError
-    otherwise.  The products are formed one row (Z_t Z and Z Z_t) at a
-    time: Theta(d^4) complex work, 1.8 s at d = 64.
+    largest entry deviation within 1e-9, that every Z_theta squares to I,
+    that every pair commutes or anticommutes, and that commuting is
+    transitive, so distinct classes anticommute; ValueError otherwise.
+    The products are formed one row (Z_t Z and Z Z_t) at a time:
+    Theta(d^4) complex work, 1.8 s at d = 64.
     """
     d = family.d
     cols = family.bases[:, :, : d // 2]
@@ -103,6 +132,12 @@ def commuting_classes(family: MubFamily) -> np.ndarray:
             raise ValueError(f"split observable {t} breaks the Pauli relations within 1e-9")
     if not (np.array_equal(commute, commute.T) and np.array_equal(commute @ commute, commute)):
         raise ValueError("commutation of the split observables is not symmetric and transitive")
+    return z, commute
+
+
+def commuting_classes(family: MubFamily) -> np.ndarray:
+    """Sizes n_g of the classes of pairwise commuting split observables (`split_relations`)."""
+    _, commute = split_relations(family)
     first = commute.argmax(axis=1) == np.arange(family.n_bases)  # each class's first member
     return commute.sum(axis=1)[first]
 

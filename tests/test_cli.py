@@ -289,6 +289,26 @@ def test_sweep_unknown_profile_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "cmd",
+    [["simulate", "--rounds", "10"], ["multiparty", "--parties", "2", "--rounds", "10"], ["oracle"]],
+    ids=["simulate", "multiparty", "oracle"],
+)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_unknown_detector_profile_is_a_usage_error(capsys, tmp_path, cmd, via):
+    if via == "flag":
+        extra = ["--profile", "nope"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("profile = nope\n", encoding="utf-8")
+        extra = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, cmd[0], "--d", "16", *cmd[1:], *extra)
+    assert code == 1
+    assert out == ""
+    assert "argument --profile: invalid choice: 'nope'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("grid", ["0:1e9:1e-3", "0:1e308:1e-308"])
 def test_sweep_grid_over_cell_cap_exits_3(capsys, grid):
     # 1e12 points, and an infinite count that floor() cannot take: both are

@@ -161,7 +161,7 @@ EXPORTS = {
     "errors": ["CapabilityError", "ConstraintError", "DegenerateModeError"],
     "mub": [
         "MubFamily", "VerificationReport", "basis_state", "build_mub_family", "certify_build",
-        "certify_family", "half_projector", "verify_unbiasedness",
+        "half_projector", "verify_unbiasedness",
     ],
     "protocol": [
         "MultipartyResult", "ProtocolParams", "ProtocolTranscript", "bob_povm", "encode_index",

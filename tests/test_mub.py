@@ -12,11 +12,11 @@ from mubqct import (
     MubFamily,
     basis_state,
     build_mub_family,
-    certify_family,
+    certify_build,
     half_projector,
     verify_unbiasedness,
 )
-from tests.conftest import cached_family, reference_mub_check
+from tests.conftest import cached_family, reference_mub_check, z4_form
 
 
 def _diagonalizes(basis: np.ndarray, op: np.ndarray) -> bool:
@@ -242,7 +242,7 @@ def test_blocked_verification_matches_pairwise_loop(which, block_entries, monkey
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_certificate_agrees_with_the_float_check(k):
     fam = cached_family(k)
-    cert, ref = certify_family(fam), verify_unbiasedness(fam)
+    cert, ref = certify_build(k), verify_unbiasedness(fam)
     assert cert.exact and not ref.exact
     assert cert.passed == ref.passed is True
     assert abs(cert.max_orthonormality_dev - ref.max_orthonormality_dev) <= 1.2e-16
@@ -251,51 +251,6 @@ def test_certificate_agrees_with_the_float_check(k):
     assert cert.max_orthonormality_dev == (2.0**-52 if k % 2 else 0.0)
     assert cert.max_unbiasedness_dev == 0.0
     assert cert.to_dict()["exact"] is True
-
-
-def _one_ulp_out(z):
-    return complex(np.nextafter(z.real, 2 * z.real), np.nextafter(z.imag, 2 * z.imag))
-
-
-@pytest.mark.parametrize(
-    "op, row",
-    [(lambda z: -z, 3), (lambda z: 1j * z, 3), (_one_ulp_out, 3), (_one_ulp_out, 0)],
-    ids=["sign", "times-i", "one-ulp", "one-ulp-real"],
-)
-def test_mutated_entry_falls_back_to_the_located_float_check(op, row):
-    # at d = 16 the float check is exact on the built family, so even a
-    # one-ulp move of the nonzero part of an entry shows at a tolerance
-    # below every rounding of the build.  Entry (3, 7) of basis 5 is i/4;
-    # row 0 holds the real 1/4, which a decoder that skipped the exact
-    # on-axis test would misread as an unmoved phase 0
-    fam, tol = cached_family(4), 1e-20
-    assert certify_family(fam, tol).passed
-    bases = fam.bases.copy()
-    bases[5, row, 7] = op(bases[5, row, 7])
-    bad = MubFamily(dimension=fam.dimension, bases=bases)
-    report = certify_family(bad, tol)
-    assert not report.exact and not report.passed
-    assert report == verify_unbiasedness(bad, tol)
-    assert report.worst_orthonormality == (5, 0, 7)
-
-
-def test_duplicated_basis_has_the_form_but_fails_unbiasedness():
-    fam = cached_family(3)
-    bases = fam.bases.copy()
-    bases[2] = bases[1]
-    report = certify_family(MubFamily(dimension=fam.dimension, bases=bases))
-    assert not report.exact and not report.passed
-    assert report.max_unbiasedness_dev == pytest.approx(1.0 - 1.0 / np.sqrt(8), abs=1e-12)
-    assert report.worst_unbiasedness[:2] == (1, 2)
-
-
-def test_negated_vector_is_a_valid_mub_outside_the_certified_form():
-    fam = cached_family(3)
-    bases = fam.bases.copy()
-    bases[:, :, 4] *= -1  # basis 0 is no longer the identity
-    report = certify_family(MubFamily(dimension=fam.dimension, bases=bases))
-    assert not report.exact
-    assert report.passed
 
 
 def test_exact_check_needs_a_sign_pattern_and_orthogonal_columns():
@@ -329,7 +284,7 @@ def test_exact_check_needs_the_closure_of_the_sign_pattern():
 
 def _built_form(k):
     fam = cached_family(k)
-    return mub._z4_form(fam.bases[1:], fam.d)
+    return z4_form(fam.bases[1:], fam.d)
 
 
 def _agrees(e, h) -> bool:
@@ -403,6 +358,8 @@ def test_form_check_rejects_the_closure_counterexample():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_certify_build_decodes_the_bytes_of_build_mub_family(k, monkeypatch):
+    # the certificate reads the integer tables, and the bytes of the built
+    # family decode back to exactly those tables, so it covers the bytes
     checked, check = [], mub.exact_mub_check
 
     def spy(e, h):
@@ -413,10 +370,30 @@ def test_certify_build_decodes_the_bytes_of_build_mub_family(k, monkeypatch):
     report = mub.certify_build(k)
     assert report.exact and report.passed
     [(e, h)] = checked
-    want_e, want_h = _built_form(k)
-    assert np.array_equal(e, want_e) and np.array_equal(h, want_h)
-    assert e.dtype == want_e.dtype and h.dtype == want_h.dtype
-    assert report == certify_family(cached_family(k))
+    table_e, table_t = mub._exponent_tables(k)
+    assert np.array_equal(e, table_e) and np.array_equal(h, 1 - table_t)
+    decoded_e, decoded_h = _built_form(k)
+    assert np.array_equal(decoded_e, e) and np.array_equal(decoded_h, h)
+    assert decoded_e.dtype == e.dtype and decoded_h.dtype == h.dtype
+
+
+def _one_ulp_out(z):
+    return complex(np.nextafter(z.real, 2 * z.real), np.nextafter(z.imag, 2 * z.imag))
+
+
+@pytest.mark.parametrize(
+    "op", [lambda z: -z, lambda z: 1j * z, _one_ulp_out], ids=["sign", "times-i", "one-ulp"]
+)
+@pytest.mark.parametrize("row", [0, 3])
+def test_decoder_refuses_a_moved_entry(op, row):
+    # entry (3, 7) of basis 5 is i/4 at d = 16; row 0 holds the real 1/4,
+    # which a decoder that skipped the exact on-axis test would misread
+    # as an unmoved phase 0.  Only a strict decoder makes the equality of
+    # decoded bytes and tables above an equality of bytes
+    fam = cached_family(4)
+    bases = fam.bases[1:].copy()
+    bases[4, row, 7] = op(bases[4, row, 7])
+    assert z4_form(bases, 16) is None
 
 
 def test_failed_certificate_falls_back_to_the_float_check_of_the_built_family(monkeypatch):

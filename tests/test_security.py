@@ -38,6 +38,7 @@ from tests.conftest import (
     f_operator,
     helstrom_spectral,
     lambda_from_classes,
+    split_relations,
     trace_norm,
 )
 
@@ -290,6 +291,37 @@ def test_majority_attack_matches_the_direct_binomial_sum(d):
     for m in range(1, 41):
         want = (_majority_direct(q0, m) + d * _majority_direct(q, m)) / (d + 1)
         assert abs(majority_attack(d, m) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_majority_attack_from_the_numeric_q_theta(k):
+    # the attack's per-copy success on the built family: signs s_theta from
+    # a common eigenvector of the within-class products Z_r Z_theta, psi the
+    # top eigenvector of S = sum s_theta Z_theta, q_theta = (1 + s_theta
+    # <psi|Z_theta|psi>) / 2; the closed form is q_0 on the basis of the
+    # class of one and q on the d others
+    fam = cached_family(k)
+    d = fam.d
+    z, commute = split_relations(fam)
+    rep = commute.argmax(axis=1)  # r, the first member of each basis's class
+    products = z[rep] @ z
+    weights = np.random.default_rng(k).normal(size=fam.n_bases)
+    v = np.linalg.eigh(np.tensordot(weights, products, axes=1))[1][:, 0]
+    signs = np.einsum("i,tij,j->t", v.conj(), products, v).real
+    assert np.abs(np.abs(signs) - 1).max() <= 1e-12  # v is a common eigenvector
+    s_z = np.sign(signs)[:, None, None] * z
+    values, vectors = np.linalg.eigh(s_z.sum(axis=0))
+    psi = vectors[:, -1]
+    q_theta = (1 + np.einsum("i,tij,j->t", psi.conj(), s_z, psi).real) / 2
+    root = math.sqrt(1 + d * d // 2)
+    assert abs(values[-1] - root) <= 1e-12  # ||S|| = sqrt(sum_g n_g^2), as in lambda_exact
+    q0, q = 0.5 + 0.5 / root, 0.5 + 0.25 * d / root
+    want = np.where(commute.sum(axis=1) == 1, q0, q)
+    assert np.count_nonzero(want == q) >= d
+    assert np.abs(q_theta - want).max() <= 1e-12
+    for m in range(1, 10):
+        numeric = sum(_majority_direct(float(p), m) for p in q_theta) / (d + 1)
+        assert abs(majority_attack(d, m) - numeric) <= 1e-12
 
 
 def test_majority_attack_is_monotone_bounded_and_finite():
