@@ -397,10 +397,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "mub-verify",
-        help="build a basis family and certify it with exact integer arithmetic "
-        "(a float check decides any family outside that form)",
+        help="certify the basis family from its integer trace tables, no family built "
+        "(a failed certificate falls back to a float check of the built family, k <= 8)",
     )
-    p.add_argument("--k", type=int, required=True, help="dimension exponent, d = 2^k")
+    p.add_argument("--k", type=int, required=True, help="dimension exponent 1..16, d = 2^k")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed deviation")
     _add_common(p)
     p.set_defaults(func=cmd_mub_verify)

@@ -100,36 +100,36 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
     in the scalar order, transcendentals through `math`, see `_libm`).
     An error in any entry raises as it would for that entry alone.
 
-    Per cell: one pow for (1 - s)^m, then on 0 < s < 0.5 (`_log_space`)
-    expm1 and exp of m log1p(-s) and one expm1 per arrival class, and
-    elsewhere one pow per arrival class; log1p runs once per t.
+    Per cell: one pow for (1 - s)^m and one expm1 for p_signal_click =
+    -expm1(m log1p(-s)) (1 at s = 1), then on 0 < s < 0.5 (`_log_space`)
+    exp of m log1p(-s) and one expm1 per arrival class, and elsewhere one
+    pow per arrival class; each log1p runs once per t.
     """
     t, m = _checked_source(t, m, "m")
     s = t * detector.eta
     v = detector.visibility
-    # binomial sums over i >= 1 arrivals weighted by V^i resp. (1-V)^i;
-    # for small s the direct differences of near-1 powers cancel to zero
-    # in double precision, so they are evaluated in log space instead, each
-    # branch on its own cells.  The log1p terms depend on t alone; s = 0
-    # stands in outside the log branch, so log1p(-1) is never evaluated.
+    # -expm1(m log1p(-s)) = 1 - (1 - s)^m keeps its precision at small s,
+    # where the direct form underflows to 0 beyond ~800 km; s = 1 stays out
+    # of log1p, which would raise.  The binomial sums over i >= 1 arrivals
+    # weighted by V^i resp. (1-V)^i, differences of near-1 powers, are taken
+    # in log space on small s, each branch on its own cells (s = 0 outside).
+    log_miss = _libm(math.log1p, -np.where(s < 1.0, s, 0.0))
     s_log = np.where(_log_space(s), s, 0.0)
-    log_miss = _libm(math.log1p, -s_log)
     log_good = _libm(math.log1p, -s_log * (1.0 - v)) - log_miss
     log_bad = _libm(math.log1p, -s_log * v) - log_miss
     logs, s, m, log_miss, log_good, log_bad = np.broadcast_arrays(
         _log_space(s), s, m, log_miss, log_good, log_bad
     )
     no_arrival = _libm(pow, 1.0 - s, m)
-    p_signal_click, p_all_good, p_all_bad = (np.empty(logs.shape) for _ in range(3))
-    m_log = m[logs]
-    log_none = m_log * log_miss[logs]
+    log_none = m * log_miss
+    p_signal_click = np.where(s >= 1.0, 1.0, -_libm(math.expm1, log_none))
+    p_all_good, p_all_bad = np.empty(logs.shape), np.empty(logs.shape)
+    m_log, log_none = m[logs], log_none[logs]
     exp_none = _libm(math.exp, log_none)
-    p_signal_click[logs] = -_libm(math.expm1, log_none)
     p_all_good[logs] = _exp_times_expm1(log_none, exp_none, m_log * log_good[logs])
     p_all_bad[logs] = _exp_times_expm1(log_none, exp_none, m_log * log_bad[logs])
     direct = ~logs
     s, m, none = s[direct], m[direct], no_arrival[direct]
-    p_signal_click[direct] = 1.0 - none
     p_all_good[direct] = _libm(pow, 1.0 - s + s * v, m) - none
     p_all_bad[direct] = _libm(pow, 1.0 - s * v, m) - none
     return _with_dark_counts(detector, p_signal_click, no_arrival, p_all_good, p_all_bad)

@@ -9,6 +9,8 @@ trace has a closed form over the field itself,
 
 the identity behind the Z4-linear Kerdock and Preparata codes (Hammons,
 Kumar, Calderbank, Sloane & Sole, 1994), so no ring arithmetic is needed.
+Both traces are length-d arrays formed from O(k) elementwise products,
+so the tables cover every k up to MAX_K = 16 (d = 65536).
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ IRREDUCIBLE_F2_POLYS = {
     6: 0b1000011,     # x^6 + x + 1
     7: 0b10001001,    # x^7 + x^3 + 1
     8: 0b100011011,   # x^8 + x^4 + x^3 + x + 1
+    9: 0x203,         # x^9 + x + 1
+    10: 0x409,        # x^10 + x^3 + 1
+    11: 0x805,        # x^11 + x^2 + 1
+    12: 0x1009,       # x^12 + x^3 + 1
+    13: 0x201B,       # x^13 + x^4 + x^3 + x + 1
+    14: 0x4021,       # x^14 + x^5 + 1
+    15: 0x8003,       # x^15 + x + 1
+    16: 0x1002B,      # x^16 + x^5 + x^3 + x + 1
 }
 
 MAX_K = max(IRREDUCIBLE_F2_POLYS)
@@ -52,29 +62,26 @@ def gf_mul(a, b, k: int):
 def phase_tables(k: int):
     """Integer tables driving the basis construction in dimension d = 2^k.
 
-    Returns read-only int64 arrays (mul, tr2, tr4): mul[a, b] is the
-    GF(2^k) product, tr2[u] the F2 trace and tr4[u] the Z4 trace of the
-    Teichmuller lift T(u), all indexed by bitmask.  With t = T(u), the
-    trace S = sum_i t^(2^i) satisfies S^2 = S + 2 sum_{i<j} t^(2^i + 2^j),
-    where the sum reduces mod 2 to Q(u); and S^2 = tr(u) (mod 4) because
-    S = tr(u) (mod 2).  So S = tr(u) - 2 Q(u) = tr(u) + 2 Q(u) (mod 4).
+    Returns read-only int64 arrays (tr2, tr4), indexed by bitmask: tr2[u]
+    is the F2 trace and tr4[u] the Z4 trace of the Teichmuller lift T(u).
+    With t = T(u), the trace S = sum_i t^(2^i) satisfies S^2 = S + 2
+    sum_{i<j} t^(2^i + 2^j), where the sum reduces mod 2 to Q(u); and S^2
+    = tr(u) (mod 4) because S = tr(u) (mod 2).  So S = tr(u) - 2 Q(u) =
+    tr(u) + 2 Q(u) (mod 4).  Q is summed as sum_j c_j (c_0 ^ ... ^ c_(j-1))
+    over the conjugates c_j = u^(2^j): k length-d products, no d x d table.
     """
     if k not in IRREDUCIBLE_F2_POLYS:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
     u = np.arange(1 << k, dtype=np.int64)
-    mul = gf_mul(u[:, None], u[None, :], k)
-    square = mul.diagonal()
-    conj = [u]  # the Frobenius conjugates u^(2^i), i < k
+    square = gf_mul(u, u, k)
+    conj, tr2, q = u, u, np.zeros_like(u)  # tr2 is c_0 ^ ... ^ c_(j-1) until the end
     for _ in range(k - 1):
-        conj.append(square[conj[-1]])
-    tr2 = np.bitwise_xor.reduce(conj)
-    q = np.zeros_like(u)
-    for i in range(k):
-        for j in range(i + 1, k):
-            q ^= mul[conj[i], conj[j]]
+        conj = square[conj]
+        q ^= gf_mul(tr2, conj, k)
+        tr2 = tr2 ^ conj
     if tr2.max() > 1 or q.max() > 1:
         raise AssertionError("trace left the prime field; modulus not irreducible?")
     tr4 = tr2 + 2 * q
-    for table in (mul, tr2, tr4):
+    for table in (tr2, tr4):
         table.setflags(write=False)
-    return mul, tr2, tr4
+    return tr2, tr4

@@ -10,12 +10,12 @@ the common eigenbases of the d + 1 maximal commuting classes of
 generalized Pauli operators; the closed form avoids a numerically fragile
 simultaneous diagonalization and is exactly reproducible.
 
-`certify_build(k)` proves the built family valid from the integer
-tables it is written from (`_exponent_tables`): orthonormality and the
-|<e_i|f_j>| = 1/sqrt(d) overlap law follow from the Z4 quadratic forms of
-the tables, in O(k d^2) integer operations and d(d - 1)/2 GF(2) ranks of
-k x k matrices, in place of the Theta(d^5) complex multiply-adds of
-`verify_unbiasedness`, the float check of any family.
+`certify_build(k)` proves the family valid by a lemma on the field's
+trace form, from length-d checks of the tables it is written from: O(k^2
+d) integer operations and no d x d array, so every k <= galois.MAX_K =
+16, against the Theta(d^5) complex multiply-adds of `verify_unbiasedness`,
+the float check of any family.  The complex family is built up to
+BUILD_MAX_K = 8 (d = 256).
 """
 
 from __future__ import annotations
@@ -24,8 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galois import MAX_K, phase_tables
+from .errors import CapabilityError
+from .galois import MAX_K, gf_mul, phase_tables
 from .models import Dimension
+
+# Largest k whose complex family is built: 257 bases of 256 x 256 entries
+# are 270 MB, and each k more is 8x that
+BUILD_MAX_K = 8
 
 # i^n for n mod 4, exact complex literals so the build is bit-reproducible
 _PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
@@ -91,28 +96,37 @@ class VerificationReport:
         }
 
 
+def _field_tables(k: int, cap: int = MAX_K):
+    """(tr2, tr4, perm): the tables the build is written from and the certificate reads.
+
+    tr2 and tr4 are `galois.phase_tables(k)`; perm is the split-balanced
+    labeling, vector j of every basis carrying the field label perm[j],
+    the k-bit rotation of j one bit to the left.  Even labels fill the
+    lower half and odd labels the upper half.  Rows are permuted the same
+    way, so basis 0 stays the exact identity (a global unitary, so all
+    invariants survive).  perm is GF(2)-linear.  k outside 1..MAX_K
+    raises ValueError, and k above cap CapabilityError.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be an integer in 1..{MAX_K}, got {k!r}")
+    if k > cap:
+        raise CapabilityError(f"the complex family is built for k <= {cap}, got k = {k}")
+    j = np.arange(1 << k, dtype=np.int64)
+    return (*phase_tables(k), (j << 1 | j >> (k - 1)) & ((1 << k) - 1))
+
+
 def _exponent_tables(k: int):
     """(E, T): the family's format.  Basis 1 + a has entries s i^(E[a, x] + T[x, j]).
 
     s = 1/sqrt(d), E[a, x] = tr4(a perm[x]) and T[x, j] = 2 tr2(perm[x]
-    perm[j]): int64 Z4 exponents, with a and perm[.] field bitmasks.  x = 0
-    gives exponent 0, so row 0 of every basis is s.  Only E depends on a.
+    perm[j]): int64 Z4 exponents, with a and perm[.] field bitmasks from
+    `_field_tables`.  x = 0 gives exponent 0, so row 0 of every basis is
+    s.  Only E depends on a.  The d x d products are formed here, so k is
+    capped at BUILD_MAX_K before anything is allocated.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-    d = 1 << k
-    mul, tr2, tr4 = phase_tables(k)
-
-    # split-balanced labeling: even Galois labels fill the lower half,
-    # odd labels the upper half; permuting rows identically keeps theta=0
-    # the exact identity (a global unitary, so all invariants survive).
-    # Each basis is written already permuted, so the build holds one copy.
-    perm = np.array(
-        [2 * j if j < d // 2 else 2 * (j - d // 2) + 1 for j in range(d)], dtype=np.int64
-    )
-    return tr4[mul[:, perm]], 2 * tr2[mul[np.ix_(perm, perm)]]
+    tr2, tr4, perm = _field_tables(k, BUILD_MAX_K)
+    product = gf_mul(np.arange(1 << k)[:, None], perm[None, :], k)  # a perm[x]
+    return tr4[product], 2 * tr2[product[perm]]
 
 
 def build_mub_family(k: int) -> MubFamily:
@@ -126,8 +140,11 @@ def build_mub_family(k: int) -> MubFamily:
     symmetric across the family: the averaged half-mixtures reach the
     flat-spectrum trace distance 2/sqrt(d+1) that the closed-form
     discrimination bounds assume.  Deterministic: repeated calls return
-    identical arrays.  Supported for 1 <= k <= 8 (d up to 256).
+    identical arrays.  Built for 1 <= k <= BUILD_MAX_K = 8 (d up to 256);
+    k up to galois.MAX_K raises CapabilityError before anything is
+    allocated, other k ValueError.
     """
+    _field_tables(k, BUILD_MAX_K)  # checks k before the family is allocated
     dim = Dimension.from_k(k)
     bases = np.empty((dim.d + 1, dim.d, dim.d), dtype=complex)
     for _ in _write_bases(k, bases.__getitem__):
@@ -232,21 +249,20 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
 def certify_build(k: int, tol: float = 1e-9) -> VerificationReport:
     """Prove the MUB conditions of `build_mub_family(k)` with exact integer arithmetic.
 
-    `exact_mub_check(E, 1 - T)` proves them for the tables (E, T) =
-    `_exponent_tables(k)` that the build writes from; each entry of basis
-    1 + a is then the exact lookup s i^(E[a, x] + T[x, j]), s = 1/sqrt(d)
-    rounded, and basis 0 is the identity.  So every inner product is an
-    integer sum times s * s: d s^2 on the diagonals and 0 off them within
-    a basis, and of modulus sqrt(d) s^2 exactly across bases; the
-    overlaps with basis 0 are the entries, of modulus s.  Each deviation
-    takes one value over all its entries, and ties go to the first entry
-    in (theta, i, j) order as in `verify_unbiasedness`.  No complex array
-    is formed.  A failed certificate returns `verify_unbiasedness` of the
-    built family, whose float check decides and locates the deviation;
-    its report has exact = False.
+    `_trace_form_holds` proves them, without forming them, for the tables
+    (E, T) that `_exponent_tables(k)` writes from `_field_tables(k)`; each
+    entry of basis 1 + a is the exact lookup s i^(E[a, x] + T[x, j]), s =
+    1/sqrt(d) rounded, and basis 0 is the identity.  So every inner
+    product is an integer sum times s * s: d s^2 on the diagonals and 0
+    off them within a basis, and of modulus sqrt(d) s^2 exactly across
+    bases; the overlaps with basis 0 are the entries, of modulus s.  Each
+    deviation takes one value over all its entries, and ties go to the
+    first entry in (theta, i, j) order as in `verify_unbiasedness`.
+    Covers every k <= galois.MAX_K.  A failed certificate returns
+    `verify_unbiasedness` of the built family, whose float check decides
+    and locates the deviation; its report has exact = False.
     """
-    e, t = _exponent_tables(k)
-    if not exact_mub_check(e, 1 - t):
+    if not _trace_form_holds(*_field_tables(k)):
         return verify_unbiasedness(build_mub_family(k), tol)
     return _exact_report(1 << k, tol)
 
@@ -270,73 +286,55 @@ def _exact_report(d: int, tol: float) -> VerificationReport:
     )
 
 
-def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
-    """Exact MUB conditions of the bases i^e[a, x] h[x, j] / sqrt(d), from Z4 quadratic forms.
+def _trace_form_holds(tr2: np.ndarray, tr4: np.ndarray, perm: np.ndarray) -> bool:
+    """Exact MUB conditions of the tables of `_exponent_tables`, from the field's trace form.
 
-    e is an (n, d) Z4 exponent table, one row per basis, and h a (d, d)
-    array of +-1 shared by all n bases.  With d = 2^k, a row index x is a
-    vector of (Z2)^k written as a k-bit mask, and g runs over the
-    generators 1 << i.  A global phase of a basis or of one vector moves
-    no overlap modulus, so the rows of e are first shifted to e[a, 0] = 0
-    and the columns of h signed to h[0, j] = 1.  Then the check asks:
+    With d = 2^k, basis 1 + a is i^E[a, x] (-1)^tr2(perm[x] perm[j]) /
+    sqrt(d), E[a, x] = tr4(a perm[x]), products by `galois.gf_mul`.  On
+    length-d arrays and the generators g = 1 << i, the check asks:
 
-    - h is a character table with distinct columns: h[x ^ g] = h[x] h[g]
-      for every g.  So h[x, j] = (-1)^(c_j . x) with distinct masks c_j,
-      which cover (Z2)^k, and vectors j, j' of one basis have inner
-      product sum_x (-1)^((c_j ^ c_j') . x) / d = delta_jj'.
-    - Each row is a Z4 quadratic form: e[a, x ^ g] - e[a, x] - e[a, g]
-      = 2 <B_a g, x> (mod 4) for every g and x, with the k-bit mask
-      B_a g read off at the x = 1 << i.  By induction over the bits of y,
-      e[a, x ^ y] = e[a, x] + e[a, y] + 2 <B_a y, x> for all x and y.
-    - Every B_a ^ B_a' with a < a' has GF(2) rank k.
+    - the modulus gives a field: u u^(d - 2) = 1 for every u != 0;
+    - tr2 is a character: 0/1 valued, tr2(u ^ g) = tr2(u) ^ tr2(g);
+    - tr4, shifted to tr4(0) = 0 (a global phase of every basis), is a Z4
+      form with bilinear part 2 tr2(uv): tr4(u ^ g) - tr4(u) - tr4(g) =
+      2 tr2(ug) (mod 4), which extends over the bits of v to all v;
+    - the trace form is nondegenerate: u -> (tr2(u g_i))_i is onto
+      (Z2)^k, i.e. the Gram matrix tr2(g_i g_j) has rank k;
+    - perm is GF(2)-linear, perm(x ^ g) = perm(x) ^ perm(g), and onto.
 
-    That decides unbiasedness exactly.  Entry (j, j') of the Gram matrix
-    of bases a < a' is S / d with S = sum_x i^q(x) (-1)^(c . x),
-    q = e[a'] - e[a] a form with bilinear part B = B_a ^ B_a' and
-    c = c_j ^ c_j'.  Writing x = y ^ z,
-
-        |S|^2 = sum_z i^q(z) (-1)^(c . z) sum_y (-1)^<B z, y>
-              = d sum_{z in rad} i^q(z) (-1)^(c . z),   rad = ker B,
-
-    which is d when the radical is zero.  Otherwise q(z) = <B z, z> = 0
-    (mod 2) on rad and q is additive there, so i^q is a +-1 character of
-    rad; the c that matches it makes every term 1, and |S|^2 = d |rad| > d.
-    A table outside the form returns False, so True never certifies a
-    biased set.  Cost: O(k n d) integer operations for the forms and
-    O(n^2 k^2) bit operations for the ranks, eliminated for all pairs at
-    once.
+    The lemma: row a of E is tr4 under the linear map x -> a perm[x], so
+    rows a != a' differ by a form q whose bilinear part B(x, y) = 2
+    tr2((a ^ a')^2 perm[x] perm[y]) is nondegenerate.  The columns are
+    distinct characters of x, so each basis is orthonormal, and the
+    overlaps of bases a, a' are S / d with S = sum_x i^q(x) (-1)^(b . x)
+    for masks b; writing x = y ^ z, |S|^2 = sum_z i^q(z) (-1)^(b . z)
+    sum_y (-1)^B(z, y) = d.  So True proves the family (Hammons et al.
+    1994 for the Z4 trace, Lidl & Niederreiter 1997 for the trace form).
+    Cost: O(k^2 d) integer operations.
     """
-    d = len(h)
+    d = len(tr2)
     k = d.bit_length() - 1
-    if d & (d - 1) or not np.all(np.abs(h) == 1):
+    u = np.arange(d, dtype=np.int64)
+    square = gf_mul(u, u, k)
+    conj, inverse = u, np.ones_like(u)  # inverse = u^(2 + 4 + ... + 2^(k-1))
+    for _ in range(k - 1):
+        conj = square[conj]
+        inverse = gf_mul(inverse, conj, k)
+    if not (np.all(gf_mul(u, inverse, k)[1:] == 1) and np.all((tr2 == 0) | (tr2 == 1))):
         return False
-    h = h * h[0]
-    e = (e - e[:, :1]) % 4
-    x = np.arange(d)
-    gens = 1 << np.arange(k)
-    if not all(np.array_equal(h[x ^ g], h * h[g]) for g in gens):
-        return False
-    if np.count_nonzero(np.bincount((h[gens] < 0).T @ gens, minlength=d)) < d:  # masks c_j
-        return False
-    parity = np.bitwise_xor.reduce((x[:, None] >> np.arange(k)) & 1, axis=1)
-    masks = np.empty((len(e), k), dtype=np.min_scalar_type(d - 1))  # masks[a, i] = B_a g_i
-    for i, g in enumerate(gens):
-        two_b = (e[:, x ^ g] - e - e[:, g : g + 1]) % 4
-        masks[:, i] = (two_b[:, gens] >> 1) @ gens
-        if not np.array_equal(two_b, 2 * parity[masks[:, i : i + 1] & x]):
+    q = (tr4 - tr4[0]) % 4
+    dual = np.zeros_like(u)  # dual[u] = the mask of tr2(u g_i) over i
+    for i in range(k):
+        g = 1 << i
+        form = tr2[gf_mul(u, g, k)]
+        if not (
+            np.array_equal(tr2[u ^ g], tr2 ^ tr2[g])
+            and np.array_equal((q[u ^ g] - q - q[g]) % 4, 2 * form)
+            and np.array_equal(perm[u ^ g], perm ^ perm[g])
+        ):
             return False
-    # rank k of every B_a ^ B_a': each column in turn must keep a pivot
-    # bit, its lowest, which is then cleared from the later columns
-    a, b = np.triu_indices(len(e), 1)
-    pairs = masks[a] ^ masks[b]
-    for r in range(k):
-        col = pairs[:, r]
-        pivot = col & -col
-        if not pivot.all():
-            return False
-        rest = pairs[:, r + 1 :]
-        rest ^= np.where(rest & pivot[:, None], col[:, None], 0)
-    return True
+        dual |= form << i
+    return np.array_equal(np.sort(dual), u) and np.array_equal(np.sort(perm), u)
 
 
 def basis_state(family: MubFamily, theta: int, i: int) -> np.ndarray:

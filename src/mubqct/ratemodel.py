@@ -26,20 +26,21 @@ midpoint and the two midpoints that can follow it, so all four agree
 exactly.  The detection closed forms keep every entry bit-identical to
 the one-point formula, so sweep rows equal a per-cell scan.  Each math
 call runs once per cell, on the cells of its own branch: seven per cell
-where 0 < t eta < 0.5 (pow, expm1, exp, two expm1, two log2), as P_sift
-is read from p_signal_click there.  Everything runs serially in the
-calling process.
+where 0 < t eta < 0.5 (pow, expm1, exp, two expm1, two log2), six
+elsewhere (three pow, expm1, two log2), with P_sift read from
+p_signal_click.  Everything runs serially in the calling process.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import _libm, _log_space, conditional_entropy_xy, detection_stats
+from .detection import conditional_entropy_xy, detection_stats
 from .errors import CapabilityError
 from .models import DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension, DetectorModel, transmittance
 from .security import hmin_bits, pguess
@@ -82,25 +83,13 @@ def _channel_table(ts: Sequence[float], detector: DetectorModel, ms) -> np.ndarr
     """The d-independent rate terms at every (t, m), shape (4, len(ts), len(ms)).
 
     ms is a sequence of copy counts.  The rows are p_c, p_e, H(X|Y) and
-    the sift prefactor P_sift.  Per cell that is the calls of
-    `detection_stats` and two log2; P_sift costs one expm1 more per cell
-    only on the rows where s = t eta is outside (0, 0.5).
+    the sift prefactor P_sift, which is `detection_stats`' p_signal_click.
+    Per cell that is the calls of `detection_stats` and two log2.
     """
     t = np.asarray(ts, dtype=float)[:, None]
-    m = np.asarray(ms)[None, :]
-    stats = detection_stats(t, detector, m)
+    stats = detection_stats(t, detector, np.asarray(ms)[None, :])
     hxy = conditional_entropy_xy(stats.p_c, stats.p_e)
-    # -expm1(m log1p(-s)) = 1 - (1 - s)^m without loss of precision at
-    # small s (the direct form underflows to 0 beyond ~800 km).  On 0 < s
-    # < 0.5 that is p_signal_click, the same product through the same call;
-    # elsewhere s = 1 is kept out of log1p, which would raise there.
-    s = t * detector.eta
-    rest = ~_log_space(s[:, 0])
-    s = s[rest]
-    prefactor = stats.p_signal_click.copy()
-    log_none = m * _libm(math.log1p, -np.where(s < 1.0, s, 0.0))
-    prefactor[rest] = np.where(s >= 1.0, 1.0, -_libm(math.expm1, log_none))
-    return np.stack([stats.p_c, stats.p_e, hxy, prefactor])
+    return np.stack([stats.p_c, stats.p_e, hxy, stats.p_signal_click])
 
 
 def key_rate(
@@ -289,15 +278,19 @@ def sweep(
 
     Each profile's sorted lengths are evaluated in blocks of consecutive
     lengths: one channel table per block, combined with every d's H_min
-    column.  Empty ds, lengths_km or profiles raise ValueError, and more
-    than SWEEP_MAX_CELLS cells CapabilityError, before anything is computed.
+    column.  More than SWEEP_MAX_CELLS cells raise CapabilityError, and
+    empty ds, lengths_km or profiles, or an entry given twice in one of
+    them, which would repeat rows, ValueError, before anything is computed.
     """
-    for name, values in (("ds", ds), ("lengths_km", lengths_km), ("profiles", profiles)):
-        if len(values) == 0:
-            raise ValueError(f"sweep needs at least one entry in {name}")
     cells = len(ds) * len(lengths_km) * len(profiles)
     if cells > SWEEP_MAX_CELLS:
         raise CapabilityError(f"a sweep of {cells} cells exceeds the cap of {SWEEP_MAX_CELLS}")
+    for name, values in (("ds", ds), ("lengths_km", lengths_km), ("profiles", profiles)):
+        if len(values) == 0:
+            raise ValueError(f"sweep needs at least one entry in {name}")
+        repeated = [value for value, n in Counter(values).items() if n > 1]
+        if repeated:
+            raise ValueError(f"sweep got {repeated[0]!r} more than once in {name}")
     for profile in profiles:
         if profile not in DETECTOR_PRESETS:
             raise ValueError(

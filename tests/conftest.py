@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mubqct import MubFamily, build_mub_family, half_projector
+from mubqct.galois import gf_mul
 
 
 # i^w for w = 0..3, split into exact real and imaginary parts
@@ -16,8 +17,8 @@ _IM = np.array([0.0, 1.0, 0.0, -1.0])
 def reference_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
     """Exact MUB conditions of the bases i^e[a, x] h[x, j] / sqrt(d), by Gaussian sums.
 
-    The independent reference for `mub.exact_mub_check`, which decides
-    the same from Z4 quadratic forms.  e is an (n, d) Z4 exponent table,
+    The independent reference for `exact_mub_check`, which decides the
+    same from Z4 quadratic forms.  e is an (n, d) Z4 exponent table,
     one row per basis, and h a (d, d) array of +-1 shared by all n bases.
     Vectors j and j' of one basis have inner product (h^T h)[j, j'] / d,
     so each basis is orthonormal iff h^T h = d I.  For every column j,
@@ -40,6 +41,76 @@ def reference_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
         m = np.abs(h.T @ (h[:, j : j + 1] * h))
         if not (np.all(np.count_nonzero(m == d, axis=0) == 1) and np.count_nonzero(m) == d):
             return False
+    return True
+
+
+def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
+    """Exact MUB conditions of the bases i^e[a, x] h[x, j] / sqrt(d), from Z4 quadratic forms.
+
+    e is an (n, d) Z4 exponent table, one row per basis, and h a (d, d)
+    array of +-1 shared by all n bases.  With d = 2^k, a row index x is a
+    vector of (Z2)^k written as a k-bit mask, and g runs over the
+    generators 1 << i.  A global phase of a basis or of one vector moves
+    no overlap modulus, so the rows of e are first shifted to e[a, 0] = 0
+    and the columns of h signed to h[0, j] = 1.  Then the check asks:
+
+    - h is a character table with distinct columns: h[x ^ g] = h[x] h[g]
+      for every g.  So h[x, j] = (-1)^(c_j . x) with distinct masks c_j,
+      which cover (Z2)^k, and vectors j, j' of one basis have inner
+      product sum_x (-1)^((c_j ^ c_j') . x) / d = delta_jj'.
+    - Each row is a Z4 quadratic form: e[a, x ^ g] - e[a, x] - e[a, g]
+      = 2 <B_a g, x> (mod 4) for every g and x, with the k-bit mask
+      B_a g read off at the x = 1 << i.  By induction over the bits of y,
+      e[a, x ^ y] = e[a, x] + e[a, y] + 2 <B_a y, x> for all x and y.
+    - Every B_a ^ B_a' with a < a' has GF(2) rank k.
+
+    That decides unbiasedness exactly.  Entry (j, j') of the Gram matrix
+    of bases a < a' is S / d with S = sum_x i^q(x) (-1)^(c . x),
+    q = e[a'] - e[a] a form with bilinear part B = B_a ^ B_a' and
+    c = c_j ^ c_j'.  Writing x = y ^ z,
+
+        |S|^2 = sum_z i^q(z) (-1)^(c . z) sum_y (-1)^<B z, y>
+              = d sum_{z in rad} i^q(z) (-1)^(c . z),   rad = ker B,
+
+    which is d when the radical is zero.  Otherwise q(z) = <B z, z> = 0
+    (mod 2) on rad and q is additive there, so i^q is a +-1 character of
+    rad; the c that matches it makes every term 1, and |S|^2 = d |rad| > d.
+    A table outside the form returns False, so True never certifies a
+    biased set.  Cost: O(k n d) integer operations for the forms and
+    O(n^2 k^2) bit operations for the ranks, eliminated for all pairs at
+    once.  The reference for `mub._trace_form_holds` at k <= 8, which
+    decides the built tables from the field's traces without forming them.
+    """
+    d = len(h)
+    k = d.bit_length() - 1
+    if d & (d - 1) or not np.all(np.abs(h) == 1):
+        return False
+    h = h * h[0]
+    e = (e - e[:, :1]) % 4
+    x = np.arange(d)
+    gens = 1 << np.arange(k)
+    if not all(np.array_equal(h[x ^ g], h * h[g]) for g in gens):
+        return False
+    if np.count_nonzero(np.bincount((h[gens] < 0).T @ gens, minlength=d)) < d:  # masks c_j
+        return False
+    parity = np.bitwise_xor.reduce((x[:, None] >> np.arange(k)) & 1, axis=1)
+    masks = np.empty((len(e), k), dtype=np.min_scalar_type(d - 1))  # masks[a, i] = B_a g_i
+    for i, g in enumerate(gens):
+        two_b = (e[:, x ^ g] - e - e[:, g : g + 1]) % 4
+        masks[:, i] = (two_b[:, gens] >> 1) @ gens
+        if not np.array_equal(two_b, 2 * parity[masks[:, i : i + 1] & x]):
+            return False
+    # rank k of every B_a ^ B_a': each column in turn must keep a pivot
+    # bit, its lowest, which is then cleared from the later columns
+    a, b = np.triu_indices(len(e), 1)
+    pairs = masks[a] ^ masks[b]
+    for r in range(k):
+        col = pairs[:, r]
+        pivot = col & -col
+        if not pivot.all():
+            return False
+        rest = pairs[:, r + 1 :]
+        rest ^= np.where(rest & pivot[:, None], col[:, None], 0)
     return True
 
 
@@ -70,6 +141,15 @@ def z4_form(bases, d: int):
         elif not np.array_equal(pattern, h):
             return None
     return e, h
+
+
+@functools.lru_cache(maxsize=None)
+def mul_table(k: int) -> np.ndarray:
+    """The d x d GF(2^k) product table, mul[a, b] = gf_mul(a, b, k), read-only."""
+    u = np.arange(1 << k, dtype=np.int64)
+    mul = gf_mul(u[:, None], u[None, :], k)
+    mul.setflags(write=False)
+    return mul
 
 
 @functools.lru_cache(maxsize=None)

@@ -60,6 +60,29 @@ def test_mub_verify_bad_k_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "mub-verify", "--k", "0")
     assert code == 1
     assert "error" in err
+    code, _, err = run_cli(capsys, "mub-verify", "--k", "17")
+    assert code == 1
+    assert err == "error: k must be an integer in 1..16, got 17\n"
+
+
+def test_mub_verify_certifies_k16_without_building(capsys):
+    code, out, _ = run_cli(capsys, "mub-verify", "--k", "16")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True and report["exact"] is True
+    assert (report["d"], report["n_bases"]) == (65536, 65537)
+
+
+def test_mub_verify_fallback_beyond_the_build_cap_exits_3(capsys, monkeypatch):
+    # a failed certificate at k = 9..16 would need the complex family,
+    # which is not built there: CapabilityError before any allocation
+    from mubqct import mub
+
+    monkeypatch.setattr(mub, "_trace_form_holds", lambda tr2, tr4, perm: False)
+    code, out, err = run_cli(capsys, "mub-verify", "--k", "9")
+    assert code == 3
+    assert out == ""
+    assert "built for k <= 8" in err
 
 
 def test_mub_verify_missing_k_is_usage_error(capsys):
@@ -337,6 +360,16 @@ def test_sweep_empty_list_exits_1(capsys, flag, value):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "2,2"), ("--profile", "snspd_lab,snspd_lab")])
+def test_sweep_repeated_entry_exits_1(capsys, flag, value):
+    # each row would be printed twice
+    argv = {"--d": "2", "--L": "0:2:1", "--profile": "snspd_lab", flag: value}
+    code, out, err = run_cli(capsys, "sweep", *(tok for item in argv.items() for tok in item))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sweep got ") and "more than once" in err
 
 
 # ------------------------------------------------------------------ simulate

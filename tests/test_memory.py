@@ -11,8 +11,10 @@ import pytest
 
 from mubqct import (
     DETECTOR_PRESETS,
+    CapabilityError,
     ChannelModel,
     ProtocolParams,
+    build_mub_family,
     certify_build,
     helstrom_numeric,
     lambda_numeric,
@@ -86,10 +88,25 @@ def test_eve_simulation_peak_bytes_per_trial(k, n_trials):
 
 
 def test_certifying_the_largest_family_holds_one_basis_at_a_time():
-    # 4.3 MiB measured at k = 8: the integer tables and their check, no
-    # complex basis (writing and decoding one basis at a time peaks at
-    # 6.3 MiB); the whole complex family alone is 270 MB
-    assert _traced_peak(lambda: certify_build(8)) < 6 * 2**20
+    # 0.03 MiB measured at k = 8: length-d traces and their check, no
+    # d x d table and no complex basis (writing and decoding one basis at
+    # a time peaks at 6.3 MiB); the whole complex family alone is 270 MB
+    assert _traced_peak(lambda: certify_build(8)) < 2**20
+
+
+def test_certificate_at_k16_holds_length_d_arrays_only():
+    # 6.5 MiB measured with the trace tables built in the call: a dozen
+    # int64 arrays of d = 65536 entries, against 32 GiB for the d x d
+    # product table that an earlier certificate formed
+    assert _traced_peak(lambda: certify_build(16)) < 12 * 2**20
+
+
+def test_build_beyond_its_cap_raises_before_allocating():
+    def build():
+        with pytest.raises(CapabilityError):
+            build_mub_family(16)
+
+    assert _traced_peak(build) < 2**20
 
 
 @pytest.mark.parametrize("adapter", [lambda_numeric, helstrom_numeric])

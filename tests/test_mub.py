@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mubqct import mub
-from mubqct.galois import phase_tables
+from mubqct.errors import CapabilityError
+from mubqct.galois import IRREDUCIBLE_F2_POLYS, gf_mul, phase_tables
 from mubqct import (
     Dimension,
     MubFamily,
@@ -16,7 +17,13 @@ from mubqct import (
     half_projector,
     verify_unbiasedness,
 )
-from tests.conftest import cached_family, reference_mub_check, z4_form
+from tests.conftest import (
+    cached_family,
+    exact_mub_check,
+    mul_table,
+    reference_mub_check,
+    z4_form,
+)
 
 
 def _diagonalizes(basis: np.ndarray, op: np.ndarray) -> bool:
@@ -149,9 +156,13 @@ def test_dimension_validation():
 
 
 def test_build_rejects_out_of_range_k():
-    for bad in (0, -1, 9, 1.5, True):
+    for bad in (0, -1, 17, 1.5, True):
         with pytest.raises(ValueError):
             build_mub_family(bad)
+    # the field tables reach k = 16, the complex family stops at k = 8
+    for k in (9, 16):
+        with pytest.raises(CapabilityError, match="built for k <= 8"):
+            build_mub_family(k)
 
 
 def test_family_array_is_read_only():
@@ -254,13 +265,13 @@ def test_certificate_agrees_with_the_float_check(k):
 
 
 def test_exact_check_needs_a_sign_pattern_and_orthogonal_columns():
-    mul, tr2, tr4 = phase_tables(3)
+    mul, (tr2, tr4) = mul_table(3), phase_tables(3)
     e, h = tr4[mul], 1.0 - 2.0 * tr2[mul]
-    assert mub.exact_mub_check(e, h)
-    assert not mub.exact_mub_check(e, 2.0 * h)
+    assert exact_mub_check(e, h)
+    assert not exact_mub_check(e, 2.0 * h)
     repeated = h.copy()
     repeated[:, 3] = repeated[:, 2]
-    assert not mub.exact_mub_check(e, repeated)
+    assert not exact_mub_check(e, repeated)
 
 
 def test_exact_check_needs_the_closure_of_the_sign_pattern():
@@ -268,13 +279,13 @@ def test_exact_check_needs_the_closure_of_the_sign_pattern():
     # at x = 1, leaves every sum S(c) of the pair as it was; but h[:, i] *
     # h[:, j] is no longer +-h[:, c], the sums no longer cover the Gram
     # matrix, and the two bases are in fact biased
-    mul, tr2, tr4 = phase_tables(3)
+    mul, (tr2, tr4) = mul_table(3), phase_tables(3)
     e, h = tr4[mul][1:3], 1.0 - 2.0 * tr2[mul]
-    assert mub.exact_mub_check(e, h)
+    assert exact_mub_check(e, h)
     row = np.arange(8) == 1
     e2 = np.stack([e[0], (e[1] + 2 * row) % 4])
     h2 = np.where(row[:, None], -h, h)
-    assert not mub.exact_mub_check(e2, h2)
+    assert not exact_mub_check(e2, h2)
     b0, b1 = ((1j ** e2[a])[:, None] * h2 / np.sqrt(8) for a in (0, 1))
     assert np.max(np.abs(np.abs(b0.conj().T @ b1) - 1 / np.sqrt(8))) > 0.1
 
@@ -289,7 +300,7 @@ def _built_form(k):
 
 def _agrees(e, h) -> bool:
     """The form check and the Gaussian-sum reference on (e, h); their common verdict."""
-    verdict = mub.exact_mub_check(e, h)
+    verdict = exact_mub_check(e, h)
     assert verdict == reference_mub_check(e, h)
     return verdict
 
@@ -350,31 +361,123 @@ def test_form_check_rejects_rows_of_h_swapped_off_the_generators():
 
 
 def test_form_check_rejects_the_closure_counterexample():
-    mul, tr2, tr4 = phase_tables(3)
+    mul, (tr2, tr4) = mul_table(3), phase_tables(3)
     e, h = tr4[mul][1:3], 1.0 - 2.0 * tr2[mul]
     row = np.arange(8) == 1
     assert not _agrees(np.stack([e[0], (e[1] + 2 * row) % 4]), np.where(row[:, None], -h, h))
 
 
+def _tables(tr2, tr4, perm):
+    """(E, 1 - T) of `mub._exponent_tables`, formed from the tables the certificate reads."""
+    k = len(tr2).bit_length() - 1
+    product = gf_mul(np.arange(1 << k)[:, None], perm[None, :], k)
+    return tr4[product], 1 - 2 * tr2[product[perm]]
+
+
+def _lemma_agrees(tr2, tr4, perm) -> bool:
+    """The trace-form certificate and the form check of its tables; their common verdict."""
+    verdict = mub._trace_form_holds(tr2, tr4, perm)
+    assert verdict == exact_mub_check(*_tables(tr2, tr4, perm))
+    return verdict
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_trace_form_agrees_with_the_reference_on_the_built_tables(k):
+    assert _lemma_agrees(*mub._field_tables(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+def test_trace_form_agrees_with_the_reference_on_shifted_traces(k):
+    tr2, tr4, perm = mub._field_tables(k)
+    d = 1 << k
+    kept = 0
+    for u in range(0, d, max(1, d >> 5)):  # every entry up to k = 5, every 8th at k = 8
+        for shift in (1, 2):
+            shifted = tr4.copy()
+            shifted[u] = (shifted[u] + shift) % 4
+            kept += _lemma_agrees(tr2, shifted, perm)
+    # at k = 1 a shift by 2 of either entry conjugates the basis, up to a
+    # global phase; from k = 2 on every single shift breaks the set
+    assert kept == (2 if k == 1 else 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_trace_form_agrees_with_the_reference_on_a_flipped_trace(k):
+    tr2, tr4, perm = mub._field_tables(k)
+    for u in range(1 << k):
+        flipped = tr2.copy()
+        flipped[u] ^= 1
+        assert not _lemma_agrees(flipped, tr4, perm), u
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_trace_form_agrees_with_the_reference_on_a_degenerate_trace_form(k):
+    # zero traces pass the character and form laws, but tr(uv) = 0 has
+    # rank 0: every basis is the one Hadamard basis
+    zero = np.zeros(1 << k, dtype=np.int64)
+    assert not _lemma_agrees(zero, zero, mub._field_tables(k)[2])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_trace_form_agrees_with_the_reference_on_a_bad_labeling(k):
+    # a swap relabels rows and vectors alike, so the family stays unbiased,
+    # but its tables leave the form that both checks decide
+    tr2, tr4, perm = mub._field_tables(k)
+    for i, j in [(0, 1), (3, 5), (1, (1 << k) - 1)]:
+        swapped = perm.copy()
+        swapped[[i, j]] = swapped[[j, i]]
+        assert not _lemma_agrees(tr2, tr4, swapped), (i, j)
+    # a linear labeling of rank k - 1 repeats every column
+    assert not _lemma_agrees(tr2, tr4, perm & ~1)
+
+
+def test_trace_form_agrees_with_the_reference_under_a_reducible_modulus(monkeypatch):
+    # x^2 + x = x (x + 1): the ring F2 x F2, with zero divisors
+    tr2, tr4, perm = mub._field_tables(2)
+    monkeypatch.setitem(IRREDUCIBLE_F2_POLYS, 2, 0b110)
+    assert not _lemma_agrees(tr2, tr4, perm)
+    # tables that pass every test but the field's: tr2 = the coefficient
+    # of x makes tr2(uv) nondegenerate and tr4 refines it, but x (x + 1) =
+    # 0, so the bases of a = 1 and a = 3 are biased
+    tr2, tr4 = np.array([0, 0, 1, 1]), np.array([0, 0, 1, 3])
+    assert not _lemma_agrees(tr2, tr4, perm)
+    assert not reference_mub_check(*_tables(tr2, tr4, perm))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_certify_build_decodes_the_bytes_of_build_mub_family(k, monkeypatch):
-    # the certificate reads the integer tables, and the bytes of the built
-    # family decode back to exactly those tables, so it covers the bytes
-    checked, check = [], mub.exact_mub_check
+    # the certificate reads the field tables, the build writes the tables
+    # they give, and the bytes of the built family decode back to exactly
+    # those tables, so the certificate covers the bytes
+    checked, check = [], mub._trace_form_holds
 
-    def spy(e, h):
-        checked.append((e.copy(), h.copy()))
-        return check(e, h)
+    def spy(tr2, tr4, perm):
+        checked.append((tr2.copy(), tr4.copy(), perm.copy()))
+        return check(tr2, tr4, perm)
 
-    monkeypatch.setattr(mub, "exact_mub_check", spy)
+    monkeypatch.setattr(mub, "_trace_form_holds", spy)
     report = mub.certify_build(k)
     assert report.exact and report.passed
-    [(e, h)] = checked
+    [read] = checked
+    e, h = _tables(*read)
+    assert exact_mub_check(e, h)
     table_e, table_t = mub._exponent_tables(k)
     assert np.array_equal(e, table_e) and np.array_equal(h, 1 - table_t)
     decoded_e, decoded_h = _built_form(k)
     assert np.array_equal(decoded_e, e) and np.array_equal(decoded_h, h)
     assert decoded_e.dtype == e.dtype and decoded_h.dtype == h.dtype
+
+
+@pytest.mark.parametrize("k", range(9, 17))
+def test_certify_build_proves_every_k_without_building(k, monkeypatch):
+    def no_build(k):
+        raise AssertionError("built a family")
+
+    monkeypatch.setattr(mub, "build_mub_family", no_build)
+    report = certify_build(k)
+    assert report.exact and report.passed
+    assert (report.d, report.n_bases) == (2**k, 2**k + 1)
+    assert report == mub._exact_report(2**k, 1e-9)
 
 
 def _one_ulp_out(z):
@@ -397,7 +500,7 @@ def test_decoder_refuses_a_moved_entry(op, row):
 
 
 def test_failed_certificate_falls_back_to_the_float_check_of_the_built_family(monkeypatch):
-    monkeypatch.setattr(mub, "exact_mub_check", lambda e, h: False)
+    monkeypatch.setattr(mub, "_trace_form_holds", lambda tr2, tr4, perm: False)
     report = mub.certify_build(3)
     assert not report.exact and report.passed
     assert report == verify_unbiasedness(cached_family(3))

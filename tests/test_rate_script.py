@@ -82,6 +82,14 @@ def test_bad_dimensions_exit_1(script, capsys, ds):
     assert err.startswith("error: ")
 
 
+def test_repeated_dimension_exits_1(script, capsys):
+    # the reach slope would be fitted on a repeated point
+    code, out, err = run_script(script, capsys, "--d", "2,2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: sweep got 2 more than once in ds\n"
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
 def test_non_finite_fiber_loss_exits_1(script, capsys, alpha):
     code, out, err = run_script(script, capsys, "--d", "16", "--L", "0:10:5", f"--alpha={alpha}")

@@ -429,6 +429,26 @@ def test_sweep_rejects_empty_input(empty):
         sweep(**grid)
 
 
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("ds", {"ds": [16, 4, 16]}),
+        ("lengths_km", {"lengths_km": [0.0, 5.0, 0.0]}),
+        ("profiles", {"profiles": ["snspd_lab", "snspd_lab"]}),
+    ],
+)
+def test_sweep_rejects_a_repeated_entry_before_any_evaluation(monkeypatch, name, grid):
+    # a repeated entry would repeat every (profile, d, L) row it is part of
+    def no_eval(*args, **kwargs):
+        raise AssertionError("duplicates must be rejected before anything is evaluated")
+
+    monkeypatch.setattr(ratemodel, "_hmin_column", no_eval)
+    repeated = repr(grid[name][0])
+    grid = {"ds": [16], "lengths_km": [0.0], "profiles": ["snspd_lab"], **grid}
+    with pytest.raises(ValueError, match=f"sweep got {re.escape(repeated)} more than once in {name}"):
+        sweep(**grid)
+
+
 def test_sweep_cell_cap_is_checked_before_any_evaluation(monkeypatch):
     # the ratecurve benchmark grid, 16 d x 201 L x 2 profiles, fits the cap
     assert 16 * 201 * 2 <= ratemodel.SWEEP_MAX_CELLS
@@ -481,13 +501,14 @@ def _scalar_sweep(ds, lengths, profiles, alpha, bounds_source):
 @pytest.mark.parametrize(
     "ds, lengths, alpha, bounds_source",
     [
-        # unsorted and duplicate d and L; 400 km is past every horizon, so
-        # all rates there are 0 and m_opt = 1 even where m_scan_limit is 199
-        ([1024, 4, 65536, 16, 4], [120.0, 0, 37.5, 120, 400.0, 2], 0.2, "paper"),
+        # unsorted d and L, ints among the floats; 400 km is past every
+        # horizon, so all rates there are 0 and m_opt = 1 even where
+        # m_scan_limit is 199 (a repeated entry raises ValueError)
+        ([1024, 4, 65536, 16], [120.0, 0, 37.5, 400.0, 2], 0.2, "paper"),
         ([2**14, 128], [80.0, 10.0, 33.3], 0.17, "paper"),
         # descending lengths, more than one block of them per profile
         ([4096, 2], list(range(195, -1, -5)), 0.2, "paper"),
-        ([16, 2, 8, 4, 8], [30.0, 0.0, 5.5, 30, 90.0], 0.2, "certified"),
+        ([16, 2, 8, 4], [30, 0.0, 5.5, 90.0], 0.2, "certified"),
     ],
 )
 def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source):
@@ -561,15 +582,14 @@ def _scalar_closed_form(t, det, m):
     s = t * det.eta
     v, p = det.visibility, det.p_dark
     no_arrival = (1.0 - s) ** m
+    p_signal_click = 1.0 if s >= 1.0 else -math.expm1(m * math.log1p(-s))
     if 0.0 < s < 0.5:
         log_none = m * math.log1p(-s)
-        p_signal_click = -math.expm1(log_none)
         p_all_good = _scalar_exp_times_expm1(
             log_none, m * (math.log1p(-s * (1.0 - v)) - math.log1p(-s))
         )
         p_all_bad = _scalar_exp_times_expm1(log_none, m * (math.log1p(-s * v) - math.log1p(-s)))
     else:
-        p_signal_click = 1.0 - no_arrival
         p_all_good = (1.0 - s + s * v) ** m - no_arrival
         p_all_bad = (1.0 - s * v) ** m - no_arrival
     return _scalar_with_dark_counts(det, s, m, p_signal_click, no_arrival, p_all_good, p_all_bad)
