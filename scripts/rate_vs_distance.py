@@ -20,8 +20,8 @@ import sys
 from mubqct.cli import _parse_grid, _parse_int_list
 from mubqct.detection import DETECTOR_PRESETS
 from mubqct.errors import CapabilityError
+from mubqct.models import BOUNDS_SOURCES, DEFAULT_BOUNDS_SOURCE
 from mubqct.ratemodel import max_distance, sweep, sweep_rows_to_csv
-from mubqct.security import BOUNDS_SOURCES
 
 
 def parse_args(argv=None):
@@ -30,7 +30,7 @@ def parse_args(argv=None):
     parser.add_argument("--L", default="0:150:5", help="distance grid start:stop:step in km")
     parser.add_argument("--profile", default="snspd_lab", choices=sorted(DETECTOR_PRESETS))
     parser.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
-    parser.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default="paper")
+    parser.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default=DEFAULT_BOUNDS_SOURCE)
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     return parser.parse_args(argv)
 

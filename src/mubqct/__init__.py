@@ -30,7 +30,6 @@ _EXPORTED_FROM = {
     "mub": (
         "MubFamily",
         "VerificationReport",
-        "basis_state",
         "build_mub_family",
         "certify_build",
         "half_projector",
@@ -40,10 +39,7 @@ _EXPORTED_FROM = {
         "MultipartyResult",
         "ProtocolParams",
         "ProtocolTranscript",
-        "bob_povm",
-        "encode_index",
         "multiparty_run",
-        "prepare_state",
         "privacy_amplify",
         "run_protocol",
     ),

@@ -32,6 +32,7 @@ from . import __version__
 from .errors import CapabilityError
 from .models import (
     BOUNDS_SOURCES,
+    DEFAULT_BOUNDS_SOURCE,
     DETECTOR_PRESETS,
     SWEEP_MAX_CELLS,
     ChannelModel,
@@ -418,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--L", required=True, dest="length_grid", help="distance grid start:stop:step in km")
     p.add_argument("--profile", default="snspd_lab", help="comma-separated detector presets")
     p.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
-    p.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default="paper")
+    p.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default=DEFAULT_BOUNDS_SOURCE)
     p.add_argument("--out", help="write CSV here instead of stdout")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

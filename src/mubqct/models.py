@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 # the guessing-bound sources of `security.pguess`, which the rate model and
-# the CLI's --bounds-source choices take
+# the CLI's --bounds-source choices take, and the one they default to
 BOUNDS_SOURCES = ("paper", "certified")
+DEFAULT_BOUNDS_SOURCE = "paper"
 
 # Largest number of (profile, d, L) cells `ratemodel.sweep` evaluates: a cell
 # costs about 650 traced bytes through the sweep and its CSV, so ~1.4 GB at
@@ -30,6 +31,8 @@ class Dimension:
     d: int
 
     def __post_init__(self):
+        if type(self.k) is not int or type(self.d) is not int:  # no bool, float or numpy scalar
+            raise ValueError(f"k and d must be ints, got k={self.k!r}, d={self.d!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d != 1 << self.k:

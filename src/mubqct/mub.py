@@ -337,15 +337,6 @@ def _trace_form_holds(tr2: np.ndarray, tr4: np.ndarray, perm: np.ndarray) -> boo
     return np.array_equal(np.sort(dual), u) and np.array_equal(np.sort(perm), u)
 
 
-def basis_state(family: MubFamily, theta: int, i: int) -> np.ndarray:
-    """The i-th vector of basis theta, as a length-d complex array."""
-    if not 0 <= theta < family.n_bases:
-        raise ValueError(f"theta must be in 0..{family.n_bases - 1}, got {theta}")
-    if not 0 <= i < family.d:
-        raise ValueError(f"i must be in 0..{family.d - 1}, got {i}")
-    return family.bases[theta][:, i].copy()
-
-
 def half_projector(family: MubFamily, theta: int, x: int) -> np.ndarray:
     """Projector onto half x of basis theta.
 

@@ -4,9 +4,10 @@ Alice encodes a bit x and a sub-index r as the basis state |e_theta(i_xr)>
 with i_xr = (d/2) x + r, drawn in a basis theta that stays computationally
 hidden (timelocked) until after the quantum signal decoheres.  Bob, who is
 authorized, learns theta in time and applies the two-outcome projector pair
-splitting the basis into its lower and upper halves.  The timelock itself
-is not simulated: the honest receiver always reads theta in time, and the
-adversary's side of the premise is carried by the security bounds.
+splitting the basis into its halves, which reads x from a noiseless copy
+with certainty; the simulation draws from that law and forms no state.
+The timelock itself is not simulated: the honest receiver always reads
+theta in time, and the adversary's side is carried by the security bounds.
 
 `run_protocol` simulates the full loop over a lossy channel with threshold
 detectors: per-copy transmission and visibility Bernoullis, per-detector
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +40,6 @@ from .detection import (
 from .errors import CapabilityError, ConstraintError
 from .models import ChannelModel, Dimension, DetectorModel
 
-if TYPE_CHECKING:
-    from .mub import MubFamily
-
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # rows rendered per chunk; the writer holds one rendered chunk at a time, so
 # its extra memory is bounded at any round count
@@ -54,35 +52,6 @@ _CSV_PAD = 0
 # point (padded float input, complex spectra, float output), ~1.1 GB at the cap
 PRIVACY_AMPLIFY_MAX_FFT_LEN = 1 << 25
 _NUMPY_POISSON_MU_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-
-
-def encode_index(x: int, r: int, d: int) -> int:
-    """Map (bit, sub-index) to the basis vector index i = (d/2) x + r."""
-    Dimension.from_d(d)
-    if x not in (0, 1):
-        raise ValueError(f"x must be 0 or 1, got {x!r}")
-    if not 0 <= r < d // 2:
-        raise ValueError(f"r must be in 0..{d // 2 - 1}, got {r!r}")
-    return (d // 2) * x + r
-
-
-def prepare_state(family: MubFamily, x: int, r: int, theta: int) -> np.ndarray:
-    """Alice's signal state |e_theta(i_xr)> for one protocol round."""
-    from .mub import basis_state
-
-    i = encode_index(x, r, family.d)
-    return basis_state(family, theta, i)
-
-
-def bob_povm(family: MubFamily, theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-outcome measurement (M0, M1) projecting onto basis half-spaces.
-
-    M_b sums the rank-one projectors of basis theta over indices with
-    (d/2) b <= i < (d/2) (b + 1); M0 + M1 = identity.
-    """
-    from .mub import half_projector
-
-    return half_projector(family, theta, 0), half_projector(family, theta, 1)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ import numpy as np
 
 from .detection import conditional_entropy_xy, detection_stats
 from .errors import CapabilityError
-from .models import DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension, DetectorModel, transmittance
+from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension
+from .models import DetectorModel, transmittance
 from .security import hmin_bits, pguess
 
 __all__ = [
@@ -98,7 +99,7 @@ def key_rate(
     length_km: float,
     detector: DetectorModel,
     alpha_db_per_km: float = 0.2,
-    bounds_source: str = "paper",
+    bounds_source: str = DEFAULT_BOUNDS_SOURCE,
 ) -> RatePoint:
     """Asymptotic key bits per emitted m-copy signal at distance length_km.
 
@@ -178,18 +179,19 @@ def optimize_m(
     length_km: float,
     detector: DetectorModel,
     alpha_db_per_km: float = 0.2,
-    bounds_source: str = "paper",
+    bounds_source: str = DEFAULT_BOUNDS_SOURCE,
 ) -> tuple[int, float]:
     """Best integer copy count within the coherent budget and its rate.
 
-    Scans m = 1 .. m_scan_limit(d) and returns (m*, K*); ties go to the
-    smaller m.  K* is `key_rate` at m*, so the two always agree.
+    Scans m = 1 .. m_scan_limit(d) in one channel table and returns
+    (m*, K*) from `_optimal`; ties go to the smaller m.  `key_rate` at m*
+    reads the same table entry, so it equals K* exactly.
     """
     hmin = _hmin_column(d, bounds_source)
     t = transmittance(length_km, alpha_db_per_km)
-    m_star = _optimal(_channel_table([t], detector, np.arange(1, len(hmin) + 1)), hmin)[0][0]
-    point = key_rate(d, m_star, length_km, detector, alpha_db_per_km, bounds_source)
-    return point.m, point.key_rate_bits
+    table = _channel_table([t], detector, np.arange(1, len(hmin) + 1))
+    m_star, *_, k_star = _optimal(table, hmin)[0]
+    return m_star, k_star
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def max_distance(
     d: int,
     detector: DetectorModel,
     alpha_db_per_km: float = 0.2,
-    bounds_source: str = "paper",
+    bounds_source: str = DEFAULT_BOUNDS_SOURCE,
 ) -> MaxDistanceResult:
     """Bisect for the largest L with optimized K(L) > 0, to within 0.1 km.
 
@@ -272,7 +274,7 @@ def sweep(
     lengths_km: Sequence[float],
     profiles: Sequence[str],
     alpha_db_per_km: float = 0.2,
-    bounds_source: str = "paper",
+    bounds_source: str = DEFAULT_BOUNDS_SOURCE,
 ) -> list[SweepRow]:
     """Optimized rate table over the (profile, d, L) grid, sorted that way.
 

@@ -24,10 +24,10 @@ P_theta^1; in d = 2^k these are Pauli operators whose commuting classes
 (sizes 1, d/2 and d/2) pairwise anticommute, which gives the largest
 norm over all sign strings (`lambda_exact`).  rho_0 + rho_1 = 2I/d makes
 the two bit states commute, with one pair of eigenvalues, so their
-tensor powers are discriminated by a binomial sum of O(m) terms
-(`helstrom_exact`).  The dense versions of both live in the test suite
-as references.  HELSTROM_MAX_COPIES and EVE_SIM_MAX_TRIALS are kept as
-contracts.
+tensor powers are discriminated by a majority vote, the O(m)-term
+binomial tail that `majority_attack` also sums (`helstrom_exact`).  The
+dense versions of both live in the test suite as references.
+HELSTROM_MAX_COPIES and EVE_SIM_MAX_TRIALS are kept as contracts.
 """
 
 from __future__ import annotations
@@ -164,6 +164,32 @@ def pinsker_delta(iacc: float) -> float:
     return math.sqrt(iacc / 2.0)
 
 
+def _check_copies(caller: str, d: int, m: int) -> None:
+    """Reject a d that is no power of two, m < 1 and m > HELSTROM_MAX_COPIES, naming caller."""
+    Dimension.from_d(d)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > HELSTROM_MAX_COPIES:
+        raise CapabilityError(
+            f"{caller} of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
+        )
+
+
+def _majority(bias: float, m: int) -> float:
+    """Maj(q, m), q = (1 + bias) / 2: P(a Binomial(m, q) count wins the vote, a tie by coin).
+
+    Even m is evaluated as m - 1, which the coin leaves equal; odd m as 1 minus
+    the minority tail in log space, so Maj stays finite, <= 1 and monotone in m.
+    """
+    if m % 2 == 0:
+        m -= 1
+    log_right, log_wrong = math.log1p(bias) - math.log(2.0), math.log1p(-bias) - math.log(2.0)
+    return 1.0 - sum(
+        math.exp(math.log(math.comb(m, j)) + j * log_right + (m - j) * log_wrong)
+        for j in range(m // 2 + 1)
+    )
+
+
 def helstrom_exact(d: int, m: int = 1) -> float:
     """Optimal discrimination probability of the two m-copy bit states, in closed form.
 
@@ -172,33 +198,17 @@ def helstrom_exact(d: int, m: int = 1) -> float:
     two states commute: rho_0 has eigenvalues (2/d) p and (2/d) q, each
     d/2 times, with p, q = (1 +- 1/sqrt(d + 1)) / 2, and rho_1 has them
     swapped (the tests check both against the dense states).  The tensor
-    powers share the product eigenbasis, so the Helstrom (1976) value
-    (1 + ||rho_0^(x m) - rho_1^(x m)||_1 / 2) / 2 is
+    powers share the product eigenbasis, in which C(m, j) (d/2)^m vectors
+    carry j factors p, so the Helstrom (1976) value is
 
-        1/2 + (1/4) sum_j C(m, j) |p^j q^(m-j) - q^j p^(m-j)|.
+        (1/2) sum_j C(m, j) max(p^j q^(m-j), q^j p^(m-j)) = Maj(p, m),
 
-    Terms j and m - j are equal and j = m/2 gives 0, so the sum runs over
-    j > m/2 twice, each term C(m, j) p^j q^(m-j) (1 - (q/p)^(2j-m)) taken
-    in log space; roundoff that lifts the sum past 1 (up to 1.1e-14 at the
-    cap) is clamped away.  m is capped at HELSTROM_MAX_COPIES (1024); beyond it
-    CapabilityError is raised before any term is formed.
+    a majority vote over m i.i.d. outcomes each right with probability p
+    (`_majority`), clamped into [1/2, 1].  Beyond HELSTROM_MAX_COPIES
+    (1024) copies CapabilityError is raised before any term is formed.
     """
-    Dimension.from_d(d)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > HELSTROM_MAX_COPIES:
-        raise CapabilityError(
-            f"Helstrom value of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
-        )
-    c = 1.0 / math.sqrt(d + 1.0)
-    log_p, log_q = math.log1p(c) - math.log(2.0), math.log1p(-c) - math.log(2.0)
-    total = 0.0
-    for j in range(m // 2 + 1, m + 1):
-        total += math.exp(
-            math.log(math.comb(m, j)) + j * log_p + (m - j) * log_q
-            + math.log(-math.expm1((2 * j - m) * (log_q - log_p)))
-        )
-    return _clamp_guess(0.5 + 0.5 * total)
+    _check_copies("Helstrom value", d, m)
+    return _clamp_guess(_majority(1.0 / math.sqrt(d + 1.0), m))
 
 
 def majority_attack(d: int, m: int) -> float:
@@ -218,33 +228,12 @@ def majority_attack(d: int, m: int) -> float:
 
         (Maj(q_0, m) + d Maj(q, m)) / (d + 1),
 
-    Maj(q, m) the probability that a Binomial(m, q) count wins the vote.
-    At m = 1 that is d lambda / (2 (d + 1)): the attack reaches the
-    single-copy bound.  The tie's coin makes Maj(q, m) = Maj(q, m - 1) at
-    even m, so even m is evaluated as m - 1.  At odd m Maj is 1 minus the
-    minority tail sum_{j < m/2} C(m, j) q^j (1 - q)^(m-j), each term taken
-    in log space, so the value stays finite, <= 1 and non-decreasing in m.
-    m is capped at HELSTROM_MAX_COPIES, as in `helstrom_exact`.
+    Maj as in `_majority`.  At m = 1 that is d lambda / (2 (d + 1)): the
+    attack reaches the single-copy bound.  m is capped as in `helstrom_exact`.
     """
-    Dimension.from_d(d)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > HELSTROM_MAX_COPIES:
-        raise CapabilityError(
-            f"majority attack of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
-        )
-    if m % 2 == 0:
-        m -= 1  # the tie's coin: Maj(q, m) = Maj(q, m - 1)
+    _check_copies("majority attack", d, m)
     root = math.sqrt(1 + d * d // 2)
-
-    def majority(bias: float) -> float:  # Maj((1 + bias) / 2, m)
-        log_right, log_wrong = math.log1p(bias) - math.log(2.0), math.log1p(-bias) - math.log(2.0)
-        return 1.0 - sum(
-            math.exp(math.log(math.comb(m, j)) + j * log_right + (m - j) * log_wrong)
-            for j in range(m // 2 + 1)
-        )
-
-    return (majority(1.0 / root) + d * majority(d / 2 / root)) / (d + 1)
+    return (_majority(1.0 / root, m) + d * _majority(d / 2 / root, m)) / (d + 1)
 
 
 def helstrom_paper_single(d: int) -> float:

@@ -16,7 +16,7 @@ import pytest
 from mubqct.detection import DETECTOR_PRESETS, DetectorModel, detection_stats, mc_detection_stats
 from mubqct.mub import build_mub_family, verify_unbiasedness
 from mubqct.protocol import ChannelModel, ProtocolParams, run_protocol
-from mubqct.ratemodel import coherent_mu_max, key_rate, m_scan_limit, max_distance, optimize_m
+from mubqct.ratemodel import coherent_mu_max, m_scan_limit, max_distance, optimize_m
 from mubqct.security import (
     helstrom_numeric,
     iacc_bound,
@@ -259,18 +259,18 @@ def test_criterion_11_coherent_constraint(monkeypatch):
     import mubqct.ratemodel as rm
 
     seen = []
-    real_key_rate = key_rate
+    real_channel_table = rm._channel_table
 
-    def recording_key_rate(d, m, *args, **kwargs):
-        seen.append(m)
-        return real_key_rate(d, m, *args, **kwargs)
+    def recording_channel_table(ts, detector, ms):
+        seen.append(list(ms))
+        return real_channel_table(ts, detector, ms)
 
-    monkeypatch.setattr(rm, "key_rate", recording_key_rate)
+    monkeypatch.setattr(rm, "_channel_table", recording_channel_table)
     for d in (16, 2**10):
         seen.clear()
         limit = m_scan_limit(d)
         assert limit == max(1, math.floor(coherent_mu_max(d)))
         m_opt, _ = optimize_m(d, 10.0, SNSPD)
-        assert seen and max(seen) <= limit
+        assert seen == [list(range(1, limit + 1))]  # one table, every m up to the ceiling
         assert m_opt <= limit
     _report(11, f"mu_max(1e6)={mu:.3f}, scan ceilings respected")

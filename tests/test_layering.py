@@ -34,6 +34,13 @@ def test_module_does_not_import_protocol(module):
     assert "mubqct.protocol" not in imported
 
 
+def test_protocol_does_not_import_mub():
+    # the simulator draws outcomes from their law and forms no state, so it
+    # needs no family, not even for a type annotation
+    imported = _imported_modules(PACKAGE_DIR / "protocol.py")
+    assert not any(name == "mubqct.mub" or name.startswith("mubqct.mub.") for name in imported)
+
+
 # numpy loads numpy.fft lazily, and privacy_amplify reaches it only when
 # called; the rate layer and the transcript writer run serially and need
 # no process or thread pool.  The package loads its submodules on first
@@ -151,7 +158,7 @@ def test_import_loads_no_submodule():
     assert json.loads(_fresh("import mubqct\n" + PRINT_LOADED)) == [[], False]
 
 
-# the package's exports at the time the namespace became lazy, by defining module
+# the package's exports, by defining module
 EXPORTS = {
     "models": ["DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "Dimension", "transmittance"],
     "detection": [
@@ -160,12 +167,12 @@ EXPORTS = {
     ],
     "errors": ["CapabilityError", "ConstraintError", "DegenerateModeError"],
     "mub": [
-        "MubFamily", "VerificationReport", "basis_state", "build_mub_family", "certify_build",
-        "half_projector", "verify_unbiasedness",
+        "MubFamily", "VerificationReport", "build_mub_family", "certify_build", "half_projector",
+        "verify_unbiasedness",
     ],
     "protocol": [
-        "MultipartyResult", "ProtocolParams", "ProtocolTranscript", "bob_povm", "encode_index",
-        "multiparty_run", "prepare_state", "privacy_amplify", "run_protocol",
+        "MultipartyResult", "ProtocolParams", "ProtocolTranscript", "multiparty_run",
+        "privacy_amplify", "run_protocol",
     ],
     "ratemodel": [
         "MaxDistanceResult", "RatePoint", "SweepRow", "coherent_mu_max", "key_rate",

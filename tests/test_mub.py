@@ -11,7 +11,6 @@ from mubqct.galois import IRREDUCIBLE_F2_POLYS, gf_mul, phase_tables
 from mubqct import (
     Dimension,
     MubFamily,
-    basis_state,
     build_mub_family,
     certify_build,
     half_projector,
@@ -128,20 +127,6 @@ def test_half_projectors_split_the_identity():
         half_projector(fam, 5, 0)
 
 
-def test_basis_state_norm_and_bounds():
-    fam = cached_family(2)
-    vec = basis_state(fam, 3, 1)
-    assert vec.shape == (4,)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    assert np.array_equal(basis_state(fam, 0, 0), np.eye(4)[:, 0])
-    with pytest.raises(ValueError):
-        basis_state(fam, 5, 0)
-    with pytest.raises(ValueError):
-        basis_state(fam, 0, 4)
-    with pytest.raises(ValueError):
-        basis_state(fam, -1, 0)
-
-
 def test_dimension_validation():
     assert Dimension.from_k(3) == Dimension(k=3, d=8)
     assert Dimension.from_d(16).k == 4
@@ -153,6 +138,15 @@ def test_dimension_validation():
         Dimension.from_d(1)
     with pytest.raises(ValueError):
         Dimension(k=2, d=8)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_dimension_rejects_bool_and_float(value):
+    # bool is an int subclass: True would otherwise pass as k = 1, d = 2
+    for make in (Dimension.from_k, Dimension.from_d, lambda v: Dimension(k=v, d=2),
+                 lambda v: Dimension(k=1, d=v)):
+        with pytest.raises(ValueError):
+            make(value)
 
 
 def test_build_rejects_out_of_range_k():

@@ -1,4 +1,4 @@
-"""Protocol mechanics: encoding, measurement, simulation runs."""
+"""Protocol mechanics: the measurement premise, simulation runs."""
 
 import hashlib
 import math
@@ -14,11 +14,9 @@ from mubqct import (
     DetectorModel,
     ProtocolParams,
     ProtocolTranscript,
-    bob_povm,
     detection_stats,
-    encode_index,
+    half_projector,
     multiparty_run,
-    prepare_state,
     privacy_amplify,
     run_protocol,
 )
@@ -29,75 +27,29 @@ from tests.conftest import cached_family
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
 
 
-def test_encode_index_examples():
-    assert encode_index(0, 0, 4) == 0
-    assert encode_index(1, 0, 4) == 2
-    assert encode_index(1, 3, 8) == 7
-
-
-def test_encode_index_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        encode_index(2, 0, 4)
-    with pytest.raises(ValueError):
-        encode_index(0, 2, 4)
-    with pytest.raises(ValueError):
-        encode_index(0, -1, 4)
-
-
-@given(
-    st.sampled_from([2, 4, 8, 16]),
-    st.integers(min_value=0, max_value=1),
-    st.integers(min_value=0, max_value=7),
-)
-def test_encode_index_halves_encode_the_bit(d, x, r):
-    r = r % (d // 2)
-    i = encode_index(x, r, d)
-    assert 0 <= i < d
-    assert (i >= d // 2) == bool(x)
-    assert i % (d // 2) == r
-
-
-def test_prepare_state_convention_and_orthogonality():
-    fam = cached_family(2)
-    assert np.array_equal(prepare_state(fam, 0, 0, 0), np.eye(4)[:, 0])
-    for theta in range(5):
-        states = [
-            prepare_state(fam, x, r, theta) for x in (0, 1) for r in (0, 1)
-        ]
-        gram = np.array([[abs(np.vdot(a, b)) for b in states] for a in states])
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-
-def test_bob_povm_completeness_and_projectivity():
-    fam = cached_family(3)
-    for theta in range(fam.n_bases):
-        m0, m1 = bob_povm(fam, theta)
-        assert np.max(np.abs(m0 + m1 - np.eye(8))) < 1e-9
-        assert np.max(np.abs(m0 @ m0 - m0)) < 1e-9
-        assert np.min(np.linalg.eigvalsh(m0)) > -1e-12
-
-
 def test_matched_basis_measurement_is_deterministic():
+    # the simulator's premise: Bob's half projector of the sent basis reads
+    # the bit of |e_theta((d/2) x + r)> with certainty
     fam = cached_family(2)
-    for theta in range(5):
-        m = bob_povm(fam, theta)
+    half = fam.d // 2
+    for theta in range(fam.n_bases):
         for x in (0, 1):
-            for r in (0, 1):
-                psi = prepare_state(fam, x, r, theta)
-                p_hit = np.real(np.vdot(psi, m[x] @ psi))
-                assert abs(p_hit - 1.0) < 1e-12
+            m_x = half_projector(fam, theta, x)
+            for r in range(half):
+                psi = fam.bases[theta][:, half * x + r]
+                assert abs(np.real(np.vdot(psi, m_x @ psi)) - 1.0) < 1e-12
 
 
 def test_mismatched_basis_measurement_is_a_coin():
     fam = cached_family(2)
-    for theta in range(5):
-        m0, _ = bob_povm(fam, theta)
-        for theta_prep in range(5):
+    half = fam.d // 2
+    for theta in range(fam.n_bases):
+        m0 = half_projector(fam, theta, 0)
+        for theta_prep in range(fam.n_bases):
             if theta_prep == theta:
                 continue
-            psi = prepare_state(fam, 1, 0, theta_prep)
-            p0 = np.real(np.vdot(psi, m0 @ psi))
-            assert abs(p0 - 0.5) < 1e-9
+            psi = fam.bases[theta_prep][:, half]  # x = 1, r = 0
+            assert abs(np.real(np.vdot(psi, m0 @ psi)) - 0.5) < 1e-9
 
 
 def test_protocol_params_validation():

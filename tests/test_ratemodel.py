@@ -535,6 +535,8 @@ def test_optimize_m_matches_scalar_oracle(detector):
             best = _scalar_optimum(d, length, detector, 0.25)
             got = optimize_m(d, length, detector, 0.25)
             assert got == (best.m, best.key_rate_bits)
+            # the docstring's promise: K* is `key_rate` at m*, to the bit
+            assert got[1] == key_rate(d, got[0], length, detector, 0.25).key_rate_bits
 
 
 # The ratecurve benchmark grid; the digest was computed with the per-cell

@@ -259,6 +259,29 @@ def test_helstrom_exact_single_copy_is_the_paper_closed_form():
         assert abs(helstrom_exact(d, 1) - helstrom_paper_single(d)) <= 1e-15
 
 
+def _helstrom_sum(d: int, m: int) -> float:
+    """1/2 + (1/2) sum_{j > m/2} C(m, j) p^j q^(m-j) (1 - (q/p)^(2j-m)), each term in log space.
+
+    The trace-norm form of the Helstrom value over the product eigenbasis,
+    which `helstrom_exact` evaluates as a majority vote instead.
+    """
+    c = 1.0 / math.sqrt(d + 1.0)
+    log_p, log_q = math.log1p(c) - math.log(2.0), math.log1p(-c) - math.log(2.0)
+    total = 0.0
+    for j in range(m // 2 + 1, m + 1):
+        total += math.exp(
+            math.log(math.comb(m, j)) + j * log_p + (m - j) * log_q
+            + math.log(-math.expm1((2 * j - m) * (log_q - log_p)))
+        )
+    return min(1.0, 0.5 + 0.5 * total)
+
+
+def test_helstrom_exact_is_the_trace_norm_sum():
+    for d in ALL_D:
+        for m in [*range(1, 200), 511, 512, 1023, 1024]:
+            assert abs(helstrom_exact(d, m) - _helstrom_sum(d, m)) <= 1e-13, (d, m)
+
+
 def test_helstrom_exact_is_monotone_bounded_and_finite_up_to_the_copy_cap():
     cap = security.HELSTROM_MAX_COPIES
     copies = list(range(1, 65)) + [2**j for j in range(7, cap.bit_length())]
