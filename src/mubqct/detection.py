@@ -21,20 +21,27 @@ It keeps one byte per round: the event code, whose bits say which
 detector sides the signal reached and which dark-fired, and then the
 click class that a 16-entry table assigns to that code.
 
-The detector and channel models and their presets are defined in `models`
-and bound here too, so `mubqct.detection.DetectorModel` and the like keep
-resolving.
+The closed forms (`detection_stats`, `poisson_detection_stats`,
+`conditional_entropy_xy`) are scalar `math` code, so the rate model loads
+no numpy; only the Monte Carlo half imports numpy, inside the functions
+that draw.  The detector and channel models and their presets are
+defined in `models` and bound here too, so
+`mubqct.detection.DetectorModel` and the like keep resolving.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateModeError
 from .models import DETECTOR_PRESETS, ChannelModel, DetectorModel, transmittance  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # rows per chunk of the session's per-round draws: one chunk of int64 or
 # float64 values is 256 KiB, which stays in cache while it is reduced
@@ -43,7 +50,7 @@ _CHUNK_ROWS = 1 << 15
 
 @dataclass(frozen=True)
 class DetectionStats:
-    """Outcome probabilities for one signal of m copies (arrays if broadcast)."""
+    """Outcome probabilities for one signal of m copies."""
 
     p_signal_click: float
     p_right: float
@@ -53,38 +60,12 @@ class DetectionStats:
     p_e: float
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """fn elementwise over args of one shape, through Python's math library.
-
-    numpy's SIMD float64 exp, expm1, log1p, log2 and power can differ from
-    the C library in the last bit, so every transcendental of the closed
-    forms goes through `math` (or `pow`) one element at a time and the
-    arrays stay bit-identical to the scalar formulas.  Callers pass only
-    the entries a call applies to, so each cell costs one call per term.
-    """
-    values = map(fn, *(a.ravel().tolist() for a in args))
-    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
-
-
-def _exp_times_expm1(a: np.ndarray, exp_a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^a expm1(x) from exp_a = e^a; where x >= 709, beyond expm1's range,
+def _exp_times_expm1(a: float, exp_a: float, x: float) -> float:
+    """e^a expm1(x) from exp_a = e^a; for x >= 709, beyond expm1's range,
     e^(a + x) (-expm1(-x)) instead, which needs a + x <= 0."""
-    big = x >= 709.0
-    out = np.asarray(exp_a * _libm(math.expm1, np.where(big, 0.0, x)))
-    if big.any():
-        out[big] = _libm(math.exp, a[big] + x[big]) * -_libm(math.expm1, -x[big])
-    return out
-
-
-def _first(bad: np.ndarray, *arrays: np.ndarray) -> list:
-    """The entries of arrays (bad's shape) at the first True of bad."""
-    i = int(np.argmax(bad))
-    return [a.flat[i] for a in arrays]
-
-
-def _log_space(s: np.ndarray) -> np.ndarray:
-    """The arrival probabilities s whose binomial sums are taken in log space."""
-    return (0.0 < s) & (s < 0.5)
+    if x < 709.0:
+        return exp_a * math.expm1(x)
+    return math.exp(a + x) * -math.expm1(-x)
 
 
 def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
@@ -92,47 +73,50 @@ def detection_stats(t: float, detector: DetectorModel, m) -> DetectionStats:
 
     m copies are sent; m may be any positive real.  A Poisson source of
     mean mu is `poisson_detection_stats`, not m = mu.  P_click = P_right
-    + P_wrong, so p_c + p_e = 1.
-
-    t and m broadcast against each other: array inputs give array fields
-    of the broadcast shape, scalar inputs give Python floats, and every
-    entry equals the scalar evaluation bit for bit (+ - * / run in numpy
-    in the scalar order, transcendentals through `math`, see `_libm`).
-    An error in any entry raises as it would for that entry alone.
-
-    Per cell: one pow for (1 - s)^m and one expm1 for p_signal_click =
-    -expm1(m log1p(-s)) (1 at s = 1), then on 0 < s < 0.5 (`_log_space`)
-    exp of m log1p(-s) and one expm1 per arrival class, and elsewhere one
-    pow per arrival class; each log1p runs once per t.
+    + P_wrong, so p_c + p_e = 1.  The fields are those `detection_row`
+    gives for m alone.
     """
-    t, m = _checked_source(t, m, "m")
+    return DetectionStats(*detection_row(t, detector, (m,))[0])
+
+
+def detection_row(t: float, detector: DetectorModel, ms) -> list[tuple[float, ...]]:
+    """The `DetectionStats` fields at t for each copy count of ms, as tuples.
+
+    The rate model's channel row: the logs that depend on t alone are
+    taken once, and no dataclass is built per m.  Per m: one pow for
+    (1 - s)^m and one expm1 for p_signal_click = -expm1(m log1p(-s))
+    (1 at s = 1), then on 0 < s < 0.5 exp of m log1p(-s) and one expm1
+    per arrival class, and elsewhere one pow per arrival class.
+    """
+    t = _checked_transmittance(t)
     s = t * detector.eta
-    v = detector.visibility
+    v, p = detector.visibility, detector.p_dark
+    no_dark = (1.0 - p) ** 2
     # -expm1(m log1p(-s)) = 1 - (1 - s)^m keeps its precision at small s,
     # where the direct form underflows to 0 beyond ~800 km; s = 1 stays out
     # of log1p, which would raise.  The binomial sums over i >= 1 arrivals
     # weighted by V^i resp. (1-V)^i, differences of near-1 powers, are taken
-    # in log space on small s, each branch on its own cells (s = 0 outside).
-    log_miss = _libm(math.log1p, -np.where(s < 1.0, s, 0.0))
-    s_log = np.where(_log_space(s), s, 0.0)
-    log_good = _libm(math.log1p, -s_log * (1.0 - v)) - log_miss
-    log_bad = _libm(math.log1p, -s_log * v) - log_miss
-    logs, s, m, log_miss, log_good, log_bad = np.broadcast_arrays(
-        _log_space(s), s, m, log_miss, log_good, log_bad
-    )
-    no_arrival = _libm(pow, 1.0 - s, m)
-    log_none = m * log_miss
-    p_signal_click = np.where(s >= 1.0, 1.0, -_libm(math.expm1, log_none))
-    p_all_good, p_all_bad = np.empty(logs.shape), np.empty(logs.shape)
-    m_log, log_none = m[logs], log_none[logs]
-    exp_none = _libm(math.exp, log_none)
-    p_all_good[logs] = _exp_times_expm1(log_none, exp_none, m_log * log_good[logs])
-    p_all_bad[logs] = _exp_times_expm1(log_none, exp_none, m_log * log_bad[logs])
-    direct = ~logs
-    s, m, none = s[direct], m[direct], no_arrival[direct]
-    p_all_good[direct] = _libm(pow, 1.0 - s + s * v, m) - none
-    p_all_bad[direct] = _libm(pow, 1.0 - s * v, m) - none
-    return _with_dark_counts(detector, p_signal_click, no_arrival, p_all_good, p_all_bad)
+    # in log space on small s.
+    log_miss = math.log1p(-s) if s < 1.0 else 0.0
+    log_space = 0.0 < s < 0.5
+    if log_space:
+        log_good = math.log1p(-s * (1.0 - v)) - log_miss
+        log_bad = math.log1p(-s * v) - log_miss
+    row = []
+    for m in ms:
+        m = _checked_photons(m, "m")
+        log_none = m * log_miss
+        no_arrival = pow(1.0 - s, m)
+        p_signal_click = 1.0 if s >= 1.0 else -math.expm1(log_none)
+        if log_space:
+            exp_none = math.exp(log_none)
+            p_all_good = _exp_times_expm1(log_none, exp_none, m * log_good)
+            p_all_bad = _exp_times_expm1(log_none, exp_none, m * log_bad)
+        else:
+            p_all_good = pow(1.0 - s + s * v, m) - no_arrival
+            p_all_bad = pow(1.0 - s * v, m) - no_arrival
+        row.append(_with_dark_counts(p, no_dark, p_signal_click, no_arrival, p_all_good, p_all_bad))
+    return row
 
 
 def poisson_detection_stats(t: float, detector: DetectorModel, mu) -> DetectionStats:
@@ -142,52 +126,59 @@ def poisson_detection_stats(t: float, detector: DetectorModel, mu) -> DetectionS
     mean mu s V in the good detector and mu s (1 - V) in the bad ones, so
     no arrival has probability e^(-mu s), all arrivals good
     e^(-mu s (1 - V)) - e^(-mu s) = e^(-mu s) expm1(mu s V), and all bad
-    e^(-mu s) expm1(mu s (1 - V)).  The dark-count terms and the
-    broadcasting are those of `detection_stats`; e^(-mu s) is one exp
-    per cell, shared by the three terms.
+    e^(-mu s) expm1(mu s (1 - V)).  The dark-count terms are those of
+    `detection_stats`; e^(-mu s) is one exp, shared by the three terms.
     """
-    t, mu = _checked_source(t, mu, "mu")
+    t, mu = _checked_transmittance(t), _checked_photons(mu, "mu")
     mean = mu * (t * detector.eta)
-    no_arrival = _libm(math.exp, -mean)
-    return _with_dark_counts(
-        detector,
-        -_libm(math.expm1, -mean),
+    no_arrival = math.exp(-mean)
+    p = detector.p_dark
+    return DetectionStats(*_with_dark_counts(
+        p,
+        (1.0 - p) ** 2,
+        -math.expm1(-mean),
         no_arrival,
         _exp_times_expm1(-mean, no_arrival, mean * detector.visibility),
         _exp_times_expm1(-mean, no_arrival, mean * (1.0 - detector.visibility)),
-    )
+    ))
 
 
-def _checked_source(t, m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """t and the source's photon number m as arrays, each entry validated."""
-    t = np.asarray(t, dtype=float)
-    m = np.asarray(m)
-    bad = ~((t >= 0.0) & (t <= 1.0))
-    if bad.any():
-        raise ValueError(f"transmittance must be in [0, 1], got {_first(bad, t)[0]}")
-    bad = ~((m > 0) & (m < math.inf))
-    if bad.any():
-        raise ValueError(f"{name} must be positive and finite, got {_first(bad, m)[0]}")
-    return t, m
+def _checked_transmittance(t) -> float:
+    """t as a Python float in [0, 1]."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmittance must be in [0, 1], got {t}")
+    return t
+
+
+def _checked_photons(m, name: str) -> int | float:
+    """The source's photon number m, positive and finite, as a Python int if it
+    is an integer (numpy's included) and a Python float otherwise.
+
+    numpy scalars would send pow and * to numpy's kernels, which can
+    differ from the C library's in the last bit.
+    """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        m = float(m)
+    if not 0 < m < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {m}")
+    return m
 
 
 def _with_dark_counts(
-    detector: DetectorModel, p_signal_click, no_arrival, p_all_good, p_all_bad
-) -> DetectionStats:
-    """The click statistics from the signal's arrival classes and the dark counts."""
-    p = detector.p_dark
-    no_dark = (1.0 - p) ** 2
+    p: float, no_dark: float, p_signal_click, no_arrival, p_all_good, p_all_bad
+) -> tuple[float, ...]:
+    """The `DetectionStats` fields from the signal's arrival classes and the dark
+    counts: p is each detector's dark-count probability, no_dark = (1 - p)^2."""
     p_right = p_all_good * no_dark + no_arrival * p + p_all_good * p
     p_wrong = p_all_bad * no_dark + no_arrival * p + p_all_bad * p
 
     p_click = p_right + p_wrong
-    if (p_click <= 0.0).any():
+    if p_click <= 0.0:
         raise DegenerateModeError("no click mass: both signal and dark contributions are zero")
-
-    fields = (p_signal_click, p_right, p_wrong, p_click, p_right / p_click, p_wrong / p_click)
-    if p_click.ndim == 0:
-        fields = tuple(float(x) for x in fields)
-    return DetectionStats(*fields)
+    return p_signal_click, p_right, p_wrong, p_click, p_right / p_click, p_wrong / p_click
 
 
 @dataclass(frozen=True)
@@ -215,6 +206,8 @@ def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
     chunk consumes the stream exactly as one call of size n does, and
     only one chunk of the int64 or float64 draw is alive at a time.
     """
+    import numpy as np
+
     out = np.empty(n, dtype)
     for rows in chunk_slices(n):
         out[rows] = draw(rows.stop - rows.start, *(c[rows] for c in columns))
@@ -223,6 +216,8 @@ def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
 
 def _count_type(high: int) -> np.dtype:
     """The smallest type that holds 0..high and casts to binomial's int64 (not uint64)."""
+    import numpy as np
+
     fits = np.min_scalar_type(high)
     return np.dtype(np.int64) if fits == np.uint64 else fits
 
@@ -235,6 +230,8 @@ def draw_counts_chunked(n: int, draw) -> np.ndarray:
     Poisson source at any mu) neither wraps nor costs a full int64 per
     row below 2^32.
     """
+    import numpy as np
+
     out = np.empty(n, np.uint8)
     for rows in chunk_slices(n):
         chunk = draw(rows.stop - rows.start)
@@ -253,8 +250,12 @@ _SIGNAL_BAD, _SIGNAL_GOOD, _DARK_GOOD, _DARK_BAD = 1, 2, 4, 8
 RIGHT, WRONG = 1, 2
 
 
-def _click_table() -> np.ndarray:
-    """The click class of each of the 16 event codes, by the module's taxonomy."""
+@functools.cache
+def _click_class() -> np.ndarray:
+    """The click class of each of the 16 event codes, by the module's taxonomy;
+    built on first use and read-only, since every caller shares it."""
+    import numpy as np
+
     code = np.arange(16)
     signal_bad = (code & _SIGNAL_BAD) > 0
     signal_good = (code & _SIGNAL_GOOD) > 0
@@ -263,10 +264,10 @@ def _click_table() -> np.ndarray:
     no_arrival = ~signal_good & ~signal_bad
     right = (signal_good & ~signal_bad & (dark_good | ~dark_bad)) | (no_arrival & dark_good)
     wrong = (signal_bad & ~signal_good & (dark_bad | ~dark_good)) | (no_arrival & dark_bad)
-    return (right * RIGHT + wrong * WRONG).astype(np.uint8)
+    table = (right * RIGHT + wrong * WRONG).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
-
-_CLICK_CLASS = _click_table()
 
 
 def click_classes(
@@ -293,6 +294,8 @@ def click_classes(
     without taking a value from the bit generator, so the stream is the
     one a draw over every round consumes.
     """
+    import numpy as np
+
     s = t * detector.eta
     p = detector.p_dark
     fits = _count_type(int(np.max(copies)))  # holds every arrival count
@@ -315,7 +318,7 @@ def click_classes(
         dark = rng.binomial(1, p, rows.stop - rows.start) > 0
         chunk = events[rows]
         chunk |= dark.view(np.uint8) * np.uint8(_DARK_BAD)
-        chunk[...] = _CLICK_CLASS[chunk]
+        chunk[...] = _click_class()[chunk]
     return events
 
 
@@ -323,6 +326,8 @@ def mc_detection_stats(
     t: float, detector: DetectorModel, m: int, n_samples: int, seed: int
 ) -> McDetectionStats:
     """Monte Carlo estimate of the closed-form ratios via `click_classes`."""
+    import numpy as np
+
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if n_samples < 1:
@@ -348,21 +353,13 @@ def conditional_entropy_xy(p_c: float, p_e: float) -> float:
     p_c and p_e are the conditional probabilities of the right and wrong
     detector firing given a click.  Bob declares one bit, so H(X|Y) =
     -p_c log2 p_c - p_e log2 p_e, the binary entropy of his error when
-    p_c + p_e = 1.  Broadcasts like `detection_stats`: arrays give an
-    array, scalars a Python float, each entry bit-identical to the scalar
-    formula.
+    p_c + p_e = 1.
     """
-    p_c, p_e = np.broadcast_arrays(np.asarray(p_c, dtype=float), np.asarray(p_e, dtype=float))
-    bad = ~((0.0 <= p_c) & (p_c <= 1.0) & (0.0 <= p_e) & (p_e <= 1.0))
-    if bad.any():
-        raise ValueError("p_c and p_e must be in [0, 1], got {}, {}".format(*_first(bad, p_c, p_e)))
-    total = p_c + p_e
-    bad = total > 1.0 + 1e-9
-    if bad.any():
-        raise ValueError(f"p_c + p_e must not exceed 1, got {_first(bad, total)[0]}")
-    # h = 0 - p_c log2 p_c - p_e log2 p_e; where a probability is 0, log2
-    # sees 1 and its term is 0
-    h = 0.0
-    for p in (p_c, p_e):
-        h = h - p * _libm(math.log2, np.where(p > 0.0, p, 1.0))
-    return float(h) if h.ndim == 0 else h
+    p_c, p_e = float(p_c), float(p_e)
+    if not (0.0 <= p_c <= 1.0 and 0.0 <= p_e <= 1.0):
+        raise ValueError(f"p_c and p_e must be in [0, 1], got {p_c}, {p_e}")
+    if p_c + p_e > 1.0 + 1e-9:
+        raise ValueError(f"p_c + p_e must not exceed 1, got {p_c + p_e}")
+    # a probability of 0 contributes 0: log2 sees 1 in its place
+    h = 0.0 - p_c * math.log2(p_c if p_c > 0.0 else 1.0)
+    return h - p_e * math.log2(p_e if p_e > 0.0 else 1.0)

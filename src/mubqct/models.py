@@ -18,7 +18,7 @@ BOUNDS_SOURCES = ("paper", "certified")
 DEFAULT_BOUNDS_SOURCE = "paper"
 
 # Largest number of (profile, d, L) cells `ratemodel.sweep` evaluates: a cell
-# costs about 650 traced bytes through the sweep and its CSV, so ~1.4 GB at
+# costs about 530 traced bytes through the sweep and its CSV, so ~1.1 GB at
 # the cap.  The CLI checks a grid against it before building the grid.
 SWEEP_MAX_CELLS = 1 << 21
 

@@ -14,33 +14,28 @@ horizon.  `sweep` evaluates grids of (profile, d, L) cells and renders
 them as CSV.  Fiber loss enters every function as alpha_db_per_km alone.
 
 Only H_min depends on d; p_c, p_e, H(X|Y) and P_sift depend on
-(profile, L, m) alone.  The grid is therefore factored: a channel table
-holds those four terms for every L and m = 1 .. the largest scan limit,
-from one broadcast `detection_stats` call over the (L, m) grid, and an
-H_min column holds -log2 P_guess(d, m) for each d.  Each d then combines
-the first m_scan_limit(d) columns of the table with its H_min column in
-one array product, difference and maximum.  The table is the only
-evaluator: `key_rate` reads a 1 x 1 table, `optimize_m` one row of
-m = 1 .. m_scan_limit(d), and each `max_distance` step the rows of the
-midpoint and the two midpoints that can follow it, so all four agree
-exactly.  The detection closed forms keep every entry bit-identical to
-the one-point formula, so sweep rows equal a per-cell scan.  Each math
-call runs once per cell, on the cells of its own branch: seven per cell
-where 0 < t eta < 0.5 (pow, expm1, exp, two expm1, two log2), six
-elsewhere (three pow, expm1, two log2), with P_sift read from
-p_signal_click.  Everything runs serially in the calling process.
+(profile, L, m) alone.  The grid is therefore factored: for each
+(profile, L) one channel row holds those four terms for m = 1 .. M, and
+an H_min column holds -log2 P_guess(d, m) for each d.  Each d scans its
+prefix of the row for the first strict maximum of the rate.  A column
+with H_min = 0 has K = max(0, -H(X|Y)) = 0 and is never a strict maximum,
+so each d's column stops at the last m <= m_scan_limit(d) with H_min > 0
+(m = 1 at least), and M is the longest of them; this pruning changes no
+result.  The row is the only evaluator: `key_rate` reads one cell of it,
+`optimize_m` one row and each `max_distance` step the row of its
+midpoint, so all four agree exactly.  Everything is Python floats through
+`math`, serially in the calling process, and loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .detection import conditional_entropy_xy, detection_stats
+from .detection import conditional_entropy_xy, detection_row
 from .errors import CapabilityError
 from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension
 from .models import DetectorModel, transmittance
@@ -80,17 +75,12 @@ class RatePoint:
     bounds_source: str
 
 
-def _channel_table(ts: Sequence[float], detector: DetectorModel, ms) -> np.ndarray:
-    """The d-independent rate terms at every (t, m), shape (4, len(ts), len(ms)).
-
-    ms is a sequence of copy counts.  The rows are p_c, p_e, H(X|Y) and
-    the sift prefactor P_sift, which is `detection_stats`' p_signal_click.
-    Per cell that is the calls of `detection_stats` and two log2.
-    """
-    t = np.asarray(ts, dtype=float)[:, None]
-    stats = detection_stats(t, detector, np.asarray(ms)[None, :])
-    hxy = conditional_entropy_xy(stats.p_c, stats.p_e)
-    return np.stack([stats.p_c, stats.p_e, hxy, stats.p_signal_click])
+def _channel_row(t: float, detector: DetectorModel, ms: Sequence[int]) -> tuple[Sequence[float], ...]:
+    """The d-independent rate terms at t for each copy count of ms, one list
+    each: p_c, p_e, H(X|Y) and the sift prefactor P_sift, which is
+    `detection_stats`' p_signal_click."""
+    p_signal_click, _, _, _, p_c, p_e = zip(*detection_row(t, detector, ms))
+    return p_c, p_e, list(map(conditional_entropy_xy, p_c, p_e)), p_signal_click
 
 
 def key_rate(
@@ -110,7 +100,7 @@ def key_rate(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t = transmittance(length_km, alpha_db_per_km)
-    p_c, p_e, hxy, prefactor = _channel_table([t], detector, [m])[:, 0, 0].tolist()
+    (p_c,), (p_e,), (hxy,), (prefactor,) = _channel_row(t, detector, [m])
     hmin = hmin_bits(pguess(d, m, bounds_source))
     k = max(0.0, prefactor * hmin - hxy)
     return RatePoint(
@@ -143,35 +133,28 @@ def m_scan_limit(d: int) -> int:
     return max(1, math.floor(coherent_mu_max(d)))
 
 
-def _hmin_column(d: int, bounds_source: str) -> np.ndarray:
-    """Min-entropy in bits for m = 1 .. m_scan_limit(d) copies."""
+def _hmin_column(d: int, bounds_source: str) -> list[float]:
+    """Min-entropy in bits for m = 1 .. M_d copies, M_d the last m <= m_scan_limit(d)
+    with H_min > 0 (1 if none): the columns past it have rate 0 (module docstring)."""
     Dimension.from_d(d)
-    return np.array(
-        [hmin_bits(pguess(d, m, bounds_source)) for m in range(1, m_scan_limit(d) + 1)]
-    )
+    hmin = [hmin_bits(pguess(d, m, bounds_source)) for m in range(1, m_scan_limit(d) + 1)]
+    while len(hmin) > 1 and hmin[-1] == 0.0:
+        hmin.pop()
+    return hmin
 
 
-def _optimal(table: np.ndarray, hmin: np.ndarray) -> list[tuple]:
-    """The rate-optimal copy count at each t of a channel table.
+def _optimal(row: tuple[Sequence[float], ...], hmin: list[float]) -> tuple:
+    """The rate-optimal copy count over m = 1 .. len(hmin) of a channel row.
 
-    Scans m = 1 .. len(hmin) and returns (m*, p_c, p_e, H(X|Y), H_min, K*)
-    per t.  argmax takes the first maximum, so ties go to the smaller m;
-    when every rate is 0 that is m = 1.
+    Returns (m*, p_c, p_e, H(X|Y), H_min, K*) at the first maximum of
+    K = max(0, P_sift H_min - H(X|Y)), so ties go to the smaller m; when
+    every rate is 0 that is m = 1.
     """
-    p_c, p_e, hxy, prefactor = table[:, :, : len(hmin)]
-    rates = np.maximum(0.0, prefactor * hmin - hxy)
-    best = rates.argmax(axis=1)
-    cell = (np.arange(len(best)), best)
-    return list(
-        zip(
-            (best + 1).tolist(),
-            p_c[cell].tolist(),
-            p_e[cell].tolist(),
-            hxy[cell].tolist(),
-            hmin[best].tolist(),
-            rates[cell].tolist(),
-        )
-    )
+    p_c, p_e, hxy, prefactor = row
+    rates = list(map(operator.sub, map(operator.mul, prefactor, hmin), hxy))
+    best = max(rates)
+    i = rates.index(best) if best > 0.0 else 0
+    return i + 1, p_c[i], p_e[i], hxy[i], hmin[i], max(0.0, best)
 
 
 def optimize_m(
@@ -183,14 +166,14 @@ def optimize_m(
 ) -> tuple[int, float]:
     """Best integer copy count within the coherent budget and its rate.
 
-    Scans m = 1 .. m_scan_limit(d) in one channel table and returns
-    (m*, K*) from `_optimal`; ties go to the smaller m.  `key_rate` at m*
-    reads the same table entry, so it equals K* exactly.
+    Scans m = 1 .. m_scan_limit(d), pruned as in `_hmin_column`, in one
+    channel row and returns (m*, K*) from `_optimal`; ties go to the
+    smaller m.  `key_rate` at m* reads the same cell, so it equals K*
+    exactly.
     """
     hmin = _hmin_column(d, bounds_source)
-    t = transmittance(length_km, alpha_db_per_km)
-    table = _channel_table([t], detector, np.arange(1, len(hmin) + 1))
-    m_star, *_, k_star = _optimal(table, hmin)[0]
+    row = _channel_row(transmittance(length_km, alpha_db_per_km), detector, range(1, len(hmin) + 1))
+    m_star, *_, k_star = _optimal(row, hmin)
     return m_star, k_star
 
 
@@ -220,28 +203,21 @@ def max_distance(
     noise), the cap is returned with the saturated flag set.
     """
     hmin = _hmin_column(d, bounds_source)
-    ms = np.arange(1, len(hmin) + 1)
+    ms = range(1, len(hmin) + 1)
 
-    def positive(lengths: list[float]) -> dict[float, bool]:
-        """Whether the optimized rate is > 0 at each length, from one table."""
-        ts = [transmittance(length, alpha_db_per_km) for length in lengths]
-        optima = _optimal(_channel_table(ts, detector, ms), hmin)
-        return {length: optimum[-1] > 0.0 for length, optimum in zip(lengths, optima)}
+    def positive(length: float) -> bool:
+        """Whether the optimized rate at length is > 0."""
+        row = _channel_row(transmittance(length, alpha_db_per_km), detector, ms)
+        return _optimal(row, hmin)[-1] > 0.0
 
-    ends = positive([0.0, _LENGTH_CAP_KM])
-    if not ends[0.0]:
+    if not positive(0.0):
         return MaxDistanceResult(distance_km=0.0, saturated=False)
-    if ends[_LENGTH_CAP_KM]:
+    if positive(_LENGTH_CAP_KM):
         return MaxDistanceResult(distance_km=_LENGTH_CAP_KM, saturated=True)
     lo, hi = 0.0, _LENGTH_CAP_KM
-    known: dict[float, bool] = {}
     while hi - lo > _RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
-        if mid not in known:
-            # the midpoint and the two that can follow it share one table,
-            # so each table serves two halvings
-            known = positive([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
-        if known[mid]:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
@@ -264,11 +240,6 @@ class SweepRow:
     key_rate_bits: float
 
 
-# Lengths per channel table.  It bounds the table at 4 * 16 * m_max
-# floats (100 KB at d = 65536, m_max = 199) at any grid size.
-_SWEEP_BLOCK = 16
-
-
 def sweep(
     ds: Sequence[int],
     lengths_km: Sequence[float],
@@ -278,11 +249,11 @@ def sweep(
 ) -> list[SweepRow]:
     """Optimized rate table over the (profile, d, L) grid, sorted that way.
 
-    Each profile's sorted lengths are evaluated in blocks of consecutive
-    lengths: one channel table per block, combined with every d's H_min
-    column.  More than SWEEP_MAX_CELLS cells raise CapabilityError, and
-    empty ds, lengths_km or profiles, or an entry given twice in one of
-    them, which would repeat rows, ValueError, before anything is computed.
+    Each (profile, L) gets one channel row, which every d's H_min column
+    scans a prefix of.  More than SWEEP_MAX_CELLS cells raise
+    CapabilityError, and empty ds, lengths_km or profiles, or an entry
+    given twice in one of them, which would repeat rows, ValueError,
+    before anything is computed.
     """
     cells = len(ds) * len(lengths_km) * len(profiles)
     if cells > SWEEP_MAX_CELLS:
@@ -299,23 +270,19 @@ def sweep(
                 f"unknown detector profile {profile!r}; available: {sorted(DETECTOR_PRESETS)}"
             )
     hmins = [(d, _hmin_column(d, bounds_source)) for d in sorted(ds)]
-    m_max = max(len(hmin) for _, hmin in hmins)
+    ms = range(1, max(len(hmin) for _, hmin in hmins) + 1)
     lengths = [float(length) for length in sorted(lengths_km)]
     ts = [transmittance(length, alpha_db_per_km) for length in lengths]
     rows = []
     for profile in sorted(profiles):
         per_d: list[list[SweepRow]] = [[] for _ in hmins]
-        for i in range(0, len(lengths), _SWEEP_BLOCK):
-            block_ts = ts[i : i + _SWEEP_BLOCK]
-            table = _channel_table(block_ts, DETECTOR_PRESETS[profile], np.arange(1, m_max + 1))
-            block_lengths = lengths[i : i + _SWEEP_BLOCK]
+        for length, t in zip(lengths, ts):
+            row = _channel_row(t, DETECTOR_PRESETS[profile], ms)
             for d_rows, (d, hmin) in zip(per_d, hmins):
                 # SweepRow's fields in order: profile, d, L, m*, t, then the
                 # p_c, p_e, H(X|Y), H_min and K* that follow m* in `_optimal`
-                d_rows.extend(
-                    SweepRow(profile, d, length, m, t, *terms)
-                    for length, t, (m, *terms) in zip(block_lengths, block_ts, _optimal(table, hmin))
-                )
+                m, *terms = _optimal(row, hmin)
+                d_rows.append(SweepRow(profile, d, length, m, t, *terms))
         for d_rows in per_d:
             rows.extend(d_rows)
     return rows

@@ -16,12 +16,14 @@ import pytest
 from mubqct.detection import DETECTOR_PRESETS, DetectorModel, detection_stats, mc_detection_stats
 from mubqct.mub import build_mub_family, verify_unbiasedness
 from mubqct.protocol import ChannelModel, ProtocolParams, run_protocol
-from mubqct.ratemodel import coherent_mu_max, m_scan_limit, max_distance, optimize_m
+from mubqct.ratemodel import coherent_mu_max, key_rate, m_scan_limit, max_distance, optimize_m
 from mubqct.security import (
     helstrom_numeric,
+    hmin_bits,
     iacc_bound,
     lambda_numeric,
     lambda_paper_bound,
+    pguess,
     pguess_certified,
     pguess_single_paper,
     simulate_eve_random_basis,
@@ -259,18 +261,25 @@ def test_criterion_11_coherent_constraint(monkeypatch):
     import mubqct.ratemodel as rm
 
     seen = []
-    real_channel_table = rm._channel_table
+    real_channel_row = rm._channel_row
 
-    def recording_channel_table(ts, detector, ms):
+    def recording_channel_row(t, detector, ms):
         seen.append(list(ms))
-        return real_channel_table(ts, detector, ms)
+        return real_channel_row(t, detector, ms)
 
-    monkeypatch.setattr(rm, "_channel_table", recording_channel_table)
+    monkeypatch.setattr(rm, "_channel_row", recording_channel_row)
     for d in (16, 2**10):
         seen.clear()
         limit = m_scan_limit(d)
         assert limit == max(1, math.floor(coherent_mu_max(d)))
-        m_opt, _ = optimize_m(d, 10.0, SNSPD)
-        assert seen == [list(range(1, limit + 1))]  # one table, every m up to the ceiling
+        # M_d: the last m with H_min > 0; past it every rate is 0
+        m_d = max((m for m in range(1, limit + 1) if hmin_bits(pguess(d, m, "paper")) > 0.0),
+                  default=1)
+        m_opt, k_opt = optimize_m(d, 10.0, SNSPD)
+        assert seen == [list(range(1, m_d + 1))]  # one row, over 1..M_d
+        assert 1 <= m_d <= limit  # within the ceiling
+        # the unpruned scan over every m up to the ceiling, first maximum
+        rates = [key_rate(d, m, 10.0, SNSPD).key_rate_bits for m in range(1, limit + 1)]
+        assert (m_opt, k_opt) == (rates.index(max(rates)) + 1, max(rates))
         assert m_opt <= limit
     _report(11, f"mu_max(1e6)={mu:.3f}, scan ceilings respected")

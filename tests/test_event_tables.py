@@ -33,8 +33,8 @@ def test_every_event_code_maps_to_the_boolean_masks():
         dark_none = not dark_good and not dark_bad
         right = (all_good and (dark_none or dark_good)) or (not got_signal and dark_good)
         wrong = (all_bad and (dark_none or dark_bad)) or (not got_signal and dark_bad)
-        assert detection._CLICK_CLASS[code] == right * RIGHT + wrong * WRONG, code
-    assert seen == set(range(detection._CLICK_CLASS.size)) == set(range(16))
+        assert detection._click_class()[code] == right * RIGHT + wrong * WRONG, code
+    assert seen == set(range(detection._click_class().size)) == set(range(16))
 
 
 def test_every_outcome_key_gives_the_declared_bit():

@@ -109,8 +109,8 @@ def _cli_loads(argv: list[str]) -> list:
 
 
 # each subcommand loads the layers it calls and no others: argv, then the
-# submodules it loads and whether it loads numpy; only the closed-form
-# bounds run without numpy
+# submodules it loads and whether it loads numpy; the closed-form bounds
+# and the rate sweep run without numpy
 LOAD_SETS = {
     "bounds": (["bounds", "--d", "16", "--m", "1"], ["cli", "errors", "models", "security"], False),
     "bounds-oracle": (
@@ -137,7 +137,7 @@ LOAD_SETS = {
     "sweep": (
         ["sweep", "--d", "16", "--L", "0:10:5"],
         ["cli", "detection", "errors", "models", "ratemodel", "security"],
-        True,
+        False,
     ),
 }
 
@@ -146,6 +146,24 @@ LOAD_SETS = {
 def test_subcommand_load_set(command):
     argv, modules, numpy = LOAD_SETS[command]
     assert _cli_loads(argv) == [modules, numpy]
+
+
+def test_rate_script_does_not_load_numpy(tmp_path):
+    # the sweep and the reach bisection are scalar closed forms
+    script = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_distance.py"
+    argv = [str(script), "--d", "16,1024", "--L", "0:100:10", "--out", str(tmp_path / "r.csv")]
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    _fresh(code)
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8").startswith("profile,d,L_km,")
 
 
 def test_oracle_does_not_load_mub():

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mubqct import (
     DETECTOR_PRESETS,
@@ -14,6 +14,7 @@ from mubqct import (
     ChannelModel,
     DegenerateModeError,
     DetectorModel,
+    MaxDistanceResult,
     SweepRow,
     coherent_mu_max,
     conditional_entropy_xy,
@@ -32,8 +33,9 @@ from mubqct import (
 )
 from mubqct import ratemodel
 from mubqct.detection import RIGHT, WRONG, click_classes
-from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_table
-from mubqct.security import lambda_exact
+from mubqct.models import BOUNDS_SOURCES
+from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_row
+from mubqct.security import hmin_bits, lambda_exact
 
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
 SNSPD = DETECTOR_PRESETS["snspd_lab"]
@@ -151,12 +153,13 @@ def test_poisson_detection_stats_against_a_mixture_of_binomial_oracles(t, eta, v
 
 
 def test_poisson_detection_stats_broadcast_is_the_scalar_evaluation():
+    # cell by cell: the numpy entries of the grid give the Python-float evaluation
     ts, mus = np.array([[0.0], [0.01], [0.7]]), np.array([0.5, 4.0])
-    grid = poisson_detection_stats(ts, SNSPD, mus)
-    for i, t in enumerate(ts[:, 0]):
-        for j, mu in enumerate(mus):
+    for t in ts[:, 0]:
+        for mu in mus:
+            cell = poisson_detection_stats(t, SNSPD, mu)
             point = poisson_detection_stats(float(t), SNSPD, float(mu))
-            assert point.p_click == grid.p_click[i, j] and point.p_c == grid.p_c[i, j]
+            assert point.p_click == cell.p_click and point.p_c == cell.p_c
     with pytest.raises(ValueError, match="mu must be positive"):
         poisson_detection_stats(0.5, SNSPD, 0.0)
 
@@ -539,6 +542,73 @@ def test_optimize_m_matches_scalar_oracle(detector):
             assert got[1] == key_rate(d, got[0], length, detector, 0.25).key_rate_bits
 
 
+# ------------------------------------------------ the pruned scan is exact
+
+# every dimension the rate model takes, 2 .. 65536
+ALL_DS = [2**k for k in range(1, 17)]
+
+
+def _scalar_max_distance(d, detector, alpha, bounds_source):
+    """Reference horizon: the bisection of `max_distance` over `_scalar_optimum`,
+    which scans every m up to m_scan_limit(d)."""
+
+    def positive(length):
+        return _scalar_optimum(d, length, detector, alpha, bounds_source).key_rate_bits > 0.0
+
+    if not positive(0.0):
+        return MaxDistanceResult(distance_km=0.0, saturated=False)
+    if positive(1000.0):
+        return MaxDistanceResult(distance_km=1000.0, saturated=True)
+    lo, hi = 0.0, 1000.0
+    while hi - lo > 0.1:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    return MaxDistanceResult(distance_km=lo, saturated=False)
+
+
+@pytest.mark.parametrize("bounds_source", BOUNDS_SOURCES)
+@pytest.mark.parametrize("alpha", [0.2, 0.17])
+@given(st.lists(st.floats(min_value=0.0, max_value=400.0), min_size=1, max_size=3, unique=True))
+@example([0.0, 400.0])  # the source, and past every horizon, where all rates are 0
+@settings(max_examples=8, deadline=None)
+def test_pruned_sweep_equals_the_unpruned_scan(alpha, bounds_source, lengths):
+    # the sweep stops each d's scan at its last m with H_min > 0
+    profiles = ["snspd_lab", "ingaas_field"]
+    rows = sweep(ALL_DS, lengths, profiles, alpha, bounds_source)
+    assert rows == _scalar_sweep(ALL_DS, lengths, profiles, alpha, bounds_source)
+
+
+@pytest.mark.parametrize("bounds_source", BOUNDS_SOURCES)
+@pytest.mark.parametrize("alpha", [0.2, 0.17])
+@given(
+    st.floats(min_value=0.05, max_value=1.0),
+    st.floats(min_value=0.9, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=400.0),
+)
+@example(0.66, 0.995, 1e-8, 0.0)
+@example(0.2, 0.99, 1e-5, 400.0)
+@settings(max_examples=4, deadline=None)
+def test_pruned_optimize_m_and_max_distance_equal_the_unpruned_scan(
+    alpha, bounds_source, eta, visibility, p_dark, length
+):
+    det = DetectorModel(eta=eta, visibility=visibility, p_dark=p_dark)
+    for d in ALL_DS:
+        best = _scalar_optimum(d, length, det, alpha, bounds_source)
+        assert optimize_m(d, length, det, alpha, bounds_source) == (best.m, best.key_rate_bits)
+        reach = _scalar_max_distance(d, det, alpha, bounds_source)
+        assert max_distance(d, det, alpha, bounds_source) == reach
+
+
+def test_pruning_drops_the_zero_entropy_columns():
+    # under the paper bound at d = 65536, 110 of the 199 columns have
+    # H_min = 0; under the certified bound every column past m = 1 does
+    assert len(ratemodel._hmin_column(65536, "paper")) == 199 - 110
+    for d in ALL_DS:
+        assert ratemodel._hmin_column(d, "certified") == [
+            hmin_bits(pguess_certified(lambda_exact(d), 1))]
+
+
 # The ratecurve benchmark grid; the digest was computed with the per-cell
 # scan that the factored evaluator replaced.
 BENCH_DS = [2**k for k in range(1, 17)]
@@ -567,7 +637,8 @@ def test_sweep_benchmark_grid_invariants(bench_rows):
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
-# ------------------------------------------- array kernel vs the scalar formula
+# ------------------------------------------- closed forms vs the one-point formula
+
 
 
 def _scalar_exp_times_expm1(a, x):
@@ -576,7 +647,7 @@ def _scalar_exp_times_expm1(a, x):
 
 
 def _scalar_closed_form(t, det, m):
-    """The one-point closed forms the array kernel replaced, operation for operation.
+    """The one-point closed forms of `detection_stats`, operation for operation.
 
     Returns (p_signal_click, p_right, p_wrong, p_click, p_c, p_e, H(X|Y),
     P_sift) as Python floats from `math` and `**` alone.
@@ -654,43 +725,30 @@ def test_edge_grid_covers_every_branch():
 
 @pytest.mark.parametrize("det", list(_EDGE_DETECTORS.values()), ids=list(_EDGE_DETECTORS))
 def test_array_kernel_equals_scalar_formula_on_edge_grid(det):
-    ts = _edge_ts(det)
-    stats = detection_stats(np.array(ts)[:, None], det, np.array(_EDGE_MS)[None, :])
-    table = _channel_table(ts, det, _EDGE_MS)
-    assert np.array_equal(table[:2], [stats.p_c, stats.p_e])
-    got = np.stack(
-        [stats.p_signal_click, stats.p_right, stats.p_wrong, stats.p_click, stats.p_c,
-         stats.p_e, table[2], table[3]]
-    )
-    for i, t in enumerate(ts):
-        for j, m in enumerate(_EDGE_MS):
+    # every (t, m) cell of the edge grid, against the one-point formula
+    for t in _edge_ts(det):
+        for m in _EDGE_MS:
             want = _scalar_closed_form(t, det, m)
-            assert got[:, i, j].tolist() == list(want), (t, m)
             one = detection_stats(t, det, m)
             assert all(type(x) is float for x in vars(one).values())
-            assert list(vars(one).values()) == list(want[:6])
+            assert list(vars(one).values()) == list(want[:6]), (t, m)
             assert conditional_entropy_xy(one.p_c, one.p_e) == want[6]
+            assert tuple(column[0] for column in _channel_row(t, det, [m])) == want[4:], (t, m)
 
 
 def test_overflow_fallback_next_to_the_plain_product_equals_the_scalar_formula():
     # s = 0.198 and 0.165: the good class's exponent m (log1p(-s (1 - V))
     # - log1p(-s)) passes expm1's range at m = 3228 and m = 3950, so each
     # row mixes plain entries and e^(a + x) (-expm1(-x)) entries
-    ts, ms = np.array([[0.3], [0.25]]), np.arange(1, 5001)
-    stats = detection_stats(ts, SNSPD, ms[None, :])
-    s = ts * SNSPD.eta
-    x_good = ms * (np.log1p(-s * (1.0 - SNSPD.visibility)) - np.log1p(-s))
-    assert ((x_good >= 709.0).any(axis=1) & (x_good < 709.0).any(axis=1)).all()
-    assert (stats.p_right > 0.0).all()
-    got = np.stack([stats.p_signal_click, stats.p_right, stats.p_wrong, stats.p_click,
-                    stats.p_c, stats.p_e])
-    for i, t in enumerate(ts[:, 0].tolist()):
-        for j, m in enumerate(ms.tolist()):
-            assert got[:, i, j].tolist() == list(_scalar_closed_form(t, SNSPD, m)[:6]), (t, m)
-        first = int(np.argmax(x_good[i] >= 709.0)) + 1
-        for m in (1, first - 1, first, first + 1, 5000):
+    for t in (0.3, 0.25):
+        s = t * SNSPD.eta
+        x_good = [m * (math.log1p(-s * (1.0 - SNSPD.visibility)) - math.log1p(-s))
+                  for m in range(1, 5001)]
+        assert min(x_good) < 709.0 <= max(x_good)
+        for m in range(1, 5001):
             one = detection_stats(t, SNSPD, m)
-            assert list(vars(one).values()) == got[:, i, m - 1].tolist(), (t, m)
+            assert one.p_right > 0.0
+            assert list(vars(one).values()) == list(_scalar_closed_form(t, SNSPD, m)[:6]), (t, m)
 
 
 _EDGE_MUS = [0.5, 1.0, 2.5, 50.0, 1000.0, 3000.0, 5000.0]
@@ -698,20 +756,43 @@ _EDGE_MUS = [0.5, 1.0, 2.5, 50.0, 1000.0, 3000.0, 5000.0]
 
 @pytest.mark.parametrize("det", list(_EDGE_DETECTORS.values()), ids=list(_EDGE_DETECTORS))
 def test_poisson_kernel_equals_scalar_formula_on_edge_grid(det):
-    ts = _edge_ts(det)
-    means = np.array(ts)[:, None] * det.eta * np.array(_EDGE_MUS)[None, :]
+    cells = [(t, mu) for t in _edge_ts(det) for mu in _EDGE_MUS]
     # both sides of the e^(a + x) (-expm1(-x)) fallback of the good class
-    assert (means * det.visibility >= 709.0).any() and (means * det.visibility < 709.0).any()
-    stats = poisson_detection_stats(np.array(ts)[:, None], det, np.array(_EDGE_MUS)[None, :])
-    got = np.stack([stats.p_signal_click, stats.p_right, stats.p_wrong, stats.p_click,
-                    stats.p_c, stats.p_e])
-    for i, t in enumerate(ts):
-        for j, mu in enumerate(_EDGE_MUS):
-            want = _scalar_poisson_closed_form(t, det, mu)[:6]
-            assert got[:, i, j].tolist() == list(want), (t, mu)
-            one = poisson_detection_stats(t, det, mu)
-            assert all(type(x) is float for x in vars(one).values())
-            assert list(vars(one).values()) == list(want)
+    good = [t * det.eta * mu * det.visibility for t, mu in cells]
+    assert min(good) < 709.0 <= max(good)
+    for t, mu in cells:
+        want = _scalar_poisson_closed_form(t, det, mu)[:6]
+        one = poisson_detection_stats(t, det, mu)
+        assert all(type(x) is float for x in vars(one).values())
+        assert list(vars(one).values()) == list(want), (t, mu)
+
+
+def test_numpy_scalar_inputs_give_the_python_number_results():
+    # numpy scalars would send pow(x, m) and * to numpy's kernels, which can
+    # differ from the C library in the last bit; the closed forms convert
+    # them to Python numbers on entry
+    for det in _EDGE_DETECTORS.values():
+        for t in _edge_ts(det):
+            for m in (1, 2, 3, 7, 50, 199):
+                got = vars(detection_stats(np.float64(t), det, np.int64(m)))
+                assert all(type(x) is float for x in got.values())
+                assert got == vars(detection_stats(t, det, m)), (t, m)
+            for mu in _EDGE_MUS:
+                got = vars(poisson_detection_stats(np.float64(t), det, np.float64(mu)))
+                assert all(type(x) is float for x in got.values())
+                assert got == vars(poisson_detection_stats(t, det, mu)), (t, mu)
+    h = conditional_entropy_xy(np.float64(0.9), np.float64(0.1))
+    assert type(h) is float and h == conditional_entropy_xy(0.9, 0.1)
+
+
+def _first_error(fn, cells):
+    """(type, message) of the first ValueError fn raises over cells, evaluated in order."""
+    for cell in cells:
+        try:
+            fn(*cell)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("kernel, name", [(detection_stats, "m"), (poisson_detection_stats, "mu")])
@@ -720,38 +801,39 @@ def test_non_finite_source_raises(kernel, name, value):
     message = f"{name} must be positive and finite, got {value}"
     with pytest.raises(ValueError, match=message):
         kernel(0.001, SNSPD, value)
-    with pytest.raises(ValueError, match=message):
-        kernel(np.array([[0.001], [0.5]]), SNSPD, np.array([2.0, value, 3.0]))
+    # the first cell of a grid that raises is the one with the bad source
+    assert _first_error(kernel, [(t, SNSPD, m) for t in (0.001, 0.5) for m in (2.0, value, 3.0)]) == (
+        ValueError, message)
 
 
 @pytest.fixture(scope="module")
 def bench_tables():
-    """Channel tables of the ratecurve grid, m = 1 .. m_scan_limit(65536)."""
+    """Channel rows of the ratecurve grid, m = 1 .. m_scan_limit(65536), one per L."""
     ts = [transmittance(length) for length in BENCH_LENGTHS]
     ms = range(1, m_scan_limit(max(BENCH_DS)) + 1)
     return {
-        profile: (ts, ms, _channel_table(ts, DETECTOR_PRESETS[profile], ms))
+        profile: (ts, ms, [_channel_row(t, DETECTOR_PRESETS[profile], ms) for t in ts])
         for profile in ("snspd_lab", "ingaas_field")
     }
 
 
 @pytest.mark.parametrize("profile", ["snspd_lab", "ingaas_field"])
 def test_channel_table_equals_scalar_formula_on_benchmark_grid(bench_tables, profile):
-    ts, ms, table = bench_tables[profile]
+    ts, ms, rows = bench_tables[profile]
     det = DETECTOR_PRESETS[profile]
-    want = [[_scalar_closed_form(t, det, m)[4:] for m in ms] for t in ts]
-    assert np.array_equal(table, np.moveaxis(np.array(want), 2, 0))
+    for t, row in zip(ts, rows):
+        want = [_scalar_closed_form(t, det, m)[4:] for m in ms]
+        assert list(zip(*row)) == want, t
 
 
 @pytest.mark.parametrize("profile", ["snspd_lab", "ingaas_field"])
 def test_channel_table_invariants_on_benchmark_grid(bench_tables, profile):
-    table = bench_tables[profile][2]
-    p_c, p_e, hxy, prefactor = table
-    assert np.isfinite(table).all()
-    assert np.abs(p_c + p_e - 1.0).max() <= 1e-15
-    for probability in (p_c, p_e, prefactor):
-        assert ((0.0 <= probability) & (probability <= 1.0)).all()
-    assert (hxy >= 0.0).all()
+    for row in bench_tables[profile][2]:
+        for p_c, p_e, hxy, prefactor in zip(*row):
+            assert all(math.isfinite(x) for x in (p_c, p_e, hxy, prefactor))
+            assert abs(p_c + p_e - 1.0) <= 1e-15
+            assert all(0.0 <= x <= 1.0 for x in (p_c, p_e, prefactor))
+            assert hxy >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -768,10 +850,11 @@ def test_channel_table_invariants_on_benchmark_grid(bench_tables, profile):
     ids=["t-above-1", "t-nan", "t-negative", "m-zero", "m-negative", "m-nan", "no-click-mass"],
 )
 def test_array_with_one_bad_entry_raises_like_the_scalar_call(det, ts, ms, bad_t, bad_m):
+    # over the grid's cells in row-major order, the first error is the bad cell's
     with pytest.raises(ValueError) as scalar:
         detection_stats(bad_t, det, bad_m)
-    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-        detection_stats(np.array(ts)[:, None], det, np.array(ms)[None, :])
+    cells = [(t, det, m) for t in ts for m in ms]
+    assert _first_error(detection_stats, cells) == (type(scalar.value), str(scalar.value))
 
 
 @pytest.mark.parametrize(
@@ -786,5 +869,5 @@ def test_array_with_one_bad_entry_raises_like_the_scalar_call(det, ts, ms, bad_t
 def test_entropy_with_one_bad_entry_raises_like_the_scalar_call(p_c, p_e, bad):
     with pytest.raises(ValueError) as scalar:
         conditional_entropy_xy(*bad)
-    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
-        conditional_entropy_xy(np.array(p_c), np.array(p_e))
+    assert _first_error(conditional_entropy_xy, list(zip(p_c, p_e))) == (
+        ValueError, str(scalar.value))
