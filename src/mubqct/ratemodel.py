@@ -76,9 +76,9 @@ class RatePoint:
 
 
 def _channel_row(t: float, detector: DetectorModel, ms: Sequence[int]) -> tuple[Sequence[float], ...]:
-    """The d-independent rate terms at t for each copy count of ms, one list
-    each: p_c, p_e, H(X|Y) and the sift prefactor P_sift, which is
-    `detection_stats`' p_signal_click."""
+    """The d-independent rate terms at t for each copy count of ms, one
+    sequence each: p_c, p_e, H(X|Y) and the sift prefactor P_sift, which
+    is `detection_stats`' p_signal_click."""
     p_signal_click, _, _, _, p_c, p_e = zip(*detection_row(t, detector, ms))
     return p_c, p_e, list(map(conditional_entropy_xy, p_c, p_e)), p_signal_click
 
