@@ -4,18 +4,15 @@
 Tabulates, for each d, the exact lambda (from the commuting classes of
 the split observables), the paper's closed-form lambda, the
 guessing-probability bounds, the resulting min-entropy, and the
-accessible-information chain. CSV on stdout. Bad input, such as a d
-that is not a power of two or m < 1, exits 1 with an `error:` line, as
-in the mubqct CLI.
+accessible-information chain. CSV on stdout. It exits like the mubqct
+CLI, through its code map: a usage error or bad input, such as a d that
+is not a power of two or m < 1, exits 1 with an `error:` line.
 
 Example:
     python3 scripts/bounds_table.py --d 2,4,8,16,64,1024 --m 1
 """
 
-import argparse
-import sys
-
-from mubqct.cli import _parse_int_list
+from mubqct.cli import _parse_int_list, _Parser, exit_code
 from mubqct.security import bounds_report
 
 COLUMNS = (
@@ -33,31 +30,26 @@ COLUMNS = (
 )
 
 
-def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--d", default="2,4,8,16,64,1024", help="comma-separated dimensions")
-    parser.add_argument("--m", type=int, default=1, help="signal copies per round")
-    return parser.parse_args(argv)
-
-
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    try:
-        ds = _parse_int_list(args.d)
-        records = [bounds_report(d, args.m, oracle=True).to_dict() for d in ds]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def run(argv):
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--d", default="2,4,8,16,64,1024", help="comma-separated dimensions")
+    parser.add_argument("--m", type=int, default=1, help="signal copies per round")
+    args = parser.parse_args(argv)
+    records = [bounds_report(d, args.m, oracle=True).to_dict() for d in _parse_int_list(args.d)]
     print(",".join(COLUMNS))
     for record in records:
         print(",".join(_fmt(record[col]) for col in COLUMNS))
     return 0
+
+
+def main(argv=None):
+    return exit_code(run, argv)
 
 
 if __name__ == "__main__":

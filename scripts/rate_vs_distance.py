@@ -4,55 +4,42 @@
 Writes the optimized sweep table as CSV and prints, per dimension, the
 rate at the first grid distance and the maximum reachable distance,
 followed by the fitted distance-extension slope (km gained per 100x
-increase in d).  Errors exit as in the mubqct CLI, with a message: 1 for
-bad input such as a malformed --d or --L, 3 for a grid over the sweep
-cap or a failed allocation.
+increase in d).  It exits like the mubqct CLI, through its code map: 1
+for a usage error or bad input such as a malformed --d or --L, 3 for a
+grid over the sweep cap, a d beyond the rate model's copy scan or a
+failed allocation, 4 when --out cannot be written.
 
 Example:
     python3 scripts/rate_vs_distance.py --d 128,1024,16384 --L 0:150:5 \
         --profile snspd_lab --out rates.csv
 """
 
-import argparse
 import math
 import sys
 
-from mubqct.cli import _parse_grid, _parse_int_list
-from mubqct.detection import DETECTOR_PRESETS
-from mubqct.errors import CapabilityError
-from mubqct.models import BOUNDS_SOURCES, DEFAULT_BOUNDS_SOURCE
+from mubqct.cli import _parse_grid, _parse_int_list, _Parser, exit_code
+from mubqct.models import BOUNDS_SOURCES, DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS
 from mubqct.ratemodel import max_distance, sweep, sweep_rows_to_csv
 
 
-def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+def run(argv):
+    parser = _Parser(description=__doc__)
     parser.add_argument("--d", default="128,1024,16384", help="comma-separated dimensions")
     parser.add_argument("--L", default="0:150:5", help="distance grid start:stop:step in km")
     parser.add_argument("--profile", default="snspd_lab", choices=sorted(DETECTOR_PRESETS))
     parser.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
     parser.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default=DEFAULT_BOUNDS_SOURCE)
     parser.add_argument("--out", help="CSV output path (default: stdout)")
-    return parser.parse_args(argv)
-
-
-def main(argv=None):
-    args = parse_args(argv)
-    try:
-        ds = _parse_int_list(args.d)
-        rows = sweep(
-            ds,
-            _parse_grid(args.L),
-            [args.profile],
-            alpha_db_per_km=args.alpha,
-            bounds_source=args.bounds_source,
-        )
-        csv_text = sweep_rows_to_csv(rows)
-    except (CapabilityError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = parser.parse_args(argv)
+    ds = _parse_int_list(args.d)
+    rows = sweep(
+        ds,
+        _parse_grid(args.L),
+        [args.profile],
+        alpha_db_per_km=args.alpha,
+        bounds_source=args.bounds_source,
+    )
+    csv_text = sweep_rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
@@ -82,6 +69,10 @@ def main(argv=None):
             slope = 2.0 * sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
             print(f"# distance extension: {slope:.1f} km per 100x in d", file=sys.stderr)
     return 0
+
+
+def main(argv=None):
+    return exit_code(run, argv)
 
 
 if __name__ == "__main__":

@@ -399,7 +399,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "mub-verify",
         help="certify the basis family from its integer trace tables, no family built "
-        "(a failed certificate falls back to a float check of the built family, k <= 8)",
+        "(a failed certificate exits 1 naming its check)",
     )
     p.add_argument("--k", type=int, required=True, help="dimension exponent 1..16, d = 2^k")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed deviation")
@@ -448,20 +448,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
+def exit_code(run, argv) -> int:
+    """run(argv)'s return code, or the documented code of the way it failed.
+
+    The package's one exception-to-exit-code map: `main` and both scripts
+    in scripts/ return through it.  A usage error has already printed its
+    message (see `_Parser`); every other failure prints an `error:` line.
+    """
     try:
-        resolved = _resolve_argv(raw)
-        parser = build_parser()
-        args = parser.parse_args(resolved)
-        if args.format_version != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported --format-version {args.format_version}; "
-                f"this build emits version {FORMAT_VERSION}"
-            )
-        if hasattr(args, "seed"):
-            args.seed = _resolve_seed(args.seed)
-        return args.func(args)
+        return run(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
@@ -476,6 +471,22 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _run(argv) -> int:
+    args = build_parser().parse_args(_resolve_argv(list(argv)))
+    if args.format_version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported --format-version {args.format_version}; "
+            f"this build emits version {FORMAT_VERSION}"
+        )
+    if hasattr(args, "seed"):
+        args.seed = _resolve_seed(args.seed)
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    return exit_code(_run, sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,7 @@ The closed forms (`detection_stats`, `poisson_detection_stats`,
 `conditional_entropy_xy`) are scalar `math` code, so the rate model loads
 no numpy; only the Monte Carlo half imports numpy, inside the functions
 that draw.  The detector and channel models and their presets are
-defined in `models` and bound here too, so
-`mubqct.detection.DetectorModel` and the like keep resolving.
+defined in `models`.
 """
 
 from __future__ import annotations
@@ -38,10 +37,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateModeError
-from .models import DETECTOR_PRESETS, ChannelModel, DetectorModel, transmittance  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .models import DetectorModel
 
 # rows per chunk of the session's per-round draws: one chunk of int64 or
 # float64 values is 256 KiB, which stays in cache while it is reduced

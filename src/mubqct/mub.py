@@ -192,7 +192,7 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
     """Exhaustively check orthonormality and pairwise unbiasedness in floats.
 
     The float reference for any family, whatever its construction;
-    `certify_build` proves the built one exactly and falls back to it.
+    `certify_build` proves the built one exactly and never calls it.
     Reports the largest absolute deviation from <e_i|e_j> = delta_ij within
     each basis and from |<e_i|f_j>| = 1/sqrt(d) across distinct bases,
     together with the indices achieving them; ties go to the first maximum
@@ -258,12 +258,12 @@ def certify_build(k: int, tol: float = 1e-9) -> VerificationReport:
     bases; the overlaps with basis 0 are the entries, of modulus s.  Each
     deviation takes one value over all its entries, and ties go to the
     first entry in (theta, i, j) order as in `verify_unbiasedness`.
-    Covers every k <= galois.MAX_K.  A failed certificate returns
-    `verify_unbiasedness` of the built family, whose float check decides
-    and locates the deviation; its report has exact = False.
+    Covers every k <= galois.MAX_K and builds no family: tables that fail
+    a check of the lemma raise ValueError naming that check.
     """
-    if not _trace_form_holds(*_field_tables(k)):
-        return verify_unbiasedness(build_mub_family(k), tol)
+    failed = _trace_form_failure(*_field_tables(k))
+    if failed is not None:
+        raise ValueError(f"the trace tables of k = {k} fail the certificate's {failed} check")
     return _exact_report(1 << k, tol)
 
 
@@ -286,21 +286,22 @@ def _exact_report(d: int, tol: float) -> VerificationReport:
     )
 
 
-def _trace_form_holds(tr2: np.ndarray, tr4: np.ndarray, perm: np.ndarray) -> bool:
-    """Exact MUB conditions of the tables of `_exponent_tables`, from the field's trace form.
+def _trace_form_failure(tr2: np.ndarray, tr4: np.ndarray, perm: np.ndarray) -> str | None:
+    """The first failed check of the trace-form lemma on the tables of `_exponent_tables`,
+    or None when they prove the MUB conditions exactly.
 
     With d = 2^k, basis 1 + a is i^E[a, x] (-1)^tr2(perm[x] perm[j]) /
     sqrt(d), E[a, x] = tr4(a perm[x]), products by `galois.gf_mul`.  On
-    length-d arrays and the generators g = 1 << i, the check asks:
+    length-d arrays and the generators g = 1 << i, the checks, in order:
 
-    - the modulus gives a field: u u^(d - 2) = 1 for every u != 0;
-    - tr2 is a character: 0/1 valued, tr2(u ^ g) = tr2(u) ^ tr2(g);
-    - tr4, shifted to tr4(0) = 0 (a global phase of every basis), is a Z4
-      form with bilinear part 2 tr2(uv): tr4(u ^ g) - tr4(u) - tr4(g) =
+    - "field": the modulus gives a field, u u^(d - 2) = 1 for every u != 0;
+    - "character": tr2 is 0/1 valued and tr2(u ^ g) = tr2(u) ^ tr2(g);
+    - "Z4 form": tr4, shifted to tr4(0) = 0 (a global phase of every
+      basis), has bilinear part 2 tr2(uv): tr4(u ^ g) - tr4(u) - tr4(g) =
       2 tr2(ug) (mod 4), which extends over the bits of v to all v;
-    - the trace form is nondegenerate: u -> (tr2(u g_i))_i is onto
-      (Z2)^k, i.e. the Gram matrix tr2(g_i g_j) has rank k;
-    - perm is GF(2)-linear, perm(x ^ g) = perm(x) ^ perm(g), and onto.
+    - "nondegenerate trace form": u -> (tr2(u g_i))_i is onto (Z2)^k,
+      i.e. the Gram matrix tr2(g_i g_j) has rank k;
+    - "linear onto perm": perm(x ^ g) = perm(x) ^ perm(g), and perm is onto.
 
     The lemma: row a of E is tr4 under the linear map x -> a perm[x], so
     rows a != a' differ by a form q whose bilinear part B(x, y) = 2
@@ -308,33 +309,39 @@ def _trace_form_holds(tr2: np.ndarray, tr4: np.ndarray, perm: np.ndarray) -> boo
     distinct characters of x, so each basis is orthonormal, and the
     overlaps of bases a, a' are S / d with S = sum_x i^q(x) (-1)^(b . x)
     for masks b; writing x = y ^ z, |S|^2 = sum_z i^q(z) (-1)^(b . z)
-    sum_y (-1)^B(z, y) = d.  So True proves the family (Hammons et al.
+    sum_y (-1)^B(z, y) = d.  So None proves the family (Hammons et al.
     1994 for the Z4 trace, Lidl & Niederreiter 1997 for the trace form).
     Cost: O(k^2 d) integer operations.
     """
     d = len(tr2)
     k = d.bit_length() - 1
     u = np.arange(d, dtype=np.int64)
+    generators = [1 << i for i in range(k)]
+
+    def additive(table):  # table[u ^ g] = table[u] ^ table[g] for every generator g
+        return all(np.array_equal(table[u ^ g], table ^ table[g]) for g in generators)
+
     square = gf_mul(u, u, k)
     conj, inverse = u, np.ones_like(u)  # inverse = u^(2 + 4 + ... + 2^(k-1))
     for _ in range(k - 1):
         conj = square[conj]
         inverse = gf_mul(inverse, conj, k)
-    if not (np.all(gf_mul(u, inverse, k)[1:] == 1) and np.all((tr2 == 0) | (tr2 == 1))):
-        return False
+    if not np.all(gf_mul(u, inverse, k)[1:] == 1):
+        return "field"
+    if not (np.all((tr2 == 0) | (tr2 == 1)) and additive(tr2)):
+        return "character"
     q = (tr4 - tr4[0]) % 4
     dual = np.zeros_like(u)  # dual[u] = the mask of tr2(u g_i) over i
-    for i in range(k):
-        g = 1 << i
+    for i, g in enumerate(generators):
         form = tr2[gf_mul(u, g, k)]
-        if not (
-            np.array_equal(tr2[u ^ g], tr2 ^ tr2[g])
-            and np.array_equal((q[u ^ g] - q - q[g]) % 4, 2 * form)
-            and np.array_equal(perm[u ^ g], perm ^ perm[g])
-        ):
-            return False
+        if not np.array_equal((q[u ^ g] - q - q[g]) % 4, 2 * form):
+            return "Z4 form"
         dual |= form << i
-    return np.array_equal(np.sort(dual), u) and np.array_equal(np.sort(perm), u)
+    if not np.array_equal(np.sort(dual), u):
+        return "nondegenerate trace form"
+    if not (additive(perm) and np.array_equal(np.sort(perm), u)):
+        return "linear onto perm"
+    return None
 
 
 def half_projector(family: MubFamily, theta: int, x: int) -> np.ndarray:

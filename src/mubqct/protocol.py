@@ -131,10 +131,6 @@ class ProtocolTranscript:
         return self.x[self.clicked]
 
     @property
-    def bob_sifted(self) -> np.ndarray:
-        return self.outcome[self.clicked]
-
-    @property
     def n_right(self) -> int:
         """Clicked rounds where Bob's bit matches Alice's; an erasure's -1 matches no bit."""
         return int(np.count_nonzero(self.outcome == self.x))

@@ -33,13 +33,13 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .detection import conditional_entropy_xy, detection_row
 from .errors import CapabilityError
 from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension
 from .models import DetectorModel, transmittance
-from .security import hmin_bits, pguess
+from .security import HELSTROM_MAX_COPIES, hmin_bits, pguess
 
 __all__ = [
     "MaxDistanceResult",
@@ -135,9 +135,16 @@ def m_scan_limit(d: int) -> int:
 
 def _hmin_column(d: int, bounds_source: str) -> list[float]:
     """Min-entropy in bits for m = 1 .. M_d copies, M_d the last m <= m_scan_limit(d)
-    with H_min > 0 (1 if none): the columns past it have rate 0 (module docstring)."""
+    with H_min > 0 (1 if none): the columns past it have rate 0 (module docstring).
+    A scan past HELSTROM_MAX_COPIES (d > 2^20) raises CapabilityError before any entry."""
     Dimension.from_d(d)
-    hmin = [hmin_bits(pguess(d, m, bounds_source)) for m in range(1, m_scan_limit(d) + 1)]
+    limit = m_scan_limit(d)
+    if limit > HELSTROM_MAX_COPIES:
+        raise CapabilityError(
+            f"the copy scan at d = {d} covers m = 1..{limit}; "
+            f"the rate model is capped at {HELSTROM_MAX_COPIES} copies"
+        )
+    hmin = [hmin_bits(pguess(d, m, bounds_source)) for m in range(1, limit + 1)]
     while len(hmin) > 1 and hmin[-1] == 0.0:
         hmin.pop()
     return hmin
@@ -224,8 +231,7 @@ def max_distance(
     return MaxDistanceResult(distance_km=lo, saturated=False)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One optimized sweep cell, ready for CSV rendering."""
 
     profile: str
@@ -250,10 +256,10 @@ def sweep(
     """Optimized rate table over the (profile, d, L) grid, sorted that way.
 
     Each (profile, L) gets one channel row, which every d's H_min column
-    scans a prefix of.  More than SWEEP_MAX_CELLS cells raise
-    CapabilityError, and empty ds, lengths_km or profiles, or an entry
-    given twice in one of them, which would repeat rows, ValueError,
-    before anything is computed.
+    scans a prefix of.  More than SWEEP_MAX_CELLS cells, or a d beyond the
+    copy scan's cap (`_hmin_column`), raise CapabilityError, and empty ds,
+    lengths_km or profiles, or an entry given twice in one of them, which
+    would repeat rows, ValueError, before anything is computed.
     """
     cells = len(ds) * len(lengths_km) * len(profiles)
     if cells > SWEEP_MAX_CELLS:
@@ -296,10 +302,5 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow], header_comment: Optional[str] = 
     """Render sweep rows as CSV text, one `_SWEEP_ROW` %-format per row."""
     lines = [f"# {header_comment}"] if header_comment else []
     lines.append(SWEEP_CSV_HEADER)
-    lines.extend(
-        _SWEEP_ROW
-        % (r.profile, r.d, r.length_km, r.m_opt, r.t, r.p_c, r.p_e, r.hxy_bits, r.hmin_bits,
-           r.key_rate_bits)
-        for r in rows
-    )
+    lines.extend(_SWEEP_ROW % row for row in rows)
     return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from mubqct.detection import DETECTOR_PRESETS, DetectorModel, detection_stats, mc_detection_stats
+from mubqct.detection import detection_stats, mc_detection_stats
+from mubqct.models import DETECTOR_PRESETS, DetectorModel
 from mubqct.mub import build_mub_family, verify_unbiasedness
 from mubqct.protocol import ChannelModel, ProtocolParams, run_protocol
 from mubqct.ratemodel import coherent_mu_max, key_rate, m_scan_limit, max_distance, optimize_m

@@ -38,6 +38,15 @@ def test_bad_input_exits_1(script, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("--m", "x"), ("--d",), ("--q", "1")], ids=["m", "d", "q"])
+def test_usage_error_exits_1(script, capsys, argv):
+    code, out, err = run_script(script, capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ") and "error: " in err
+    assert "Traceback" not in err
+
+
 def test_default_table(script, capsys):
     code, out, err = run_script(script, capsys)
     assert code == 0

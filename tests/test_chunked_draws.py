@@ -19,7 +19,8 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct import detection
-from mubqct.detection import RIGHT, WRONG, click_classes, draw_counts_chunked, transmittance
+from mubqct.detection import RIGHT, WRONG, click_classes, draw_counts_chunked
+from mubqct.models import transmittance
 from tests.conftest import cached_family
 
 CHUNKS = [1, 7, 1 << 16]

@@ -73,16 +73,14 @@ def test_mub_verify_certifies_k16_without_building(capsys):
     assert (report["d"], report["n_bases"]) == (65536, 65537)
 
 
-def test_mub_verify_fallback_beyond_the_build_cap_exits_3(capsys, monkeypatch):
-    # a failed certificate at k = 9..16 would need the complex family,
-    # which is not built there: CapabilityError before any allocation
-    from mubqct import mub
-
-    monkeypatch.setattr(mub, "_trace_form_holds", lambda tr2, tr4, perm: False)
-    code, out, err = run_cli(capsys, "mub-verify", "--k", "9")
-    assert code == 3
-    assert out == ""
-    assert "built for k <= 8" in err
+def test_mub_verify_failed_certificate_exits_1_naming_its_check(capsys, monkeypatch):
+    # no float fallback: nothing is built, at k <= 8 or beyond the build cap
+    monkeypatch.setattr(mub, "_trace_form_failure", lambda tr2, tr4, perm: "Z4 form")
+    for k in ("3", "9"):
+        code, out, err = run_cli(capsys, "mub-verify", "--k", k)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the trace tables of k = {k} fail the certificate's Z4 form check\n"
 
 
 def test_mub_verify_missing_k_is_usage_error(capsys):
@@ -350,6 +348,19 @@ def test_sweep_grid_cap_boundary(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", "--d", "16", "--L", "0:15:5")
     assert code == 3
     assert err == "error: grid '0:15:5' has 4 points; a sweep is capped at 3 cells\n"
+
+
+@pytest.mark.parametrize("d", [2**21, 2**64])
+def test_sweep_beyond_the_copy_scan_cap_exits_3_at_once(capsys, d):
+    # d = 2^64 would scan 4 294 705 159 copy counts; the cap is checked first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--d", f"16,{d}", "--L", "0:0:1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: the copy scan at d = {d} covers m = 1..")
+    assert err.endswith("; the rate model is capped at 1024 copies\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value", [("--d", ","), ("--profile", ","), ("--profile", " ")])

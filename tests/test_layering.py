@@ -221,13 +221,11 @@ def test_exports_resolve_to_their_definitions():
         "            assert obj.__module__ == mod.__name__, name\n"
         "from mubqct import DETECTOR_PRESETS, Dimension, sweep\n"
         "assert sweep is mubqct.ratemodel.sweep\n"
-        # the plain-data models keep every import path they had
-        "from mubqct import detection, models, mub, protocol, ratemodel, security\n"
-        "assert detection.DETECTOR_PRESETS is DETECTOR_PRESETS is ratemodel.DETECTOR_PRESETS\n"
+        # every layer binds the plain-data models' own objects
+        "from mubqct import models, mub, protocol, ratemodel, security\n"
+        "assert DETECTOR_PRESETS is models.DETECTOR_PRESETS is ratemodel.DETECTOR_PRESETS\n"
         "assert mub.Dimension is Dimension is security.Dimension is protocol.Dimension\n"
-        "assert detection.ChannelModel is models.ChannelModel is protocol.ChannelModel\n"
-        "assert detection.DetectorModel is models.DetectorModel\n"
-        "assert detection.transmittance is models.transmittance\n"
+        "assert models.ChannelModel is protocol.ChannelModel\n"
         "assert ratemodel.SWEEP_MAX_CELLS == models.SWEEP_MAX_CELLS\n"
         "assert security.BOUNDS_SOURCES is models.BOUNDS_SOURCES\n"
         "try:\n"

@@ -370,7 +370,7 @@ def _tables(tr2, tr4, perm):
 
 def _lemma_agrees(tr2, tr4, perm) -> bool:
     """The trace-form certificate and the form check of its tables; their common verdict."""
-    verdict = mub._trace_form_holds(tr2, tr4, perm)
+    verdict = mub._trace_form_failure(tr2, tr4, perm) is None
     assert verdict == exact_mub_check(*_tables(tr2, tr4, perm))
     return verdict
 
@@ -443,13 +443,13 @@ def test_certify_build_decodes_the_bytes_of_build_mub_family(k, monkeypatch):
     # the certificate reads the field tables, the build writes the tables
     # they give, and the bytes of the built family decode back to exactly
     # those tables, so the certificate covers the bytes
-    checked, check = [], mub._trace_form_holds
+    checked, check = [], mub._trace_form_failure
 
     def spy(tr2, tr4, perm):
         checked.append((tr2.copy(), tr4.copy(), perm.copy()))
         return check(tr2, tr4, perm)
 
-    monkeypatch.setattr(mub, "_trace_form_holds", spy)
+    monkeypatch.setattr(mub, "_trace_form_failure", spy)
     report = mub.certify_build(k)
     assert report.exact and report.passed
     [read] = checked
@@ -462,12 +462,14 @@ def test_certify_build_decodes_the_bytes_of_build_mub_family(k, monkeypatch):
     assert decoded_e.dtype == e.dtype and decoded_h.dtype == h.dtype
 
 
-@pytest.mark.parametrize("k", range(9, 17))
-def test_certify_build_proves_every_k_without_building(k, monkeypatch):
-    def no_build(k):
-        raise AssertionError("built a family")
+def _no_call(*args, **kwargs):
+    raise AssertionError("the certificate built or float-checked a family")
 
-    monkeypatch.setattr(mub, "build_mub_family", no_build)
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_certify_build_proves_every_k_without_building(k, monkeypatch):
+    monkeypatch.setattr(mub, "build_mub_family", _no_call)
+    monkeypatch.setattr(mub, "verify_unbiasedness", _no_call)
     report = certify_build(k)
     assert report.exact and report.passed
     assert (report.d, report.n_bases) == (2**k, 2**k + 1)
@@ -493,8 +495,35 @@ def test_decoder_refuses_a_moved_entry(op, row):
     assert z4_form(bases, 16) is None
 
 
-def test_failed_certificate_falls_back_to_the_float_check_of_the_built_family(monkeypatch):
-    monkeypatch.setattr(mub, "_trace_form_holds", lambda tr2, tr4, perm: False)
-    report = mub.certify_build(3)
-    assert not report.exact and report.passed
-    assert report == verify_unbiasedness(cached_family(3))
+def _swap_3_5(table):
+    swapped = table.copy()
+    swapped[[3, 5]] = swapped[[5, 3]]
+    return swapped
+
+
+# one mutation of the k = 3 tables per check of the certificate, in its
+# order: each keeps every earlier check and fails this one
+_MUTATIONS = {
+    "field": None,  # the tables stay; the modulus becomes reducible
+    "character": lambda tr2, tr4, perm: (tr2 ^ (np.arange(8) == 1), tr4, perm),
+    "Z4 form": lambda tr2, tr4, perm: (tr2, (tr4 + (np.arange(8) == 1)) % 4, perm),
+    "nondegenerate trace form": lambda tr2, tr4, perm: (0 * tr2, 0 * tr4, perm),
+    "linear onto perm": lambda tr2, tr4, perm: (tr2, tr4, _swap_3_5(perm)),
+}
+
+
+@pytest.mark.parametrize("check", list(_MUTATIONS), ids=lambda check: check.replace(" ", "-"))
+def test_failed_certificate_raises_naming_its_check(check, monkeypatch):
+    tables = mub._field_tables(3)
+    if _MUTATIONS[check] is None:
+        monkeypatch.setitem(IRREDUCIBLE_F2_POLYS, 3, 0b1001)  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    else:
+        tables = _MUTATIONS[check](*tables)
+    monkeypatch.setattr(mub, "_field_tables", lambda k: tables)
+    monkeypatch.setattr(mub, "build_mub_family", _no_call)
+    monkeypatch.setattr(mub, "verify_unbiasedness", _no_call)
+    with pytest.raises(ValueError) as info:
+        mub.certify_build(3)
+    assert str(info.value) == f"the trace tables of k = 3 fail the certificate's {check} check"
+
+

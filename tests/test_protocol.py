@@ -94,7 +94,7 @@ def test_run_protocol_noiseless_limit():
     assert tr.n_clicks == tr.n_rounds
     assert tr.p_c_empirical == 1.0
     assert tr.p_e_empirical == 0.0
-    assert np.array_equal(tr.alice_sifted, tr.bob_sifted)
+    assert np.array_equal(tr.alice_sifted, tr.outcome[tr.clicked])
 
 
 def test_run_protocol_zero_transmittance_erases_everything():
@@ -286,7 +286,7 @@ def test_multiparty_noiseless_keys_agree_with_alice():
     assert result.copies_per_party == 1
     for tr in result.transcripts:
         assert tr.n_clicks == tr.n_rounds
-        assert np.array_equal(tr.bob_sifted, tr.alice_sifted)
+        assert np.array_equal(tr.outcome[tr.clicked], tr.alice_sifted)
         assert np.array_equal(tr.x, result.transcripts[0].x)
 
 

@@ -75,6 +75,40 @@ def test_memory_error_exits_3(script, capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--profile", "nope"), "argument --profile: invalid choice: 'nope'"),
+        (("--alpha", "x"), "argument --alpha: invalid float value: 'x'"),
+        (("--bounds-source", "x"), "argument --bounds-source: invalid choice: 'x'"),
+    ],
+    ids=["profile", "alpha", "bounds-source"],
+)
+def test_usage_error_exits_1(script, capsys, argv, message):
+    # exit 2 is a failed verification in the CLI's codes, not a usage error
+    code, out, err = run_script(script, capsys, "--d", "16", "--L", "0:10:5", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ") and f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_4(script, capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "r.csv"
+    code, out, err = run_script(script, capsys, "--d", "16", "--L", "0:10:5", "--out", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_copy_scan_cap_exits_3(script, capsys):
+    code, out, err = run_script(script, capsys, "--d", f"16,{2**64}", "--L", "0:0:1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: the copy scan at d = {2**64} covers m = 1..")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("ds", ["15", "16,x", ","])
 def test_bad_dimensions_exit_1(script, capsys, ds):
     code, _, err = run_script(script, capsys, "--d", ds, "--L", "0:10:5")

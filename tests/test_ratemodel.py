@@ -466,6 +466,29 @@ def test_sweep_cell_cap_is_checked_before_any_evaluation(monkeypatch):
         sweep([16], list(range(13)), ["snspd_lab"])
 
 
+def test_copy_scan_cap_is_checked_before_any_entry(monkeypatch):
+    # d = 2^20 is the largest d whose scan stays within the Helstrom copy cap
+    cap = ratemodel.HELSTROM_MAX_COPIES
+    assert m_scan_limit(2**20) <= cap < m_scan_limit(2**21)
+    snspd = DETECTOR_PRESETS["snspd_lab"]
+    assert optimize_m(2**20, 50.0, snspd)[1] > 0.0
+    assert max_distance(2**20, snspd).distance_km > 0.0
+
+    def no_entry(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any H_min entry")
+
+    monkeypatch.setattr(ratemodel, "pguess", no_entry)
+    for d in (2**21, 2**64):
+        message = f"the copy scan at d = {d} covers m = 1..{m_scan_limit(d)}; "
+        for call in (
+            lambda: optimize_m(d, 50.0, snspd),
+            lambda: max_distance(d, snspd),
+            lambda: sweep([d], [0.0], ["snspd_lab"]),
+        ):
+            with pytest.raises(CapabilityError, match=re.escape(message)):
+                call()
+
+
 def _scalar_optimum(d, length, detector, alpha=0.2, bounds_source="paper"):
     """Reference optimizer: `key_rate` at every m, first strict maximum."""
     best = None
