@@ -37,7 +37,7 @@ def _fmt(value):
 
 
 def run(argv):
-    parser = _Parser(description=__doc__)
+    parser = _Parser(prog="bounds_table.py", description=__doc__)
     parser.add_argument("--d", default="2,4,8,16,64,1024", help="comma-separated dimensions")
     parser.add_argument("--m", type=int, default=1, help="signal copies per round")
     args = parser.parse_args(argv)

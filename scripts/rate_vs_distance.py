@@ -23,7 +23,7 @@ from mubqct.ratemodel import max_distance, sweep, sweep_rows_to_csv
 
 
 def run(argv):
-    parser = _Parser(description=__doc__)
+    parser = _Parser(prog="rate_vs_distance.py", description=__doc__)
     parser.add_argument("--d", default="128,1024,16384", help="comma-separated dimensions")
     parser.add_argument("--L", default="0:150:5", help="distance grid start:stop:step in km")
     parser.add_argument("--profile", default="snspd_lab", choices=sorted(DETECTOR_PRESETS))

@@ -36,7 +36,6 @@ _EXPORTED_FROM = {
         "verify_unbiasedness",
     ),
     "protocol": (
-        "MultipartyResult",
         "ProtocolParams",
         "ProtocolTranscript",
         "multiparty_run",
@@ -62,16 +61,13 @@ _EXPORTED_FROM = {
         "helstrom_exact",
         "helstrom_multi_bound",
         "helstrom_numeric",
-        "helstrom_paper_single",
         "hmin_bits",
         "iacc_bound",
         "lambda_exact",
         "lambda_numeric",
         "lambda_paper_bound",
         "pguess",
-        "pguess_certified",
         "pguess_multi_paper",
-        "pguess_paper",
         "pguess_single_paper",
         "pinsker_delta",
         "simulate_eve_random_basis",

@@ -298,18 +298,19 @@ def cmd_multiparty(args) -> int:
     from .protocol import multiparty_run
 
     params = _protocol_params(args)
-    result = multiparty_run(params, args.parties)
-    stats = detection_stats(params.channel.transmittance, params.detector, result.copies_per_party)
+    transcripts = multiparty_run(params, args.parties)
+    copies = transcripts[0].m
+    stats = detection_stats(params.channel.transmittance, params.detector, copies)
     parties = []
-    for p, transcript in enumerate(result.transcripts):
+    for p, transcript in enumerate(transcripts):
         if args.out_transcript:
             transcript.to_csv(f"{args.out_transcript}.party{p}.csv")
         parties.append({"party": p, **_summary_core(transcript, stats)})
     out = {
         "format_version": FORMAT_VERSION,
         "config": _config_items(args),
-        "n_parties": result.n_parties,
-        "copies_per_party": result.copies_per_party,
+        "n_parties": len(transcripts),
+        "copies_per_party": copies,
         "parties": parties,
     }
     _emit_json(out, args, out_path=args.out_summary)

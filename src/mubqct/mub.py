@@ -144,26 +144,26 @@ def build_mub_family(k: int) -> MubFamily:
     k up to galois.MAX_K raises CapabilityError before anything is
     allocated, other k ValueError.
     """
-    _field_tables(k, BUILD_MAX_K)  # checks k before the family is allocated
+    tables = _exponent_tables(k)  # checks k before the family is allocated
     dim = Dimension.from_k(k)
     bases = np.empty((dim.d + 1, dim.d, dim.d), dtype=complex)
-    for _ in _write_bases(k, bases.__getitem__):
+    for _ in _write_bases(tables, bases.__getitem__):
         pass
 
     bases.setflags(write=False)
     return MubFamily(dimension=dim, bases=bases)
 
 
-def _write_bases(k: int, slot):
+def _write_bases(tables, slot):
     """Write the family's bases in order, yielding each: the family's layout.
 
-    Basis 0 is the identity and basis 1 + a is written from
-    `_exponent_tables(k)`; basis theta is stored into slot(theta), a d x d
-    complex array, so a slot that always returns one buffer holds one
-    basis at a time.
+    Basis 0 is the identity and basis 1 + a is written from tables, the
+    (E, T) of `_exponent_tables(k)`; basis theta is stored into
+    slot(theta), a d x d complex array, so a slot that always returns one
+    buffer holds one basis at a time.
     """
-    e, t = _exponent_tables(k)
-    scaled = _PHASES * (1.0 / np.sqrt(1 << k))
+    e, t = tables
+    scaled = _PHASES * (1.0 / np.sqrt(len(t)))
     out = slot(0)
     out.fill(0)
     np.fill_diagonal(out, 1.0)
@@ -182,9 +182,10 @@ def is_built_family(family: MubFamily) -> bool:
     """
     d = family.d
     buf = np.empty((d, d), dtype=complex)
+    tables = _exponent_tables(family.dimension.k)
     return family.bases.shape == (d + 1, d, d) and all(
         np.array_equal(family.bases[theta], basis)
-        for theta, basis in enumerate(_write_bases(family.dimension.k, lambda theta: buf))
+        for theta, basis in enumerate(_write_bases(tables, lambda theta: buf))
     )
 
 

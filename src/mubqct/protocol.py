@@ -380,22 +380,14 @@ def run_protocol(params: ProtocolParams) -> ProtocolTranscript:
     return _run_session(params, 1)[0]
 
 
-@dataclass(frozen=True)
-class MultipartyResult:
-    """Transcripts of all receivers sharing one encoding stream."""
-
-    n_parties: int
-    copies_per_party: int
-    transcripts: tuple[ProtocolTranscript, ...]
-
-
-def multiparty_run(params: ProtocolParams, n_parties: int) -> MultipartyResult:
-    """Run the protocol toward n_parties receivers at once.
+def multiparty_run(params: ProtocolParams, n_parties: int) -> tuple[ProtocolTranscript, ...]:
+    """Run the protocol toward n_parties receivers at once: one transcript per receiver.
 
     The number of simultaneous receivers is capped at floor(sqrt(d)) so the
     total copy count stays within the regime the eavesdropping bounds
-    cover; the m copies are split evenly, floor(m / n_parties) each.  With
-    n_parties = 1 this reproduces `run_protocol` exactly.
+    cover; the m copies are split evenly, floor(m / n_parties) each, which
+    is every transcript's m.  With n_parties = 1 this reproduces
+    `run_protocol` exactly.
     """
     if n_parties < 1:
         raise ValueError(f"n_parties must be >= 1, got {n_parties}")
@@ -407,16 +399,11 @@ def multiparty_run(params: ProtocolParams, n_parties: int) -> MultipartyResult:
         )
     if params.photon_statistics != "fixed":
         raise ConstraintError("multiparty runs support fixed photon statistics only")
-    copies_each = params.m // n_parties
-    if copies_each < 1:
+    if params.m < n_parties:
         raise ConstraintError(
             f"m = {params.m} copies split over {n_parties} parties leaves none for some party"
         )
-    return MultipartyResult(
-        n_parties=n_parties,
-        copies_per_party=copies_each,
-        transcripts=_run_session(params, n_parties),
-    )
+    return _run_session(params, n_parties)
 
 
 def privacy_amplify(bits, seed: int, out_len: int) -> np.ndarray:

@@ -110,34 +110,23 @@ def pguess_multi_paper(d: int, m: int) -> float:
     return _half_power(1.0 + 2.0 / rd - 4.0 / (d * d * rd), m)
 
 
-def pguess_paper(d: int, m: int) -> float:
-    """The closed-form guessing bound in effect for m copies.
-
-    The one-copy derivation is slightly tighter than the m-copy formula
-    evaluated at m = 1, so it is preferred there.
-    """
-    return pguess_single_paper(d) if m == 1 else pguess_multi_paper(d, m)
-
-
-def pguess_certified(lam: float, m: int) -> float:
-    """Guessing bound lambda^m / 2 clamped into [1/2, 1]."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return _half_power(lam, m)
-
-
 def pguess(d: int, m: int, source: str) -> float:
     """The m-copy guessing bound at dimension d from one of BOUNDS_SOURCES.
 
-    "paper" is the closed form `pguess_paper`; "certified" is lambda^m / 2
-    with `lambda_exact`.
+    "paper" is the closed form `pguess_single_paper` at m = 1, where the
+    one-copy derivation is slightly tighter than the m-copy formula, and
+    `pguess_multi_paper` above.  "certified" is lambda / 2 with
+    `lambda_exact`, clamped into [1/2, 1], at m = 1 and 1 at every m >= 2:
+    lambda >= 1 + 1/sqrt(2) > sqrt(2) at every d, so the m-copy bound
+    lambda^m / 2 exceeds 1 there.
     """
     if source == "paper":
-        return pguess_paper(d, m)
+        return pguess_single_paper(d) if m == 1 else pguess_multi_paper(d, m)
     if source == "certified":
-        return pguess_certified(lambda_exact(d), m)
+        lam = lambda_exact(d)
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        return _clamp_guess(lam / 2) if m == 1 else 1.0
     raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {source!r}")
 
 
@@ -234,13 +223,6 @@ def majority_attack(d: int, m: int) -> float:
     _check_copies("majority attack", d, m)
     root = math.sqrt(1 + d * d // 2)
     return (_majority(1.0 / root, m) + d * _majority(d / 2 / root, m)) / (d + 1)
-
-
-def helstrom_paper_single(d: int) -> float:
-    """Closed-form one-copy discrimination probability 1/2 + 1/(2 sqrt(d+1))."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return 0.5 + 0.5 / math.sqrt(d + 1.0)
 
 
 def helstrom_multi_bound(d: int, m: int) -> float:
@@ -364,30 +346,29 @@ class BoundsReport:
 def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     """Assemble every bound for a (d, m) point into one record.
 
-    With oracle enabled the certified guessing bound uses `lambda_exact`
-    and the min-entropy comes from the "certified" source.  Otherwise
-    pguess_certified is None (JSON null): the paper's lambda gives no
-    certified bound (at d = 16, lambda_paper / 2 = 0.566 while a
-    single-copy attack reaches 0.834), and the min-entropy comes from the
-    "paper" source.
+    With oracle enabled lambda is `lambda_exact` and the guessing bound
+    and min-entropy come from the "certified" source of `pguess`.
+    Otherwise lambda_numeric and pguess_certified are None (JSON null):
+    the paper's lambda gives no certified bound (at d = 16, lambda_paper
+    / 2 = 0.566 while a single-copy attack reaches 0.834), and the
+    min-entropy comes from the "paper" source.
     """
     Dimension.from_d(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    lam_paper = lambda_paper_bound(d)
-    lam_num = lambda_exact(d) if oracle else None
+    guess = pguess(d, m, "certified" if oracle else "paper")
     iacc = iacc_bound(d, m)
     return BoundsReport(
         d=d,
         m=m,
-        lambda_numeric=lam_num,
-        lambda_paper=lam_paper,
-        pguess_certified=pguess_certified(lam_num, m) if oracle else None,
+        lambda_numeric=lambda_exact(d) if oracle else None,
+        lambda_paper=lambda_paper_bound(d),
+        pguess_certified=guess if oracle else None,
         pguess_paper_single=pguess_single_paper(d),
         pguess_paper_multi=pguess_multi_paper(d, m),
-        hmin_bits=hmin_bits(pguess(d, m, "certified" if oracle else "paper")),
+        hmin_bits=hmin_bits(guess),
         iacc_bits=iacc,
-        helstrom_single=helstrom_paper_single(d),
+        helstrom_single=helstrom_multi_bound(d, 1),
         helstrom_multi_bound=helstrom_multi_bound(d, m),
         delta_pinsker=pinsker_delta(iacc),
         oracle_used=oracle,

@@ -22,10 +22,10 @@ from mubqct.security import (
     helstrom_numeric,
     hmin_bits,
     iacc_bound,
+    lambda_exact,
     lambda_numeric,
     lambda_paper_bound,
     pguess,
-    pguess_certified,
     pguess_single_paper,
     simulate_eve_random_basis,
 )
@@ -131,7 +131,8 @@ def test_criterion_05_bound_ordering():
         result = simulate_eve_random_basis(family, n_trials, seed=97 + k)
         lower = 0.5 + 1.0 / (2.0 * (d + 1))
         sigma_lo = math.sqrt(lower * (1.0 - lower) / n_trials)
-        cert = pguess_certified(lambda_numeric(family), 1)
+        assert lambda_numeric(family) == lambda_exact(d)
+        cert = pguess(d, 1, "certified")
         sigma_hi = math.sqrt(cert * (1.0 - cert) / n_trials)
         assert result.p_success >= lower - 5.0 * sigma_lo
         assert result.p_success <= cert + 5.0 * sigma_hi

@@ -47,6 +47,17 @@ def test_usage_error_exits_1(script, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_usage_error_names_the_script(script, capsys):
+    # run in process, sys.argv[0] is the test runner's, not the script's
+    code, out, err = run_script(script, capsys, "--m", "x")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "usage: bounds_table.py [-h] [--d D] [--m M]\n"
+        "bounds_table.py: error: argument --m: invalid int value: 'x'\n"
+    )
+
+
 def test_default_table(script, capsys):
     code, out, err = run_script(script, capsys)
     assert code == 0

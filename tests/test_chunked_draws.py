@@ -195,7 +195,7 @@ def test_session_matches_whole_array_draws(monkeypatch, case, chunk):
     if parties == 1:
         transcripts = (run_protocol(params),)
     else:
-        transcripts = multiparty_run(params, parties).transcripts
+        transcripts = multiparty_run(params, parties)
     xs, rs, thetas, outcomes, overlaps = _session_whole(params, parties)
     for tr, outcome in zip(transcripts, outcomes):
         for got, ref in ((tr.x, xs), (tr.r, rs), (tr.theta, thetas), (tr.outcome, outcome)):

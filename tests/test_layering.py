@@ -189,8 +189,8 @@ EXPORTS = {
         "verify_unbiasedness",
     ],
     "protocol": [
-        "MultipartyResult", "ProtocolParams", "ProtocolTranscript", "multiparty_run",
-        "privacy_amplify", "run_protocol",
+        "ProtocolParams", "ProtocolTranscript", "multiparty_run", "privacy_amplify",
+        "run_protocol",
     ],
     "ratemodel": [
         "MaxDistanceResult", "RatePoint", "SweepRow", "coherent_mu_max", "key_rate",
@@ -198,10 +198,9 @@ EXPORTS = {
     ],
     "security": [
         "BoundsReport", "EveSimResult", "bounds_report", "helstrom_exact",
-        "helstrom_multi_bound", "helstrom_numeric", "helstrom_paper_single", "hmin_bits",
-        "iacc_bound", "lambda_exact", "lambda_numeric", "lambda_paper_bound", "pguess",
-        "pguess_certified", "pguess_multi_paper", "pguess_paper", "pguess_single_paper",
-        "pinsker_delta", "simulate_eve_random_basis",
+        "helstrom_multi_bound", "helstrom_numeric", "hmin_bits", "iacc_bound", "lambda_exact",
+        "lambda_numeric", "lambda_paper_bound", "pguess", "pguess_multi_paper",
+        "pguess_single_paper", "pinsker_delta", "simulate_eve_random_basis",
     ],
 }
 

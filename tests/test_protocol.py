@@ -272,22 +272,23 @@ def test_multiparty_single_party_reduces_to_run_protocol():
     params = ProtocolParams(d=16, m=4, n_rounds=3000, seed=3,
                             channel=ChannelModel(length_km=50.0),
                             detector=DetectorModel(eta=0.66, visibility=0.995, p_dark=1e-8))
-    result = multiparty_run(params, 1)
+    transcripts = multiparty_run(params, 1)
     single = run_protocol(params)
-    assert result.n_parties == 1
-    assert result.copies_per_party == 4
+    assert len(transcripts) == 1
+    assert transcripts[0].m == 4
     for field in ("x", "r", "theta", "outcome"):
-        assert np.array_equal(getattr(result.transcripts[0], field), getattr(single, field))
+        assert np.array_equal(getattr(transcripts[0], field), getattr(single, field))
 
 
 def test_multiparty_noiseless_keys_agree_with_alice():
     params = ProtocolParams(d=16, m=3, n_rounds=4000, seed=8, detector=IDEAL)
-    result = multiparty_run(params, 3)
-    assert result.copies_per_party == 1
-    for tr in result.transcripts:
+    transcripts = multiparty_run(params, 3)
+    assert len(transcripts) == 3
+    for tr in transcripts:
+        assert tr.m == 1
         assert tr.n_clicks == tr.n_rounds
         assert np.array_equal(tr.outcome[tr.clicked], tr.alice_sifted)
-        assert np.array_equal(tr.x, result.transcripts[0].x)
+        assert np.array_equal(tr.x, transcripts[0].x)
 
 
 def test_multiparty_party_cap():
@@ -302,7 +303,7 @@ def test_multiparty_party_cap():
 
 def test_multiparty_copy_split():
     params = ProtocolParams(d=16, m=10, n_rounds=10, seed=0, detector=IDEAL)
-    assert multiparty_run(params, 3).copies_per_party == 3
+    assert [tr.m for tr in multiparty_run(params, 3)] == [3, 3, 3]
     with pytest.raises(ConstraintError):
         multiparty_run(
             ProtocolParams(d=16, m=2, n_rounds=10, seed=0, detector=IDEAL), 3

@@ -93,6 +93,15 @@ def test_usage_error_exits_1(script, capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_usage_error_names_the_script(script, capsys):
+    # run in process, sys.argv[0] is the test runner's, not the script's
+    code, out, err = run_script(script, capsys, "--profile", "nope")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: rate_vs_distance.py [-h]")
+    assert "\nrate_vs_distance.py: error: argument --profile: invalid choice: 'nope'" in err
+
+
 def test_unwritable_out_exits_4(script, capsys, tmp_path):
     path = tmp_path / "missing-dir" / "r.csv"
     code, out, err = run_script(script, capsys, "--d", "16", "--L", "0:10:5", "--out", str(path))

@@ -24,7 +24,6 @@ from mubqct import (
     max_distance,
     mc_detection_stats,
     optimize_m,
-    pguess_certified,
     poisson_detection_stats,
     pguess_single_paper,
     sweep,
@@ -35,7 +34,7 @@ from mubqct import ratemodel
 from mubqct.detection import RIGHT, WRONG, click_classes
 from mubqct.models import BOUNDS_SOURCES
 from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_row
-from mubqct.security import hmin_bits, lambda_exact
+from mubqct.security import hmin_bits, pguess
 
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
 SNSPD = DETECTOR_PRESETS["snspd_lab"]
@@ -327,7 +326,7 @@ def test_key_rate_is_non_increasing_in_distance():
 def test_key_rate_certified_source():
     for d in (8, 32):  # the exact lambda is a closed form at every d
         point = key_rate(d, 1, 0.0, IDEAL, bounds_source="certified")
-        want = -math.log2(pguess_certified(lambda_exact(d), 1))
+        want = -math.log2(pguess(d, 1, "certified"))
         assert point.hmin_bits == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         key_rate(16, 1, 0.0, IDEAL, bounds_source="folklore")
@@ -629,7 +628,7 @@ def test_pruning_drops_the_zero_entropy_columns():
     assert len(ratemodel._hmin_column(65536, "paper")) == 199 - 110
     for d in ALL_DS:
         assert ratemodel._hmin_column(d, "certified") == [
-            hmin_bits(pguess_certified(lambda_exact(d), 1))]
+            hmin_bits(pguess(d, 1, "certified"))]
 
 
 # The ratecurve benchmark grid; the digest was computed with the per-cell

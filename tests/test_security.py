@@ -16,15 +16,13 @@ from mubqct import (
     helstrom_exact,
     helstrom_multi_bound,
     helstrom_numeric,
-    helstrom_paper_single,
     hmin_bits,
     iacc_bound,
     lambda_exact,
     lambda_numeric,
     lambda_paper_bound,
-    pguess_certified,
+    pguess,
     pguess_multi_paper,
-    pguess_paper,
     pguess_single_paper,
     pinsker_delta,
     simulate_eve_random_basis,
@@ -161,8 +159,8 @@ def test_pguess_paper_examples():
     # the two closed forms are distinct at m=1; multi never exceeds single
     for d in (4, 8, 16, 64, 1024):
         assert pguess_multi_paper(d, 1) <= pguess_single_paper(d) + 1e-12
-    assert pguess_paper(16, 1) == pguess_single_paper(16)
-    assert pguess_paper(16, 3) == pguess_multi_paper(16, 3)
+    assert pguess(16, 1, "paper") == pguess_single_paper(16)
+    assert pguess(16, 3, "paper") == pguess_multi_paper(16, 3)
 
 
 def test_pguess_clamping():
@@ -172,15 +170,49 @@ def test_pguess_clamping():
     )
     big = pguess_multi_paper(4, 10**6)  # log-domain guard: no overflow
     assert big == 1.0
+    # the [1/2, 1] window of the shared half-power clamp, at every d and m
+    for k in range(1, 64):
+        d = 2**k
+        rd = math.sqrt(d)
+        base = 1.0 + 2.0 / rd - 4.0 / (d * d * rd)
+        for m in (*range(1, 200), 1024, 10**6):
+            got = pguess_multi_paper(d, m)
+            assert 0.5 <= got <= 1.0
+            if m * math.log(base) < math.log(2.0):
+                assert got == 0.5 * base**m
+            else:
+                assert got == 1.0
+    assert security._half_power(1.0, 5) == 0.5  # floor of the clamp window
 
 
 def test_pguess_certified():
-    assert pguess_certified(2.0, 1) == 1.0
-    assert pguess_certified(LAMBDA_REFERENCE[8], 1) == pytest.approx(
-        LAMBDA_REFERENCE[8] / 2, abs=1e-12
-    )
-    assert pguess_certified(LAMBDA_REFERENCE[16], 2) == 1.0
-    assert pguess_certified(1.0, 5) == 0.5  # floor of the clamp window
+    assert pguess(2, 1, "certified") == 1.0  # lambda > 2
+    assert pguess(4, 1, "certified") == 1.0  # lambda = 2
+    assert pguess(8, 1, "certified") == pytest.approx(LAMBDA_REFERENCE[8] / 2, abs=1e-12)
+    assert pguess(16, 2, "certified") == 1.0
+    for source in ("certified", "paper"):
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            pguess(16, 0, source)
+    with pytest.raises(ValueError, match="bounds_source must be one of"):
+        pguess(16, 1, "folklore")
+
+
+def _certified_reference(d: int, m: int) -> float:
+    """lambda^m / 2 clamped into [1/2, 1], the certified bound as once evaluated at every m."""
+    lam = lambda_exact(d)
+    if m * math.log(lam) - math.log(2.0) >= 0.0:
+        return 1.0
+    return min(1.0, max(0.5, 0.5 * lam**m))
+
+
+def test_pguess_certified_is_the_m_copy_formula():
+    # lambda >= 1 + 1/sqrt(2) > sqrt(2), so lambda^m / 2 >= 1 at every m >= 2
+    for k in range(1, 64):
+        d = 2**k
+        for m in (*range(1, 1025), 10**6):
+            assert pguess(d, m, "certified") == _certified_reference(d, m)
+        # the one-copy Helstrom closed form is the subadditive bound at m = 1
+        assert helstrom_multi_bound(d, 1) == 0.5 + 0.5 / math.sqrt(d + 1)
 
 
 def test_hmin_bits():
@@ -218,7 +250,7 @@ def test_helstrom_numeric_matches_closed_form(d):
     fam = cached_family(d.bit_length() - 1)
     closed = 0.5 + 0.5 / math.sqrt(d + 1)
     assert helstrom_numeric(fam, 1) == pytest.approx(closed, abs=1e-9)
-    assert helstrom_paper_single(d) == pytest.approx(closed, abs=1e-12)
+    assert helstrom_multi_bound(d, 1) == pytest.approx(closed, abs=1e-12)
 
 
 def test_helstrom_d2_trace_distance():
@@ -256,7 +288,7 @@ def test_helstrom_copy_cap(monkeypatch):
 
 def test_helstrom_exact_single_copy_is_the_paper_closed_form():
     for d in ALL_D:
-        assert abs(helstrom_exact(d, 1) - helstrom_paper_single(d)) <= 1e-15
+        assert abs(helstrom_exact(d, 1) - helstrom_multi_bound(d, 1)) <= 1e-15
 
 
 def _helstrom_sum(d: int, m: int) -> float:
@@ -465,6 +497,14 @@ def test_bounds_report_keys_and_oracle_modes():
     assert cert.oracle_used is True
     assert cert.lambda_numeric == pytest.approx(LAMBDA_REFERENCE[2], abs=1e-9)
     assert cert.pguess_certified == 1.0
+    # each field is its own closed form, and the min-entropy the source's bound
+    for d, m, oracle in itertools.product((2, 16, 65536), (1, 3), (False, True)):
+        rep = bounds_report(d, m, oracle=oracle)
+        guess = pguess(d, m, "certified" if oracle else "paper")
+        assert rep.pguess_certified == (guess if oracle else None)
+        assert rep.hmin_bits == hmin_bits(guess)
+        assert rep.helstrom_single == helstrom_multi_bound(d, 1)
+        assert rep.helstrom_multi_bound == helstrom_multi_bound(d, m)
     assert cert.hmin_bits == 0.0
 
     # the exact lambda is a closed form at every d
