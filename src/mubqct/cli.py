@@ -436,7 +436,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_multiparty)
 
-    p = sub.add_parser("oracle", help="independent reference values for the test suite")
+    p = sub.add_parser(
+        "oracle",
+        help="the closed-form lambda and Helstrom values every path uses; "
+        "only its detection Monte Carlo is independent",
+    )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--L", type=float, default=50.0, dest="length_km")

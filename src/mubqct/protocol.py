@@ -28,22 +28,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import (
-    _CHUNK_ROWS,
-    RIGHT,
-    WRONG,
-    chunk_slices,
-    click_classes,
-    draw_chunked,
-    draw_counts_chunked,
-)
+from .detection import RIGHT, WRONG, chunk_slices, click_classes, draw_chunked, draw_counts_chunked
 from .errors import CapabilityError, ConstraintError
 from .models import ChannelModel, Dimension, DetectorModel
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
-# rows rendered per chunk; the writer holds one rendered chunk at a time, so
-# its extra memory is bounded at any round count
-TRANSCRIPT_CHUNK_ROWS = _CHUNK_ROWS
 # _csv_rows renders magnitudes in base-10^4 digit groups, one 4-byte word each
 _CSV_GROUP = 10_000
 # the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
@@ -90,6 +79,9 @@ class ProtocolParams:
                     f"mu + 4 sqrt(mu) = {self.mu + 4 * math.sqrt(self.mu):.6g} exceeds "
                     f"sqrt(d) = {budget:.6g}; set allow_insecure_mu to override"
                 )
+        elif self.mu is not None or self.allow_insecure_mu:
+            option = "mu" if self.mu is not None else "allow_insecure_mu"
+            raise ValueError(f"{option} applies to poisson photon statistics only, not fixed")
 
 
 @dataclass(frozen=True)
@@ -102,9 +94,7 @@ class ProtocolTranscript:
     keeps exactly the non-erased rounds.
     """
 
-    d: int
     m: int
-    seed: int
     x: np.ndarray
     r: np.ndarray
     theta: np.ndarray
@@ -153,31 +143,26 @@ class ProtocolTranscript:
     def to_csv(self, path, comment: Optional[str] = None) -> None:
         """Write one CSV row per round, after a `# {comment}` line if given.
 
-        Each TRANSCRIPT_CHUNK_ROWS block of rows is rendered as one byte
-        buffer by `_csv_rows` and written in one call.  The chunks share
-        one set of scratch arrays, so the writer's extra memory is one
-        chunk's at any round count and no chunk allocates its own.  The
-        bytes are those of formatting every field with str(): the same
-        digits, '-' signs, commas and newlines.
+        The rows are taken in the session's chunks (`chunk_slices`); each
+        chunk is rendered as one byte buffer by `_csv_rows` and written in
+        one call.  The chunks share one set of scratch arrays and one
+        round-number array, shifted along from chunk to chunk, so the
+        writer's extra memory is one chunk's at any round count and no
+        chunk allocates its own.  The bytes are those of formatting every
+        field with str(): the same digits, '-' signs, commas and newlines.
         """
-        n = self.n_rounds
-        chunk = TRANSCRIPT_CHUNK_ROWS
+        chunks = list(chunk_slices(self.n_rounds))
         scratch = {}
-        rounds = np.arange(min(chunk, n))
+        rounds = np.arange(chunks[0].stop if chunks else 0)  # the first chunk is the longest
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode("utf-8"))
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
-            for start in range(0, n, chunk):
-                stop = min(start + chunk, n)
-                fh.write(_csv_rows((
-                    rounds[: stop - start],
-                    self.x[start:stop],
-                    self.r[start:stop],
-                    self.theta[start:stop],
-                    self.outcome[start:stop],
-                ), scratch))
-                rounds += chunk
+            for rows in chunks:
+                size = rows.stop - rows.start
+                columns = (self.x[rows], self.r[rows], self.theta[rows], self.outcome[rows])
+                fh.write(_csv_rows((rounds[:size], *columns), scratch))
+                rounds += size
 
 
 @functools.cache
@@ -364,7 +349,7 @@ def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTran
 
     return tuple(
         ProtocolTranscript(
-            d=params.d, m=copies_each, seed=params.seed, x=xs, r=rs, theta=thetas,
+            m=copies_each, x=xs, r=rs, theta=thetas,
             outcome=_receiver_outcome(np.random.default_rng(child), xs, copies, params),
         )
         for child in children[1:]

@@ -21,10 +21,11 @@ prefix of the row for the first strict maximum of the rate.  A column
 with H_min = 0 has K = max(0, -H(X|Y)) = 0 and is never a strict maximum,
 so each d's column stops at the last m <= m_scan_limit(d) with H_min > 0
 (m = 1 at least), and M is the longest of them; this pruning changes no
-result.  The row is the only evaluator: `key_rate` reads one cell of it,
-`optimize_m` one row and each `max_distance` step the row of its
-midpoint, so all four agree exactly.  Everything is Python floats through
-`math`, serially in the calling process, and loads no numpy.
+result.  The row and `_optimal`, which holds the one rate expression, are
+the only evaluator: `key_rate` reads a one-cell row, `optimize_m` one row
+and each `max_distance` step the row of its midpoint, so these three and
+`sweep` agree exactly.  Everything is Python floats through `math`,
+serially in the calling process, and loads no numpy.
 """
 
 from __future__ import annotations
@@ -40,20 +41,6 @@ from .errors import CapabilityError
 from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension
 from .models import DetectorModel, transmittance
 from .security import HELSTROM_MAX_COPIES, hmin_bits, pguess
-
-__all__ = [
-    "MaxDistanceResult",
-    "RatePoint",
-    "SWEEP_CSV_HEADER",
-    "SWEEP_MAX_CELLS",
-    "coherent_mu_max",
-    "key_rate",
-    "m_scan_limit",
-    "max_distance",
-    "optimize_m",
-    "sweep",
-    "sweep_rows_to_csv",
-]
 
 SWEEP_CSV_HEADER = "profile,d,L_km,m_opt,T,p_c,p_e,hxy_bits,hmin_bits,key_rate_bits"
 
@@ -94,28 +81,17 @@ def key_rate(
     """Asymptotic key bits per emitted m-copy signal at distance length_km.
 
     Detector efficiency enters the sift prefactor 1 - (1 - T eta)^m, as
-    it does the detection model.
+    it does the detection model.  The rate is `_optimal`'s over a one-cell
+    channel row, whose only candidate is m itself.
     """
     Dimension.from_d(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t = transmittance(length_km, alpha_db_per_km)
-    (p_c,), (p_e,), (hxy,), (prefactor,) = _channel_row(t, detector, [m])
-    hmin = hmin_bits(pguess(d, m, bounds_source))
-    k = max(0.0, prefactor * hmin - hxy)
-    return RatePoint(
-        d=d,
-        m=m,
-        length_km=length_km,
-        t=t,
-        p_c=p_c,
-        p_e=p_e,
-        hxy_bits=hxy,
-        hmin_bits=hmin,
-        sift_prefactor=prefactor,
-        key_rate_bits=k,
-        bounds_source=bounds_source,
-    )
+    row = _channel_row(t, detector, [m])
+    _, p_c, p_e, hxy, hmin, k = _optimal(row, [hmin_bits(pguess(d, m, bounds_source))])
+    (prefactor,) = row[3]
+    return RatePoint(d, m, length_km, t, p_c, p_e, hxy, hmin, prefactor, k, bounds_source)
 
 
 def coherent_mu_max(d: int) -> float:

@@ -216,10 +216,11 @@ def test_criterion_09_rate_curve_structure():
     peak_rates = []
     reaches = []
     for d in dims:
-        rates = [optimize_m(d, length, SNSPD)[1] for length in range(0, 81, 10)]
+        rates = [optimize_m(d, length, SNSPD, bounds_source="paper")[1]
+                 for length in range(0, 81, 10)]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         peak_rates.append(rates[0])
-        reaches.append(max_distance(d, SNSPD).distance_km)
+        reaches.append(max_distance(d, SNSPD, bounds_source="paper").distance_km)
     assert peak_rates[0] < peak_rates[1] < peak_rates[2]
     assert reaches[0] < reaches[1] < reaches[2]
     # least-squares slope of L_max against log10(d), quoted per 100x in d
@@ -277,11 +278,12 @@ def test_criterion_11_coherent_constraint(monkeypatch):
         # M_d: the last m with H_min > 0; past it every rate is 0
         m_d = max((m for m in range(1, limit + 1) if hmin_bits(pguess(d, m, "paper")) > 0.0),
                   default=1)
-        m_opt, k_opt = optimize_m(d, 10.0, SNSPD)
+        m_opt, k_opt = optimize_m(d, 10.0, SNSPD, bounds_source="paper")
         assert seen == [list(range(1, m_d + 1))]  # one row, over 1..M_d
         assert 1 <= m_d <= limit  # within the ceiling
         # the unpruned scan over every m up to the ceiling, first maximum
-        rates = [key_rate(d, m, 10.0, SNSPD).key_rate_bits for m in range(1, limit + 1)]
+        rates = [key_rate(d, m, 10.0, SNSPD, bounds_source="paper").key_rate_bits
+                 for m in range(1, limit + 1)]
         assert (m_opt, k_opt) == (rates.index(max(rates)) + 1, max(rates))
         assert m_opt <= limit
     _report(11, f"mu_max(1e6)={mu:.3f}, scan ceilings respected")

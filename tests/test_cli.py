@@ -482,7 +482,6 @@ def test_simulation_artifacts_match_pinned_digests_in_chunks_of_7(
 ):
     # draws and transcript rows in chunks of 7 give the same files
     monkeypatch.setattr(detection, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", 7)
     argv, digests = PINNED_ARTIFACTS[case]
     monkeypatch.chdir(tmp_path)
     assert _artifact_digests(capsys, tmp_path, argv) == digests
@@ -609,6 +608,21 @@ def test_sources_numpy_cannot_draw_exit_1_naming_the_flag(capsys, argv, message)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "cmd", [("simulate",), ("multiparty", "--parties", "2", "--m", "2")], ids=["simulate", "multiparty"]
+)
+@pytest.mark.parametrize(
+    "flags, option", [(("--mu", "4"), "mu"), (("--allow-insecure-mu",), "allow_insecure_mu")]
+)
+def test_poisson_options_under_fixed_statistics_exit_1_naming_the_option(capsys, cmd, flags, option):
+    # fixed statistics never read them, so a run would echo a mu it ignored
+    code, out, err = run_cli(capsys, *cmd, "--d", "16", "--rounds", "10", *flags)
+    assert code == 1
+    assert out == ""
+    assert f"error: {option} applies to poisson photon statistics only" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_non_power_of_two_d_exits_1(capsys):

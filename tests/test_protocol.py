@@ -20,7 +20,7 @@ from mubqct import (
     privacy_amplify,
     run_protocol,
 )
-from mubqct import protocol
+from mubqct import detection, protocol
 from mubqct.protocol import TRANSCRIPT_HEADER
 from tests.conftest import cached_family
 
@@ -76,6 +76,12 @@ def test_poisson_mu_budget_is_enforced():
         d=2**10, m=1, n_rounds=10, seed=0, photon_statistics="poisson", mu=9.0
     )
     run_protocol(within)
+
+
+@pytest.mark.parametrize("option, value", [("mu", 4.0), ("allow_insecure_mu", True)])
+def test_poisson_options_need_poisson_statistics(option, value):
+    with pytest.raises(ValueError, match=f"{option} applies to poisson"):
+        ProtocolParams(d=16, m=1, n_rounds=10, seed=0, **{option: value})
 
 
 def test_run_protocol_is_deterministic():
@@ -155,7 +161,7 @@ def _mixed_transcript():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 203, 1000])
 def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
     tr = _mixed_transcript()
     assert set(tr.outcome.tolist()) == {-1, 0, 1}
     path = tmp_path / "t.csv"
@@ -165,11 +171,11 @@ def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk
     assert path.read_text(encoding="utf-8") == "# config: demo\n" + _per_row_csv(tr)
 
 
-def _hand_transcript(d, theta, r, outcome, x=None):
+def _hand_transcript(theta, r, outcome, x=None):
     n = len(theta)
     x = np.arange(n) % 2 if x is None else x
     return ProtocolTranscript(
-        d=d, m=1, seed=0,
+        m=1,
         x=np.asarray(x, dtype=np.int8),
         r=np.asarray(r, dtype=np.int64),
         theta=np.asarray(theta, dtype=np.int64),
@@ -181,14 +187,14 @@ def _hand_transcript(d, theta, r, outcome, x=None):
 def test_transcript_csv_digit_boundaries(tmp_path, monkeypatch, chunk):
     # round numbers cross 9/10, 99/100 and 999/1000 on chunk boundaries;
     # theta and r take every digit width of d = 1024
-    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
     n = 1001
     rng = np.random.default_rng(1024)
     theta = rng.integers(0, 1025, size=n)
     r = rng.integers(0, 512, size=n)
     theta[:8] = [0, 9, 10, 99, 100, 999, 1000, 1024]
     r[:6] = [0, 9, 10, 99, 100, 511]
-    tr = _hand_transcript(1024, theta, r, rng.integers(-1, 2, size=n))
+    tr = _hand_transcript(theta, r, rng.integers(-1, 2, size=n))
     assert set(tr.outcome.tolist()) == {-1, 0, 1}
     path = tmp_path / "t.csv"
     tr.to_csv(path)
@@ -197,7 +203,7 @@ def test_transcript_csv_digit_boundaries(tmp_path, monkeypatch, chunk):
 
 @pytest.mark.parametrize("outcome", [-1, 0, 1])
 def test_transcript_csv_single_round(tmp_path, outcome):
-    tr = _hand_transcript(1024, [1024], [511], [outcome], x=[1])
+    tr = _hand_transcript([1024], [511], [outcome], x=[1])
     path = tmp_path / "t.csv"
     tr.to_csv(path, comment="one round")
     assert path.read_text(encoding="utf-8") == "# one round\n" + _per_row_csv(tr)
@@ -242,8 +248,7 @@ def test_csv_rows_renders_int64_min_exactly():
 
 def test_transcript_csv_rejects_non_integer_columns(tmp_path):
     ints = np.array([0, 1])
-    tr = ProtocolTranscript(d=4, m=1, seed=0, x=np.array([0.0, 1.5]), r=ints, theta=ints,
-                            outcome=ints)
+    tr = ProtocolTranscript(m=1, x=np.array([0.0, 1.5]), r=ints, theta=ints, outcome=ints)
     with pytest.raises(TypeError):
         tr.to_csv(tmp_path / "t.csv")
 
@@ -251,7 +256,7 @@ def test_transcript_csv_rejects_non_integer_columns(tmp_path):
 # chunk sizes that divide 98, so the bad row starts a chunk in the middle
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_transcript_csv_error_in_middle_chunk_propagates(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(protocol, "TRANSCRIPT_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
     real_csv_rows = protocol._csv_rows
 
     def csv_rows_with_float_x_at_row_98(columns, *scratch):

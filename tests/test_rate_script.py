@@ -164,10 +164,12 @@ def test_table_and_first_distance_label(script, capsys):
 
 
 def test_reach_uses_the_fiber_loss(script, capsys):
-    code, out, err = run_script(script, capsys, "--d", "64", "--L", "0:10:5", "--alpha", "0.17")
+    code, out, err = run_script(
+        script, capsys, "--d", "64", "--L", "0:10:5", "--alpha", "0.17", "--bounds-source", "paper"
+    )
     assert code == 0
-    assert out == sweep_rows_to_csv(sweep([64], [0.0, 5.0, 10.0], ["snspd_lab"], 0.17))
-    reach = max_distance(64, DETECTOR_PRESETS["snspd_lab"], 0.17).distance_km
+    assert out == sweep_rows_to_csv(sweep([64], [0.0, 5.0, 10.0], ["snspd_lab"], 0.17, "paper"))
+    reach = max_distance(64, DETECTOR_PRESETS["snspd_lab"], 0.17, "paper").distance_km
     assert f"{reach:.1f}" == "59.6"
     assert f"L_max={reach:.1f} km" in err.splitlines()[1]
 
@@ -176,7 +178,8 @@ def test_reach_uses_the_fiber_loss(script, capsys):
 def test_benchmark_grid_outputs_are_pinned(script, capsys, tmp_path, profile):
     out = tmp_path / f"rates_{profile}.csv"
     code, _, err = run_script(
-        script, capsys, "--d", BENCH_D, "--L", BENCH_L, "--profile", profile, "--out", str(out)
+        script, capsys, "--d", BENCH_D, "--L", BENCH_L, "--profile", profile, "--out", str(out),
+        "--bounds-source", "paper",
     )
     assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_RATES_SHA256[profile]

@@ -286,7 +286,7 @@ def test_conditional_entropy_examples():
 
 
 def test_key_rate_worked_example():
-    point = key_rate(16, 1, 0.0, IDEAL)
+    point = key_rate(16, 1, 0.0, IDEAL, bounds_source="paper")
     assert point.hxy_bits == 0.0
     assert point.sift_prefactor == 1.0
     assert point.key_rate_bits == pytest.approx(
@@ -318,7 +318,8 @@ def test_key_rate_sift_prefactor_includes_eta():
 
 
 def test_key_rate_is_non_increasing_in_distance():
-    rates = [key_rate(2**10, 2, length, SNSPD).key_rate_bits for length in range(0, 160, 10)]
+    rates = [key_rate(2**10, 2, length, SNSPD, bounds_source="paper").key_rate_bits
+             for length in range(0, 160, 10)]
     assert all(a >= b - 1e-15 for a, b in zip(rates, rates[1:]))
     assert rates[0] > 0.0
 
@@ -351,7 +352,7 @@ def test_m_scan_limit():
 
 
 def test_optimize_m_noiseless_prefers_single_copy():
-    m_star, k_star = optimize_m(16, 0.0, IDEAL)
+    m_star, k_star = optimize_m(16, 0.0, IDEAL, bounds_source="paper")
     assert m_star == 1
     assert k_star == pytest.approx(-math.log2(pguess_single_paper(16)), abs=1e-12)
 
@@ -370,11 +371,11 @@ def test_max_distance_saturates_with_perfect_detectors():
 
 
 def test_max_distance_bisection_brackets_the_horizon():
-    result = max_distance(2**7, SNSPD)
+    result = max_distance(2**7, SNSPD, bounds_source="paper")
     assert not result.saturated
     assert 40.0 < result.distance_km < 80.0
-    assert optimize_m(2**7, result.distance_km, SNSPD)[1] > 0.0
-    assert optimize_m(2**7, result.distance_km + 0.2, SNSPD)[1] == 0.0
+    assert optimize_m(2**7, result.distance_km, SNSPD, bounds_source="paper")[1] > 0.0
+    assert optimize_m(2**7, result.distance_km + 0.2, SNSPD, bounds_source="paper")[1] == 0.0
 
 
 def test_max_distance_zero_when_rate_vanishes_at_source():
@@ -470,8 +471,8 @@ def test_copy_scan_cap_is_checked_before_any_entry(monkeypatch):
     cap = ratemodel.HELSTROM_MAX_COPIES
     assert m_scan_limit(2**20) <= cap < m_scan_limit(2**21)
     snspd = DETECTOR_PRESETS["snspd_lab"]
-    assert optimize_m(2**20, 50.0, snspd)[1] > 0.0
-    assert max_distance(2**20, snspd).distance_km > 0.0
+    assert optimize_m(2**20, 50.0, snspd, bounds_source="paper")[1] > 0.0
+    assert max_distance(2**20, snspd, bounds_source="paper").distance_km > 0.0
 
     def no_entry(*args, **kwargs):
         raise AssertionError("the cap must be checked before any H_min entry")
@@ -557,11 +558,11 @@ def test_sweep_matches_scalar_oracle(ds, lengths, alpha, bounds_source):
 def test_optimize_m_matches_scalar_oracle(detector):
     for d in (2, 16, 2**10, 2**16):
         for length in (0.0, 12.5, 60.0, 250.0):
-            best = _scalar_optimum(d, length, detector, 0.25)
-            got = optimize_m(d, length, detector, 0.25)
+            best = _scalar_optimum(d, length, detector, 0.25, "paper")
+            got = optimize_m(d, length, detector, 0.25, "paper")
             assert got == (best.m, best.key_rate_bits)
             # the docstring's promise: K* is `key_rate` at m*, to the bit
-            assert got[1] == key_rate(d, got[0], length, detector, 0.25).key_rate_bits
+            assert got[1] == key_rate(d, got[0], length, detector, 0.25, "paper").key_rate_bits
 
 
 # ------------------------------------------------ the pruned scan is exact
@@ -640,7 +641,7 @@ BENCH_SWEEP_SHA256 = "6c43c31085af5c17e18e66aa7ed2a3270d67baf94a413b978f3a71b440
 
 @pytest.fixture(scope="module")
 def bench_rows():
-    return sweep(BENCH_DS, BENCH_LENGTHS, ["snspd_lab", "ingaas_field"])
+    return sweep(BENCH_DS, BENCH_LENGTHS, ["snspd_lab", "ingaas_field"], bounds_source="paper")
 
 
 def test_sweep_benchmark_grid_matches_pinned_digest(bench_rows):
