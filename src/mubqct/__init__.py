@@ -32,7 +32,6 @@ _EXPORTED_FROM = {
         "VerificationReport",
         "build_mub_family",
         "certify_build",
-        "half_projector",
         "verify_unbiasedness",
     ),
     "protocol": (

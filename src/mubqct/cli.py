@@ -298,20 +298,21 @@ def cmd_multiparty(args) -> int:
     from .protocol import multiparty_run
 
     params = _protocol_params(args)
-    transcripts = multiparty_run(params, args.parties)
-    copies = transcripts[0].m
-    stats = detection_stats(params.channel.transmittance, params.detector, copies)
-    parties = []
-    for p, transcript in enumerate(transcripts):
+
+    def write_and_summarise(p, transcript):
+        # here, before the next party is drawn, so one outcome array is alive at a time
         if args.out_transcript:
             transcript.to_csv(f"{args.out_transcript}.party{p}.csv")
-        parties.append({"party": p, **_summary_core(transcript, stats)})
+        stats = detection_stats(params.channel.transmittance, params.detector, transcript.m)
+        return {"party": p, **_summary_core(transcript, stats)}
+
+    parties = multiparty_run(params, args.parties, write_and_summarise)
     out = {
         "format_version": FORMAT_VERSION,
         "config": _config_items(args),
-        "n_parties": len(transcripts),
-        "copies_per_party": copies,
-        "parties": parties,
+        "n_parties": len(parties),
+        "copies_per_party": params.m // args.parties,
+        "parties": list(parties),
     }
     _emit_json(out, args, out_path=args.out_summary)
     return 0

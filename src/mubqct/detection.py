@@ -197,48 +197,30 @@ def chunk_slices(n: int):
     return (slice(a, min(a + _CHUNK_ROWS, n)) for a in range(0, n, _CHUNK_ROWS))
 
 
-def draw_chunked(n: int, dtype, draw, *columns: np.ndarray) -> np.ndarray:
-    """An n-array of dtype, filled _CHUNK_ROWS rows at a time.
+def draw_chunked(n: int, draw, *columns: np.ndarray) -> np.ndarray:
+    """An n-array of the non-negative integers draw returns, filled _CHUNK_ROWS rows at a time.
 
-    Rows [a, b) get draw(b - a, *(c[a:b] for c in columns)), cast to
-    dtype.  numpy's distributions take their values from the bit
-    generator one after another, so drawing one distribution chunk by
-    chunk consumes the stream exactly as one call of size n does, and
-    only one chunk of the int64 or float64 draw is alive at a time.
-    """
-    import numpy as np
-
-    out = np.empty(n, dtype)
-    for rows in chunk_slices(n):
-        out[rows] = draw(rows.stop - rows.start, *(c[rows] for c in columns))
-    return out
-
-
-def _count_type(high: int) -> np.dtype:
-    """The smallest type that holds 0..high and casts to binomial's int64 (not uint64)."""
-    import numpy as np
-
-    fits = np.min_scalar_type(high)
-    return np.dtype(np.int64) if fits == np.uint64 else fits
-
-
-def draw_counts_chunked(n: int, draw) -> np.ndarray:
-    """An n-array of non-negative counts, drawn chunk by chunk as in `draw_chunked`.
-
-    The array starts as uint8 and is widened to the `_count_type` of the
-    largest count drawn so far, so a law without an upper bound (a
-    Poisson source at any mu) neither wraps nor costs a full int64 per
-    row below 2^32.
+    Rows [a, b) get draw(b - a, *(c[a:b] for c in columns)).  numpy's
+    distributions take their values from the bit generator one after
+    another, so drawing one distribution chunk by chunk consumes the
+    stream exactly as one call of size n does.  The array starts as uint8
+    and is widened to the smallest unsigned type that holds the largest
+    value drawn so far, or to int64, the draws' own type, past uint32; so
+    no value wraps, and a law without an upper bound (a Poisson source at
+    any mu) costs eight bytes per row only past 2^32.  Each chunk is
+    released before the next is drawn, so one chunk of the int64 draw is
+    alive at a time.
     """
     import numpy as np
 
     out = np.empty(n, np.uint8)
     for rows in chunk_slices(n):
-        chunk = draw(rows.stop - rows.start)
-        fits = _count_type(int(chunk.max()))
+        chunk = draw(rows.stop - rows.start, *(c[rows] for c in columns))
+        fits = np.min_scalar_type(int(chunk.max()))
         if fits.itemsize > out.itemsize:
-            out = out.astype(fits)
+            out = out.astype(np.int64 if fits == np.uint64 else fits)
         out[rows] = chunk
+        del chunk
     return out
 
 
@@ -269,7 +251,6 @@ def _click_class() -> np.ndarray:
     return table
 
 
-
 def click_classes(
     rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
 ) -> np.ndarray:
@@ -284,25 +265,25 @@ def click_classes(
     the taxonomy have neither, and a lone dark count on each side (no
     arrival) has both.
 
-    One array of the arrival counts' `_count_type` holds the rounds' events and is rewritten in
-    place, pass by pass, chunk by chunk (`chunk_slices`): the arrival
-    counts; over them, for rounds with an arrival, the signal bits of
-    the split Binomial(arrivals, V); then each dark bit; then the class,
-    looked up from the 16-entry event-code table.  Each distribution is
-    drawn over all n rounds before the next.  The split is drawn only
-    where something arrived: numpy's binomial returns 0 for zero trials
-    without taking a value from the bit generator, so the stream is the
-    one a draw over every round consumes.
+    One array holds the rounds' events and is rewritten in place, pass
+    by pass, chunk by chunk (`chunk_slices`): the arrival counts, as
+    wide as the largest drawn (`draw_chunked`); over them, for rounds
+    with an arrival, the signal bits of the split Binomial(arrivals, V);
+    then each dark bit; then the class, looked up from the 16-entry
+    event-code table.  Each distribution is drawn over all n rounds
+    before the next.  The split is drawn only where something arrived:
+    numpy's binomial returns 0 for zero trials without taking a value
+    from the bit generator, so the stream is the one a draw over every
+    round consumes.
     """
     import numpy as np
 
     s = t * detector.eta
     p = detector.p_dark
-    fits = _count_type(int(np.max(copies)))  # holds every arrival count
     if np.ndim(copies):
-        events = draw_chunked(n, fits, lambda size, c: rng.binomial(c, s), copies)
+        events = draw_chunked(n, lambda size, c: rng.binomial(c, s), copies)
     else:
-        events = draw_chunked(n, fits, lambda size: rng.binomial(copies, s, size))
+        events = draw_chunked(n, lambda size: rng.binomial(copies, s, size))
     for rows in chunk_slices(n):
         chunk = events[rows]
         got_signal = chunk != 0

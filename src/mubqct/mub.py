@@ -344,17 +344,3 @@ def _trace_form_failure(tr2: np.ndarray, tr4: np.ndarray, perm: np.ndarray) -> s
         return "linear onto perm"
     return None
 
-
-def half_projector(family: MubFamily, theta: int, x: int) -> np.ndarray:
-    """Projector onto half x of basis theta.
-
-    Half x is spanned by the vectors (d/2) x <= i < (d/2) (x + 1), so the
-    two halves sum to the identity.
-    """
-    if not 0 <= theta < family.n_bases:
-        raise ValueError(f"theta must be in 0..{family.n_bases - 1}, got {theta}")
-    if x not in (0, 1):
-        raise ValueError(f"x must be 0 or 1, got {x!r}")
-    half = family.d // 2
-    cols = family.bases[theta][:, x * half : (x + 1) * half]
-    return cols @ cols.conj().T

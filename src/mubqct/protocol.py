@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import RIGHT, WRONG, chunk_slices, click_classes, draw_chunked, draw_counts_chunked
+from .detection import RIGHT, WRONG, chunk_slices, click_classes, draw_chunked
 from .errors import CapabilityError, ConstraintError
 from .models import ChannelModel, Dimension, DetectorModel
 
@@ -320,39 +320,45 @@ def _receiver_outcome(
     outcome = classes.view(np.int8) if classes.itemsize == 1 else np.empty(n, np.int8)
     for rows in chunk_slices(n):
         coin = rng.integers(0, 2, rows.stop - rows.start)
-        key = classes[rows] | xs[rows].view(np.uint8) << 2
+        key = classes[rows] | xs[rows] << 2
         key |= (coin == 1).view(np.uint8) << 3
         outcome[rows] = _OUTCOME[key]
     return outcome
 
 
-def _run_session(params: ProtocolParams, n_receivers: int) -> tuple[ProtocolTranscript, ...]:
-    """One encoding stream and each receiver's transcript.
+def _keep(party: int, transcript: ProtocolTranscript) -> ProtocolTranscript:
+    return transcript
+
+
+def _run_session(params: ProtocolParams, n_receivers: int, each=_keep) -> tuple:
+    """One encoding stream, and each(p, transcript of receiver p) for every receiver p.
 
     The seed spawns 1 + n_receivers children: child 0 draws Alice's
     (x, r, theta) and, for a Poisson source, the per-round copy counts;
     child 1 + p draws receiver p's detection events and coins.  The m
-    copies are split evenly, floor(m / n_receivers) each.
+    copies are split evenly, floor(m / n_receivers) each.  Receiver p is
+    drawn only after each has returned for receiver p - 1, and nothing
+    here holds a transcript once each returns, so an each that keeps
+    none leaves one receiver's outcome array alive at a time.
     """
     n = params.n_rounds
     children = np.random.SeedSequence(params.seed).spawn(1 + n_receivers)
     alice_rng = np.random.default_rng(children[0])
-    xs = draw_chunked(n, np.int8, lambda size: alice_rng.integers(0, 2, size))
-    index = np.min_scalar_type(-(params.d + 1))  # holds every r and theta, signed
-    rs = draw_chunked(n, index, lambda size: alice_rng.integers(0, params.d // 2, size))
-    thetas = draw_chunked(n, index, lambda size: alice_rng.integers(0, params.d + 1, size))
+    xs = draw_chunked(n, lambda size: alice_rng.integers(0, 2, size))
+    rs = draw_chunked(n, lambda size: alice_rng.integers(0, params.d // 2, size))
+    thetas = draw_chunked(n, lambda size: alice_rng.integers(0, params.d + 1, size))
     copies_each = params.m // n_receivers
     if params.photon_statistics == "poisson":
-        copies = draw_counts_chunked(n, lambda size: alice_rng.poisson(params.mu, size))
+        copies = draw_chunked(n, lambda size: alice_rng.poisson(params.mu, size))
     else:
         copies = copies_each
 
     return tuple(
-        ProtocolTranscript(
+        each(p, ProtocolTranscript(
             m=copies_each, x=xs, r=rs, theta=thetas,
             outcome=_receiver_outcome(np.random.default_rng(child), xs, copies, params),
-        )
-        for child in children[1:]
+        ))
+        for p, child in enumerate(children[1:])
     )
 
 
@@ -365,14 +371,17 @@ def run_protocol(params: ProtocolParams) -> ProtocolTranscript:
     return _run_session(params, 1)[0]
 
 
-def multiparty_run(params: ProtocolParams, n_parties: int) -> tuple[ProtocolTranscript, ...]:
+def multiparty_run(params: ProtocolParams, n_parties: int, each=_keep) -> tuple:
     """Run the protocol toward n_parties receivers at once: one transcript per receiver.
 
     The number of simultaneous receivers is capped at floor(sqrt(d)) so the
     total copy count stays within the regime the eavesdropping bounds
     cover; the m copies are split evenly, floor(m / n_parties) each, which
     is every transcript's m.  With n_parties = 1 this reproduces
-    `run_protocol` exactly.
+    `run_protocol` exactly.  Given each, receiver p's transcript goes to
+    each(p, transcript) as soon as it is drawn and the tuple of what each
+    returns comes back: a caller that writes and summarises each
+    transcript and keeps none holds one receiver's outcome array at a time.
     """
     if n_parties < 1:
         raise ValueError(f"n_parties must be >= 1, got {n_parties}")
@@ -388,7 +397,7 @@ def multiparty_run(params: ProtocolParams, n_parties: int) -> tuple[ProtocolTran
         raise ConstraintError(
             f"m = {params.m} copies split over {n_parties} parties leaves none for some party"
         )
-    return _run_session(params, n_parties)
+    return _run_session(params, n_parties, each)
 
 
 def privacy_amplify(bits, seed: int, out_len: int) -> np.ndarray:

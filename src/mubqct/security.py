@@ -275,10 +275,9 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
         )
     d = family.d
     rng = np.random.default_rng(seed)
-    index = np.min_scalar_type(-(d + 1))  # holds 0..d, so every basis
 
     def draw(high):
-        return draw_chunked(n_trials, index, lambda size: rng.integers(0, high, size))
+        return draw_chunked(n_trials, lambda size: rng.integers(0, high, size))
 
     xs = draw(2)
     for rows in chunk_slices(n_trials):

@@ -5,7 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from mubqct import MubFamily, build_mub_family, half_projector
+from mubqct import MubFamily, build_mub_family
 from mubqct.galois import gf_mul
 
 
@@ -161,6 +161,21 @@ def cached_family(k: int):
 def family():
     """Session-cached family constructor, keyed by the exponent k."""
     return cached_family
+
+
+def half_projector(family: MubFamily, theta: int, x: int) -> np.ndarray:
+    """Projector onto half x of basis theta.
+
+    Half x is spanned by the vectors (d/2) x <= i < (d/2) (x + 1), so the
+    two halves sum to the identity.
+    """
+    if not 0 <= theta < family.n_bases:
+        raise ValueError(f"theta must be in 0..{family.n_bases - 1}, got {theta}")
+    if x not in (0, 1):
+        raise ValueError(f"x must be 0 or 1, got {x!r}")
+    half = family.d // 2
+    cols = family.bases[theta][:, x * half : (x + 1) * half]
+    return cols @ cols.conj().T
 
 
 def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:

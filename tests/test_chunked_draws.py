@@ -19,7 +19,7 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct import detection
-from mubqct.detection import RIGHT, WRONG, click_classes, draw_counts_chunked
+from mubqct.detection import RIGHT, WRONG, click_classes, draw_chunked
 from mubqct.models import transmittance
 from tests.conftest import cached_family
 
@@ -160,7 +160,7 @@ def test_copy_counts_widen_as_they_are_drawn(monkeypatch, mu, dtype, chunk):
     # widen an array that already holds uint8 rows
     monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
     rng = np.random.default_rng(5)
-    counts = draw_counts_chunked(N_ROUNDS, lambda size: rng.poisson(mu, size))
+    counts = draw_chunked(N_ROUNDS, lambda size: rng.poisson(mu, size))
     assert counts.dtype == dtype and np.array_equal(counts, _poisson(mu))
     ref_rng = np.random.default_rng(5)
     ref_rng.poisson(mu, size=N_ROUNDS)
@@ -205,12 +205,13 @@ def test_session_matches_whole_array_draws(monkeypatch, case, chunk):
 
 
 def test_session_columns_are_compact():
-    params = SESSION_CASES["ingaas_field_d65536"][0]
-    tr = run_protocol(params)
-    assert (tr.x.dtype, tr.outcome.dtype) == (np.int8, np.int8)
-    assert tr.r.dtype == tr.theta.dtype == np.int32  # theta reaches d = 65536
-    tr = run_protocol(SESSION_CASES["snspd_lab"][0])
-    assert tr.r.dtype == tr.theta.dtype == np.int8
+    # each drawn column takes the smallest unsigned type that holds its
+    # largest value; the outcome keeps int8 for its -1 erasures
+    for case in ("ingaas_field_d65536", "snspd_lab"):
+        tr = run_protocol(SESSION_CASES[case][0])
+        for column in (tr.x, tr.r, tr.theta):
+            assert column.dtype == np.min_scalar_type(int(column.max()))
+        assert (tr.x.dtype, tr.outcome.dtype) == (np.uint8, np.int8)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

@@ -185,7 +185,7 @@ EXPORTS = {
     ],
     "errors": ["CapabilityError", "ConstraintError", "DegenerateModeError"],
     "mub": [
-        "MubFamily", "VerificationReport", "build_mub_family", "certify_build", "half_projector",
+        "MubFamily", "VerificationReport", "build_mub_family", "certify_build",
         "verify_unbiasedness",
     ],
     "protocol": [

@@ -13,12 +13,12 @@ from mubqct import (
     MubFamily,
     build_mub_family,
     certify_build,
-    half_projector,
     verify_unbiasedness,
 )
 from tests.conftest import (
     cached_family,
     exact_mub_check,
+    half_projector,
     mul_table,
     reference_mub_check,
     z4_form,

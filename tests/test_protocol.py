@@ -15,14 +15,13 @@ from mubqct import (
     ProtocolParams,
     ProtocolTranscript,
     detection_stats,
-    half_projector,
     multiparty_run,
     privacy_amplify,
     run_protocol,
 )
 from mubqct import detection, protocol
 from mubqct.protocol import TRANSCRIPT_HEADER
-from tests.conftest import cached_family
+from tests.conftest import cached_family, half_projector
 
 IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
 
@@ -294,6 +293,16 @@ def test_multiparty_noiseless_keys_agree_with_alice():
         assert tr.n_clicks == tr.n_rounds
         assert np.array_equal(tr.outcome[tr.clicked], tr.alice_sifted)
         assert np.array_equal(tr.x, transcripts[0].x)
+
+
+def test_multiparty_hands_each_transcript_over_in_party_order():
+    params = ProtocolParams(d=16, m=6, n_rounds=3000, seed=5,
+                            channel=ChannelModel(length_km=25.0), detector=DetectorModel())
+    kept = multiparty_run(params, 3)
+    handed = multiparty_run(params, 3, lambda p, tr: (p, tr.outcome.copy()))
+    assert [p for p, _ in handed] == [0, 1, 2]
+    for (_, outcome), tr in zip(handed, kept):
+        assert np.array_equal(outcome, tr.outcome)
 
 
 def test_multiparty_party_cap():

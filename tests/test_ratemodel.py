@@ -386,7 +386,9 @@ def test_max_distance_zero_when_rate_vanishes_at_source():
 
 
 def test_max_distance_non_decreasing_in_d():
-    distances = [max_distance(d, SNSPD).distance_km for d in (2**7, 2**10, 2**14)]
+    distances = [
+        max_distance(d, SNSPD, bounds_source="paper").distance_km for d in (2**7, 2**10, 2**14)
+    ]
     assert distances == sorted(distances)
 
 

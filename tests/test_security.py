@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mubqct import (
     lambda_exact,
     lambda_numeric,
     lambda_paper_bound,
+    m_scan_limit,
     pguess,
     pguess_multi_paper,
     pguess_single_paper,
@@ -395,6 +397,29 @@ def test_majority_attack_values():
     # the attack refutes the paper's m-copy bound at these points
     for m in (3, 5):
         assert pguess_multi_paper(256, m) < majority_attack(256, m)
+
+
+# per d = 2^k, k = 4..16: the copy counts m <= m_scan_limit(d) at which the
+# paper's P_guess is below 1; at every one of them an attack beats it
+PAPER_REFUTED_CELLS = dict(zip(ALL_D[3:], (1, 1, 2, 3, 5, 8, 11, 16, 22, 31, 44, 63, 89)))
+
+
+def test_certified_bound_holds_against_every_attack_and_the_paper_bound_is_refuted():
+    # a sound P_guess is at least any attack's success probability, at every
+    # (d, m) the rate model scans; the paper's bound fails this at d >= 16
+    below_one, refuted = Counter(), Counter()
+    for d in ALL_D:
+        for m in range(1, m_scan_limit(d) + 1):
+            attack = max(majority_attack(d, m), helstrom_exact(d, m))
+            assert pguess(d, m, "certified") >= attack, (d, m)
+            paper = pguess(d, m, "paper")
+            if paper < 1.0:
+                below_one[d] += 1
+                refuted[d] += paper < attack
+    assert +refuted == PAPER_REFUTED_CELLS
+    assert all(below_one[d] == n for d, n in PAPER_REFUTED_CELLS.items())
+    # at d <= 8 the paper's bound is below 1 at m = 1 only, and no attack beats it there
+    assert [below_one[d] for d in ALL_D[:3]] == [1, 1, 1]
 
 
 def test_majority_attack_rejects_bad_input_before_any_term(monkeypatch):
