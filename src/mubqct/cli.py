@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage or parameter errors, 2 verification
 failure, 3 capability cap exceeded or out of memory, 4 I/O errors.
 
 Options may be preloaded from a flat config file (`key = value` lines,
-`#` comments) via --config; explicit flags override config entries,
-which in turn override the MUBQCT_SEED environment fallback.  Every
+`#` comments) via one --config, where true and false set switches only;
+explicit flags override config entries, which in turn override the
+MUBQCT_SEED environment fallback.  Every
 subcommand echoes its fully resolved configuration as a `# config: ...`
 comment line: the first line of the sweep CSV and of the simulate
 transcript, and on stderr for JSON-emitting commands and `sweep --out`.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -73,12 +75,14 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _config_argv(entries: dict[str, str]) -> list[str]:
-    """Render config entries as flags, inserted ahead of explicit ones."""
+    """Render config entries as flags, ahead of explicit ones; true and false set switches only."""
     flags: list[str] = []
     for key in sorted(entries):
         value = entries[key]
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "false"):
+            if key not in ("oracle", "allow_insecure_mu"):
+                raise ValueError(f"config key {key} = {value}: true and false set switches only")
             if value.lower() == "true":
                 flags.append(flag)
         else:
@@ -87,12 +91,11 @@ def _config_argv(entries: dict[str, str]) -> list[str]:
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise ValueError(f"--config given {len(paths)} times: {', '.join(paths)}; a run takes one")
+    return paths[0] if paths else None
 
 
 def _resolve_argv(argv: list[str]) -> list[str]:
@@ -276,14 +279,15 @@ def cmd_simulate(args) -> int:
     from .protocol import run_protocol
 
     params = _protocol_params(args)
-    transcript = run_protocol(params)
-    if args.out_transcript:
-        transcript.to_csv(args.out_transcript, comment=_config_comment(args))
     t = params.channel.transmittance
+    # the closed forms come first, so a run they reject writes no file
     if params.photon_statistics == "poisson":
         stats = poisson_detection_stats(t, params.detector, params.mu)
     else:
         stats = detection_stats(t, params.detector, params.m)
+    transcript = run_protocol(params)
+    if args.out_transcript:
+        transcript.to_csv(args.out_transcript, comment=_config_comment(args))
     summary = {
         "format_version": FORMAT_VERSION,
         "config": _config_items(args),
@@ -298,12 +302,16 @@ def cmd_multiparty(args) -> int:
     from .protocol import multiparty_run
 
     params = _protocol_params(args)
+    # all parties share one law, evaluated once: after multiparty_run has
+    # checked --parties, and before the first file is written
+    t = params.channel.transmittance
+    law = functools.cache(lambda m: detection_stats(t, params.detector, m))
 
     def write_and_summarise(p, transcript):
+        stats = law(transcript.m)
         # here, before the next party is drawn, so one outcome array is alive at a time
         if args.out_transcript:
             transcript.to_csv(f"{args.out_transcript}.party{p}.csv")
-        stats = detection_stats(params.channel.transmittance, params.detector, transcript.m)
         return {"party": p, **_summary_core(transcript, stats)}
 
     parties = multiparty_run(params, args.parties, write_and_summarise)

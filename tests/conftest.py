@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from typing import Sequence
 
@@ -195,6 +196,32 @@ def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
     for theta, w in enumerate(omega):
         f += (2.0 / d) * half_projector(family, theta, w)
     return f
+
+
+@functools.lru_cache(maxsize=None)
+def per_outcome_guess(d: int, m: int) -> float:
+    """The most one outcome of any m-copy measurement guesses x right, on the built family.
+
+    With rho_{theta,x} = (2/d) `half_projector`(theta, x), Eve's outcome
+    string omega in {0,1}^(d+1) scores A_omega = sum_theta
+    rho_{theta,omega_theta}^(x m) / (2(d+1)) against the average state
+    rho = sum_{theta,x} rho_{theta,x}^(x m) / (2(d+1)).  The value is the
+    largest eigenvalue of rho^(-1/2) A_omega rho^(-1/2) on rho's support,
+    maximised over omega: the conditional success of the outcome Eve keeps
+    when loss lets her forward only the rounds that give it.  Dense
+    reference for d^m <= 64: 2^(d+1) eigensolves of at most d^m x d^m.
+    """
+    family = cached_family(d.bit_length() - 1)
+    rhos = [[(2.0 / d) * half_projector(family, theta, x) for x in (0, 1)] for theta in range(d + 1)]
+    powers = [[functools.reduce(np.kron, [rho] * m) for rho in pair] for pair in rhos]
+    vals, vecs = np.linalg.eigh(sum(p0 + p1 for p0, p1 in powers))
+    support = vals > 1e-9 * vals[-1]
+    whiten = vecs[:, support] / np.sqrt(vals[support])  # the 2(d+1) of A and rho cancel
+    white = [[whiten.conj().T @ p @ whiten for p in pair] for pair in powers]
+    return max(
+        float(np.linalg.eigvalsh(sum(w[x] for w, x in zip(white, omega)))[-1])
+        for omega in itertools.product((0, 1), repeat=d + 1)
+    )
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -266,6 +266,48 @@ def test_malformed_config_file_exits_1(capsys, tmp_path):
     assert "bad.cfg:1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("sweep", "--d", "16", "--L", "0:10:5"), "profile = false"),
+        (("bounds", "--d", "16"), "m = false"),
+        (("simulate", "--d", "16", "--rounds", "10"), "out_transcript = false"),
+    ],
+    ids=["sweep-profile", "bounds-m", "simulate-out-transcript"],
+)
+def test_false_on_a_key_that_is_no_switch_exits_1_naming_it(capsys, tmp_path, argv, entry):
+    # it used to drop the entry, so the run went ahead on the default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{entry}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"error: config key {entry}: true and false set switches only" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("value, oracle", [("true", True), ("false", False), ("FALSE", False)])
+def test_true_and_false_set_the_switches(capsys, tmp_path, value, oracle):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"oracle = {value}\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "bounds", "--d", "16", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["oracle_used"] is oracle
+
+
+@pytest.mark.parametrize("second", ["--config", "--config="], ids=["spaced", "equals"])
+def test_a_second_config_exits_1_naming_both(capsys, tmp_path, second):
+    # the second file used to be ignored: the first one's entries ran
+    first, other = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("m = 2\n", encoding="utf-8")
+    other.write_text("m = 3\n", encoding="utf-8")
+    tail = (second, str(other)) if second == "--config" else (second + str(other),)
+    code, out, err = run_cli(capsys, "bounds", "--d", "16", "--config", str(first), *tail)
+    assert code == 1
+    assert out == ""
+    assert f"error: --config given 2 times: {first}, {other}; a run takes one" in err
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -623,6 +665,28 @@ def test_poisson_options_under_fixed_statistics_exit_1_naming_the_option(capsys,
     assert out == ""
     assert f"error: {option} applies to poisson photon statistics only" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ("simulate",),
+        ("simulate", "--photon-statistics", "poisson", "--mu", "1", "--allow-insecure-mu"),
+        ("multiparty", "--parties", "2", "--m", "2"),
+    ],
+    ids=["simulate", "simulate-poisson", "multiparty"],
+)
+def test_a_run_without_click_mass_exits_1_and_writes_no_file(capsys, tmp_path, cmd):
+    # no light arrives and no detector fires, so the closed forms are
+    # undefined; the transcripts used to be written before they were evaluated
+    code, out, err = run_cli(
+        capsys, *cmd, "--d", "16", "--rounds", "1000", "--L", "1000000", "--p-dark", "0",
+        "--out-transcript", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.json"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "error: no click mass" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_non_power_of_two_d_exits_1(capsys):

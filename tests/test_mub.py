@@ -225,11 +225,8 @@ def _perturbed_k3_family():
     return MubFamily(dimension=fam.dimension, bases=bases)
 
 
-@pytest.mark.parametrize("block_entries", [64, 3 * 64, 1 << 20])
 @pytest.mark.parametrize("which", ["perturbed", 1, 2, 3, 4])
-def test_blocked_verification_matches_pairwise_loop(which, block_entries, monkeypatch):
-    # small blocks split the later bases over several products (1 or 3 bases at d = 8)
-    monkeypatch.setattr(mub, "_VERIFY_BLOCK_ENTRIES", block_entries)
+def test_blocked_verification_matches_pairwise_loop(which):
     fam = _perturbed_k3_family() if which == "perturbed" else cached_family(which)
     report = verify_unbiasedness(fam, tol=1e-9)
     want = _verify_pairwise(fam)

@@ -38,6 +38,7 @@ from tests.conftest import (
     f_operator,
     helstrom_spectral,
     lambda_from_classes,
+    per_outcome_guess,
     split_relations,
     trace_norm,
 )
@@ -403,6 +404,13 @@ def test_majority_attack_values():
 # paper's P_guess is below 1; at every one of them an attack beats it
 PAPER_REFUTED_CELLS = dict(zip(ALL_D[3:], (1, 1, 2, 3, 5, 8, 11, 16, 22, 31, 44, 63, 89)))
 
+# the most one outcome of a joint m-copy measurement guesses right
+# (`per_outcome_guess`), at every (d, m) with d <= 8 and d^m <= 64
+PER_OUTCOME_GUESS = {
+    (2, 1): 0.788675, (4, 1): 0.800000, (8, 1): 0.819142, (2, 2): 0.933013,
+    (4, 2): 0.940959, (8, 2): 0.958258, (2, 3): 1.0, (4, 3): 1.0,
+}
+
 
 def test_certified_bound_holds_against_every_attack_and_the_paper_bound_is_refuted():
     # a sound P_guess is at least any attack's success probability, at every
@@ -420,6 +428,22 @@ def test_certified_bound_holds_against_every_attack_and_the_paper_bound_is_refut
     assert all(below_one[d] == n for d, n in PAPER_REFUTED_CELLS.items())
     # at d <= 8 the paper's bound is below 1 at m = 1 only, and no attack beats it there
     assert [below_one[d] for d in ALL_D[:3]] == [1, 1, 1]
+    # the best single outcome of a joint measurement, densely at d <= 8
+    for d, m in PER_OUTCOME_GUESS:
+        assert pguess(d, m, "certified") >= per_outcome_guess(d, m) - 1e-9, (d, m)
+
+
+@pytest.mark.parametrize("d, m", list(PER_OUTCOME_GUESS))
+def test_per_outcome_guess_equals_the_majority_vote_at_one_copy_and_beats_it_beyond(d, m):
+    value = per_outcome_guess(d, m)
+    assert abs(value - PER_OUTCOME_GUESS[d, m]) <= 1e-6
+    if m == 1:
+        # forwarding chosen rounds gains Eve nothing: her best outcome guesses as the
+        # majority vote does, d lambda / (2(d+1))
+        assert abs(value - majority_attack(d, 1)) <= 1e-9
+        assert abs(value - d * lambda_exact(d) / (2 * (d + 1))) <= 1e-9
+    else:
+        assert value > majority_attack(d, m)
 
 
 def test_majority_attack_rejects_bad_input_before_any_term(monkeypatch):
