@@ -225,19 +225,26 @@ def _perturbed_k3_family():
     return MubFamily(dimension=fam.dimension, bases=bases)
 
 
+@pytest.mark.parametrize("inverse_tol", [64, 3 * 64, 1 << 20])
 @pytest.mark.parametrize("which", ["perturbed", 1, 2, 3, 4])
-def test_blocked_verification_matches_pairwise_loop(which):
+def test_blocked_verification_matches_pairwise_loop(which, inverse_tol):
+    # tol only gates `passed`: the perturbed family (devs 0.0100 and 0.0036)
+    # passes at 1/64 and fails at 1/192 and 2^-20
     fam = _perturbed_k3_family() if which == "perturbed" else cached_family(which)
-    report = verify_unbiasedness(fam, tol=1e-9)
     want = _verify_pairwise(fam)
-    assert (
-        report.max_orthonormality_dev,
-        report.worst_orthonormality,
-        report.max_unbiasedness_dev,
-        report.worst_unbiasedness,
-    ) == want
+    for tol in (1e-9, 1.0 / inverse_tol):
+        report = verify_unbiasedness(fam, tol=tol)
+        assert (
+            report.max_orthonormality_dev,
+            report.worst_orthonormality,
+            report.max_unbiasedness_dev,
+            report.worst_unbiasedness,
+        ) == want
+        assert report.tol == tol
+        assert report.passed == (want[0] <= tol and want[2] <= tol)
     if which == "perturbed":
-        assert not report.passed
+        assert not verify_unbiasedness(fam, tol=1e-9).passed
+        assert report.passed == (inverse_tol == 64)
         assert report.worst_unbiasedness[:2] != (0, 1)
 
 
