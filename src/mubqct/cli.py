@@ -6,12 +6,12 @@ Exit codes: 0 success, 1 usage or parameter errors, 2 verification
 failure, 3 capability cap exceeded or out of memory, 4 I/O errors.
 
 Options may be preloaded from a flat config file (`key = value` lines,
-`#` comments) via one --config, where true and false set switches only;
-explicit flags override config entries, which in turn override the
-MUBQCT_SEED environment fallback.  Every
-subcommand echoes its fully resolved configuration as a `# config: ...`
-comment line: the first line of the sweep CSV and of the simulate
-transcript, and on stderr for JSON-emitting commands and `sweep --out`.
+`#` comments) via one --config, where true and false set only the
+subcommand's own switches; explicit flags override config entries, which
+in turn override the MUBQCT_SEED environment fallback.  Every subcommand
+echoes its fully resolved configuration as a `# config: ...` comment
+line: the first line of the sweep CSV and of the simulate transcript, and
+on stderr for JSON-emitting commands and `sweep --out`.
 Per-party multiparty transcripts have no comment line: the header, then
 one row per round.  All output is seed-deterministic: identical config
 and seed give byte-identical files.
@@ -74,22 +74,6 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _config_argv(entries: dict[str, str]) -> list[str]:
-    """Render config entries as flags, ahead of explicit ones; true and false set switches only."""
-    flags: list[str] = []
-    for key in sorted(entries):
-        value = entries[key]
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if key not in ("oracle", "allow_insecure_mu"):
-                raise ValueError(f"config key {key} = {value}: true and false set switches only")
-            if value.lower() == "true":
-                flags.append(flag)
-        else:
-            flags.extend([flag, value])
-    return flags
-
-
 def _extract_config_path(argv: list[str]) -> str | None:
     paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
     paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
@@ -98,12 +82,25 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return paths[0] if paths else None
 
 
-def _resolve_argv(argv: list[str]) -> list[str]:
+def _resolve_argv(parser: _Parser, argv: list[str]) -> list[str]:
+    """argv with its config entries as flags, ahead of explicit ones; true and false set
+    only the switches (store_true flags) of the subcommand's own parser."""
     path = _extract_config_path(argv)
-    if path is None or not argv or argv[0].startswith("-"):
+    (commands,) = (action.choices for action in parser._actions if action.dest == "cmd")
+    if path is None or not argv or argv[0] not in commands:
         return argv
-    entries = _load_config(path)
-    return [argv[0], *_config_argv(entries), *argv[1:]]
+    switches = {f for a in commands[argv[0]]._actions if a.const is True for f in a.option_strings}
+    flags: list[str] = []
+    for key, value in sorted(_load_config(path).items()):
+        flag = "--" + key.replace("_", "-")
+        if value.lower() not in ("true", "false"):
+            flags.extend([flag, value])
+        elif flag not in switches:
+            raise ValueError(f"config key {key} = {value}: true and false set switches only, "
+                             f"and {argv[0]} has no switch {flag}")
+        elif value.lower() == "true":
+            flags.append(flag)
+    return [argv[0], *flags, *argv[1:]]
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -488,7 +485,8 @@ def exit_code(run, argv) -> int:
 
 
 def _run(argv) -> int:
-    args = build_parser().parse_args(_resolve_argv(list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_resolve_argv(parser, list(argv)))
     if args.format_version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported --format-version {args.format_version}; "

@@ -13,13 +13,14 @@ The analytic model tracks the three leading event classes per outcome:
 Cross terms (signal split across detectors, signal contradicted by a
 dark count) are deliberately excluded from both probabilities, and the
 round-level simulation erases such rounds for consistency.
-`click_classes` samples raw per-copy and per-detector events and sorts
-them into exactly this taxonomy; the Monte Carlo oracle and the protocol
-simulation both draw their events through it, so they estimate the same
-quantities as the closed forms without sharing any algebra with them.
-It keeps one byte per round: the event code, whose bits say which
-detector sides the signal reached and which dark-fired, and then the
-click class that a 16-entry table assigns to that code.
+`click_events` samples raw per-copy and per-detector events into one
+byte per round, the event code, whose bits say which detector sides the
+signal reached and which dark-fired; `_click_class` sorts the 16 codes
+into exactly this taxonomy, and `receiver_outcome` reads Bob's declared
+bit from a table derived from it.  The Monte Carlo oracle and the
+protocol simulation both draw their events through `click_events`, so
+they estimate the same quantities as the closed forms without sharing
+any algebra with them.
 
 The closed forms (`detection_stats`, `poisson_detection_stats`,
 `conditional_entropy_xy`) are scalar `math` code, so the rate model loads
@@ -251,26 +252,43 @@ def _click_class() -> np.ndarray:
     return table
 
 
-def click_classes(
+@functools.cache
+def _declared_bit() -> np.ndarray:
+    """Bob's bit for each (event code, x, coin) key, code + 16 x + 32 coin; -1 erases.
+
+    By the code's click class (`_click_class`): x is kept on a right-only
+    round and flipped on a wrong-only round; the overlap flips it when
+    the coin is 1; a round of neither class is erased.  Built on first
+    use and read-only, like the class table.
+    """
+    import numpy as np
+
+    key = np.arange(64)
+    click, x, coin = _click_class()[key & 15], key >> 4 & 1, key >> 5
+    flip = (click == WRONG) | ((click == RIGHT | WRONG) & (coin == 1))
+    table = np.where(click != 0, x ^ flip, -1).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def click_events(
     rng: np.random.Generator, n: int, copies, t: float, detector: DetectorModel
 ) -> np.ndarray:
-    """Sample n rounds of raw detection events; return each round's click class.
+    """Sample n rounds of raw detection events; return each round's event code.
 
     Per round: arrivals ~ Binomial(copies, t*eta), each arrival lands in
     the good detector w.p. V, and each of the two detectors dark-fires
     independently w.p. p_dark.  copies is an integer, or a per-round
-    integer array for a Poisson source.  A round's class has the RIGHT
-    bit and the WRONG bit set according to the three event classes in the
-    module docstring, which the closed forms count exactly; rounds outside
-    the taxonomy have neither, and a lone dark count on each side (no
-    arrival) has both.
+    integer array for a Poisson source.  A round's code has the
+    _SIGNAL_GOOD and _SIGNAL_BAD bits set by the sides its arrivals
+    reached and the _DARK_GOOD and _DARK_BAD bits by its dark counts;
+    `_click_class` maps it to the module's taxonomy.
 
     One array holds the rounds' events and is rewritten in place, pass
     by pass, chunk by chunk (`chunk_slices`): the arrival counts, as
     wide as the largest drawn (`draw_chunked`); over them, for rounds
     with an arrival, the signal bits of the split Binomial(arrivals, V);
-    then each dark bit; then the class, looked up from the 16-entry
-    event-code table.  Each distribution is drawn over all n rounds
+    then each dark bit.  Each distribution is drawn over all n rounds
     before the next.  The split is drawn only where something arrived:
     numpy's binomial returns 0 for zero trials without taking a value
     from the bit generator, so the stream is the one a draw over every
@@ -297,25 +315,49 @@ def click_classes(
         events[rows] |= dark.view(np.uint8) * np.uint8(_DARK_GOOD)
     for rows in chunk_slices(n):
         dark = rng.binomial(1, p, rows.stop - rows.start) > 0
-        chunk = events[rows]
-        chunk |= dark.view(np.uint8) * np.uint8(_DARK_BAD)
-        chunk[...] = _click_class()[chunk]
+        events[rows] |= dark.view(np.uint8) * np.uint8(_DARK_BAD)
     return events
+
+
+def receiver_outcome(
+    rng: np.random.Generator, xs: np.ndarray, copies, t: float, detector: DetectorModel
+) -> np.ndarray:
+    """One receiver's declared bits for Alice's bits xs; -1 marks erasures.
+
+    Rounds are declared by the click classes of the closed forms, so the
+    sifted error statistics match them: ambiguous rounds (signal split
+    across detectors, signal contradicted by a dark count) are erased,
+    and the overlap, no arrival with darks on both sides, is resolved by
+    a fair coin.  The coins are drawn chunk by chunk after every event
+    (`click_events`), and each chunk's bits are looked up from the
+    64-entry (code, x, coin) table into the array that held its codes.
+    """
+    import numpy as np
+
+    n = xs.size
+    codes = click_events(rng, n, copies, t, detector)
+    outcome = codes.view(np.int8) if codes.itemsize == 1 else np.empty(n, np.int8)
+    for rows in chunk_slices(n):
+        coin = rng.integers(0, 2, rows.stop - rows.start)
+        key = codes[rows] | xs[rows] << 4
+        key |= (coin == 1).view(np.uint8) << 5
+        outcome[rows] = _declared_bit()[key]
+    return outcome
 
 
 def mc_detection_stats(
     t: float, detector: DetectorModel, m: int, n_samples: int, seed: int
 ) -> McDetectionStats:
-    """Monte Carlo estimate of the closed-form ratios via `click_classes`."""
+    """Monte Carlo estimate of the closed-form ratios via `click_events`."""
     import numpy as np
 
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    classes = click_classes(np.random.default_rng(seed), n_samples, m, t, detector)
-    n_right = int(np.count_nonzero(classes & RIGHT))
-    n_wrong = int(np.count_nonzero(classes & WRONG))
+    codes = click_events(np.random.default_rng(seed), n_samples, m, t, detector)
+    per_code = np.bincount(codes, minlength=16)
+    n_right, n_wrong = (int(per_code @ ((_click_class() & c) > 0)) for c in (RIGHT, WRONG))
     total = n_right + n_wrong
     if total == 0:
         raise DegenerateModeError("no classifiable click events sampled")

@@ -13,10 +13,11 @@ theta in time, and the adversary's side is carried by the security bounds.
 detectors: per-copy transmission and visibility Bernoullis, per-detector
 dark counts, fair-coin resolution of double clicks, erasure when nothing
 clicks.  `multiparty_run` splits the copy budget across several receivers
-sharing one encoding stream.  Both run the same session driver.  A
-receiver's detection events take one byte per round (`click_classes`),
-and its declared bits are written over them, so a session holds x, r,
-theta and one int8 outcome per receiver.
+sharing one encoding stream.  Both run the same session driver.  The
+receiver model is `detection`'s: a receiver's detection events take one
+byte per round, and its declared bits are written over them
+(`receiver_outcome`), so a session holds x, r, theta and one int8
+outcome per receiver.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import RIGHT, WRONG, chunk_slices, click_classes, draw_chunked
+from .detection import chunk_slices, draw_chunked, receiver_outcome
 from .errors import CapabilityError, ConstraintError
 from .models import ChannelModel, Dimension, DetectorModel
 
@@ -282,50 +283,6 @@ def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> 
     return flat[np.not_equal(flat, _CSV_PAD, out=_scratch(pool, "keep", flat.size, bool))]
 
 
-def _outcome_table() -> np.ndarray:
-    """Bob's bit for each (click class, x, coin) key, class + 4 x + 8 coin; -1 erases.
-
-    x is kept on a right-only round, flipped on a wrong-only round, and
-    flipped on an overlap round by the coin; a round with no click is erased.
-    """
-    key = np.arange(16)
-    right = (key & RIGHT) > 0
-    wrong = (key & WRONG) > 0
-    x = key >> 2 & 1
-    coin = (key >> 3) > 0
-    flip = wrong & (~right | coin)
-    return np.where(right | wrong, x ^ flip, -1).astype(np.int8)
-
-
-_OUTCOME = _outcome_table()
-
-
-def _receiver_outcome(
-    rng: np.random.Generator, xs: np.ndarray, copies, params: ProtocolParams
-) -> np.ndarray:
-    """One receiver's declared bits; -1 marks erasures.
-
-    Rounds are declared right/wrong by the event classes of the
-    closed-form click statistics (`click_classes`).  Ambiguous rounds
-    (signal split across detectors, signal contradicted by a dark count)
-    are erased, so the sifted error statistics match the closed forms;
-    the one right-and-wrong overlap class, no arrival with darks on both
-    sides, is resolved by a fair coin.  The coins are drawn chunk by
-    chunk after every detection event, and each chunk's outcomes are
-    looked up from the 16-entry (class, x, coin) table into the array
-    that held its classes.
-    """
-    n = xs.size
-    classes = click_classes(rng, n, copies, params.channel.transmittance, params.detector)
-    outcome = classes.view(np.int8) if classes.itemsize == 1 else np.empty(n, np.int8)
-    for rows in chunk_slices(n):
-        coin = rng.integers(0, 2, rows.stop - rows.start)
-        key = classes[rows] | xs[rows] << 2
-        key |= (coin == 1).view(np.uint8) << 3
-        outcome[rows] = _OUTCOME[key]
-    return outcome
-
-
 def _keep(party: int, transcript: ProtocolTranscript) -> ProtocolTranscript:
     return transcript
 
@@ -352,11 +309,12 @@ def _run_session(params: ProtocolParams, n_receivers: int, each=_keep) -> tuple:
         copies = draw_chunked(n, lambda size: alice_rng.poisson(params.mu, size))
     else:
         copies = copies_each
+    t, detector = params.channel.transmittance, params.detector
 
     return tuple(
         each(p, ProtocolTranscript(
             m=copies_each, x=xs, r=rs, theta=thetas,
-            outcome=_receiver_outcome(np.random.default_rng(child), xs, copies, params),
+            outcome=receiver_outcome(np.random.default_rng(child), xs, copies, t, detector),
         ))
         for p, child in enumerate(children[1:])
     )

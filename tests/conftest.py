@@ -199,29 +199,91 @@ def f_operator(family: MubFamily, omega: Sequence[int]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def per_outcome_guess(d: int, m: int) -> float:
-    """The most one outcome of any m-copy measurement guesses x right, on the built family.
-
-    With rho_{theta,x} = (2/d) `half_projector`(theta, x), Eve's outcome
-    string omega in {0,1}^(d+1) scores A_omega = sum_theta
-    rho_{theta,omega_theta}^(x m) / (2(d+1)) against the average state
-    rho = sum_{theta,x} rho_{theta,x}^(x m) / (2(d+1)).  The value is the
-    largest eigenvalue of rho^(-1/2) A_omega rho^(-1/2) on rho's support,
-    maximised over omega: the conditional success of the outcome Eve keeps
-    when loss lets her forward only the rounds that give it.  Dense
-    reference for d^m <= 64: 2^(d+1) eigensolves of at most d^m x d^m.
-    """
+def copy_states(d: int, m: int) -> list[list[np.ndarray]]:
+    """rho_{theta,x}^(x m) per theta and x, rho_{theta,x} = (2/d) `half_projector`(theta, x),
+    on the built family."""
     family = cached_family(d.bit_length() - 1)
     rhos = [[(2.0 / d) * half_projector(family, theta, x) for x in (0, 1)] for theta in range(d + 1)]
-    powers = [[functools.reduce(np.kron, [rho] * m) for rho in pair] for pair in rhos]
+    return [[functools.reduce(np.kron, [rho] * m) for rho in pair] for pair in rhos]
+
+
+@functools.lru_cache(maxsize=None)
+def _whitened(d: int, m: int) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+    """(whiten, white): whiten maps onto the support of rho = sum_{theta,x}
+    `copy_states`, scaled so that whiten^+ rho whiten = I, and white holds each
+    state as whiten^+ rho_{theta,x}^(x m) whiten."""
+    powers = copy_states(d, m)
     vals, vecs = np.linalg.eigh(sum(p0 + p1 for p0, p1 in powers))
     support = vals > 1e-9 * vals[-1]
     whiten = vecs[:, support] / np.sqrt(vals[support])  # the 2(d+1) of A and rho cancel
-    white = [[whiten.conj().T @ p @ whiten for p in pair] for pair in powers]
+    return whiten, [[whiten.conj().T @ p @ whiten for p in pair] for pair in powers]
+
+
+@functools.lru_cache(maxsize=None)
+def per_outcome_guess(d: int, m: int) -> float:
+    """The most one outcome of any m-copy measurement guesses x right, on the built family.
+
+    Eve's outcome string omega in {0,1}^(d+1) scores A_omega = sum_theta
+    rho_{theta,omega_theta}^(x m) / (2(d+1)) (`copy_states`) against the
+    average state rho = sum_{theta,x} rho_{theta,x}^(x m) / (2(d+1)).  The
+    value is the largest eigenvalue of rho^(-1/2) A_omega rho^(-1/2) on
+    rho's support, maximised over omega: the conditional success of the
+    outcome Eve keeps when loss lets her forward only the rounds that give
+    it.  Dense reference for d^m <= 64: 2^(d+1) eigensolves of at most
+    d^m x d^m.
+    """
+    _, white = _whitened(d, m)
     return max(
         float(np.linalg.eigvalsh(sum(w[x] for w, x in zip(white, omega)))[-1])
         for omega in itertools.product((0, 1), repeat=d + 1)
     )
+
+
+def _weyl_operators(d: int) -> list[np.ndarray]:
+    """The d^2 Weyl operators X^a Z^b, |j> -> (-1)^(b . j) |j ^ a>, as real d x d matrices."""
+    j = np.arange(d)
+    parity = np.array([[bin(b & i).count("1") & 1 for i in j] for b in j])
+    ops = []
+    for a, b in itertools.product(j, repeat=2):
+        op = np.zeros((d, d))
+        op[j ^ a, j] = 1 - 2 * parity[b]
+        ops.append(op)
+    return ops
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_attack(d: int, m: int) -> tuple[np.ndarray, ...]:
+    """Eve's Weyl-orbit POVM on m copies: the elements W^(x m) M W^(x m)^+ / c, one per Weyl operator W.
+
+    M = V V^+, where V is whiten (`_whitened`) applied to the top
+    eigenvectors of an outcome string omega whose top eigenvalue is
+    `per_outcome_guess`, so an element that fires guesses with that
+    conditional success.  V spans the whole top eigenspace (6-dimensional
+    at (4, 3)), so the elements do not depend on which eigenvectors the
+    solver returns.  c, the largest eigenvalue of the orbit's sum, makes
+    the elements sum to at most I; the rest of I is the element on which
+    Eve forwards nothing.  Of the strings that attain the value, the one
+    whose POVM accepts the most, sum_W tr(rho E_W) (rho as in
+    `per_outcome_guess`), is taken.
+    """
+    whiten, white = _whitened(d, m)
+    best = per_outcome_guess(d, m)
+    weyl = [functools.reduce(np.kron, [op] * m) for op in _weyl_operators(d)]
+    rho = sum(p0 + p1 for p0, p1 in copy_states(d, m)) / (2 * (d + 1))
+    povm, most = (), -1.0
+    for omega in itertools.product((0, 1), repeat=d + 1):
+        vals, vecs = np.linalg.eigh(sum(w[x] for w, x in zip(white, omega)))
+        top = vals >= best - 1e-9
+        if not top.any():
+            continue
+        orbit = [op @ whiten @ vecs[:, top] for op in weyl]
+        elements = [v @ v.conj().T for v in orbit]
+        total = sum(elements)
+        c = np.linalg.eigvalsh(total)[-1]
+        accepted = np.trace(rho @ total).real / c
+        if accepted > most:
+            povm, most = tuple(e / c for e in elements), accepted
+    return povm
 
 
 def trace_norm(a: np.ndarray) -> float:

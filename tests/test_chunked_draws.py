@@ -19,7 +19,7 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct import detection
-from mubqct.detection import RIGHT, WRONG, click_classes, draw_chunked
+from mubqct.detection import RIGHT, WRONG, click_events, draw_chunked
 from mubqct.models import transmittance
 from tests.conftest import cached_family
 
@@ -137,13 +137,14 @@ def _rng_state_after(classify, copies, t, detector):
 def test_classify_clicks_matches_whole_array_draws(monkeypatch, case, chunk):
     detector, copies, t = CLASSIFY_CASES[case]
     monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
-    classes = click_classes(np.random.default_rng(11), N_ROUNDS, copies, t, detector)
+    codes = click_events(np.random.default_rng(11), N_ROUNDS, copies, t, detector)
+    classes = detection._click_class()[codes]
     ref_right, ref_wrong = _classify_whole(
         np.random.default_rng(11), N_ROUNDS, copies, t, detector
     )
     assert np.array_equal(classes, ref_right * RIGHT + ref_wrong * WRONG)
     # the stream is left where the whole-array draws leave it
-    assert _rng_state_after(click_classes, copies, t, detector) == _rng_state_after(
+    assert _rng_state_after(click_events, copies, t, detector) == _rng_state_after(
         _classify_whole, copies, t, detector
     )
 

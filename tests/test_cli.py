@@ -286,6 +286,41 @@ def test_false_on_a_key_that_is_no_switch_exits_1_naming_it(capsys, tmp_path, ar
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("sweep", "--d", "16", "--L", "0:10:5"), "oracle = false"),
+        (("sweep", "--d", "16", "--L", "0:10:5"), "oracle = true"),
+        (("bounds", "--d", "16"), "allow_insecure_mu = false"),
+        (("simulate", "--d", "16", "--rounds", "10"), "oracle = false"),
+    ],
+    ids=["sweep-oracle-false", "sweep-oracle-true", "bounds-allow-insecure-mu", "simulate-oracle"],
+)
+def test_a_switch_the_subcommand_lacks_exits_1_whatever_its_value(capsys, tmp_path, argv, entry):
+    # false used to be dropped for any of the CLI's switches, so the run went ahead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{entry}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    key = entry.split(" =")[0]
+    flag = "--" + key.replace("_", "-")
+    assert f"error: config key {entry}: true and false set switches only, " in err
+    assert f"and {argv[0]} has no switch {flag}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("value, code", [("true", 0), ("false", 1)])
+def test_allow_insecure_mu_from_a_config_sets_the_switch(capsys, tmp_path, value, code):
+    # mu + 4 sqrt(mu) = 12 exceeds sqrt(16) = 4: only the switch lets the run go ahead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"allow_insecure_mu = {value}\n", encoding="utf-8")
+    argv = ("simulate", "--d", "16", "--rounds", "10", "--photon-statistics", "poisson")
+    got, _, err = run_cli(capsys, *argv, "--mu", "4", "--config", str(cfg))
+    assert got == code
+    assert ("set allow_insecure_mu to override" in err) == (code == 1)
+
+
 @pytest.mark.parametrize("value, oracle", [("true", True), ("false", False), ("FALSE", False)])
 def test_true_and_false_set_the_switches(capsys, tmp_path, value, oracle):
     cfg = tmp_path / "run.cfg"

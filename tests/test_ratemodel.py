@@ -30,8 +30,8 @@ from mubqct import (
     sweep_rows_to_csv,
     transmittance,
 )
-from mubqct import ratemodel
-from mubqct.detection import RIGHT, WRONG, click_classes
+from mubqct import detection, ratemodel
+from mubqct.detection import RIGHT, WRONG, click_events
 from mubqct.models import BOUNDS_SOURCES
 from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_row
 from mubqct.security import hmin_bits, pguess
@@ -256,19 +256,21 @@ def test_mc_oracle_counts_are_pinned(t, det, m, seed, counts):
 
 def test_classify_clicks_per_round_copies_match_scalar():
     det = DetectorModel(eta=0.5, visibility=0.9, p_dark=0.05)
-    scalar = click_classes(np.random.default_rng(4), 5000, 3, 0.4, det)
-    per_round = click_classes(np.random.default_rng(4), 5000, np.full(5000, 3), 0.4, det)
+    scalar = detection._click_class()[click_events(np.random.default_rng(4), 5000, 3, 0.4, det)]
+    per_round = detection._click_class()[
+        click_events(np.random.default_rng(4), 5000, np.full(5000, 3), 0.4, det)
+    ]
     assert np.array_equal(scalar, per_round)
 
 
 def test_classify_clicks_event_classes():
     # perfect signal, no darks: every round right
-    classes = click_classes(np.random.default_rng(1), 1000, 2, 1.0, IDEAL)
+    classes = detection._click_class()[click_events(np.random.default_rng(1), 1000, 2, 1.0, IDEAL)]
     assert np.all(classes == RIGHT)
     # no signal: right and wrong are the dark counts on each side, both at
     # once in the coin-resolved overlap class
     det = DetectorModel(p_dark=0.5)
-    classes = click_classes(np.random.default_rng(2), 4000, 2, 0.0, det)
+    classes = detection._click_class()[click_events(np.random.default_rng(2), 4000, 2, 0.0, det)]
     right, wrong = (classes & RIGHT) > 0, (classes & WRONG) > 0
     assert abs(right.mean() - 0.5) < 0.05
     assert abs(wrong.mean() - 0.5) < 0.05

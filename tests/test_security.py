@@ -37,7 +37,9 @@ from tests.conftest import (
     encoding_average_state,
     f_operator,
     helstrom_spectral,
+    copy_states,
     lambda_from_classes,
+    orbit_attack,
     per_outcome_guess,
     split_relations,
     trace_norm,
@@ -444,6 +446,38 @@ def test_per_outcome_guess_equals_the_majority_vote_at_one_copy_and_beats_it_bey
         assert abs(value - d * lambda_exact(d) / (2 * (d + 1))) <= 1e-9
     else:
         assert value > majority_attack(d, m)
+
+
+# the fraction of rounds Eve's Weyl-orbit attack (`orbit_attack`) forwards, at every
+# (d, m) with m >= 2 that `PER_OUTCOME_GUESS` holds.  At (4, 3) the top eigenspace is
+# 6-dimensional: the orbit of one vector in it forwards from 0.07 to 0.21 of the rounds
+# over the vectors tried, by which one the eigensolver returns; the whole eigenspace's 0.439.
+ORBIT_ACCEPTANCE = {(2, 2): 1.000, (4, 2): 0.467, (8, 2): 0.233, (2, 3): 0.634, (4, 3): 0.439}
+
+
+@pytest.mark.parametrize("d, m", list(ORBIT_ACCEPTANCE))
+def test_orbit_attack_forwards_its_acceptance_and_guesses_at_the_per_outcome_value(d, m):
+    elements = orbit_attack(d, m)
+    powers = copy_states(d, m)
+    rho = sum(p0 + p1 for p0, p1 in powers) / (2 * (d + 1))
+    total = sum(elements)
+    # a POVM once its no-forward element I - total is added
+    assert np.linalg.eigvalsh(total)[-1] <= 1 + 1e-9
+    accepted = sum(np.trace(rho @ e).real for e in elements)
+    assert abs(accepted - ORBIT_ACCEPTANCE[d, m]) <= 1e-3
+    # each element guesses, per revealed basis, the half it weighs most
+    right = sum(max(np.trace(p @ e).real for p in pair) for e in elements for pair in powers)
+    guess = right / (2 * (d + 1)) / accepted
+    assert abs(guess - per_outcome_guess(d, m)) <= 1e-9
+    if (d, m) == (2, 2):
+        # complete on rho's support: Eve forwards every round at no loss and beats
+        # the majority vote
+        vals, vecs = np.linalg.eigh(rho)
+        support = vecs[:, vals > 1e-9 * vals[-1]]
+        project = support @ support.conj().T
+        assert np.abs(project @ total @ project - project).max() <= 1e-9
+        assert abs(guess - 0.9330) <= 1e-4
+        assert guess > majority_attack(2, 2)
 
 
 def test_majority_attack_rejects_bad_input_before_any_term(monkeypatch):
