@@ -157,11 +157,11 @@ def _zscore(empirical: float, p: float, n: int) -> float | None:
 def _detector_from_args(args) -> "DetectorModel":
     detector = DETECTOR_PRESETS[args.profile]
     overrides = {}
-    if getattr(args, "eta", None) is not None:
+    if args.eta is not None:
         overrides["eta"] = args.eta
-    if getattr(args, "visibility", None) is not None:
+    if args.visibility is not None:
         overrides["visibility"] = args.visibility
-    if getattr(args, "p_dark", None) is not None:
+    if args.p_dark is not None:
         overrides["p_dark"] = args.p_dark
     return dataclasses.replace(detector, **overrides) if overrides else detector
 
@@ -444,8 +444,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "oracle",
-        help="the closed-form lambda and Helstrom values every path uses; "
-        "only its detection Monte Carlo is independent",
+        help="the closed-form lambda and Helstrom values every path uses (Helstrom at m >= 2: "
+        "a fresh r per copy); only its detection Monte Carlo is independent",
     )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1)

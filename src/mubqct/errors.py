@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific one that applies rather than a bare ValueError.
+`CapabilityError` has its own CLI exit code, 3.  `ConstraintError` and
+`DegenerateModeError` are ValueErrors and exit 1 like any other; they
+name which kind of parameter error a caller or test is looking at.
 """
 
 

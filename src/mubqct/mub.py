@@ -228,7 +228,7 @@ def verify_unbiasedness(family: MubFamily, tol: float = 1e-9) -> VerificationRep
 def certify_build(k: int, tol: float = 1e-9) -> VerificationReport:
     """Prove the MUB conditions of `build_mub_family(k)` with exact integer arithmetic.
 
-    `_trace_form_holds` proves them, without forming them, for the tables
+    `_trace_form_failure` proves them, without forming them, for the tables
     (E, T) that `_exponent_tables(k)` writes from `_field_tables(k)`; each
     entry of basis 1 + a is the exact lookup s i^(E[a, x] + T[x, j]), s =
     1/sqrt(d) rounded, and basis 0 is the identity.  So every inner

@@ -22,7 +22,6 @@ outcome per receiver.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -34,8 +33,6 @@ from .errors import CapabilityError, ConstraintError
 from .models import ChannelModel, Dimension, DetectorModel
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
-# _csv_rows renders magnitudes in base-10^4 digit groups, one 4-byte word each
-_CSV_GROUP = 10_000
 # the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
 _CSV_PAD = 0
 # FFT length cap of privacy_amplify: its working set is about 32 bytes per
@@ -145,12 +142,13 @@ class ProtocolTranscript:
         """Write one CSV row per round, after a `# {comment}` line if given.
 
         The rows are taken in the session's chunks (`chunk_slices`); each
-        chunk is rendered as one byte buffer by `_csv_rows` and written in
-        one call.  The chunks share one set of scratch arrays and one
-        round-number array, shifted along from chunk to chunk, so the
-        writer's extra memory is one chunk's at any round count and no
-        chunk allocates its own.  The bytes are those of formatting every
-        field with str(): the same digits, '-' signs, commas and newlines.
+        chunk is rendered as one byte buffer by `_csv_rows`, one floor
+        division by 10 per digit, and written in one call.  The chunks
+        share one set of scratch arrays and one round-number array,
+        shifted along from chunk to chunk, so the writer's extra memory is
+        one chunk's at any round count and no chunk allocates its own.
+        The bytes are those of formatting every field with str(): the
+        same digits, '-' signs, commas and newlines.
         """
         chunks = list(chunk_slices(self.n_rounds))
         scratch = {}
@@ -166,41 +164,12 @@ class ProtocolTranscript:
                 rounds += size
 
 
-@functools.cache
-def _digit_words() -> dict[int, np.ndarray]:
-    """Tables of the ASCII digits of 0..9999, built on first use.
-
-    Entry v * 10^4 + g holds g in variant v: 0 zero-padded to four
-    digits, 1 with its leading zeros as pad bytes (0 is all pad), 2 the
-    same but 0 keeps its units digit.  Keyed by span: the last 1, 2 or 4
-    bytes of each entry, as uint8, uint16 or uint32 items in memory order.
-    """
-    g = np.arange(_CSV_GROUP)
-    place = np.array([1000, 100, 10, 1])
-    padded = (ord("0") + g[:, None] // place % 10).astype(np.uint8)
-    leading = np.where(g[:, None] < place, _CSV_PAD, padded).astype(np.uint8)
-    units = leading.copy()
-    units[:, 3] = padded[:, 3]
-    table = np.concatenate((padded, leading, units))
-    return {
-        1: table[:, 3].copy(),
-        2: table[:, 2:].copy().view(np.uint16).ravel(),
-        4: table.view(np.uint32).ravel(),
-    }
-
-
 def _scratch(pool: dict, name: str, size: int, dtype) -> np.ndarray:
     """The first size entries of pool[name], which is reallocated only to grow."""
     buf = pool.get(name)
     if buf is None or buf.size < size:
         buf = pool[name] = np.empty(size, dtype)
     return buf[:size]
-
-
-def _lookup(table: np.ndarray, idx: np.ndarray, pool: dict) -> np.ndarray:
-    """table[idx] in a scratch array of pool; idx must lie in range."""
-    out = _scratch(pool, f"lookup{table.dtype}", idx.size, table.dtype)
-    return np.take(table, idx, out=out, mode="clip")  # "raise" would buffer out
 
 
 def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> np.ndarray:
@@ -211,21 +180,17 @@ def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> 
     W fixed bytes: per column, a sign slot if any value is negative, a
     digit slot as wide as the column's longest magnitude, and the comma or
     newline.  Magnitudes are taken as uint64, so -2**63 keeps its digits,
-    and split into base-10^4 groups; each group is one table lookup of a
-    digit word, right-aligned in the digit slot.  Words with no nonzero
-    group above them put pad bytes (0) where leading zeros would be, and
-    an unused sign slot is pad too.  The result is the (rows, W) layout
-    with its pad bytes removed.  A 3-digit top group is written as a
-    4-byte word that overlaps the byte before its slot, the sign slot or
-    the previous separator, which are written after the digits.
-    Non-integer columns raise TypeError instead of being truncated.
+    then narrowed to the smallest unsigned type holding the largest one;
+    each digit, units first, is one floor division by 10.  A leading zero
+    and an unused sign slot are pad bytes (0), and the result is the
+    (rows, W) layout with its pad bytes removed.  Non-integer columns
+    raise TypeError instead of being truncated.
 
     Every intermediate array is taken from `scratch`, a dict that a
     caller rendering many chunks passes to each call, so the chunks
     reuse one set of arrays; only the returned bytes are new.
     """
     pool = {} if scratch is None else scratch
-    words = _digit_words()
     columns = [np.asarray(col) for col in columns]
     fields = []
     width = 0
@@ -233,54 +198,42 @@ def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> 
         if not np.can_cast(col.dtype, np.int64):
             raise TypeError(f"cannot render {col.dtype} values as integers")
         low, high = int(col.min(initial=0)), int(col.max(initial=0))
-        signed = low < 0
-        ndig = len(str(max(-low, high)))
-        fields.append((signed, ndig))
+        top = max(-low, high)
+        signed, ndig = low < 0, len(str(top))
+        fields.append((signed, ndig, np.min_scalar_type(top)))
         width += signed + ndig + 1
     n = columns[0].size
-    # one leading spare byte takes the overlap of a first field's 3-digit word
-    buf = _scratch(pool, "rows", 1 + n * width, np.uint8)
+    buf = _scratch(pool, "rows", n * width, np.uint8)
 
-    def slot(offset: int, dtype) -> np.ndarray:
-        return np.ndarray((n,), dtype, buffer=buf, offset=1 + offset, strides=(width,))
+    def slot(offset: int) -> np.ndarray:
+        return np.ndarray((n,), np.uint8, buffer=buf, offset=offset, strides=(width,))
 
-    value = _scratch(pool, "value", n, np.int64)
-    idx = _scratch(pool, "idx", n, np.int64)
+    digit = _scratch(pool, "digit", n, np.uint8)
     flag = _scratch(pool, "flag", n, bool)
-    neg = _scratch(pool, "neg", n, bool)
-    seps = []
     pos = 0
-    for col, (signed, ndig) in zip(columns, fields):
-        np.copyto(value, col)
-        sign = pos
+    for col, (signed, ndig, dtype) in zip(columns, fields):
         if signed:
-            np.less(value, 0, out=neg)
+            np.less(col, 0, out=flag)
+            np.multiply(flag.view(np.uint8), np.uint8(ord("-")), out=slot(pos))
             pos += 1
-        end = pos + ndig  # one past the units digit
-        rest = np.abs(value, out=value).view(np.uint64)
-        # table offset of a group with no nonzero group above it: variant 2
-        # for the units group, whose 0 stays a digit, variant 1 above it
-        lead = 2 * _CSV_GROUP
-        while end - pos > 4:
-            np.divmod(rest, _CSV_GROUP, out=(rest, idx.view(np.uint64)))
-            np.add(idx, lead, out=idx, where=np.equal(rest, 0, out=flag))
-            slot(end - 4, np.uint32)[...] = _lookup(words[4], idx, pool)
-            end -= 4
-            lead = _CSV_GROUP
-        span = 4 if end - pos == 3 else end - pos
-        table = words[span]
-        np.add(rest.view(np.int64), lead, out=idx)
-        slot(end - span, table.dtype)[...] = _lookup(table, idx, pool)
-        if signed:
-            np.multiply(neg.view(np.uint8), np.uint8(ord("-")), out=slot(sign, np.uint8))
+        rest, quot, tens = (_scratch(pool, name + dtype.char, n, dtype)
+                            for name in ("rest", "quot", "tens"))
+        # |-2**63| wraps to -2**63 in int64, which the cast to uint64 reads as 2**63
+        np.absolute(col, out=rest, dtype=np.int64, casting="unsafe")
+        for place in range(ndig):
+            np.floor_divide(rest, 10, out=quot)
+            np.subtract(rest, np.multiply(quot, 10, out=tens), out=tens)
+            np.copyto(digit, tens, casting="unsafe")
+            np.add(digit, np.uint8(ord("0")), out=digit)
+            if place:  # a leading zero, whose rest is 0, becomes pad
+                np.multiply(digit, np.not_equal(rest, 0, out=flag).view(np.uint8), out=digit)
+            slot(pos + ndig - 1 - place)[...] = digit
+            rest, quot = quot, rest
         pos += ndig
-        seps.append(pos)
+        slot(pos)[...] = ord(",")
         pos += 1
-    for sep in seps[:-1]:
-        slot(sep, np.uint8)[...] = ord(",")
-    slot(seps[-1], np.uint8)[...] = ord("\n")
-    flat = buf[1:]
-    return flat[np.not_equal(flat, _CSV_PAD, out=_scratch(pool, "keep", flat.size, bool))]
+    slot(pos - 1)[...] = ord("\n")
+    return buf[np.not_equal(buf, _CSV_PAD, out=_scratch(pool, "keep", buf.size, bool))]
 
 
 def _keep(party: int, transcript: ProtocolTranscript) -> ProtocolTranscript:

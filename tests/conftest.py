@@ -79,7 +79,7 @@ def exact_mub_check(e: np.ndarray, h: np.ndarray) -> bool:
     A table outside the form returns False, so True never certifies a
     biased set.  Cost: O(k n d) integer operations for the forms and
     O(n^2 k^2) bit operations for the ranks, eliminated for all pairs at
-    once.  The reference for `mub._trace_form_holds` at k <= 8, which
+    once.  The reference for `mub._trace_form_failure` at k <= 8, which
     decides the built tables from the field's traces without forming them.
     """
     d = len(h)

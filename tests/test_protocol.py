@@ -11,6 +11,7 @@ from mubqct import (
     CapabilityError,
     ChannelModel,
     ConstraintError,
+    DETECTOR_PRESETS,
     DetectorModel,
     ProtocolParams,
     ProtocolTranscript,
@@ -170,6 +171,17 @@ def test_transcript_csv_chunks_match_per_row_writer(tmp_path, monkeypatch, chunk
     assert path.read_text(encoding="utf-8") == "# config: demo\n" + _per_row_csv(tr)
 
 
+def test_transcript_csv_at_d65536_matches_per_row_writer(tmp_path):
+    params = ProtocolParams(d=65536, m=4, n_rounds=10**5, seed=1,
+                            channel=ChannelModel(length_km=50.0),
+                            detector=DETECTOR_PRESETS["snspd_lab"])
+    tr = run_protocol(params)
+    assert tr.theta.dtype == np.uint32 and tr.theta.max() == 65536
+    path = tmp_path / "t.csv"
+    tr.to_csv(path)
+    assert path.read_text(encoding="utf-8") == _per_row_csv(tr)
+
+
 def _hand_transcript(theta, r, outcome, x=None):
     n = len(theta)
     x = np.arange(n) % 2 if x is None else x
@@ -209,29 +221,37 @@ def test_transcript_csv_single_round(tmp_path, outcome):
     assert path.read_text(encoding="utf-8").endswith(f"\n0,1,511,1024,{outcome}\n")
 
 
-# every digit-count boundary, which includes each base-10^4 group boundary,
-# and the ends of the int64 range
+# every digit-count boundary and the ends of the int64 range
 _CSV_EDGE_VALUES = sorted(
     {0, 2**63 - 1, -(2**63 - 1), -(2**63)}
     | {sign * v for j in range(1, 19) for v in (10**j - 1, 10**j) for sign in (1, -1)}
 )
-_int64_values = st.one_of(
-    st.integers(min_value=-(2**63), max_value=2**63 - 1), st.sampled_from(_CSV_EDGE_VALUES)
+# the column types a session passes to the writer
+_CSV_DTYPES = [np.uint8, np.uint16, np.uint32, np.int8, np.int64]
+
+
+def _csv_column(dtype, n: int):
+    """n values of dtype, drawn from its whole range or from the edge values inside it."""
+    info = np.iinfo(dtype)
+    edges = [v for v in _CSV_EDGE_VALUES if info.min <= v <= info.max] + [info.min, info.max]
+    values = st.one_of(st.integers(info.min, info.max), st.sampled_from(edges))
+    return st.lists(values, min_size=n, max_size=n).map(lambda vs: np.array(vs, dtype))
+
+
+_csv_tables = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.lists(st.sampled_from(_CSV_DTYPES).flatmap(lambda dt: _csv_column(dt, n)),
+                       min_size=1, max_size=5)
 )
 
 
-@given(
-    st.integers(min_value=1, max_value=300).flatmap(
-        lambda n: st.lists(st.lists(_int64_values, min_size=n, max_size=n),
-                           min_size=1, max_size=5)
-    )
-)
+@given(_csv_tables, _csv_tables)
 @settings(max_examples=100, deadline=None)
-def test_csv_rows_matches_str_of_every_field(columns):
-    rows = zip(*columns)
-    expected = "".join(",".join(map(str, row)) + "\n" for row in rows).encode("ascii")
-    arrays = [np.array(col, dtype=np.int64) for col in columns]
-    assert protocol._csv_rows(arrays).tobytes() == expected
+def test_csv_rows_matches_str_of_every_field(first, second):
+    scratch = {}  # shared by both tables, as to_csv shares it between chunks
+    for columns in (first, second):
+        rows = zip(*(col.tolist() for col in columns))
+        expected = "".join(",".join(map(str, row)) + "\n" for row in rows).encode("ascii")
+        assert protocol._csv_rows(columns, scratch).tobytes() == expected
 
 
 def test_csv_rows_renders_int64_min_exactly():
