@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTED_FROM = {
-    "models": ("DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "Dimension", "transmittance"),
+    "models": ("DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "transmittance"),
     "detection": (
         "DetectionStats",
         "McDetectionStats",

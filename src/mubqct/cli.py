@@ -6,12 +6,12 @@ Exit codes: 0 success, 1 usage or parameter errors, 2 verification
 failure, 3 capability cap exceeded or out of memory, 4 I/O errors.
 
 Options may be preloaded from a flat config file (`key = value` lines,
-`#` comments) via one --config, where true and false set only the
-subcommand's own switches; explicit flags override config entries, which
-in turn override the MUBQCT_SEED environment fallback.  Every subcommand
-echoes its fully resolved configuration as a `# config: ...` comment
-line: the first line of the sweep CSV and of the simulate transcript, and
-on stderr for JSON-emitting commands and `sweep --out`.
+`#` comments, each key once) via one --config, where true and false set
+only the subcommand's own switches; explicit flags override config
+entries, and --seed falls back to 12345.  Every subcommand echoes its
+fully resolved configuration as a `# config: ...` comment line: the
+first line of the sweep CSV and of the simulate transcript, and on
+stderr for JSON-emitting commands and `sweep --out`.
 Per-party multiparty transcripts have no comment line: the header, then
 one row per round.  All output is seed-deterministic: identical config
 and seed give byte-identical files.
@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -47,7 +46,6 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = 1
 DEFAULT_SEED = 12345
-SEED_ENV_VAR = "MUBQCT_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -70,7 +69,9 @@ def _load_config(path: str) -> dict[str, str]:
             value = value.strip()
             if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            entries[key] = value
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key} is already set on line {lines[key]}")
+            entries[key], lines[key] = value, lineno
     return entries
 
 
@@ -101,18 +102,6 @@ def _resolve_argv(parser: _Parser, argv: list[str]) -> list[str]:
         elif value.lower() == "true":
             flags.append(flag)
     return [argv[0], *flags, *argv[1:]]
-
-
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
 
 
 def _config_items(args: argparse.Namespace) -> dict[str, str]:
@@ -148,8 +137,6 @@ def _nan_to_none(x: float) -> float | None:
 
 def _zscore(empirical: float, p: float, n: int) -> float | None:
     if n <= 0 or not 0.0 < p < 1.0:
-        return None
-    if empirical != empirical:
         return None
     return (empirical - p) / math.sqrt(p * (1.0 - p) / n)
 
@@ -380,7 +367,7 @@ def _add_simulation_options(parser: _Parser) -> None:
     parser.add_argument("--m", type=int, default=1, help="signal copies per round")
     parser.add_argument("--L", type=float, default=0.0, dest="length_km", help="fiber length in km")
     parser.add_argument("--rounds", type=int, default=10000, help="protocol rounds to simulate")
-    parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     parser.add_argument(
         "--photon-statistics",
         choices=("fixed", "poisson"),
@@ -451,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--L", type=float, default=50.0, dest="length_km")
     p.add_argument("--samples", type=int, default=200000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_detector_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
@@ -492,8 +479,6 @@ def _run(argv) -> int:
             f"unsupported --format-version {args.format_version}; "
             f"this build emits version {FORMAT_VERSION}"
         )
-    if hasattr(args, "seed"):
-        args.seed = _resolve_seed(args.seed)
     return args.func(args)
 
 

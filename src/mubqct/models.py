@@ -1,10 +1,10 @@
 """Validated plain-data definitions shared by the layers, without numpy.
 
-The Hilbert-space dimension, the fiber and detector models with their
-presets, the names of the guessing-bound sources and the sweep's cell
-cap.  `mub`, `detection`, `protocol`, `security`, `ratemodel` and `cli`
-import them from here, so the closed-form layer and the CLI's argument
-handling load no array library.
+The one check of the Hilbert-space dimension d = 2^k, the fiber and
+detector models with their presets, the names of the guessing-bound
+sources and the sweep's cell cap.  `mub`, `detection`, `protocol`,
+`security`, `ratemodel` and `cli` import them from here, so the
+closed-form layer and the CLI's argument handling load no array library.
 """
 
 from __future__ import annotations
@@ -23,32 +23,11 @@ DEFAULT_BOUNDS_SOURCE = "paper"
 SWEEP_MAX_CELLS = 1 << 21
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """A power-of-two Hilbert space dimension d = 2^k."""
-
-    k: int
-    d: int
-
-    def __post_init__(self):
-        if type(self.k) is not int or type(self.d) is not int:  # no bool, float or numpy scalar
-            raise ValueError(f"k and d must be ints, got k={self.k!r}, d={self.d!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.d != 1 << self.k:
-            raise ValueError(f"d must equal 2^k, got d={self.d}, k={self.k}")
-
-    @classmethod
-    def from_k(cls, k: int) -> "Dimension":
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        return cls(k=k, d=1 << k)
-
-    @classmethod
-    def from_d(cls, d: int) -> "Dimension":
-        if not isinstance(d, int) or d < 2 or d & (d - 1):
-            raise ValueError(f"d must be a power of two >= 2, got {d!r}")
-        return cls(k=d.bit_length() - 1, d=d)
+def dimension_k(d: int) -> int:
+    """k for a Hilbert space dimension d = 2^k >= 2; ValueError for any other d."""
+    if type(d) is not int or d < 2 or d & (d - 1):  # no bool, float or numpy scalar
+        raise ValueError(f"d must be a power of two >= 2, got {d!r}")
+    return d.bit_length() - 1
 
 
 def _check_fiber(length_km: float, alpha_db_per_km: float) -> None:

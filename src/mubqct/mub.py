@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .galois import MAX_K, gf_mul, phase_tables
-from .models import Dimension
+from .models import dimension_k
 
 # Largest k whose complex family is built: 257 bases of 256 x 256 entries
 # are 270 MB, and each k more is 8x that
@@ -38,27 +38,28 @@ _PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 @dataclass(frozen=True)
 class MubFamily:
-    """d + 1 orthonormal bases, pairwise unbiased.
+    """d + 1 orthonormal bases, pairwise unbiased, in dimension d = 2^k.
 
     `bases[theta][:, i]` is the i-th vector of basis theta; theta = 0 is
-    the computational basis.  The array is read-only.
+    the computational basis.  d is read from the array, whose shape must
+    be (d + 1, d, d).  The built family's array is read-only.
     """
 
-    dimension: Dimension
     bases: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d = self.dimension.d
+        d = self.d if self.bases.ndim else 0
         if self.bases.shape != (d + 1, d, d):
             raise ValueError(f"bases must have shape {(d + 1, d, d)}, got {self.bases.shape}")
+        dimension_k(d)
 
     @property
     def d(self) -> int:
-        return self.dimension.d
+        return self.bases.shape[-1]
 
     @property
     def n_bases(self) -> int:
-        return self.dimension.d + 1
+        return self.d + 1
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,14 @@ def _field_tables(k: int, cap: int = MAX_K):
     the k-bit rotation of j one bit to the left.  Even labels fill the
     lower half and odd labels the upper half.  Rows are permuted the same
     way, so basis 0 stays the exact identity (a global unitary, so all
-    invariants survive).  perm is GF(2)-linear.  k outside 1..MAX_K
-    raises ValueError, and k above cap CapabilityError.
+    invariants survive).  perm is GF(2)-linear.  `phase_tables` raises
+    ValueError for k outside 1..MAX_K; k above cap raises CapabilityError.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be an integer in 1..{MAX_K}, got {k!r}")
+    tables = phase_tables(k)
     if k > cap:
         raise CapabilityError(f"the complex family is built for k <= {cap}, got k = {k}")
     j = np.arange(1 << k, dtype=np.int64)
-    return (*phase_tables(k), (j << 1 | j >> (k - 1)) & ((1 << k) - 1))
+    return (*tables, (j << 1 | j >> (k - 1)) & ((1 << k) - 1))
 
 
 def _exponent_tables(k: int):
@@ -136,17 +136,17 @@ def build_mub_family(k: int) -> MubFamily:
     flat-spectrum trace distance 2/sqrt(d+1) that the closed-form
     discrimination bounds assume.  Deterministic: repeated calls return
     identical arrays.  Built for 1 <= k <= BUILD_MAX_K = 8 (d up to 256);
-    k up to galois.MAX_K raises CapabilityError before anything is
+    k up to galois.MAX_K raises CapabilityError before the family is
     allocated, other k ValueError.
     """
     tables = _exponent_tables(k)  # checks k before the family is allocated
-    dim = Dimension.from_k(k)
-    bases = np.empty((dim.d + 1, dim.d, dim.d), dtype=complex)
+    d = 1 << k
+    bases = np.empty((d + 1, d, d), dtype=complex)
     for _ in _write_bases(tables, bases.__getitem__):
         pass
 
     bases.setflags(write=False)
-    return MubFamily(dimension=dim, bases=bases)
+    return MubFamily(bases)
 
 
 def _write_bases(tables, slot):
@@ -177,8 +177,8 @@ def is_built_family(family: MubFamily) -> bool:
     """
     d = family.d
     buf = np.empty((d, d), dtype=complex)
-    tables = _exponent_tables(family.dimension.k)
-    return family.bases.shape == (d + 1, d, d) and all(
+    tables = _exponent_tables(d.bit_length() - 1)
+    return all(
         np.array_equal(family.bases[theta], basis)
         for theta, basis in enumerate(_write_bases(tables, lambda theta: buf))
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .detection import chunk_slices, draw_chunked, receiver_outcome
 from .errors import CapabilityError, ConstraintError
-from .models import ChannelModel, Dimension, DetectorModel
+from .models import ChannelModel, DetectorModel, dimension_k
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
@@ -56,7 +56,7 @@ class ProtocolParams:
     allow_insecure_mu: bool = False
 
     def __post_init__(self):
-        Dimension.from_d(self.d)
+        dimension_k(self.d)
         if not 1 <= self.m < 1 << 63:
             raise ValueError(f"m must be in [1, 2^63), got {self.m}")
         if self.n_rounds < 1:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .detection import conditional_entropy_xy, detection_row
 from .errors import CapabilityError
-from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, Dimension
+from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, dimension_k
 from .models import DetectorModel, transmittance
 from .security import HELSTROM_MAX_COPIES, hmin_bits, pguess
 
@@ -84,7 +84,7 @@ def key_rate(
     it does the detection model.  The rate is `_optimal`'s over a one-cell
     channel row, whose only candidate is m itself.
     """
-    Dimension.from_d(d)
+    dimension_k(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t = transmittance(length_km, alpha_db_per_km)
@@ -113,7 +113,7 @@ def _hmin_column(d: int, bounds_source: str) -> list[float]:
     """Min-entropy in bits for m = 1 .. M_d copies, M_d the last m <= m_scan_limit(d)
     with H_min > 0 (1 if none): the columns past it have rate 0 (module docstring).
     A scan past HELSTROM_MAX_COPIES (d > 2^20) raises CapabilityError before any entry."""
-    Dimension.from_d(d)
+    dimension_k(d)
     limit = m_scan_limit(d)
     if limit > HELSTROM_MAX_COPIES:
         raise CapabilityError(

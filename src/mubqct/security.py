@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import CapabilityError
-from .models import BOUNDS_SOURCES, Dimension
+from .models import BOUNDS_SOURCES, dimension_k
 
 if TYPE_CHECKING:
     from .mub import MubFamily
@@ -70,7 +70,7 @@ def lambda_exact(d: int) -> float:
     (sum_g n_g^2) v and the bound is reached: lambda = (d+1)/d +
     sqrt(1 + d^2/2) / d, which falls toward 1 + 1/sqrt(2).
     """
-    Dimension.from_d(d)
+    dimension_k(d)
     return (d + 1) / d + math.sqrt(1 + d * d // 2) / d
 
 
@@ -155,7 +155,7 @@ def pinsker_delta(iacc: float) -> float:
 
 def _check_copies(caller: str, d: int, m: int) -> None:
     """Reject a d that is no power of two, m < 1 and m > HELSTROM_MAX_COPIES, naming caller."""
-    Dimension.from_d(d)
+    dimension_k(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > HELSTROM_MAX_COPIES:
@@ -357,7 +357,7 @@ def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     / 2 = 0.566 while a single-copy attack reaches 0.834), and the
     min-entropy comes from the "paper" source.
     """
-    Dimension.from_d(d)
+    dimension_k(d)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     guess = pguess(d, m, "certified" if oracle else "paper")

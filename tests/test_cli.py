@@ -20,11 +20,6 @@ TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 IDEAL_FLAGS = ("--eta", "1.0", "--visibility", "1.0", "--p-dark", "0")
 
 
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("MUBQCT_SEED", raising=False)
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -223,9 +218,15 @@ def test_seed_default(capsys):
     assert _simulate_config(capsys)["seed"] == str(DEFAULT_SEED)
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
+def test_seed_ignores_the_environment(capsys, monkeypatch):
+    # --seed comes from the flag, the config file or DEFAULT_SEED: no environment variable
+    argv = ("simulate", "--d", "16", "--rounds", "100")
+    _, without, _ = run_cli(capsys, *argv)
     monkeypatch.setenv("MUBQCT_SEED", "555")
-    assert _simulate_config(capsys)["seed"] == "555"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == without
+    assert json.loads(out)["config"]["seed"] == str(DEFAULT_SEED)
 
 
 def test_seed_config_overrides_env(capsys, monkeypatch, tmp_path):
@@ -246,13 +247,6 @@ def test_seed_flag_overrides_config(capsys, monkeypatch, tmp_path):
     assert config["seed"] == "999"
 
 
-def test_bad_env_seed_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("MUBQCT_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "simulate", "--d", "4", "--rounds", "10")
-    assert code == 1
-    assert "MUBQCT_SEED" in err
-
-
 def test_missing_config_file_exits_4(capsys):
     code, _, _ = run_cli(capsys, "simulate", "--d", "4", "--config", "/no/such/file.cfg")
     assert code == 4
@@ -264,6 +258,21 @@ def test_malformed_config_file_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--d", "4", "--config", str(cfg))
     assert code == 1
     assert "bad.cfg:1" in err
+
+
+@pytest.mark.parametrize(
+    "first, second, key",
+    [("L = 10", "L = 20", "L"), ("p-dark = 1e-5", "p_dark = 1e-6", "p_dark")],
+    ids=["same", "normalised"],
+)
+def test_a_config_key_given_twice_exits_1_naming_both_lines(capsys, tmp_path, first, second, key):
+    # neither line may silently win: the run exits before anything is simulated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{first}\n# comment\n{second}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--d", "16", "--rounds", "10", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {cfg}:3: key {key} is already set on line 1\n"
 
 
 @pytest.mark.parametrize(

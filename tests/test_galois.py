@@ -118,6 +118,16 @@ def test_phase_tables_rejects_unsupported_k():
         phase_tables(0)
     with pytest.raises(ValueError):
         phase_tables(MAX_K + 1)
+    # k is a Python int: True, 1.0 and numpy scalars are refused, before and
+    # after the cache holds the int k tables they compare equal to
+    phase_tables.cache_clear()
+    for warm in (False, True):
+        if warm:
+            phase_tables(1)
+            phase_tables(2)
+        for bad in (True, 1.0, np.int64(2)):
+            with pytest.raises(ValueError, match=r"k must be an integer in 1\.\.16"):
+                phase_tables(bad)
 
 
 def test_reducible_modulus_trips_the_trace_guard(monkeypatch):

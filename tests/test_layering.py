@@ -178,7 +178,7 @@ def test_import_loads_no_submodule():
 
 # the package's exports, by defining module
 EXPORTS = {
-    "models": ["DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "Dimension", "transmittance"],
+    "models": ["DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "transmittance"],
     "detection": [
         "DetectionStats", "McDetectionStats", "conditional_entropy_xy", "detection_stats",
         "mc_detection_stats", "poisson_detection_stats",
@@ -218,12 +218,14 @@ def test_exports_resolve_to_their_definitions():
         "        assert obj is getattr(mod, name), name\n"
         "        if inspect.isclass(obj) or inspect.isfunction(obj):\n"
         "            assert obj.__module__ == mod.__name__, name\n"
-        "from mubqct import DETECTOR_PRESETS, Dimension, sweep\n"
+        "from mubqct import DETECTOR_PRESETS, sweep\n"
         "assert sweep is mubqct.ratemodel.sweep\n"
         # every layer binds the plain-data models' own objects
         "from mubqct import models, mub, protocol, ratemodel, security\n"
         "assert DETECTOR_PRESETS is models.DETECTOR_PRESETS is ratemodel.DETECTOR_PRESETS\n"
-        "assert mub.Dimension is Dimension is security.Dimension is protocol.Dimension\n"
+        "assert mub.dimension_k is models.dimension_k is security.dimension_k\n"
+        "assert ratemodel.dimension_k is protocol.dimension_k is models.dimension_k\n"
+        "assert not hasattr(mubqct, 'Dimension') and 'dimension_k' not in mubqct.__all__\n"
         "assert models.ChannelModel is protocol.ChannelModel\n"
         "assert ratemodel.SWEEP_MAX_CELLS == models.SWEEP_MAX_CELLS\n"
         "assert security.BOUNDS_SOURCES is models.BOUNDS_SOURCES\n"

@@ -1,5 +1,6 @@
 """Construction and verification of the mutually unbiased basis families."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from mubqct import mub
 from mubqct.errors import CapabilityError
 from mubqct.galois import IRREDUCIBLE_F2_POLYS, gf_mul, phase_tables
+from mubqct.models import dimension_k
 from mubqct import (
-    Dimension,
     MubFamily,
     build_mub_family,
     certify_build,
@@ -97,7 +98,7 @@ def test_perturbed_family_fails_with_located_deviation():
     fam = cached_family(2)
     bases = fam.bases.copy()
     bases[1][:, 2] *= 1.01
-    bad = MubFamily(dimension=fam.dimension, bases=bases)
+    bad = MubFamily(bases)
     report = verify_unbiasedness(bad, tol=1e-9)
     assert not report.passed
     assert report.max_orthonormality_dev == pytest.approx(1.01**2 - 1.0, rel=1e-9)
@@ -128,25 +129,21 @@ def test_half_projectors_split_the_identity():
 
 
 def test_dimension_validation():
-    assert Dimension.from_k(3) == Dimension(k=3, d=8)
-    assert Dimension.from_d(16).k == 4
-    with pytest.raises(ValueError):
-        Dimension.from_k(0)
-    with pytest.raises(ValueError):
-        Dimension.from_d(12)
-    with pytest.raises(ValueError):
-        Dimension.from_d(1)
-    with pytest.raises(ValueError):
-        Dimension(k=2, d=8)
+    # the one check of d = 2^k, which every layer calls
+    assert dimension_k(8) == 3
+    assert dimension_k(16) == 4
+    for bad in (12, 1, 0):
+        with pytest.raises(ValueError, match="power of two"):
+            dimension_k(bad)
 
 
-@pytest.mark.parametrize("value", [True, False, 1.0])
+@pytest.mark.parametrize("value", [True, False, 1.0, np.int64(4)])
 def test_dimension_rejects_bool_and_float(value):
-    # bool is an int subclass: True would otherwise pass as k = 1, d = 2
-    for make in (Dimension.from_k, Dimension.from_d, lambda v: Dimension(k=v, d=2),
-                 lambda v: Dimension(k=1, d=v)):
+    # bool is an int subclass and a numpy scalar compares equal to an int:
+    # d and k are taken as Python ints only
+    for check in (dimension_k, build_mub_family):
         with pytest.raises(ValueError):
-            make(value)
+            check(value)
 
 
 def test_build_rejects_out_of_range_k():
@@ -166,8 +163,16 @@ def test_family_array_is_read_only():
 
 
 def test_mub_family_shape_validation():
-    with pytest.raises(ValueError):
-        MubFamily(dimension=Dimension.from_k(2), bases=np.zeros((4, 4, 4), dtype=complex))
+    # the family holds its bases alone and reads d from their shape
+    assert [f.name for f in dataclasses.fields(MubFamily)] == ["bases"]
+    fam = MubFamily(cached_family(2).bases)
+    assert (fam.d, fam.n_bases) == (4, 5)
+    with pytest.raises(ValueError, match="shape"):
+        MubFamily(np.zeros((4, 4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="shape"):
+        MubFamily(np.zeros((), dtype=complex))
+    with pytest.raises(ValueError, match="power of two"):
+        MubFamily(np.zeros((4, 3, 3), dtype=complex))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -222,7 +227,7 @@ def _perturbed_k3_family():
     bases = fam.bases.copy()
     bases[3][:, 5] *= 1.002
     bases[6][:, 1] = (bases[6][:, 1] + 0.01 * bases[6][:, 2]) / np.sqrt(1.0001)
-    return MubFamily(dimension=fam.dimension, bases=bases)
+    return MubFamily(bases)
 
 
 @pytest.mark.parametrize("inverse_tol", [64, 3 * 64, 1 << 20])

@@ -113,6 +113,7 @@ def test_run_protocol_zero_transmittance_erases_everything():
     assert tr.n_clicks == 0
     assert np.all(tr.outcome == -1)
     assert math.isnan(tr.p_c_empirical)
+    assert math.isnan(tr.p_e_empirical)
 
 
 def test_run_protocol_matches_analytic_statistics():

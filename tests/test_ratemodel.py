@@ -240,6 +240,9 @@ def test_mc_oracle_matches_analytic_at_pinned_point():
         mc_detection_stats(0.1, det, 2.5, n_samples=10, seed=1)
     with pytest.raises(ValueError):
         mc_detection_stats(0.1, det, 2, n_samples=0, seed=1)
+    # no signal and no dark counts: not one sample clicks
+    with pytest.raises(DegenerateModeError, match="no classifiable click events"):
+        mc_detection_stats(0.0, DetectorModel(p_dark=0.0), 1, 100, 0)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +298,8 @@ def test_key_rate_worked_example():
         -math.log2(pguess_single_paper(16)), abs=1e-12
     )
     assert point.key_rate_bits == pytest.approx(0.41858, abs=5e-5)
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        key_rate(16, 0, 0.0, IDEAL)
 
 
 def test_key_rate_component_identity():

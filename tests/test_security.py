@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from mubqct import (
     CapabilityError,
-    Dimension,
     MubFamily,
     bounds_report,
     build_mub_family,
@@ -232,6 +231,23 @@ def test_hmin_bits():
 def test_iacc_bound_examples():
     assert iacc_bound(10**6, 10) == pytest.approx(math.log2(1.02), abs=1e-12)
     assert iacc_bound(16, 0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "bound, args, message",
+    [
+        (lambda_paper_bound, (1,), "d must be >= 2, got 1"),
+        (pguess_single_paper, (1,), "d must be >= 2, got 1"),
+        (pguess_multi_paper, (1, 1), "d must be >= 2, got 1"),
+        (iacc_bound, (1, 1), "d must be >= 2, got 1"),
+        (iacc_bound, (16, -1), "m must be >= 0, got -1"),
+        (helstrom_multi_bound, (1, 1), "d must be >= 2, got 1"),
+        (helstrom_multi_bound, (16, 0), "m must be >= 1, got 0"),
+    ],
+)
+def test_closed_forms_reject_bad_d_and_m(bound, args, message):
+    with pytest.raises(ValueError, match=message):
+        bound(*args)
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=50))
@@ -523,7 +539,7 @@ def test_adapters_raise_on_a_perturbed_family(k):
     for theta in (0, 2, built.d):
         bases = built.bases.copy()
         bases[theta][0, 1] += 1e-12
-        perturbed = MubFamily(dimension=built.dimension, bases=bases)
+        perturbed = MubFamily(bases)
         for adapter in (lambda_numeric, lambda fam: helstrom_numeric(fam, 2)):
             with pytest.raises(ValueError, match="built family"):
                 adapter(perturbed)
@@ -552,6 +568,8 @@ def test_eve_simulation_size_cap(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(CapabilityError):
         simulate_eve_random_basis(fam, n_trials=101, seed=7)
+    with pytest.raises(ValueError, match="n_trials must be >= 1, got 0"):
+        simulate_eve_random_basis(fam, n_trials=0, seed=7)
 
 
 def test_eve_simulation_is_deterministic():
@@ -634,7 +652,7 @@ def test_lambda_numeric_matches_every_string_enumerated(d, seed):
     # depend on the order, and neither do the commuting classes
     built = cached_family(d.bit_length() - 1)
     order = np.random.default_rng(seed).permutation(built.n_bases)
-    fam = MubFamily(dimension=built.dimension, bases=built.bases[order])
+    fam = MubFamily(built.bases[order])
     want = max(
         np.linalg.eigvalsh(f_operator(fam, omega))[-1]
         for omega in itertools.product((0, 1), repeat=d + 1)
@@ -660,7 +678,7 @@ def test_lambda_numeric_of_a_unitary_image_is_bit_identical(k):
     d = built.d
     z = np.random.default_rng(k).normal(size=(2, d, d))
     u = np.linalg.qr(z[0] + 1j * z[1])[0]
-    image = MubFamily(dimension=built.dimension, bases=u @ built.bases)
+    image = MubFamily(u @ built.bases)
     assert lambda_from_classes(image) == lambda_numeric(built)
     with pytest.raises(ValueError, match="built family"):
         lambda_numeric(image)  # the closed form is not offered for another family
@@ -670,7 +688,7 @@ def test_lambda_numeric_of_a_unitary_image_is_bit_identical(k):
 def test_lambda_numeric_rejects_random_orthonormal_bases(d):
     rng = np.random.default_rng(1)
     z = rng.normal(size=(d + 1, d, d)) + 1j * rng.normal(size=(d + 1, d, d))
-    fam = MubFamily(dimension=Dimension.from_d(d), bases=np.linalg.qr(z)[0])
+    fam = MubFamily(np.linalg.qr(z)[0])
     with pytest.raises(ValueError):
         lambda_numeric(fam)
     with pytest.raises(ValueError):
@@ -681,9 +699,7 @@ def test_lambda_numeric_rejects_random_orthonormal_bases(d):
 def test_lambda_numeric_rejects_bases_that_are_not_orthonormal(d):
     # every Z_theta = diag(3, .., 3, -1, .., -1): they all commute, but none
     # squares to I
-    fam = MubFamily(
-        dimension=Dimension.from_d(d), bases=np.broadcast_to(math.sqrt(2) * np.eye(d), (d + 1, d, d))
-    )
+    fam = MubFamily(np.broadcast_to(math.sqrt(2) * np.eye(d), (d + 1, d, d)))
     with pytest.raises(ValueError, match="built family"):
         lambda_numeric(fam)
     with pytest.raises(ValueError, match="Pauli relations"):
@@ -700,7 +716,7 @@ def test_lambda_numeric_rejects_a_swapped_basis_vector(k, broken):
     half = built.d // 2
     bases = built.bases.copy()
     bases[3][:, [0, half]] = bases[3][:, [half, 0]]
-    fam = MubFamily(dimension=built.dimension, bases=bases)
+    fam = MubFamily(bases)
     with pytest.raises(ValueError, match="built family"):
         lambda_numeric(fam)
     with pytest.raises(ValueError, match=broken):
@@ -731,7 +747,7 @@ def test_helstrom_rejects_non_commuting_bit_states():
     fam = cached_family(2)
     bases = fam.bases.copy()
     bases[1][:, 0] += 0.01 * bases[1][:, 3]  # leaks half 1 into half 0
-    bad = MubFamily(dimension=fam.dimension, bases=bases)
+    bad = MubFamily(bases)
     with pytest.raises(ValueError, match="built family"):
         helstrom_numeric(bad, 1)
     with pytest.raises(ValueError, match="not diagonal"):
