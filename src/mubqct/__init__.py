@@ -17,7 +17,9 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTED_FROM = {
-    "models": ("DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "transmittance"),
+    "models": (
+        "DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "coherent_mu_max", "transmittance",
+    ),
     "detection": (
         "DetectionStats",
         "McDetectionStats",
@@ -45,7 +47,6 @@ _EXPORTED_FROM = {
         "MaxDistanceResult",
         "RatePoint",
         "SweepRow",
-        "coherent_mu_max",
         "key_rate",
         "m_scan_limit",
         "max_distance",

@@ -49,7 +49,10 @@ DEFAULT_SEED = 12345
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1 and no abbreviated flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -378,7 +381,7 @@ def _add_simulation_options(parser: _Parser) -> None:
     parser.add_argument(
         "--allow-insecure-mu",
         action="store_true",
-        help="bypass the mu + 4 sqrt(mu) <= sqrt(d) budget check",
+        help="bypass the photon budget mu <= coherent_mu_max(d), i.e. mu + 4 sqrt(mu) <= sqrt(d)",
     )
     _add_detector_options(parser)
     parser.add_argument("--out-transcript", help="write per-round CSV here")

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateModeError
+from .models import copy_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -351,8 +352,7 @@ def mc_detection_stats(
     """Monte Carlo estimate of the closed-form ratios via `click_events`."""
     import numpy as np
 
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    copy_count(m)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     codes = click_events(np.random.default_rng(seed), n_samples, m, t, detector)

@@ -43,6 +43,13 @@ IRREDUCIBLE_F2_POLYS = {
 MAX_K = max(IRREDUCIBLE_F2_POLYS)
 
 
+def field_degree(k: int) -> int:
+    """k for a field GF(2^k) the tables cover, a Python int in 1..MAX_K; ValueError otherwise."""
+    if type(k) is not int or not 1 <= k <= MAX_K:  # no bool, float or numpy scalar
+        raise ValueError(f"k must be an integer in 1..{MAX_K}, got {k!r}")
+    return k
+
+
 def gf_mul(a, b, k: int):
     """Carry-less product of field elements a and b reduced by the degree-k modulus.
 
@@ -69,12 +76,10 @@ def phase_tables(k: int):
     = tr(u) (mod 4) because S = tr(u) (mod 2).  So S = tr(u) - 2 Q(u) =
     tr(u) + 2 Q(u) (mod 4).  Q is summed as sum_j c_j (c_0 ^ ... ^ c_(j-1))
     over the conjugates c_j = u^(2^j): k length-d products, no d x d table.
-    The one check of k: anything but a Python int in 1..MAX_K raises
-    ValueError, and the cache is typed so 1.0 or True never finds k = 1.
+    k is checked by `field_degree`, and the cache is typed so 1.0 or True
+    never finds k = 1.
     """
-    if type(k) is not int or not 1 <= k <= MAX_K:  # no bool, float or numpy scalar
-        raise ValueError(f"k must be an integer in 1..{MAX_K}, got {k!r}")
-    u = np.arange(1 << k, dtype=np.int64)
+    u = np.arange(1 << field_degree(k), dtype=np.int64)
     square = gf_mul(u, u, k)
     conj, tr2, q = u, u, np.zeros_like(u)  # tr2 is c_0 ^ ... ^ c_(j-1) until the end
     for _ in range(k - 1):

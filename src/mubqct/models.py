@@ -1,8 +1,8 @@
 """Validated plain-data definitions shared by the layers, without numpy.
 
-The one check of the Hilbert-space dimension d = 2^k, the fiber and
-detector models with their presets, the names of the guessing-bound
-sources and the sweep's cell cap.  `mub`, `detection`, `protocol`,
+The one check of d = 2^k and of the copy count m, the photon budget, the
+fiber and detector models with their presets, the guessing-bound source
+names and the sweep's cell cap.  `mub`, `detection`, `protocol`,
 `security`, `ratemodel` and `cli` import them from here, so the
 closed-form layer and the CLI's argument handling load no array library.
 """
@@ -28,6 +28,21 @@ def dimension_k(d: int) -> int:
     if type(d) is not int or d < 2 or d & (d - 1):  # no bool, float or numpy scalar
         raise ValueError(f"d must be a power of two >= 2, got {d!r}")
     return d.bit_length() - 1
+
+
+def copy_count(m: int) -> int:
+    """m for a copy count, a Python int >= 1; ValueError for any other m."""
+    if type(m) is not int or m <= 0:  # no bool, float or numpy scalar
+        raise ValueError(f"m must be >= 1, got {m!r}")
+    return m
+
+
+def coherent_mu_max(d: int) -> float:
+    """Largest mean photon number with mu + 4 sqrt(mu) <= sqrt(d), the O(sqrt(d)) budget:
+    (sqrt(4 + sqrt(d)) - 2)^2, solving the quadratic in sqrt(mu)."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    return (math.sqrt(4.0 + math.sqrt(d)) - 2.0) ** 2
 
 
 def _check_fiber(length_km: float, alpha_db_per_km: float) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError
-from .galois import MAX_K, gf_mul, phase_tables
+from .galois import field_degree, gf_mul, phase_tables
 from .models import dimension_k
 
 # Largest k whose complex family is built: 257 bases of 256 x 256 entries
@@ -92,7 +92,7 @@ class VerificationReport:
         }
 
 
-def _field_tables(k: int, cap: int = MAX_K):
+def _field_tables(k: int):
     """(tr2, tr4, perm): the tables the build is written from and the certificate reads.
 
     tr2 and tr4 are `galois.phase_tables(k)`; perm is the split-balanced
@@ -101,11 +101,9 @@ def _field_tables(k: int, cap: int = MAX_K):
     lower half and odd labels the upper half.  Rows are permuted the same
     way, so basis 0 stays the exact identity (a global unitary, so all
     invariants survive).  perm is GF(2)-linear.  `phase_tables` raises
-    ValueError for k outside 1..MAX_K; k above cap raises CapabilityError.
+    ValueError for k outside 1..MAX_K.
     """
     tables = phase_tables(k)
-    if k > cap:
-        raise CapabilityError(f"the complex family is built for k <= {cap}, got k = {k}")
     j = np.arange(1 << k, dtype=np.int64)
     return (*tables, (j << 1 | j >> (k - 1)) & ((1 << k) - 1))
 
@@ -117,9 +115,11 @@ def _exponent_tables(k: int):
     perm[j]): int64 Z4 exponents, with a and perm[.] field bitmasks from
     `_field_tables`.  x = 0 gives exponent 0, so row 0 of every basis is
     s.  Only E depends on a.  The d x d products are formed here, so k is
-    capped at BUILD_MAX_K before anything is allocated.
+    checked and capped at BUILD_MAX_K before any table is allocated.
     """
-    tr2, tr4, perm = _field_tables(k, BUILD_MAX_K)
+    if field_degree(k) > BUILD_MAX_K:
+        raise CapabilityError(f"the complex family is built for k <= {BUILD_MAX_K}, got k = {k}")
+    tr2, tr4, perm = _field_tables(k)
     product = gf_mul(np.arange(1 << k)[:, None], perm[None, :], k)  # a perm[x]
     return tr4[product], 2 * tr2[product[perm]]
 

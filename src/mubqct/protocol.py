@@ -11,13 +11,13 @@ theta in time, and the adversary's side is carried by the security bounds.
 
 `run_protocol` simulates the full loop over a lossy channel with threshold
 detectors: per-copy transmission and visibility Bernoullis, per-detector
-dark counts, fair-coin resolution of double clicks, erasure when nothing
-clicks.  `multiparty_run` splits the copy budget across several receivers
-sharing one encoding stream.  Both run the same session driver.  The
-receiver model is `detection`'s: a receiver's detection events take one
-byte per round, and its declared bits are written over them
-(`receiver_outcome`), so a session holds x, r, theta and one int8
-outcome per receiver.
+dark counts, erasure of split or dark-contradicted signals and of rounds
+with no click, and a fair coin for darks on both sides with no arrival.
+`multiparty_run` splits the copy budget across several receivers sharing
+one encoding stream.  Both run the same session driver.  The receiver model
+is `detection`'s: a receiver's detection events take one byte per round,
+and its declared bits are written over them (`receiver_outcome`), so a
+session holds x, r, theta and one int8 outcome per receiver.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .detection import chunk_slices, draw_chunked, receiver_outcome
 from .errors import CapabilityError, ConstraintError
-from .models import ChannelModel, DetectorModel, dimension_k
+from .models import ChannelModel, DetectorModel, coherent_mu_max, copy_count, dimension_k
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
@@ -57,7 +57,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         dimension_k(self.d)
-        if not 1 <= self.m < 1 << 63:
+        if copy_count(self.m) >= 1 << 63:
             raise ValueError(f"m must be in [1, 2^63), got {self.m}")
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
@@ -71,11 +71,11 @@ class ProtocolParams:
                     f"poisson statistics require a finite mu > 0, got {self.mu}; "
                     f"numpy's Poisson sampler takes mu <= {_NUMPY_POISSON_MU_MAX:.6g}"
                 )
-            budget = math.sqrt(self.d)
-            if self.mu + 4.0 * math.sqrt(self.mu) > budget and not self.allow_insecure_mu:
+            budget = coherent_mu_max(self.d)
+            if self.mu > budget and not self.allow_insecure_mu:
                 raise ConstraintError(
-                    f"mu + 4 sqrt(mu) = {self.mu + 4 * math.sqrt(self.mu):.6g} exceeds "
-                    f"sqrt(d) = {budget:.6g}; set allow_insecure_mu to override"
+                    f"mu = {self.mu:.6g} exceeds the photon budget coherent_mu_max({self.d}) = "
+                    f"{budget:.6g}; set allow_insecure_mu to override"
                 )
         elif self.mu is not None or self.allow_insecure_mu:
             option = "mu" if self.mu is not None else "allow_insecure_mu"

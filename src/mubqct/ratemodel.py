@@ -8,8 +8,8 @@ with P_sift = 1 - (1 - T eta)^m the probability Bob keeps the round,
 P_guess(m) the adversary guessing bound for m copies, and H(X|Y) Bob's
 conditional entropy from the click statistics.  Sending m copies buys
 sift probability at the price of a weaker guessing bound; `optimize_m`
-scans the integer copy counts allowed by the coherent-attack budget
-mu + 4 sqrt(mu) <= sqrt(d) and `max_distance` bisects for the rate
+scans the integer copy counts within the photon budget (`m_scan_limit`
+of `models.coherent_mu_max`) and `max_distance` bisects for the rate
 horizon.  `sweep` evaluates grids of (profile, d, L) cells and renders
 them as CSV.  Fiber loss enters every function as alpha_db_per_km alone.
 
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 from .detection import conditional_entropy_xy, detection_row
 from .errors import CapabilityError
 from .models import DEFAULT_BOUNDS_SOURCE, DETECTOR_PRESETS, SWEEP_MAX_CELLS, dimension_k
-from .models import DetectorModel, transmittance
+from .models import DetectorModel, coherent_mu_max, transmittance
 from .security import HELSTROM_MAX_COPIES, hmin_bits, pguess
 
 SWEEP_CSV_HEADER = "profile,d,L_km,m_opt,T,p_c,p_e,hxy_bits,hmin_bits,key_rate_bits"
@@ -80,28 +80,16 @@ def key_rate(
 ) -> RatePoint:
     """Asymptotic key bits per emitted m-copy signal at distance length_km.
 
-    Detector efficiency enters the sift prefactor 1 - (1 - T eta)^m, as
-    it does the detection model.  The rate is `_optimal`'s over a one-cell
-    channel row, whose only candidate is m itself.
+    Detector efficiency enters the sift prefactor 1 - (1 - T eta)^m, as it
+    does the detection model.  The rate is `_optimal`'s over a one-cell
+    channel row, whose only candidate is m; `pguess` checks d and m first.
     """
-    dimension_k(d)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    column = [hmin_bits(pguess(d, m, bounds_source))]
     t = transmittance(length_km, alpha_db_per_km)
     row = _channel_row(t, detector, [m])
-    _, p_c, p_e, hxy, hmin, k = _optimal(row, [hmin_bits(pguess(d, m, bounds_source))])
+    _, p_c, p_e, hxy, hmin, k = _optimal(row, column)
     (prefactor,) = row[3]
     return RatePoint(d, m, length_km, t, p_c, p_e, hxy, hmin, prefactor, k, bounds_source)
-
-
-def coherent_mu_max(d: int) -> float:
-    """Largest mean photon number with mu + 4 sqrt(mu) <= sqrt(d).
-
-    Solving the quadratic in sqrt(mu) gives (sqrt(4 + sqrt(d)) - 2)^2.
-    """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return (math.sqrt(4.0 + math.sqrt(d)) - 2.0) ** 2
 
 
 def m_scan_limit(d: int) -> int:

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import CapabilityError
-from .models import BOUNDS_SOURCES, dimension_k
+from .models import BOUNDS_SOURCES, copy_count, dimension_k
 
 if TYPE_CHECKING:
     from .mub import MubFamily
@@ -104,8 +104,7 @@ def pguess_multi_paper(d: int, m: int) -> float:
     """Closed-form m-copy guessing bound (1/2)(1 + 2/sqrt(d) - 4/(d^2 sqrt(d)))^m."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    copy_count(m)
     rd = math.sqrt(d)
     return _half_power(1.0 + 2.0 / rd - 4.0 / (d * d * rd), m)
 
@@ -118,15 +117,15 @@ def pguess(d: int, m: int, source: str) -> float:
     `pguess_multi_paper` above.  "certified" is lambda / 2 with
     `lambda_exact`, clamped into [1/2, 1], at m = 1 and 1 at every m >= 2:
     lambda >= 1 + 1/sqrt(2) > sqrt(2) at every d, so the m-copy bound
-    lambda^m / 2 exceeds 1 there.
+    lambda^m / 2 exceeds 1 there.  Both sources check d (`dimension_k`)
+    and m (`copy_count`) before the source is read.
     """
+    dimension_k(d)
+    copy_count(m)
     if source == "paper":
         return pguess_single_paper(d) if m == 1 else pguess_multi_paper(d, m)
     if source == "certified":
-        lam = lambda_exact(d)
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        return _clamp_guess(lam / 2) if m == 1 else 1.0
+        return _clamp_guess(lambda_exact(d) / 2) if m == 1 else 1.0
     raise ValueError(f"bounds_source must be one of {BOUNDS_SOURCES}, got {source!r}")
 
 
@@ -154,11 +153,9 @@ def pinsker_delta(iacc: float) -> float:
 
 
 def _check_copies(caller: str, d: int, m: int) -> None:
-    """Reject a d that is no power of two, m < 1 and m > HELSTROM_MAX_COPIES, naming caller."""
+    """Reject d and m as `dimension_k` and `copy_count` do, and m > HELSTROM_MAX_COPIES."""
     dimension_k(d)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > HELSTROM_MAX_COPIES:
+    if copy_count(m) > HELSTROM_MAX_COPIES:
         raise CapabilityError(
             f"{caller} of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
         )
@@ -234,8 +231,7 @@ def helstrom_multi_bound(d: int, m: int) -> float:
     """Subadditive m-copy discrimination bound 1/2 + m/(2 sqrt(d+1))."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    copy_count(m)
     return min(1.0, 0.5 + 0.5 * m / math.sqrt(d + 1.0))
 
 
@@ -355,11 +351,8 @@ def bounds_report(d: int, m: int, oracle: bool = False) -> BoundsReport:
     Otherwise lambda_numeric and pguess_certified are None (JSON null):
     the paper's lambda gives no certified bound (at d = 16, lambda_paper
     / 2 = 0.566 while a single-copy attack reaches 0.834), and the
-    min-entropy comes from the "paper" source.
+    min-entropy comes from the "paper" source.  `pguess` checks d and m.
     """
-    dimension_k(d)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     guess = pguess(d, m, "certified" if oracle else "paper")
     iacc = iacc_bound(d, m)
     return BoundsReport(

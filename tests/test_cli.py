@@ -352,6 +352,27 @@ def test_a_second_config_exits_1_naming_both(capsys, tmp_path, second):
     assert f"error: --config given 2 times: {first}, {other}; a run takes one" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sweep", "--d", "16", "--L", "0:10:5", "--conf"), "--conf"),
+        (("simulate", "--d", "16", "--rou", "10"), "--rou"),
+    ],
+    ids=["conf", "rou"],
+)
+def test_an_abbreviated_flag_exits_1(capsys, tmp_path, argv, flag):
+    # argparse once read --conf as --config, which the config pre-scan does not
+    # see, so the file's alpha = 0.5 was dropped and the run went on at 0.2
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("alpha = 0.5\n", encoding="utf-8")
+    tail = (str(cfg),) if flag == "--conf" else ()
+    code, out, err = run_cli(capsys, *argv, *tail)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------- sweep
 
 

@@ -178,7 +178,9 @@ def test_import_loads_no_submodule():
 
 # the package's exports, by defining module
 EXPORTS = {
-    "models": ["DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "transmittance"],
+    "models": [
+        "DETECTOR_PRESETS", "ChannelModel", "DetectorModel", "coherent_mu_max", "transmittance",
+    ],
     "detection": [
         "DetectionStats", "McDetectionStats", "conditional_entropy_xy", "detection_stats",
         "mc_detection_stats", "poisson_detection_stats",
@@ -193,8 +195,8 @@ EXPORTS = {
         "run_protocol",
     ],
     "ratemodel": [
-        "MaxDistanceResult", "RatePoint", "SweepRow", "coherent_mu_max", "key_rate",
-        "m_scan_limit", "max_distance", "optimize_m", "sweep", "sweep_rows_to_csv",
+        "MaxDistanceResult", "RatePoint", "SweepRow", "key_rate", "m_scan_limit",
+        "max_distance", "optimize_m", "sweep", "sweep_rows_to_csv",
     ],
     "security": [
         "BoundsReport", "EveSimResult", "bounds_report", "helstrom_exact",

@@ -24,6 +24,7 @@ from mubqct import (
     simulate_eve_random_basis,
 )
 from mubqct.cli import main
+from mubqct.galois import phase_tables
 from tests.conftest import cached_family
 
 SNSPD = DETECTOR_PRESETS["snspd_lab"]
@@ -120,6 +121,9 @@ def test_certificate_at_k16_holds_length_d_arrays_only():
 
 
 def test_build_beyond_its_cap_raises_before_allocating():
+    # an empty cache, so no earlier test's k = 16 tables can hide a check made after them
+    phase_tables.cache_clear()
+
     def build():
         with pytest.raises(CapabilityError):
             build_mub_family(16)
