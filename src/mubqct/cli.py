@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -289,14 +288,11 @@ def cmd_multiparty(args) -> int:
     from .protocol import multiparty_run
 
     params = _protocol_params(args)
-    # all parties share one law, evaluated once: after multiparty_run has
-    # checked --parties, and before the first file is written
     t = params.channel.transmittance
-    law = functools.cache(lambda m: detection_stats(t, params.detector, m))
 
     def write_and_summarise(p, transcript):
-        stats = law(transcript.m)
-        # here, before the next party is drawn, so one outcome array is alive at a time
+        # in here: no file if the closed forms fail, and one party's outcomes alive at a time
+        stats = detection_stats(t, params.detector, transcript.m)
         if args.out_transcript:
             transcript.to_csv(f"{args.out_transcript}.party{p}.csv")
         return {"party": p, **_summary_core(transcript, stats)}
@@ -344,12 +340,7 @@ def cmd_oracle(args) -> int:
 
 def _add_common(parser: _Parser) -> None:
     parser.add_argument("--config", help="flat key = value config file; flags override it")
-    parser.add_argument(
-        "--format-version",
-        type=int,
-        default=FORMAT_VERSION,
-        help=f"output schema version (this build: {FORMAT_VERSION})",
-    )
+    parser.set_defaults(format_version=FORMAT_VERSION)  # echoed in every config, never set
 
 
 def _add_detector_options(parser: _Parser) -> None:
@@ -426,7 +417,10 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("multiparty", help="one encoding stream, several receivers")
+    p = sub.add_parser("multiparty", help="one encoding stream, several receivers", description=(
+        "Eve taps at the sender or once per receiver fiber. All receivers read one x, so they "
+        "share one key: an untrusted receiver is an untrusted device. The floor(sqrt(d)) cap on "
+        "--parties rests on the paper bounds, which attacks beat at d >= 16."))
     p.add_argument("--parties", type=int, required=True, help="number of receivers")
     _add_simulation_options(p)
     _add_common(p)
@@ -477,11 +471,6 @@ def exit_code(run, argv) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(_resolve_argv(parser, list(argv)))
-    if args.format_version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported --format-version {args.format_version}; "
-            f"this build emits version {FORMAT_VERSION}"
-        )
     return args.func(args)
 
 

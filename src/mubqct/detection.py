@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateModeError
-from .models import copy_count
+from .models import count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -349,12 +349,11 @@ def receiver_outcome(
 def mc_detection_stats(
     t: float, detector: DetectorModel, m: int, n_samples: int, seed: int
 ) -> McDetectionStats:
-    """Monte Carlo estimate of the closed-form ratios via `click_events`."""
+    """Monte Carlo of the closed-form ratios via `click_events`; m and n_samples are counts."""
     import numpy as np
 
-    copy_count(m)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    count(m, "m")
+    count(n_samples, "n_samples")
     codes = click_events(np.random.default_rng(seed), n_samples, m, t, detector)
     per_code = np.bincount(codes, minlength=16)
     n_right, n_wrong = (int(per_code @ ((_click_class() & c) > 0)) for c in (RIGHT, WRONG))

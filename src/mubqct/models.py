@@ -1,10 +1,11 @@
 """Validated plain-data definitions shared by the layers, without numpy.
 
-The one check of d = 2^k and of the copy count m, the photon budget, the
-fiber and detector models with their presets, the guessing-bound source
-names and the sweep's cell cap.  `mub`, `detection`, `protocol`,
-`security`, `ratemodel` and `cli` import them from here, so the
-closed-form layer and the CLI's argument handling load no array library.
+The one check of d = 2^k and of every count (copies m, rounds, samples,
+trials, parties), the photon budget, the fiber and detector models with
+their presets, the guessing-bound source names and the sweep's cell cap.
+`mub`, `detection`, `protocol`, `security`, `ratemodel` and `cli` import
+them from here, so the closed-form layer and the CLI's argument handling
+load no array library.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ def dimension_k(d: int) -> int:
     return d.bit_length() - 1
 
 
-def copy_count(m: int) -> int:
-    """m for a copy count, a Python int >= 1; ValueError for any other m."""
-    if type(m) is not int or m <= 0:  # no bool, float or numpy scalar
-        raise ValueError(f"m must be >= 1, got {m!r}")
-    return m
+def count(n: int, name: str) -> int:
+    """n for a count such as m or n_rounds, a Python int >= 1; ValueError naming it otherwise."""
+    if type(n) is not int or n <= 0:  # no bool, float or numpy scalar
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
+    return n
 
 
 def coherent_mu_max(d: int) -> float:

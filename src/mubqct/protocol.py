@@ -30,7 +30,7 @@ import numpy as np
 
 from .detection import chunk_slices, draw_chunked, receiver_outcome
 from .errors import CapabilityError, ConstraintError
-from .models import ChannelModel, DetectorModel, coherent_mu_max, copy_count, dimension_k
+from .models import ChannelModel, DetectorModel, coherent_mu_max, count, dimension_k
 
 TRANSCRIPT_HEADER = "round,x,r,theta,outcome"
 # the pad byte of _csv_rows' fixed-width slots; no CSV byte is 0
@@ -43,7 +43,7 @@ _NUMPY_POISSON_MU_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Configuration of one simulated protocol session."""
+    """Configuration of one simulated protocol session; m and n_rounds are counts (`count`)."""
 
     d: int
     m: int
@@ -57,10 +57,9 @@ class ProtocolParams:
 
     def __post_init__(self):
         dimension_k(self.d)
-        if copy_count(self.m) >= 1 << 63:
+        if count(self.m, "m") >= 1 << 63:
             raise ValueError(f"m must be in [1, 2^63), got {self.m}")
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
+        count(self.n_rounds, "n_rounds")
         if self.photon_statistics not in ("fixed", "poisson"):
             raise ValueError(
                 f"photon_statistics must be 'fixed' or 'poisson', got {self.photon_statistics!r}"
@@ -285,19 +284,19 @@ def run_protocol(params: ProtocolParams) -> ProtocolTranscript:
 def multiparty_run(params: ProtocolParams, n_parties: int, each=_keep) -> tuple:
     """Run the protocol toward n_parties receivers at once: one transcript per receiver.
 
-    The number of simultaneous receivers is capped at floor(sqrt(d)) so the
-    total copy count stays within the regime the eavesdropping bounds
-    cover; the m copies are split evenly, floor(m / n_parties) each, which
-    is every transcript's m.  With n_parties = 1 this reproduces
-    `run_protocol` exactly.  Given each, receiver p's transcript goes to
-    each(p, transcript) as soon as it is drawn and the tuple of what each
-    returns comes back: a caller that writes and summarises each
-    transcript and keeps none holds one receiver's outcome array at a time.
+    Eve taps at the sender or once per receiver fiber.  All receivers read
+    one x and so share one key: an untrusted receiver is an untrusted
+    device, not a party kept from the key.  n_parties, a count, is capped
+    at floor(sqrt(d)), which rests on the `paper` bounds that attacks beat
+    at d >= 16.  The m copies are split evenly, floor(m / n_parties) each,
+    every transcript's m; n_parties = 1 reproduces `run_protocol` exactly.
+    Given each, receiver p's transcript goes to each(p, transcript) once
+    drawn and the tuple of what each returns comes back: a caller that
+    writes and summarises each transcript and keeps none holds one
+    receiver's outcome array at a time.
     """
-    if n_parties < 1:
-        raise ValueError(f"n_parties must be >= 1, got {n_parties}")
     cap = math.isqrt(params.d)
-    if n_parties > cap:
+    if count(n_parties, "n_parties") > cap:
         raise ConstraintError(
             f"n_parties = {n_parties} exceeds floor(sqrt(d)) = {cap}, the maximum "
             f"number of receivers covered by the multi-copy security bounds"
@@ -333,14 +332,14 @@ def privacy_amplify(bits, seed: int, out_len: int) -> np.ndarray:
     on all-one bits.  The FFT length is capped at
     PRIVACY_AMPLIFY_MAX_FFT_LEN (2^25, about 1.1 GB of working set);
     beyond it CapabilityError is raised before anything is drawn.  Input
-    entries must be 0 or 1 (bool, integer or float); anything else, such
-    as 0.5, NaN, 2 or -1, raises ValueError.
+    entries must be 0 or 1 (bool, integer or float), and out_len a Python
+    int in 0..n; anything else, such as 0.5, NaN, 2 or -1, raises ValueError.
     """
     bits = np.asarray(bits).ravel()
     if bits.dtype.kind not in "biuf" or not np.all((bits == 0) | (bits == 1)):
         raise ValueError("input must be a 0/1 bit string")
     n = bits.size
-    if not 0 <= out_len <= n:
+    if type(out_len) is not int or not 0 <= out_len <= n:  # no bool, float or numpy scalar
         raise ValueError(f"out_len must be in 0..{n}, got {out_len}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import CapabilityError
-from .models import BOUNDS_SOURCES, copy_count, dimension_k
+from .models import BOUNDS_SOURCES, count, dimension_k
 
 if TYPE_CHECKING:
     from .mub import MubFamily
@@ -75,9 +75,8 @@ def lambda_exact(d: int) -> float:
 
 
 def lambda_paper_bound(d: int) -> float:
-    """Closed-form operator-norm bound 1 + (d(d+1) - 2) / (2 d^2 sqrt(d))."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    """Closed-form operator-norm bound 1 + (d(d+1) - 2) / (2 d^2 sqrt(d)); d as `dimension_k`."""
+    dimension_k(d)
     return 1.0 + (d * (d + 1.0) - 2.0) / (2.0 * d * d * math.sqrt(d))
 
 
@@ -86,9 +85,8 @@ def _clamp_guess(p: float) -> float:
 
 
 def pguess_single_paper(d: int) -> float:
-    """Closed-form one-copy guessing bound 1/2 + 1/sqrt(d) - 2/(d(d+1)sqrt(d))."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    """One-copy guessing bound 1/2 + 1/sqrt(d) - 2/(d(d+1)sqrt(d)); d as `dimension_k`."""
+    dimension_k(d)
     rd = math.sqrt(d)
     return _clamp_guess(0.5 + 1.0 / rd - 2.0 / (d * (d + 1.0) * rd))
 
@@ -101,10 +99,9 @@ def _half_power(base: float, m: int) -> float:
 
 
 def pguess_multi_paper(d: int, m: int) -> float:
-    """Closed-form m-copy guessing bound (1/2)(1 + 2/sqrt(d) - 4/(d^2 sqrt(d)))^m."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    copy_count(m)
+    """m-copy guessing bound (1/2)(1 + 2/sqrt(d) - 4/(d^2 sqrt(d)))^m; d and m as in `pguess`."""
+    dimension_k(d)
+    count(m, "m")
     rd = math.sqrt(d)
     return _half_power(1.0 + 2.0 / rd - 4.0 / (d * d * rd), m)
 
@@ -118,10 +115,10 @@ def pguess(d: int, m: int, source: str) -> float:
     `lambda_exact`, clamped into [1/2, 1], at m = 1 and 1 at every m >= 2:
     lambda >= 1 + 1/sqrt(2) > sqrt(2) at every d, so the m-copy bound
     lambda^m / 2 exceeds 1 there.  Both sources check d (`dimension_k`)
-    and m (`copy_count`) before the source is read.
+    and m (`count`) before the source is read.
     """
     dimension_k(d)
-    copy_count(m)
+    count(m, "m")
     if source == "paper":
         return pguess_single_paper(d) if m == 1 else pguess_multi_paper(d, m)
     if source == "certified":
@@ -153,9 +150,9 @@ def pinsker_delta(iacc: float) -> float:
 
 
 def _check_copies(caller: str, d: int, m: int) -> None:
-    """Reject d and m as `dimension_k` and `copy_count` do, and m > HELSTROM_MAX_COPIES."""
+    """Reject d and m as `dimension_k` and `count` do, and m > HELSTROM_MAX_COPIES."""
     dimension_k(d)
-    if copy_count(m) > HELSTROM_MAX_COPIES:
+    if count(m, "m") > HELSTROM_MAX_COPIES:
         raise CapabilityError(
             f"{caller} of m = {m} copies at d = {d} is capped at {HELSTROM_MAX_COPIES} copies"
         )
@@ -228,10 +225,9 @@ def majority_attack(d: int, m: int) -> float:
 
 
 def helstrom_multi_bound(d: int, m: int) -> float:
-    """Subadditive m-copy discrimination bound 1/2 + m/(2 sqrt(d+1))."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    copy_count(m)
+    """Subadditive m-copy discrimination bound 1/2 + m/(2 sqrt(d+1)); d and m as in `pguess`."""
+    dimension_k(d)
+    count(m, "m")
     return min(1.0, 0.5 + 0.5 * m / math.sqrt(d + 1.0))
 
 
@@ -261,16 +257,14 @@ def simulate_eve_random_basis(family: MubFamily, n_trials: int, seed: int) -> Ev
     trial still draws x, r, theta, Eve's basis, her measurement's uniform
     and a coin, in that order and in chunks (`draw_chunked`), so the
     random stream is that of the Born-rule simulation.  n_trials is
-    capped at EVE_SIM_MAX_TRIALS (2^24); beyond it CapabilityError is
-    raised before anything is drawn.
+    a count (`models.count`) capped at EVE_SIM_MAX_TRIALS (2^24); beyond
+    it CapabilityError is raised before anything is drawn.
     """
     import numpy as np
 
     from .detection import chunk_slices, draw_chunked
 
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if n_trials > EVE_SIM_MAX_TRIALS:
+    if count(n_trials, "n_trials") > EVE_SIM_MAX_TRIALS:
         raise CapabilityError(
             f"intercept simulation of {n_trials} trials is capped at {EVE_SIM_MAX_TRIALS}"
         )

@@ -194,6 +194,18 @@ def test_unsupported_format_version_rejected(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_format_version_is_set_by_no_flag_or_config_key(capsys, tmp_path, source):
+    # the schema version is the build's constant: echoed in every config, set by none
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format_version = 1\n", encoding="utf-8")
+    given = ["--format-version", "1"] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "bounds", "--d", "4", *given)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --format-version 1" in err
+    assert "Traceback" not in err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 1

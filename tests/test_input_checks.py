@@ -1,8 +1,9 @@
-"""One rule per input: the copy count m, the photon budget mu and (d, m) of `pguess`.
+"""One rule per input: every count, the photon budget mu and d of the guessing forms.
 
-`models.copy_count` is the one check of m and `models.coherent_mu_max` the
-one photon budget; every layer that takes them calls these, so each bad
-value fails the same way wherever it enters.
+`models.count` is the one check of a count (m, n_rounds, n_samples, n_trials,
+n_parties), `models.dimension_k` the one check of d and
+`models.coherent_mu_max` the one photon budget; every layer that takes them
+calls these, so each bad value fails the same way wherever it enters.
 """
 
 import math
@@ -17,12 +18,18 @@ from mubqct import (
     bounds_report,
     coherent_mu_max,
     helstrom_exact,
+    build_mub_family,
     helstrom_multi_bound,
+    lambda_paper_bound,
     mc_detection_stats,
+    multiparty_run,
     pguess,
     pguess_multi_paper,
+    pguess_single_paper,
+    privacy_amplify,
+    simulate_eve_random_basis,
 )
-from mubqct.models import copy_count
+from mubqct.models import count
 from mubqct.ratemodel import key_rate
 from mubqct.security import majority_attack
 
@@ -30,7 +37,7 @@ IDEAL = DetectorModel(eta=1.0, visibility=1.0, p_dark=0.0)
 
 # every layer that takes a copy count m >= 1, called at d = 16
 COPY_COUNT_ENTRIES = {
-    "copy_count": copy_count,
+    "copy_count": lambda m: count(m, "m"),
     "helstrom_exact": lambda m: helstrom_exact(16, m),
     "majority_attack": lambda m: majority_attack(16, m),
     "pguess_multi_paper": lambda m: pguess_multi_paper(16, m),
@@ -52,6 +59,50 @@ def test_every_layer_rejects_what_is_no_copy_count(entry, m):
     # math.comb raised TypeError; m is a Python int >= 1 everywhere
     with pytest.raises(ValueError, match=r"m must be >= 1, got "):
         COPY_COUNT_ENTRIES[entry](m)
+
+
+# every other count, one entry per name; each is checked before anything is drawn
+COUNT_ENTRIES = {
+    "n_rounds": lambda n: ProtocolParams(d=16, m=1, n_rounds=n, seed=0),
+    "n_samples": lambda n: mc_detection_stats(1.0, IDEAL, 1, n, seed=0),
+    "n_trials": lambda n: simulate_eve_random_basis(build_mub_family(1), n, 0),
+    "n_parties": lambda n: multiparty_run(ProtocolParams(d=16, m=4, n_rounds=10, seed=0), n),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_ENTRIES))
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, np.int64(2)], ids=repr)
+def test_every_count_is_a_python_int_of_at_least_one(name, n):
+    # 2.5 and True once reached numpy's sampler and raised TypeError there, and
+    # multiparty_run ran one party for True and two for np.int64(2)
+    with pytest.raises(ValueError, match=rf"{name} must be >= 1, got "):
+        COUNT_ENTRIES[name](n)
+
+
+# the paper's closed forms, each at a valid m
+PAPER_FORMS = {
+    "lambda_paper_bound": lambda_paper_bound,
+    "pguess_single_paper": pguess_single_paper,
+    "pguess_multi_paper": lambda d: pguess_multi_paper(d, 2),
+    "helstrom_multi_bound": lambda d: helstrom_multi_bound(d, 1),
+}
+
+
+@pytest.mark.parametrize("form", list(PAPER_FORMS))
+@pytest.mark.parametrize("d", [12, 12.5, True, np.int64(16)], ids=repr)
+def test_the_paper_forms_check_d_as_pguess_does(form, d):
+    # these once checked only d < 2: pguess_multi_paper(12, 2) read 1.0 and
+    # helstrom_multi_bound(12.5, 1) 0.636
+    with pytest.raises(ValueError, match="d must be a power of two >= 2"):
+        PAPER_FORMS[form](d)
+
+
+@pytest.mark.parametrize("out_len", [True, 2.5, np.int64(2), -1], ids=repr)
+def test_privacy_amplify_takes_out_len_as_a_python_int_in_range(out_len):
+    # True once returned a 1-bit key and 2.5 raised AttributeError
+    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+    with pytest.raises(ValueError, match=r"out_len must be in 0\.\.8, got "):
+        privacy_amplify(bits, seed=1, out_len=out_len)
 
 
 @pytest.mark.parametrize("k", range(1, 17))

@@ -236,12 +236,12 @@ def test_iacc_bound_examples():
 @pytest.mark.parametrize(
     "bound, args, message",
     [
-        (lambda_paper_bound, (1,), "d must be >= 2, got 1"),
-        (pguess_single_paper, (1,), "d must be >= 2, got 1"),
-        (pguess_multi_paper, (1, 1), "d must be >= 2, got 1"),
+        (lambda_paper_bound, (1,), "d must be a power of two >= 2, got 1"),
+        (pguess_single_paper, (1,), "d must be a power of two >= 2, got 1"),
+        (pguess_multi_paper, (1, 1), "d must be a power of two >= 2, got 1"),
         (iacc_bound, (1, 1), "d must be >= 2, got 1"),
         (iacc_bound, (16, -1), "m must be >= 0, got -1"),
-        (helstrom_multi_bound, (1, 1), "d must be >= 2, got 1"),
+        (helstrom_multi_bound, (1, 1), "d must be a power of two >= 2, got 1"),
         (helstrom_multi_bound, (16, 0), "m must be >= 1, got 0"),
     ],
 )
