@@ -5,16 +5,12 @@ Subcommands: mub-verify, bounds, sweep, simulate, multiparty, oracle.
 Exit codes: 0 success, 1 usage or parameter errors, 2 verification
 failure, 3 capability cap exceeded or out of memory, 4 I/O errors.
 
-Options may be preloaded from a flat config file (`key = value` lines,
-`#` comments, each key once) via one --config, where true and false set
-only the subcommand's own switches; explicit flags override config
-entries, and --seed falls back to 12345.  Every subcommand echoes its
-fully resolved configuration as a `# config: ...` comment line: the
-first line of the sweep CSV and of the simulate transcript, and on
-stderr for JSON-emitting commands and `sweep --out`.
-Per-party multiparty transcripts have no comment line: the header, then
-one row per round.  All output is seed-deterministic: identical config
-and seed give byte-identical files.
+Every subcommand echoes its fully resolved configuration as a
+`# config: ...` comment line: the first line of the sweep CSV and of
+the simulate transcript, and on stderr for JSON-emitting commands and
+`sweep --out`.  Per-party multiparty transcripts have no comment line:
+the header, then one row per round.  All output is seed-deterministic:
+identical config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -58,57 +54,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if key in lines:
-                raise ValueError(f"{path}:{lineno}: key {key} is already set on line {lines[key]}")
-            entries[key], lines[key] = value, lineno
-    return entries
-
-
-def _extract_config_path(argv: list[str]) -> str | None:
-    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
-    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
-    if len(paths) > 1:
-        raise ValueError(f"--config given {len(paths)} times: {', '.join(paths)}; a run takes one")
-    return paths[0] if paths else None
-
-
-def _resolve_argv(parser: _Parser, argv: list[str]) -> list[str]:
-    """argv with its config entries as flags, ahead of explicit ones; true and false set
-    only the switches (store_true flags) of the subcommand's own parser."""
-    path = _extract_config_path(argv)
-    (commands,) = (action.choices for action in parser._actions if action.dest == "cmd")
-    if path is None or not argv or argv[0] not in commands:
-        return argv
-    switches = {f for a in commands[argv[0]]._actions if a.const is True for f in a.option_strings}
-    flags: list[str] = []
-    for key, value in sorted(_load_config(path).items()):
-        flag = "--" + key.replace("_", "-")
-        if value.lower() not in ("true", "false"):
-            flags.extend([flag, value])
-        elif flag not in switches:
-            raise ValueError(f"config key {key} = {value}: true and false set switches only, "
-                             f"and {argv[0]} has no switch {flag}")
-        elif value.lower() == "true":
-            flags.append(flag)
-    return [argv[0], *flags, *argv[1:]]
-
-
 def _config_items(args: argparse.Namespace) -> dict[str, str]:
-    skip = {"func", "cmd", "config"}
-    items: dict[str, str] = {}
+    skip = {"func", "cmd"}
+    items: dict[str, str] = {"format_version": str(FORMAT_VERSION)}
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue
@@ -338,11 +286,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--config", help="flat key = value config file; flags override it")
-    parser.set_defaults(format_version=FORMAT_VERSION)  # echoed in every config, never set
-
-
 def _add_detector_options(parser: _Parser) -> None:
     parser.add_argument(
         "--profile",
@@ -391,7 +334,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--k", type=int, required=True, help="dimension exponent 1..16, d = 2^k")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed deviation")
-    _add_common(p)
     p.set_defaults(func=cmd_mub_verify)
 
     p = sub.add_parser("bounds", help="adversary bounds for one (d, m) point")
@@ -399,7 +341,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=1)
     oracle_help = "exact lambda from the commutation classes of the split observables"
     p.add_argument("--oracle", action="store_true", help=oracle_help)
-    _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="optimized key-rate table over (profile, d, L)")
@@ -409,12 +350,10 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
     p.add_argument("--bounds-source", choices=BOUNDS_SOURCES, default=DEFAULT_BOUNDS_SOURCE)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol run with transcript")
     _add_simulation_options(p)
-    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("multiparty", help="one encoding stream, several receivers", description=(
@@ -423,7 +362,6 @@ def build_parser() -> _Parser:
         "--parties rests on the paper bounds, which attacks beat at d >= 16."))
     p.add_argument("--parties", type=int, required=True, help="number of receivers")
     _add_simulation_options(p)
-    _add_common(p)
     p.set_defaults(func=cmd_multiparty)
 
     p = sub.add_parser(
@@ -437,7 +375,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_detector_options(p)
-    _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -469,8 +406,7 @@ def exit_code(run, argv) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_resolve_argv(parser, list(argv)))
+    args = build_parser().parse_args(list(argv))
     return args.func(args)
 
 

@@ -298,8 +298,8 @@ def multiparty_run(params: ProtocolParams, n_parties: int, each=_keep) -> tuple:
     cap = math.isqrt(params.d)
     if count(n_parties, "n_parties") > cap:
         raise ConstraintError(
-            f"n_parties = {n_parties} exceeds floor(sqrt(d)) = {cap}, the maximum "
-            f"number of receivers covered by the multi-copy security bounds"
+            f"n_parties = {n_parties} exceeds floor(sqrt(d)) = {cap}, a cap that rests on "
+            f"the paper bounds, which attacks beat at d >= 16"
         )
     if params.photon_statistics != "fixed":
         raise ConstraintError("multiparty runs support fixed photon statistics only")

@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, config resolution, artifact formats, determinism.
+"""CLI behavior: exit codes, the config echo, artifact formats, determinism.
 
 All tests drive ``mubqct.cli.main`` in process so capsys can capture the
 stdout/stderr split (JSON on stdout, `# config:` echo on stderr).
@@ -194,15 +194,17 @@ def test_unsupported_format_version_rejected(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_format_version_is_set_by_no_flag_or_config_key(capsys, tmp_path, source):
-    # the schema version is the build's constant: echoed in every config, set by none
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format_version = 1\n", encoding="utf-8")
-    given = ["--format-version", "1"] if source == "flag" else ["--config", str(cfg)]
+@pytest.mark.parametrize(
+    "given, unrecognized",
+    [(("--format-version", "1"), "--format-version 1"), (("--config", "run.cfg"), "--config")],
+    ids=["flag", "config"],
+)
+def test_format_version_is_set_by_no_flag_or_config_key(capsys, given, unrecognized):
+    # the schema version is the build's constant, echoed in every config and set by no
+    # option; nor is there a config file to set it from
     code, out, err = run_cli(capsys, "bounds", "--d", "4", *given)
     assert (code, out) == (1, "")
-    assert "unrecognized arguments: --format-version 1" in err
+    assert f"unrecognized arguments: {unrecognized}" in err
     assert "Traceback" not in err
 
 
@@ -231,7 +233,7 @@ def test_seed_default(capsys):
 
 
 def test_seed_ignores_the_environment(capsys, monkeypatch):
-    # --seed comes from the flag, the config file or DEFAULT_SEED: no environment variable
+    # --seed comes from the flag or DEFAULT_SEED: no environment variable
     argv = ("simulate", "--d", "16", "--rounds", "100")
     _, without, _ = run_cli(capsys, *argv)
     monkeypatch.setenv("MUBQCT_SEED", "555")
@@ -241,148 +243,73 @@ def test_seed_ignores_the_environment(capsys, monkeypatch):
     assert json.loads(out)["config"]["seed"] == str(DEFAULT_SEED)
 
 
-def test_seed_config_overrides_env(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("MUBQCT_SEED", "555")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# run defaults\nseed = 777\nm = 2\n", encoding="utf-8")
-    config = _simulate_config(capsys, "--config", str(cfg))
-    assert config["seed"] == "777"
-    assert config["m"] == "2"
-    assert config["rounds"] == "50"  # explicit flag outranks the file
-
-
-def test_seed_flag_overrides_config(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("MUBQCT_SEED", "555")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 777\n", encoding="utf-8")
-    config = _simulate_config(capsys, "--config", str(cfg), "--seed", "999")
-    assert config["seed"] == "999"
-
-
-def test_missing_config_file_exits_4(capsys):
-    code, _, _ = run_cli(capsys, "simulate", "--d", "4", "--config", "/no/such/file.cfg")
-    assert code == 4
-
-
-def test_malformed_config_file_exits_1(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("seed 777\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "simulate", "--d", "4", "--config", str(cfg))
-    assert code == 1
-    assert "bad.cfg:1" in err
-
-
-@pytest.mark.parametrize(
-    "first, second, key",
-    [("L = 10", "L = 20", "L"), ("p-dark = 1e-5", "p_dark = 1e-6", "p_dark")],
-    ids=["same", "normalised"],
-)
-def test_a_config_key_given_twice_exits_1_naming_both_lines(capsys, tmp_path, first, second, key):
-    # neither line may silently win: the run exits before anything is simulated
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{first}\n# comment\n{second}\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "simulate", "--d", "16", "--rounds", "10", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {cfg}:3: key {key} is already set on line 1\n"
-
-
-@pytest.mark.parametrize(
-    "argv, entry",
-    [
-        (("sweep", "--d", "16", "--L", "0:10:5"), "profile = false"),
-        (("bounds", "--d", "16"), "m = false"),
-        (("simulate", "--d", "16", "--rounds", "10"), "out_transcript = false"),
-    ],
-    ids=["sweep-profile", "bounds-m", "simulate-out-transcript"],
-)
-def test_false_on_a_key_that_is_no_switch_exits_1_naming_it(capsys, tmp_path, argv, entry):
-    # it used to drop the entry, so the run went ahead on the default
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{entry}\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert f"error: config key {entry}: true and false set switches only" in err
-    assert list(tmp_path.iterdir()) == [cfg]
-
-
-@pytest.mark.parametrize(
-    "argv, entry",
-    [
-        (("sweep", "--d", "16", "--L", "0:10:5"), "oracle = false"),
-        (("sweep", "--d", "16", "--L", "0:10:5"), "oracle = true"),
-        (("bounds", "--d", "16"), "allow_insecure_mu = false"),
-        (("simulate", "--d", "16", "--rounds", "10"), "oracle = false"),
-    ],
-    ids=["sweep-oracle-false", "sweep-oracle-true", "bounds-allow-insecure-mu", "simulate-oracle"],
-)
-def test_a_switch_the_subcommand_lacks_exits_1_whatever_its_value(capsys, tmp_path, argv, entry):
-    # false used to be dropped for any of the CLI's switches, so the run went ahead
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{entry}\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    key = entry.split(" =")[0]
-    flag = "--" + key.replace("_", "-")
-    assert f"error: config key {entry}: true and false set switches only, " in err
-    assert f"and {argv[0]} has no switch {flag}" in err
-    assert list(tmp_path.iterdir()) == [cfg]
-
-
-@pytest.mark.parametrize("value, code", [("true", 0), ("false", 1)])
-def test_allow_insecure_mu_from_a_config_sets_the_switch(capsys, tmp_path, value, code):
-    # mu + 4 sqrt(mu) = 12 exceeds sqrt(16) = 4: only the switch lets the run go ahead
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"allow_insecure_mu = {value}\n", encoding="utf-8")
-    argv = ("simulate", "--d", "16", "--rounds", "10", "--photon-statistics", "poisson")
-    got, _, err = run_cli(capsys, *argv, "--mu", "4", "--config", str(cfg))
-    assert got == code
-    assert ("set allow_insecure_mu to override" in err) == (code == 1)
-
-
-@pytest.mark.parametrize("value, oracle", [("true", True), ("false", False), ("FALSE", False)])
-def test_true_and_false_set_the_switches(capsys, tmp_path, value, oracle):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"oracle = {value}\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "bounds", "--d", "16", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["oracle_used"] is oracle
-
-
-@pytest.mark.parametrize("second", ["--config", "--config="], ids=["spaced", "equals"])
-def test_a_second_config_exits_1_naming_both(capsys, tmp_path, second):
-    # the second file used to be ignored: the first one's entries ran
-    first, other = tmp_path / "a.cfg", tmp_path / "b.cfg"
-    first.write_text("m = 2\n", encoding="utf-8")
-    other.write_text("m = 3\n", encoding="utf-8")
-    tail = (second, str(other)) if second == "--config" else (second + str(other),)
-    code, out, err = run_cli(capsys, "bounds", "--d", "16", "--config", str(first), *tail)
-    assert code == 1
-    assert out == ""
-    assert f"error: --config given 2 times: {first}, {other}; a run takes one" in err
-
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("sweep", "--d", "16", "--L", "0:10:5", "--conf"), "--conf"),
+        (("sweep", "--d", "16", "--L", "0:10:5", "--bounds", "paper"), "--bounds paper"),
         (("simulate", "--d", "16", "--rou", "10"), "--rou"),
     ],
-    ids=["conf", "rou"],
+    ids=["bounds", "rou"],
 )
-def test_an_abbreviated_flag_exits_1(capsys, tmp_path, argv, flag):
-    # argparse once read --conf as --config, which the config pre-scan does not
-    # see, so the file's alpha = 0.5 was dropped and the run went on at 0.2
-    cfg = tmp_path / "a.cfg"
-    cfg.write_text("alpha = 0.5\n", encoding="utf-8")
-    tail = (str(cfg),) if flag == "--conf" else ()
-    code, out, err = run_cli(capsys, *argv, *tail)
+def test_an_abbreviated_flag_exits_1(capsys, argv, flag):
+    # argparse reads a unique prefix as the whole flag by default, so --bounds
+    # would set --bounds-source; a flag is taken only as spelled in --help
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {flag}" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------- rerun from the echo
+
+RERUN_CASES = {
+    "mub-verify": ("mub-verify", "--k", "3"),
+    "bounds": ("bounds", "--d", "16", "--m", "2", "--oracle"),
+    "sweep": ("sweep", "--d", "16,64", "--L", "0:20:10", "--profile", "ingaas_field"),
+    "sweep-out": ("sweep", "--d", "16", "--L", "0:10:5", "--out", "rates.csv"),
+    "simulate": ("simulate", "--d", "16", "--m", "2", "--L", "25", "--rounds", "200",
+                 "--p-dark", "1e-4", "--out-transcript", "t.csv", "--out-summary", "s.json"),
+    "simulate-poisson": ("simulate", "--d", "16", "--photon-statistics", "poisson", "--mu", "2",
+                         "--allow-insecure-mu", "--rounds", "200"),
+    "multiparty": ("multiparty", "--parties", "2", "--d", "16", "--m", "4", "--rounds", "200",
+                   "--seed", "3", "--out-transcript", "t"),
+    "oracle": ("oracle", "--d", "4", "--m", "2", "--samples", "1000", "--visibility", "0.9"),
+}
+
+
+def _argv_from_echo(echo: str) -> list[str]:
+    """The flags that rerun a run, read back from its `# config:` line."""
+    cmd, *items = echo.removeprefix("# config: ").split(" ")
+    (commands,) = (a.choices for a in cli.build_parser()._actions if a.dest == "cmd")
+    actions = {a.dest: a for a in commands[cmd.removeprefix("cmd=")]._actions}
+    argv = [cmd.removeprefix("cmd=")]
+    for key, value in (item.split("=", 1) for item in items):
+        if key == "format_version":  # the build's constant: no flag sets it
+            continue
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs == 0:  # a switch
+            argv += [flag] if value == "true" else []
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_a_run_reruns_from_its_config_echo(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        code, out, err = run_cli(capsys, *argv)
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return code, out, err, files
+
+    first = run(RERUN_CASES[case])
+    assert first[0] == 0
+    echo = next(line for line in (first[2] + first[1]).splitlines() if line.startswith("# config: "))
+    assert run(_argv_from_echo(echo)) == first
 
 
 # --------------------------------------------------------------------- sweep
@@ -434,15 +361,8 @@ def test_sweep_unknown_profile_exits_1(capsys):
     [["simulate", "--rounds", "10"], ["multiparty", "--parties", "2", "--rounds", "10"], ["oracle"]],
     ids=["simulate", "multiparty", "oracle"],
 )
-@pytest.mark.parametrize("via", ["flag", "config"])
-def test_unknown_detector_profile_is_a_usage_error(capsys, tmp_path, cmd, via):
-    if via == "flag":
-        extra = ["--profile", "nope"]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("profile = nope\n", encoding="utf-8")
-        extra = ["--config", str(cfg)]
-    code, out, err = run_cli(capsys, cmd[0], "--d", "16", *cmd[1:], *extra)
+def test_unknown_detector_profile_is_a_usage_error(capsys, cmd):
+    code, out, err = run_cli(capsys, cmd[0], "--d", "16", *cmd[1:], "--profile", "nope")
     assert code == 1
     assert out == ""
     assert "argument --profile: invalid choice: 'nope'" in err
@@ -797,11 +717,16 @@ def test_multiparty_summary_and_transcripts(capsys, tmp_path):
 
 
 def test_multiparty_over_receiver_cap_exits_1(capsys):
-    code, _, err = run_cli(
-        capsys, "multiparty", "--parties", "9", "--d", "64", "--m", "9", "--rounds", "10"
-    )
-    assert code == 1
-    assert "8" in err
+    for parties, d, cap in ((9, 64, 8), (5, 16, 4)):
+        code, out, err = run_cli(
+            capsys, "multiparty", "--parties", str(parties), "--d", str(d), "--m", str(parties),
+            "--rounds", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: n_parties = {parties} exceeds floor(sqrt(d)) = {cap}, a cap that rests on "
+            "the paper bounds, which attacks beat at d >= 16\n"
+        )
 
 
 # -------------------------------------------------------------------- oracle
