@@ -8,9 +8,11 @@ failure, 3 capability cap exceeded or out of memory, 4 I/O errors.
 Every subcommand echoes its fully resolved configuration as a
 `# config: ...` comment line: the first line of the sweep CSV and of
 the simulate transcript, and on stderr for JSON-emitting commands and
-`sweep --out`.  Per-party multiparty transcripts have no comment line:
-the header, then one row per round.  All output is seed-deterministic:
-identical config and seed give byte-identical files.
+`sweep --out`.  Each value is quoted as a POSIX shell reads it
+(`shlex.quote`), which leaves [A-Za-z0-9@%+=:,./_-] bare.  Per-party
+multiparty transcripts have no comment line: the header, then one row
+per round.  All output is seed-deterministic: identical config and
+seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shlex
 import sys
 from typing import TYPE_CHECKING
 
@@ -57,6 +60,8 @@ class _Parser(argparse.ArgumentParser):
 def _config_items(args: argparse.Namespace) -> dict[str, str]:
     skip = {"func", "cmd"}
     items: dict[str, str] = {"format_version": str(FORMAT_VERSION)}
+    if "mu" in vars(args):  # the source that --mu selects, as transcripts and summaries record it
+        items["photon_statistics"] = "fixed" if args.mu is None else "poisson"
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue
@@ -68,8 +73,8 @@ def _config_items(args: argparse.Namespace) -> dict[str, str]:
 
 def _config_comment(args: argparse.Namespace) -> str:
     items = _config_items(args)
-    body = " ".join(f"{k}={v}" for k, v in items.items())
-    return f"config: cmd={args.cmd} {body}".rstrip()
+    body = " ".join(f"{k}={shlex.quote(v)}" for k, v in items.items())
+    return f"config: cmd={args.cmd} {body}"
 
 
 def _emit_json(obj, args, out_path: str | None = None) -> None:
@@ -202,7 +207,6 @@ def _protocol_params(args) -> ProtocolParams:
         seed=args.seed,
         channel=channel,
         detector=detector,
-        photon_statistics=args.photon_statistics,
         mu=args.mu,
         allow_insecure_mu=args.allow_insecure_mu,
     )
@@ -215,7 +219,7 @@ def cmd_simulate(args) -> int:
     params = _protocol_params(args)
     t = params.channel.transmittance
     # the closed forms come first, so a run they reject writes no file
-    if params.photon_statistics == "poisson":
+    if params.mu is not None:
         stats = poisson_detection_stats(t, params.detector, params.mu)
     else:
         stats = detection_stats(t, params.detector, params.m)
@@ -305,13 +309,7 @@ def _add_simulation_options(parser: _Parser) -> None:
     parser.add_argument("--L", type=float, default=0.0, dest="length_km", help="fiber length in km")
     parser.add_argument("--rounds", type=int, default=10000, help="protocol rounds to simulate")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
-    parser.add_argument(
-        "--photon-statistics",
-        choices=("fixed", "poisson"),
-        default="fixed",
-        help="copy-count statistics of the source",
-    )
-    parser.add_argument("--mu", type=float, help="mean photon number for poisson statistics")
+    parser.add_argument("--mu", type=float, help="mean photon number of a Poisson source, in place of --m")
     parser.add_argument(
         "--allow-insecure-mu",
         action="store_true",

@@ -43,7 +43,11 @@ _NUMPY_POISSON_MU_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Configuration of one simulated protocol session; m and n_rounds are counts (`count`)."""
+    """Configuration of one simulated protocol session; m and n_rounds are counts (`count`).
+
+    mu selects the source: None sends m copies every round, a float a
+    Poisson number of copies of mean mu, whose draw ignores m.
+    """
 
     d: int
     m: int
@@ -51,7 +55,6 @@ class ProtocolParams:
     seed: int
     channel: ChannelModel = field(default_factory=ChannelModel)
     detector: DetectorModel = field(default_factory=DetectorModel)
-    photon_statistics: str = "fixed"
     mu: Optional[float] = None
     allow_insecure_mu: bool = False
 
@@ -60,12 +63,8 @@ class ProtocolParams:
         if count(self.m, "m") >= 1 << 63:
             raise ValueError(f"m must be in [1, 2^63), got {self.m}")
         count(self.n_rounds, "n_rounds")
-        if self.photon_statistics not in ("fixed", "poisson"):
-            raise ValueError(
-                f"photon_statistics must be 'fixed' or 'poisson', got {self.photon_statistics!r}"
-            )
-        if self.photon_statistics == "poisson":
-            if self.mu is None or not 0 < self.mu <= _NUMPY_POISSON_MU_MAX:
+        if self.mu is not None:
+            if not 0 < self.mu <= _NUMPY_POISSON_MU_MAX:
                 raise ValueError(
                     f"poisson statistics require a finite mu > 0, got {self.mu}; "
                     f"numpy's Poisson sampler takes mu <= {_NUMPY_POISSON_MU_MAX:.6g}"
@@ -76,9 +75,8 @@ class ProtocolParams:
                     f"mu = {self.mu:.6g} exceeds the photon budget coherent_mu_max({self.d}) = "
                     f"{budget:.6g}; set allow_insecure_mu to override"
                 )
-        elif self.mu is not None or self.allow_insecure_mu:
-            option = "mu" if self.mu is not None else "allow_insecure_mu"
-            raise ValueError(f"{option} applies to poisson photon statistics only, not fixed")
+        elif self.allow_insecure_mu:
+            raise ValueError("allow_insecure_mu applies to a Poisson source only: set mu")
 
 
 @dataclass(frozen=True)
@@ -142,36 +140,21 @@ class ProtocolTranscript:
 
         The rows are taken in the session's chunks (`chunk_slices`); each
         chunk is rendered as one byte buffer by `_csv_rows`, one floor
-        division by 10 per digit, and written in one call.  The chunks
-        share one set of scratch arrays and one round-number array,
-        shifted along from chunk to chunk, so the writer's extra memory is
-        one chunk's at any round count and no chunk allocates its own.
-        The bytes are those of formatting every field with str(): the
-        same digits, '-' signs, commas and newlines.
+        division by 10 per digit, and written in one call, so the writer's
+        extra memory is one chunk's at any round count.  The bytes are
+        those of formatting every field with str(): the same digits, '-'
+        signs, commas and newlines.
         """
-        chunks = list(chunk_slices(self.n_rounds))
-        scratch = {}
-        rounds = np.arange(chunks[0].stop if chunks else 0)  # the first chunk is the longest
         with open(path, "wb") as fh:
             if comment:
                 fh.write(f"# {comment}\n".encode("utf-8"))
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode("utf-8"))
-            for rows in chunks:
-                size = rows.stop - rows.start
+            for rows in chunk_slices(self.n_rounds):
                 columns = (self.x[rows], self.r[rows], self.theta[rows], self.outcome[rows])
-                fh.write(_csv_rows((rounds[:size], *columns), scratch))
-                rounds += size
+                fh.write(_csv_rows((np.arange(rows.start, rows.stop), *columns)))
 
 
-def _scratch(pool: dict, name: str, size: int, dtype) -> np.ndarray:
-    """The first size entries of pool[name], which is reallocated only to grow."""
-    buf = pool.get(name)
-    if buf is None or buf.size < size:
-        buf = pool[name] = np.empty(size, dtype)
-    return buf[:size]
-
-
-def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> np.ndarray:
+def _csv_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
     """ASCII bytes of comma-separated integer rows, one row per entry.
 
     A field is '-' for a negative value followed by the decimal digits of
@@ -184,12 +167,7 @@ def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> 
     and an unused sign slot are pad bytes (0), and the result is the
     (rows, W) layout with its pad bytes removed.  Non-integer columns
     raise TypeError instead of being truncated.
-
-    Every intermediate array is taken from `scratch`, a dict that a
-    caller rendering many chunks passes to each call, so the chunks
-    reuse one set of arrays; only the returned bytes are new.
     """
-    pool = {} if scratch is None else scratch
     columns = [np.asarray(col) for col in columns]
     fields = []
     width = 0
@@ -202,21 +180,20 @@ def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> 
         fields.append((signed, ndig, np.min_scalar_type(top)))
         width += signed + ndig + 1
     n = columns[0].size
-    buf = _scratch(pool, "rows", n * width, np.uint8)
+    buf = np.empty(n * width, np.uint8)
 
     def slot(offset: int) -> np.ndarray:
         return np.ndarray((n,), np.uint8, buffer=buf, offset=offset, strides=(width,))
 
-    digit = _scratch(pool, "digit", n, np.uint8)
-    flag = _scratch(pool, "flag", n, bool)
+    digit = np.empty(n, np.uint8)
+    flag = np.empty(n, bool)
     pos = 0
     for col, (signed, ndig, dtype) in zip(columns, fields):
         if signed:
             np.less(col, 0, out=flag)
             np.multiply(flag.view(np.uint8), np.uint8(ord("-")), out=slot(pos))
             pos += 1
-        rest, quot, tens = (_scratch(pool, name + dtype.char, n, dtype)
-                            for name in ("rest", "quot", "tens"))
+        rest, quot, tens = (np.empty(n, dtype) for _ in range(3))
         # |-2**63| wraps to -2**63 in int64, which the cast to uint64 reads as 2**63
         np.absolute(col, out=rest, dtype=np.int64, casting="unsafe")
         for place in range(ndig):
@@ -232,7 +209,7 @@ def _csv_rows(columns: Sequence[np.ndarray], scratch: Optional[dict] = None) -> 
         slot(pos)[...] = ord(",")
         pos += 1
     slot(pos - 1)[...] = ord("\n")
-    return buf[np.not_equal(buf, _CSV_PAD, out=_scratch(pool, "keep", buf.size, bool))]
+    return buf[buf != _CSV_PAD]
 
 
 def _keep(party: int, transcript: ProtocolTranscript) -> ProtocolTranscript:
@@ -257,7 +234,7 @@ def _run_session(params: ProtocolParams, n_receivers: int, each=_keep) -> tuple:
     rs = draw_chunked(n, lambda size: alice_rng.integers(0, params.d // 2, size))
     thetas = draw_chunked(n, lambda size: alice_rng.integers(0, params.d + 1, size))
     copies_each = params.m // n_receivers
-    if params.photon_statistics == "poisson":
+    if params.mu is not None:
         copies = draw_chunked(n, lambda size: alice_rng.poisson(params.mu, size))
     else:
         copies = copies_each
@@ -301,8 +278,10 @@ def multiparty_run(params: ProtocolParams, n_parties: int, each=_keep) -> tuple:
             f"n_parties = {n_parties} exceeds floor(sqrt(d)) = {cap}, a cap that rests on "
             f"the paper bounds, which attacks beat at d >= 16"
         )
-    if params.photon_statistics != "fixed":
-        raise ConstraintError("multiparty runs support fixed photon statistics only")
+    if params.mu is not None:
+        raise ConstraintError(
+            "multiparty runs take m fixed copies only, not a Poisson source (--mu)"
+        )
     if params.m < n_parties:
         raise ConstraintError(
             f"m = {params.m} copies split over {n_parties} parties leaves none for some party"

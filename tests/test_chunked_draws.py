@@ -71,7 +71,7 @@ def _session_whole(params, n_receivers):
     xs = alice_rng.integers(0, 2, size=n).astype(np.int8)
     rs = alice_rng.integers(0, params.d // 2, size=n)
     thetas = alice_rng.integers(0, params.d + 1, size=n)
-    if params.photon_statistics == "poisson":
+    if params.mu is not None:
         copies = alice_rng.poisson(params.mu, size=n)
     else:
         copies = params.m // n_receivers
@@ -180,11 +180,9 @@ SESSION_CASES = {
     "p_dark_0.05": (_params(8, 3, 5, 0.0, NOISY), 1),
     "p_dark_0.1_three_parties": (_params(16, 6, 7, 25.0, DARK), 3),
     "poisson_mu_4": (
-        _params(1024, 1, 7, 50.0, DETECTOR_PRESETS["snspd_lab"],
-                photon_statistics="poisson", mu=4.0), 1),
+        _params(1024, 1, 7, 50.0, DETECTOR_PRESETS["snspd_lab"], mu=4.0), 1),
     "poisson_mu_200_insecure": (
-        _params(16, 1, 3, 0.0, DARK, photon_statistics="poisson", mu=200.0,
-                allow_insecure_mu=True), 1),
+        _params(16, 1, 3, 0.0, DARK, mu=200.0, allow_insecure_mu=True), 1),
 }
 
 

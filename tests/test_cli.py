@@ -7,6 +7,7 @@ stdout/stderr split (JSON on stdout, `# config:` echo on stderr).
 import hashlib
 import json
 import math
+import shlex
 import time
 
 import pytest
@@ -268,10 +269,13 @@ RERUN_CASES = {
     "bounds": ("bounds", "--d", "16", "--m", "2", "--oracle"),
     "sweep": ("sweep", "--d", "16,64", "--L", "0:20:10", "--profile", "ingaas_field"),
     "sweep-out": ("sweep", "--d", "16", "--L", "0:10:5", "--out", "rates.csv"),
+    # values outside shlex's safe set are quoted in the echo
+    "sweep-out-blank": ("sweep", "--d", "16", "--L", "0:10:5", "--out", "a b.csv"),
+    "sweep-d-blank": ("sweep", "--d", "16, 64", "--L", "0:10:5"),
     "simulate": ("simulate", "--d", "16", "--m", "2", "--L", "25", "--rounds", "200",
                  "--p-dark", "1e-4", "--out-transcript", "t.csv", "--out-summary", "s.json"),
-    "simulate-poisson": ("simulate", "--d", "16", "--photon-statistics", "poisson", "--mu", "2",
-                         "--allow-insecure-mu", "--rounds", "200"),
+    "simulate-poisson": ("simulate", "--d", "16", "--mu", "2", "--allow-insecure-mu",
+                         "--rounds", "200"),
     "multiparty": ("multiparty", "--parties", "2", "--d", "16", "--m", "4", "--rounds", "200",
                    "--seed", "3", "--out-transcript", "t"),
     "oracle": ("oracle", "--d", "4", "--m", "2", "--samples", "1000", "--visibility", "0.9"),
@@ -280,12 +284,13 @@ RERUN_CASES = {
 
 def _argv_from_echo(echo: str) -> list[str]:
     """The flags that rerun a run, read back from its `# config:` line."""
-    cmd, *items = echo.removeprefix("# config: ").split(" ")
+    cmd, *items = shlex.split(echo.removeprefix("# config: "))
     (commands,) = (a.choices for a in cli.build_parser()._actions if a.dest == "cmd")
     actions = {a.dest: a for a in commands[cmd.removeprefix("cmd=")]._actions}
     argv = [cmd.removeprefix("cmd=")]
     for key, value in (item.split("=", 1) for item in items):
-        if key == "format_version":  # the build's constant: no flag sets it
+        # the build's constant, and the source that --mu selects: no flag sets them
+        if key in ("format_version", "photon_statistics"):
             continue
         flag = actions[key].option_strings[0]
         if actions[key].nargs == 0:  # a switch
@@ -454,8 +459,7 @@ PINNED_ARTIFACTS = {
         },
     ),
     "simulate_poisson": (
-        ("simulate", "--d", "1024", "--photon-statistics", "poisson", "--mu", "4",
-         "--L", "50", "--rounds", "2000", "--seed", "7"),
+        ("simulate", "--d", "1024", "--mu", "4", "--L", "50", "--rounds", "2000", "--seed", "7"),
         {
             "t.csv": "cf41f2b9506ca7ad4fd41e0517622ee699c071ae1cb6c0b2426cb515fe69df4d",
             # re-pinned when the analytic fields took the Poisson closed form
@@ -579,8 +583,8 @@ def test_simulate_poisson_z_scores_reasonable(capsys, length, mu):
     # the fixed-copy formula at m = mu read z_click_rate = -166 and -159
     # at L = 0 on 2e5 rounds of this seed: a Poisson source needs its own form
     code, out, _ = run_cli(
-        capsys, "simulate", "--d", "1024", "--photon-statistics", "poisson",
-        "--mu", str(mu), "--L", str(length), "--rounds", "400000", "--seed", "3",
+        capsys, "simulate", "--d", "1024", "--mu", str(mu), "--L", str(length),
+        "--rounds", "400000", "--seed", "3",
     )
     assert code == 0
     summary = json.loads(out)
@@ -591,8 +595,7 @@ def test_simulate_poisson_z_scores_reasonable(capsys, length, mu):
 
 def test_simulate_poisson_budget_violation_exits_1(capsys):
     code, _, err = run_cli(
-        capsys, "simulate", "--d", "4", "--photon-statistics", "poisson", "--mu", "1.0",
-        "--rounds", "10",
+        capsys, "simulate", "--d", "4", "--mu", "1.0", "--rounds", "10",
     )
     assert code == 1
     assert "mu" in err
@@ -602,8 +605,7 @@ def test_simulate_poisson_budget_violation_exits_1(capsys):
 def test_simulate_non_finite_mu_exits_1_naming_mu(capsys, mu, extra):
     # NaN fails every comparison, so it used to pass the photon-budget check
     code, out, err = run_cli(
-        capsys, "simulate", "--d", "16", "--photon-statistics", "poisson", "--mu", mu,
-        *extra, "--rounds", "10",
+        capsys, "simulate", "--d", "16", "--mu", mu, *extra, "--rounds", "10",
     )
     assert code == 1
     assert out == ""
@@ -618,8 +620,7 @@ def test_simulate_non_finite_mu_exits_1_naming_mu(capsys, mu, extra):
         ("multiparty", "--parties", "2", "--m", str(2**33)),
         # beyond expm1's range in the closed forms' log branch
         ("simulate", "--m", str(2**63 - 1), "--L", "100"),
-        ("simulate", "--photon-statistics", "poisson", "--mu", "1e12", "--allow-insecure-mu",
-         "--L", "30"),
+        ("simulate", "--mu", "1e12", "--allow-insecure-mu", "--L", "30"),
     ],
     ids=["simulate-2^32", "multiparty-2^33", "simulate-2^63-1", "poisson-mu-1e12"],
 )
@@ -637,7 +638,7 @@ def test_sources_of_2_to_the_32_copies_and_more_run(capsys, argv):
     [
         (("simulate", "--m", str(2**63)), f"m must be in [1, 2^63), got {2**63}"),
         (("multiparty", "--parties", "2", "--m", str(2**64)), "m must be in [1, 2^63)"),
-        (("simulate", "--photon-statistics", "poisson", "--mu", "1e300", "--allow-insecure-mu"),
+        (("simulate", "--mu", "1e300", "--allow-insecure-mu"),
          "finite mu > 0, got 1e+300; numpy's Poisson sampler takes mu <= 9.22337e+18"),
     ],
     ids=["simulate-m", "multiparty-m", "poisson-mu"],
@@ -652,15 +653,34 @@ def test_sources_numpy_cannot_draw_exit_1_naming_the_flag(capsys, argv, message)
 @pytest.mark.parametrize(
     "cmd", [("simulate",), ("multiparty", "--parties", "2", "--m", "2")], ids=["simulate", "multiparty"]
 )
-@pytest.mark.parametrize(
-    "flags, option", [(("--mu", "4"), "mu"), (("--allow-insecure-mu",), "allow_insecure_mu")]
-)
-def test_poisson_options_under_fixed_statistics_exit_1_naming_the_option(capsys, cmd, flags, option):
-    # fixed statistics never read them, so a run would echo a mu it ignored
-    code, out, err = run_cli(capsys, *cmd, "--d", "16", "--rounds", "10", *flags)
+def test_poisson_options_under_fixed_statistics_exit_1_naming_the_option(capsys, cmd):
+    # a fixed source has no budget to override, so a run would echo a switch it ignored
+    code, out, err = run_cli(capsys, *cmd, "--d", "16", "--rounds", "10", "--allow-insecure-mu")
     assert code == 1
     assert out == ""
-    assert f"error: {option} applies to poisson photon statistics only" in err
+    assert "error: allow_insecure_mu applies to a Poisson source only: set mu\n" in err
+    assert "Traceback" not in err
+
+
+def test_photon_statistics_is_no_flag(capsys, tmp_path, monkeypatch):
+    # --mu alone selects the Poisson source
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "--d", "16", "--photon-statistics", "poisson",
+                             "--mu", "2", "--out-transcript", "t.csv")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --photon-statistics poisson" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_multiparty_with_mu_exits_1_naming_it(capsys):
+    # mu = 2 is within the photon budget at d = 1024, so only the source is refused
+    code, out, err = run_cli(capsys, "multiparty", "--parties", "2", "--m", "2", "--mu", "2",
+                             "--d", "1024", "--rounds", "10")
+    assert code == 1
+    assert out == ""
+    assert "error: multiparty runs take m fixed copies only, not a Poisson source (--mu)" in err
     assert "Traceback" not in err
 
 
@@ -668,7 +688,7 @@ def test_poisson_options_under_fixed_statistics_exit_1_naming_the_option(capsys,
     "cmd",
     [
         ("simulate",),
-        ("simulate", "--photon-statistics", "poisson", "--mu", "1", "--allow-insecure-mu"),
+        ("simulate", "--mu", "1", "--allow-insecure-mu"),
         ("multiparty", "--parties", "2", "--m", "2"),
     ],
     ids=["simulate", "simulate-poisson", "multiparty"],

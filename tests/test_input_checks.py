@@ -111,9 +111,7 @@ def test_poisson_source_is_admitted_up_to_the_rate_models_budget(k):
     mu = coherent_mu_max(d)
 
     def params(mu, **switch):
-        return ProtocolParams(
-            d=d, m=1, n_rounds=10, seed=0, photon_statistics="poisson", mu=mu, **switch
-        )
+        return ProtocolParams(d=d, m=1, n_rounds=10, seed=0, mu=mu, **switch)
 
     assert params(mu).mu == mu
     above = math.nextafter(mu, math.inf)

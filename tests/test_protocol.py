@@ -59,28 +59,22 @@ def test_protocol_params_validation():
         ProtocolParams(d=4, m=0, n_rounds=10, seed=0)
     with pytest.raises(ValueError):
         ProtocolParams(d=4, m=1, n_rounds=0, seed=0)
-    with pytest.raises(ValueError):
-        ProtocolParams(d=4, m=1, n_rounds=10, seed=0, photon_statistics="thermal")
 
 
 def test_poisson_mu_budget_is_enforced():
     # mu + 4 sqrt(mu) = 5 exceeds sqrt(4) = 2
     with pytest.raises(ConstraintError):
-        ProtocolParams(d=4, m=1, n_rounds=10, seed=0, photon_statistics="poisson", mu=1.0)
-    ok = ProtocolParams(
-        d=4, m=1, n_rounds=10, seed=0,
-        photon_statistics="poisson", mu=1.0, allow_insecure_mu=True,
-    )
+        ProtocolParams(d=4, m=1, n_rounds=10, seed=0, mu=1.0)
+    ok = ProtocolParams(d=4, m=1, n_rounds=10, seed=0, mu=1.0, allow_insecure_mu=True)
     run_protocol(ok)  # override admits the run
-    within = ProtocolParams(
-        d=2**10, m=1, n_rounds=10, seed=0, photon_statistics="poisson", mu=9.0
-    )
+    within = ProtocolParams(d=2**10, m=1, n_rounds=10, seed=0, mu=9.0)
     run_protocol(within)
 
 
-@pytest.mark.parametrize("option, value", [("mu", 4.0), ("allow_insecure_mu", True)])
+@pytest.mark.parametrize("option, value", [("allow_insecure_mu", True)])
 def test_poisson_options_need_poisson_statistics(option, value):
-    with pytest.raises(ValueError, match=f"{option} applies to poisson"):
+    # mu selects the Poisson source, so only the budget override can lack it
+    with pytest.raises(ValueError, match=f"^{option} applies to a Poisson source only: set mu$"):
         ProtocolParams(d=16, m=1, n_rounds=10, seed=0, **{option: value})
 
 
@@ -245,14 +239,12 @@ _csv_tables = st.integers(min_value=1, max_value=300).flatmap(
 )
 
 
-@given(_csv_tables, _csv_tables)
+@given(_csv_tables)
 @settings(max_examples=100, deadline=None)
-def test_csv_rows_matches_str_of_every_field(first, second):
-    scratch = {}  # shared by both tables, as to_csv shares it between chunks
-    for columns in (first, second):
-        rows = zip(*(col.tolist() for col in columns))
-        expected = "".join(",".join(map(str, row)) + "\n" for row in rows).encode("ascii")
-        assert protocol._csv_rows(columns, scratch).tobytes() == expected
+def test_csv_rows_matches_str_of_every_field(columns):
+    rows = zip(*(col.tolist() for col in columns))
+    expected = "".join(",".join(map(str, row)) + "\n" for row in rows).encode("ascii")
+    assert protocol._csv_rows(columns).tobytes() == expected
 
 
 def test_csv_rows_renders_int64_min_exactly():
@@ -279,10 +271,10 @@ def test_transcript_csv_error_in_middle_chunk_propagates(tmp_path, monkeypatch, 
     monkeypatch.setattr(detection, "_CHUNK_ROWS", chunk)
     real_csv_rows = protocol._csv_rows
 
-    def csv_rows_with_float_x_at_row_98(columns, *scratch):
+    def csv_rows_with_float_x_at_row_98(columns):
         if columns[0][0] == 98:
             columns = (columns[0], columns[1] + 0.5, *columns[2:])
-        return real_csv_rows(columns, *scratch)
+        return real_csv_rows(columns)
 
     monkeypatch.setattr(protocol, "_csv_rows", csv_rows_with_float_x_at_row_98)
     tr = _mixed_transcript()
@@ -346,10 +338,7 @@ def test_multiparty_copy_split():
 
 
 def test_multiparty_rejects_poisson_source():
-    params = ProtocolParams(
-        d=2**10, m=4, n_rounds=10, seed=0, detector=IDEAL,
-        photon_statistics="poisson", mu=4.0,
-    )
+    params = ProtocolParams(d=2**10, m=4, n_rounds=10, seed=0, detector=IDEAL, mu=4.0)
     with pytest.raises(ConstraintError):
         multiparty_run(params, 2)
 

@@ -32,7 +32,8 @@ from mubqct import (
 )
 from mubqct import detection, ratemodel
 from mubqct.detection import RIGHT, WRONG, click_events
-from mubqct.models import BOUNDS_SOURCES
+from mubqct.cli import main
+from mubqct.models import BOUNDS_SOURCES, DEFAULT_BOUNDS_SOURCE
 from mubqct.ratemodel import SWEEP_CSV_HEADER, _channel_row
 from mubqct.security import hmin_bits, pguess
 
@@ -667,6 +668,44 @@ def test_sweep_benchmark_grid_invariants(bench_rows):
         curves.setdefault((row.profile, row.d), []).append(row.key_rate_bits)
     for rates in curves.values():
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+# ------------------------------------------------------- the default rate path
+
+# What the rate layer computes when no bounds source is named, computed with
+# `paper` as the default.  ROADMAP item 1(a) changes the default source; it
+# re-pins every value below and logs the old and new ones.
+DEFAULT_SWEEP_ARGV = ["sweep", "--d", ",".join(map(str, BENCH_DS)), "--L", "0:400:2",
+                      "--profile", "ingaas_field,snspd_lab"]
+DEFAULT_SWEEP_STDOUT_SHA256 = "f732395f16bf0ab1e72f89ee932949d95a7685c881ade22684f7dcfd8a82ce99"
+# (profile, d): (optimize_m at L = 0, optimize_m at L = 50 km, max_distance)
+DEFAULT_OPTIMA = {
+    ("snspd_lab", 2): ((1, 0.0), (1, 0.0), 0.0),
+    ("snspd_lab", 16): ((1, 0.2308466543289254), (1, 0.0), 39.1845703125),
+    ("snspd_lab", 65536): ((5, 0.9364688326385213), (26, 0.5682124567493426), 125.30517578125),
+    ("ingaas_field", 2): ((1, 0.0), (1, 0.0), 0.0),
+    ("ingaas_field", 16): ((1, 0.002662694715718311), (1, 0.0), 0.67138671875),
+    ("ingaas_field", 65536): ((14, 0.7878172108732098), (38, 0.24854239499981465), 86.60888671875),
+}
+
+
+def test_default_bounds_source_is_paper():
+    assert DEFAULT_BOUNDS_SOURCE == "paper"
+
+
+def test_default_sweep_on_the_benchmark_grid_matches_pinned_digest(capsys):
+    assert main(DEFAULT_SWEEP_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("profile, d", sorted(DEFAULT_OPTIMA))
+def test_default_optimum_and_reach_are_pinned(profile, d):
+    at_source, at_50_km, reach = DEFAULT_OPTIMA[profile, d]
+    det = DETECTOR_PRESETS[profile]
+    assert optimize_m(d, 0.0, det) == at_source
+    assert optimize_m(d, 50.0, det) == at_50_km
+    assert max_distance(d, det) == MaxDistanceResult(distance_km=reach, saturated=False)
 
 
 # ------------------------------------------- closed forms vs the one-point formula
